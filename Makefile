@@ -1,12 +1,13 @@
 # Pre-merge verification and perf tooling.  `make verify` is the documented
-# gate: the tier-1 build+test, go vet + gofmt, and the race detector over
-# the concurrency-bearing packages (problem construction, the flow kernels
-# and their workspace pool, and the platform server).
+# gate: the tier-1 build+test, go vet + gofmt, the race detector over the
+# concurrency-bearing packages (problem construction, the flow kernels and
+# their workspace pool, and the platform server), and vet + tests of the
+# perfbench module.
 GO ?= go
 
-.PHONY: verify build test vet race chaos crash bench benchjson bench-diff
+.PHONY: verify build test vet race perfbench-test chaos crash bench benchjson bench-diff
 
-verify: build test vet race
+verify: build test vet race perfbench-test
 
 build:
 	$(GO) build ./...
@@ -22,6 +23,12 @@ vet:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/platform/... ./internal/bipartite/...
+
+# perfbench is a module of its own (it replaces repro with ../), so the
+# root ./... never compiles it; build and test it here so a platform API
+# change cannot silently break the end-to-end benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection suite: ≥120 serving rounds under injected journal
 # faults, solver panics and concurrent churn, then recovery verification;

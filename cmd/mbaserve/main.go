@@ -341,108 +341,47 @@ func main() {
 		}()
 	}
 
-	var backend platform.Backend
-	// Shutdown resources, filled by whichever mode is assembled below.
+	// Shutdown resources, filled as the markets are assembled below.
 	var jfile *os.File                // single-file journal handle
 	var segs []*platform.SegmentedLog // segmented journals (1 or N)
 	var cms []*platform.CheckpointManager
 
-	if *numShards > 1 {
-		bundles := make([]platform.Shard, *numShards)
-		var states []*platform.State
-		if *snapshotDir != "" {
-			var infos []*platform.RecoveryInfo
-			states, infos, err = platform.RecoverShardedDir(*snapshotDir, *categories, *numShards)
-			if err != nil {
-				log.Fatalf("mbaserve: recovering %s: %v", *snapshotDir, err)
-			}
-			for k, info := range infos {
-				for _, p := range info.CorruptSnapshots {
-					log.Printf("mbaserve: shard %d recovery skipped corrupt snapshot %s", k, p)
-				}
-				if info.TailDropped != nil {
-					log.Printf("mbaserve: shard %d recovery dropped torn journal tail: %v", k, info.TailDropped)
-				}
-				w, t := states[k].Counts()
-				log.Printf("recovered shard %d: %d workers, %d tasks, %d rounds (+%d events from %d segments)",
-					k, w, t, states[k].Rounds(), info.EventsReplayed, info.SegmentsReplayed)
-			}
-		} else {
-			states = make([]*platform.State, *numShards)
-			for k := range states {
-				if states[k], err = platform.NewState(*categories); err != nil {
-					log.Fatalf("mbaserve: %v", err)
-				}
-			}
-		}
-		for k := range bundles {
-			solver, err := buildSolver(*solverName, *fallbackChain, *roundDeadline)
-			if err != nil {
-				log.Fatalf("mbaserve: %v", err)
-			}
-			bundles[k] = platform.Shard{State: states[k], Solver: solver}
-			if *snapshotDir != "" {
-				seg, err := platform.OpenSegmentedLog(platform.ShardDir(*snapshotDir, k), platform.SegmentOptions{
-					MaxBytes: *segmentBytes,
-					Log:      logOpts,
-				})
-				if err != nil {
-					log.Fatalf("mbaserve: opening shard %d journal: %v", k, err)
-				}
-				cm, err := platform.NewCheckpointManager(states[k], seg, platform.CheckpointOptions{
-					EveryRounds: *snapshotEvery,
-					Keep:        *snapshotKeep,
-				})
-				if err != nil {
-					log.Fatalf("mbaserve: %v", err)
-				}
-				bundles[k].Journal = seg
-				bundles[k].Checkpoint = cm
-				segs = append(segs, seg)
-				cms = append(cms, cm)
-			}
-		}
-		ss, err := platform.NewShardedService(bundles, params, platform.ShardedOptions{}, *seed)
-		if err != nil {
-			log.Fatalf("mbaserve: %v", err)
-		}
-		backend = ss
-	} else {
+	// One market per directory: the snapshot dir itself for a single
+	// market, ShardDir(dir, k) per shard otherwise.  Each market gets its
+	// own solver instance — stateful solvers must not be shared.
+	markets := make([]platform.Shard, *numShards)
+	for k := range markets {
 		solver, err := buildSolver(*solverName, *fallbackChain, *roundDeadline)
 		if err != nil {
 			log.Fatalf("mbaserve: %v", err)
 		}
-		var state *platform.State
-		var jnl platform.Journal
+		markets[k].Solver = solver
 		switch {
 		case *snapshotDir != "":
-			// O(state + tail) recovery: newest valid snapshot, then only the
-			// journal segments written after it.
-			var info *platform.RecoveryInfo
-			state, info, err = platform.RecoverDir(*snapshotDir, *categories)
+			// O(state + tail) recovery: newest valid snapshot, then only
+			// the journal segments written after it.
+			dir := *snapshotDir
+			if *numShards > 1 {
+				dir = platform.ShardDir(dir, k)
+			}
+			state, seg, cm, info, err := platform.OpenMarketDir(dir, *categories,
+				platform.SegmentOptions{MaxBytes: *segmentBytes, Log: logOpts},
+				&platform.CheckpointOptions{EveryRounds: *snapshotEvery, Keep: *snapshotKeep})
 			if err != nil {
-				log.Fatalf("mbaserve: recovering %s: %v", *snapshotDir, err)
+				log.Fatalf("mbaserve: %v", err)
 			}
 			for _, p := range info.CorruptSnapshots {
-				log.Printf("mbaserve: recovery skipped corrupt snapshot %s", p)
+				log.Printf("mbaserve: recovery of %s skipped corrupt snapshot %s", dir, p)
 			}
 			if info.TailDropped != nil {
-				log.Printf("mbaserve: recovery dropped torn journal tail: %v", info.TailDropped)
+				log.Printf("mbaserve: recovery of %s dropped torn journal tail: %v", dir, info.TailDropped)
 			}
 			w, t := state.Counts()
-			log.Printf("recovered checkpoint dir: %d workers, %d tasks, %d rounds (snapshot seq %d + %d events from %d segments)",
-				w, t, state.Rounds(), info.Snapshot.Seq, info.EventsReplayed, info.SegmentsReplayed)
-			// OpenSegmentedLog truncates any torn tail before appending — new
-			// events never land after corrupt bytes.
-			seg, err := platform.OpenSegmentedLog(*snapshotDir, platform.SegmentOptions{
-				MaxBytes: *segmentBytes,
-				Log:      logOpts,
-			})
-			if err != nil {
-				log.Fatalf("mbaserve: opening segmented journal: %v", err)
-			}
-			jnl = seg
+			log.Printf("recovered %s: %d workers, %d tasks, %d rounds (snapshot seq %d + %d events from %d segments)",
+				dir, w, t, state.Rounds(), info.Snapshot.Seq, info.EventsReplayed, info.SegmentsReplayed)
+			markets[k] = platform.Shard{State: state, Journal: seg, Solver: solver, Checkpoint: cm}
 			segs = append(segs, seg)
+			cms = append(cms, cm)
 		case *journal != "":
 			// Single-file mode: replay tolerating a torn tail from a crash
 			// mid-append, truncate it away, then keep appending.
@@ -453,32 +392,28 @@ func main() {
 			if jf.Dropped != nil {
 				log.Printf("mbaserve: journal recovery: %v (truncated %d torn bytes)", jf.Dropped, jf.Truncated)
 			}
-			state = jf.State
-			w, t := state.Counts()
-			log.Printf("replayed journal: %d workers, %d tasks, %d rounds", w, t, state.Rounds())
-			jnl = jf.Log
+			w, t := jf.State.Counts()
+			log.Printf("replayed journal: %d workers, %d tasks, %d rounds", w, t, jf.State.Rounds())
+			markets[k].State, markets[k].Journal = jf.State, jf.Log
 			jfile = jf.File
-		}
-		if state == nil {
-			if state, err = platform.NewState(*categories); err != nil {
+		default:
+			if markets[k].State, err = platform.NewState(*categories); err != nil {
 				log.Fatalf("mbaserve: %v", err)
 			}
 		}
-		svc, err := platform.NewService(state, solver, params, jnl, *seed)
+	}
+	var backend platform.Backend
+	if *numShards > 1 {
+		if backend, err = platform.NewShardedService(markets, params, platform.ShardedOptions{}, *seed); err != nil {
+			log.Fatalf("mbaserve: %v", err)
+		}
+	} else {
+		m := markets[0]
+		svc, err := platform.NewService(m.State, m.Solver, params, m.Journal, *seed)
 		if err != nil {
 			log.Fatalf("mbaserve: %v", err)
 		}
-		if len(segs) == 1 {
-			cm, err := platform.NewCheckpointManager(state, segs[0], platform.CheckpointOptions{
-				EveryRounds: *snapshotEvery,
-				Keep:        *snapshotKeep,
-			})
-			if err != nil {
-				log.Fatalf("mbaserve: %v", err)
-			}
-			svc.SetCheckpointer(cm)
-			cms = append(cms, cm)
-		}
+		svc.SetCheckpointer(m.Checkpoint)
 		backend = svc
 	}
 

@@ -287,3 +287,28 @@ func RecoverDir(dir string, numCategories int) (*State, *RecoveryInfo, error) {
 	}
 	return state, info, nil
 }
+
+// OpenMarketDir assembles one market directory for serving: recover its
+// state (RecoverDir), reopen its segmented journal for appending —
+// OpenSegmentedLog truncates any torn tail, so new events never land
+// after corrupt bytes — and, when cpOpts is non-nil, attach a checkpoint
+// manager over the two.  A single-market primary, each shard of a sharded
+// one, and a promoted standby all open their directories through here.
+func OpenMarketDir(dir string, numCategories int, segOpts SegmentOptions, cpOpts *CheckpointOptions) (*State, *SegmentedLog, *CheckpointManager, *RecoveryInfo, error) {
+	state, info, err := RecoverDir(dir, numCategories)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("platform: recovering %s: %w", dir, err)
+	}
+	seg, err := OpenSegmentedLog(dir, segOpts)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("platform: opening journal in %s: %w", dir, err)
+	}
+	var cm *CheckpointManager
+	if cpOpts != nil {
+		if cm, err = NewCheckpointManager(state, seg, *cpOpts); err != nil {
+			seg.Close()
+			return nil, nil, nil, nil, err
+		}
+	}
+	return state, seg, cm, info, nil
+}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -222,5 +223,72 @@ func TestServerEpochHeaderFences(t *testing.T) {
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("fenced healthz status %d, want 503", hresp.StatusCode)
+	}
+}
+
+// TestBatchRejectsControlEvents: POST /v1/batch is client input, so a
+// round marker or an epoch bump in it — alone or riding with valid events
+// — must be refused with 422 on both backends, leaving the epoch, the
+// last sequence and the journal bytes untouched.  A forged bump would
+// otherwise fence every peer at a lower epoch.
+func TestBatchRejectsControlEvents(t *testing.T) {
+	type backend interface {
+		Backend
+		Fenceable
+		HealthReporter
+	}
+	single := func(t *testing.T) (backend, []*bytes.Buffer) {
+		buf := &bytes.Buffer{}
+		svc, err := NewService(mustState(t), greedySolver(), benefit.DefaultParams(), NewLog(buf), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc, []*bytes.Buffer{buf}
+	}
+	sharded := func(t *testing.T) (backend, []*bytes.Buffer) {
+		ss, _, bufs := newBatchSharded(t, 4, nil)
+		return ss, bufs
+	}
+	bodies := map[string]string{
+		"epoch bump":        `[{"kind":"epoch_bumped","epoch":99}]`,
+		"round marker":      `[{"kind":"round_closed","round":0}]`,
+		"bump after a task": `[{"kind":"task_posted","task":{"category":0,"replication":1,"payment":5,"difficulty":0.2}},{"kind":"epoch_bumped","epoch":99}]`,
+	}
+	for name, build := range map[string]func(*testing.T) (backend, []*bytes.Buffer){"service": single, "sharded": sharded} {
+		for what, body := range bodies {
+			t.Run(name+"/"+what, func(t *testing.T) {
+				b, bufs := build(t)
+				if _, err := b.Submit(NewTaskPosted(validTask())); err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(NewServer(b))
+				defer ts.Close()
+				epoch, seq := b.Epoch(), b.Health().LastSeq
+				var journals [][]byte
+				for _, buf := range bufs {
+					journals = append(journals, bytes.Clone(buf.Bytes()))
+				}
+
+				resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusUnprocessableEntity {
+					t.Fatalf("status %d, want 422", resp.StatusCode)
+				}
+				if got := b.Epoch(); got != epoch {
+					t.Fatalf("epoch %d after rejected batch, want %d", got, epoch)
+				}
+				if got := b.Health().LastSeq; got != seq {
+					t.Fatalf("last seq %d after rejected batch, want %d", got, seq)
+				}
+				for k, buf := range bufs {
+					if !bytes.Equal(buf.Bytes(), journals[k]) {
+						t.Fatalf("journal %d changed by a rejected batch", k)
+					}
+				}
+			})
+		}
 	}
 }

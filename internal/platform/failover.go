@@ -249,32 +249,21 @@ func (fo *Failover) Run(ctx context.Context) error {
 	return seg.Close()
 }
 
-// promote turns the replica directory into a serving primary: recover it
+// promote turns the replica directory into a serving primary: open it
 // (it is a valid checkpoint dir — the follower journaled before applying,
-// always), reopen the segmented journal for appending, build the service
-// and journal the epoch bump that fences the old primary.
+// always), build the service and journal the epoch bump that fences the
+// old primary.
 func (fo *Failover) promote() (*Service, *SegmentedLog, *CheckpointManager, error) {
-	state, _, err := RecoverDir(fo.dir, fo.opts.Follower.NumCategories)
+	state, seg, cm, _, err := OpenMarketDir(fo.dir, fo.opts.Follower.NumCategories, fo.opts.Follower.Segment, fo.opts.Checkpoint)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("recovering replica dir: %w", err)
-	}
-	seg, err := OpenSegmentedLog(fo.dir, fo.opts.Follower.Segment)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reopening replica journal: %w", err)
+		return nil, nil, nil, err
 	}
 	svc, err := NewService(state, fo.opts.Solver, fo.opts.Params, seg, fo.opts.Seed)
 	if err != nil {
 		seg.Close()
 		return nil, nil, nil, err
 	}
-	var cm *CheckpointManager
-	if fo.opts.Checkpoint != nil {
-		if cm, err = NewCheckpointManager(state, seg, *fo.opts.Checkpoint); err != nil {
-			seg.Close()
-			return nil, nil, nil, err
-		}
-		svc.SetCheckpointer(cm)
-	}
+	svc.SetCheckpointer(cm)
 	// The journaled epoch bump is the promotion: it survives restarts of
 	// the new primary and rides every response header from here on, which
 	// is what demotes a resurrected old primary.

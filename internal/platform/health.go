@@ -93,21 +93,20 @@ func (s *Service) Health() HealthStatus {
 // status degrades if any shard's journal is poisoned.
 func (ss *ShardedService) Health() HealthStatus {
 	h := HealthStatus{Role: "primary", Status: "ok"}
-	for i, rt := range ss.shards {
-		sh := ShardHealth{
-			Shard:           i,
-			LastSeq:         rt.state.Seq(),
-			JournalPoisoned: journalPoisoned(rt.journal),
-		}
-		sh.Workers, sh.Tasks = rt.state.Counts()
-		if sh.LastSeq > h.LastSeq {
-			h.LastSeq = sh.LastSeq
-		}
+	for k, svc := range ss.shards {
+		sh := svc.Health()
+		h.LastSeq = max(h.LastSeq, sh.LastSeq)
 		if sh.JournalPoisoned {
 			h.JournalPoisoned = true
 			h.Status = "degraded"
 		}
-		h.Shards = append(h.Shards, sh)
+		h.Shards = append(h.Shards, ShardHealth{
+			Shard:           k,
+			LastSeq:         sh.LastSeq,
+			JournalPoisoned: sh.JournalPoisoned,
+			Workers:         sh.Workers,
+			Tasks:           sh.Tasks,
+		})
 	}
 	h.Workers, h.Tasks = ss.Counts()
 	h.Rounds = ss.Rounds()

@@ -516,9 +516,9 @@ func (sl *SegmentedLog) Segments() []SegmentInfo {
 	defer sl.mu.Unlock()
 	out := append([]SegmentInfo(nil), sl.sealed...)
 	if sl.f != nil {
-		cur := sl.cur
-		cur.Size = atomic.LoadInt64(&sl.cur.Size)
-		out = append(out, cur)
+		// Field by field: the committer goroutine bumps Size atomically, so
+		// a plain struct copy would race with it.
+		out = append(out, SegmentInfo{Path: sl.cur.Path, FirstSeq: sl.cur.FirstSeq, Size: atomic.LoadInt64(&sl.cur.Size)})
 	}
 	return out
 }
@@ -533,9 +533,9 @@ func (sl *SegmentedLog) EventsSince(from uint64) ([]Event, error) {
 	sl.mu.Lock()
 	segs := append([]SegmentInfo(nil), sl.sealed...)
 	if sl.f != nil {
-		cur := sl.cur
-		cur.Size = sl.curBase + sl.log.committedBytes()
-		segs = append(segs, cur)
+		// Field by field, as in Segments: a struct copy would read Size
+		// under the committer's atomic writes.
+		segs = append(segs, SegmentInfo{Path: sl.cur.Path, FirstSeq: sl.cur.FirstSeq, Size: sl.curBase + sl.log.committedBytes()})
 	}
 	sl.mu.Unlock()
 

@@ -28,6 +28,23 @@ type RoundResult struct {
 	Round   int              `json:"round"`
 	Pairs   []AssignmentPair `json:"pairs"`
 	Metrics core.Metrics     `json:"metrics"`
+	RoundProvenance
+	// Shards carries per-shard provenance when the round was served by a
+	// ShardedService (nil for a single-market Service), and
+	// ReconcileDropped / ReconcileRefilled count the cross-shard
+	// reconciliation churn: optimistic picks dropped because a spanning
+	// worker was over-subscribed across shards, and freed slots refilled
+	// from the owning shards' remaining edges.
+	Shards            []ShardRound `json:"shards,omitempty"`
+	ReconcileDropped  int          `json:"reconcile_dropped,omitempty"`
+	ReconcileRefilled int          `json:"reconcile_refilled,omitempty"`
+}
+
+// RoundProvenance is how one market served a round: what its solve did
+// and what its commit journaled.  RoundResult carries it for a single
+// market (a sharded round aggregates StalePairs and SolveError), and each
+// ShardRound carries its shard's own.
+type RoundProvenance struct {
 	// StalePairs counts assignments the solver produced that were dropped
 	// at commit time because their worker left or their task closed while
 	// the round was solving.  Metrics still describe the full solve-time
@@ -60,15 +77,6 @@ type RoundResult struct {
 	// time, so its failure never fails the round.
 	Checkpointed    bool   `json:"checkpointed,omitempty"`
 	CheckpointError string `json:"checkpoint_error,omitempty"`
-	// Shards carries per-shard provenance when the round was served by a
-	// ShardedService (nil for a single-market Service), and
-	// ReconcileDropped / ReconcileRefilled count the cross-shard
-	// reconciliation churn: optimistic picks dropped because a spanning
-	// worker was over-subscribed across shards, and freed slots refilled
-	// from the owning shards' remaining edges.
-	Shards            []ShardRound `json:"shards,omitempty"`
-	ReconcileDropped  int          `json:"reconcile_dropped,omitempty"`
-	ReconcileRefilled int          `json:"reconcile_refilled,omitempty"`
 }
 
 // Service runs assignment rounds over a live State with a fixed solver and
@@ -81,7 +89,8 @@ type RoundResult struct {
 // then re-acquires the state to validate the result against mutations that
 // interleaved with the solve (pairs whose endpoints vanished are dropped
 // and counted in RoundResult.StalePairs).  Rounds serialise among
-// themselves on roundMu, which also guards the previous round's Problem:
+// themselves on roundMu (on ShardedService.roundMu for a shard), which also
+// guards the previous round's Problem:
 // round N+1 rebuilds into round N's arenas (core.RebuildProblem), so the
 // steady-state serving loop stops re-allocating its largest data
 // structure.
@@ -100,18 +109,45 @@ type Service struct {
 	rng        *stats.RNG
 	checkpoint *CheckpointManager // optional; set via SetCheckpointer
 
-	// fencedBy is the highest foreign replication epoch this service has
-	// observed (via the X-MBA-Epoch request header, or ObserveEpoch
-	// directly).  When it exceeds the state's own epoch the service is
-	// fenced: a newer primary exists, so committing anything here would
-	// split-brain the market.
-	fencedBy atomic.Uint64
+	fence fence
 	// promotedAt is the journal seq of the epoch bump this service wrote
 	// when it took over from a failed primary (0 = never promoted).
 	promotedAt atomic.Uint64
 
 	roundMu sync.Mutex    // serialises CloseRound; guards prev
 	prev    *core.Problem // previous round's problem, reused as the next round's arena
+}
+
+// fence is a backend's epoch fence: the highest foreign replication epoch
+// observed (via the X-MBA-Epoch request header, or ObserveEpoch directly).
+// Once it exceeds the backend's own epoch the backend is fenced: a newer
+// primary exists, so committing anything here would split-brain the
+// market.
+type fence struct{ observed atomic.Uint64 }
+
+// observe records an epoch seen on the wire (CAS-max).
+func (f *fence) observe(epoch uint64) {
+	for {
+		cur := f.observed.Load()
+		if epoch <= cur || f.observed.CompareAndSwap(cur, epoch) {
+			return
+		}
+	}
+}
+
+// status reports whether the fence is up against the local epoch, and the
+// highest epoch observed.
+func (f *fence) status(local uint64) (fenced bool, observed uint64) {
+	observed = f.observed.Load()
+	return observed > local, observed
+}
+
+// check refuses writes while the fence is up against the local epoch.
+func (f *fence) check(local uint64) error {
+	if fenced, observed := f.status(local); fenced {
+		return fmt.Errorf("%w: observed epoch %d above local %d", ErrFenced, observed, local)
+	}
+	return nil
 }
 
 // ErrFenced is returned by the write paths (Submit, SubmitBatch,
@@ -200,28 +236,12 @@ func (s *Service) Epoch() uint64 { return s.state.Epoch() }
 // an epoch above the service's own permanently fences it (until the state
 // itself reaches that epoch — which only replication can make happen,
 // never this service's own writes).
-func (s *Service) ObserveEpoch(epoch uint64) {
-	for {
-		cur := s.fencedBy.Load()
-		if epoch <= cur || s.fencedBy.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
+func (s *Service) ObserveEpoch(epoch uint64) { s.fence.observe(epoch) }
 
 // FenceStatus reports whether the service is fenced and the highest
 // foreign epoch it has observed.
 func (s *Service) FenceStatus() (fenced bool, observed uint64) {
-	observed = s.fencedBy.Load()
-	return observed > s.state.Epoch(), observed
-}
-
-// checkFence refuses writes on a fenced service.
-func (s *Service) checkFence() error {
-	if fenced, observed := s.FenceStatus(); fenced {
-		return fmt.Errorf("%w: observed epoch %d above local %d", ErrFenced, observed, s.state.Epoch())
-	}
-	return nil
+	return s.fence.status(s.state.Epoch())
 }
 
 // NotePromotion records the journal sequence of the epoch bump that made
@@ -239,7 +259,7 @@ func (s *Service) PromotedAtSeq() uint64 { return s.promotedAt.Load() }
 // the journal out of order — and if the append fails, the apply is rolled
 // back, so a Submit error means the event happened nowhere.
 func (s *Service) Submit(e Event) (Event, error) {
-	if err := s.checkFence(); err != nil {
+	if err := s.fence.check(s.state.Epoch()); err != nil {
 		return Event{}, err
 	}
 	if s.journal == nil {
@@ -251,20 +271,18 @@ func (s *Service) Submit(e Event) (Event, error) {
 // SubmitBatch applies a batch of ingestion events all-or-nothing: every
 // event validates and applies, and the batch lands in the journal as one
 // contiguous append (one write + one fsync), or none of it happens.
-// Round markers are refused — rounds close through CloseRound, which owns
-// the marker's journaling.  Requires the journal (if any) to implement
-// BatchJournal; *Log and *SegmentedLog both do.
+// Control events are refused (see rejectControlEvents).  Requires the
+// journal (if any) to implement BatchJournal; *Log and *SegmentedLog both
+// do.
 func (s *Service) SubmitBatch(events []Event) ([]Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
-	if err := s.checkFence(); err != nil {
+	if err := s.fence.check(s.state.Epoch()); err != nil {
 		return nil, err
 	}
-	for i := range events {
-		if events[i].Kind == EventRoundClosed {
-			return nil, fmt.Errorf("platform: batch event %d: round markers cannot be batch-submitted", i)
-		}
+	if err := rejectControlEvents(events); err != nil {
+		return nil, err
 	}
 	if s.journal == nil {
 		return s.state.ApplyBatchJournaled(events, nil)
@@ -274,6 +292,19 @@ func (s *Service) SubmitBatch(events []Event) ([]Event, error) {
 		return nil, fmt.Errorf("platform: journal %T cannot append batches atomically", s.journal)
 	}
 	return s.state.ApplyBatchJournaled(events, bj.AppendBatch)
+}
+
+// rejectControlEvents refuses round markers and epoch bumps in a batch.
+// Batches are client input: a round closes through CloseRound, which owns
+// its marker, and an epoch bump is a promotion, which only failover
+// journals — a forged one would fence every peer at a lower epoch.
+func rejectControlEvents(events []Event) error {
+	for i := range events {
+		if k := events[i].Kind; k == EventRoundClosed || k == EventEpochBumped {
+			return fmt.Errorf("platform: batch event %d: control event %q cannot be batch-submitted", i, k)
+		}
+	}
+	return nil
 }
 
 // ErrStreamUnsupported is returned by JournalEventsSince when the service
@@ -340,106 +371,144 @@ func (s *Service) CloseRoundCtx(ctx context.Context) (*RoundResult, error) {
 	// A fenced service must not journal a round marker: the new primary's
 	// history would never contain it.  Checked again implicitly when the
 	// marker is Submitted, but failing before the solve is cheaper.
-	if err := s.checkFence(); err != nil {
+	if err := s.fence.check(s.state.Epoch()); err != nil {
 		return nil, err
 	}
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
-
-	// Phase 1: snapshot under the state's lock only.  A delta-aware solver
-	// additionally gets the churn since the previous snapshot, so warm
-	// rounds repair the carried matching instead of re-solving.
-	var in *market.Instance
-	var workerIDs, taskIDs []int
-	var delta *core.Delta
-	if _, ok := s.solver.(core.DeltaSolver); ok {
-		in, workerIDs, taskIDs, delta = s.state.SnapshotDelta()
-	} else {
-		in, workerIDs, taskIDs = s.state.Snapshot()
+	out := s.snapshot()
+	s.solve(ctx, out)
+	if out.solveErr != nil && ctx.Err() != nil {
+		// The caller is gone; don't journal a marker for a round that
+		// never served anyone.
+		return nil, out.solveErr
 	}
-
-	var res RoundResult
-	if in.NumWorkers() > 0 && in.NumTasks() > 0 {
-		s.mu.Lock()
-		r := s.rng.Split()
-		s.mu.Unlock()
-		// Phase 2: construct and solve lock-free on the snapshot, rebuilding
-		// into the previous round's arenas.  prev is owned by roundMu and
-		// nothing outside this method retains views into it (pairs below are
-		// copied out), so the reuse cannot be observed.
-		pairs, err := s.solveSnapshot(ctx, in, delta, r, workerIDs, taskIDs, &res)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The caller is gone; don't journal a marker for a round
-				// that never served anyone.
-				return nil, err
-			}
-			res.SolveError = err.Error()
-		} else {
-			// Phase 3: re-acquire the state and commit only what is still
-			// valid.
-			res.Pairs, res.StalePairs = s.state.filterLivePairs(pairs)
-		}
-	}
-	marker, err := s.Submit(NewRoundClosed(s.state.Rounds()))
-	if err != nil {
+	if err := s.commit(out); err != nil {
 		return nil, err
 	}
-	res.Seq = marker.Seq
-	res.Round = s.state.Rounds()
-	if cm := s.Checkpointer(); cm != nil {
-		// The round is committed; checkpointing is recovery-time
-		// optimization and must never undo that, so its errors are
-		// reported on the result instead of failing the close.
-		took, err := cm.RoundClosed()
-		res.Checkpointed = took
-		if err != nil {
-			res.CheckpointError = err.Error()
-		}
-	}
-	return &res, nil
+	return &RoundResult{
+		Round:           s.state.Rounds(),
+		Pairs:           out.pairs,
+		Metrics:         out.metrics,
+		RoundProvenance: out.info.RoundProvenance,
+	}, nil
 }
 
-// solveSnapshot runs problem construction and the solve on an immutable
-// snapshot, filling res's metrics and degradation fields.  The panic fence
-// covers construction as well as the solve (core.RunCtx fences the solver
-// itself), so malformed input or an arena-reuse bug in the rebuild path
-// costs one round, not the process.
-func (s *Service) solveSnapshot(ctx context.Context, in *market.Instance, delta *core.Delta, r *stats.RNG, workerIDs, taskIDs []int, res *RoundResult) (pairs []AssignmentPair, err error) {
+// shardSolve is one market's round in flight, between its solve and commit
+// phases: the immutable snapshot it solved, the problem (retained for the
+// sharded reconciler's refill candidates), and the pairs before the live
+// filter.
+type shardSolve struct {
+	in                 *market.Instance
+	workerIDs, taskIDs []int
+	delta              *core.Delta
+	p                  *core.Problem
+	sel                []int // selected edge indices into p.Edges, parallel to pairs
+	pairs              []AssignmentPair
+	metrics            core.Metrics
+	info               ShardRound
+	solveErr           error
+}
+
+// snapshot opens a round's solve phase: an immutable snapshot taken under
+// the state's lock only — with the churn since the previous snapshot when
+// the solver is delta-aware, so warm rounds repair the carried matching
+// instead of re-solving.  It is separate from solve so a sharded round can
+// cut every shard's snapshot under one lock.
+func (s *Service) snapshot() *shardSolve {
+	out := &shardSolve{}
+	if _, ok := s.solver.(core.DeltaSolver); ok {
+		out.in, out.workerIDs, out.taskIDs, out.delta = s.state.SnapshotDelta()
+	} else {
+		out.in, out.workerIDs, out.taskIDs = s.state.Snapshot()
+	}
+	out.info.Workers, out.info.Tasks = len(out.workerIDs), len(out.taskIDs)
+	return out
+}
+
+// solve finishes the solve phase lock-free on out's snapshot: construct
+// the problem, rebuilding into the previous round's arenas, solve, and
+// record selection, pairs, metrics and solve provenance.  The caller holds
+// the round lock (roundMu, or ShardedService.roundMu for a shard), which
+// owns prev; nothing retains views into it (pairs are copied out), so the
+// reuse cannot be observed.  The panic fence covers construction as well
+// as the solve (core.RunCtx fences the solver itself), so malformed input
+// or an arena-reuse bug in the rebuild path costs one round, not the
+// process.
+func (s *Service) solve(ctx context.Context, out *shardSolve) {
+	if out.in.NumWorkers() == 0 || out.in.NumTasks() == 0 {
+		return
+	}
+	s.mu.Lock()
+	r := s.rng.Split()
+	s.mu.Unlock()
 	defer func() {
 		if rec := recover(); rec != nil {
-			pairs, err = nil, fmt.Errorf("platform: round solve panicked: %v", rec)
+			out.sel, out.pairs = nil, nil
+			out.solveErr = fmt.Errorf("platform: round solve panicked: %v", rec)
 		}
 	}()
-	p, err := core.RebuildProblem(s.prev, in, s.params)
+	p, err := core.RebuildProblem(s.prev, out.in, s.params)
 	if err != nil {
-		return nil, err
+		out.solveErr = err
+		return
 	}
 	s.prev = p
-	sel, m, err := core.RunDeltaCtx(ctx, p, s.solver, delta, r)
+	out.p = p
+	sel, m, err := core.RunDeltaCtx(ctx, p, s.solver, out.delta, r)
 	if rep, ok := s.solver.(core.SolveReporter); ok {
 		last := rep.LastReport()
-		res.ServedBy = last.ServedBy
-		res.DegradedFrom = last.DegradedFrom
-		res.SolveTimedOut = last.SolveTimedOut
-		res.WarmStarted = last.WarmStarted
-		res.DirtyFraction = last.DirtyFraction
-		res.FullSolveFallback = last.FullSolveFallback
+		out.info.ServedBy = last.ServedBy
+		out.info.DegradedFrom = last.DegradedFrom
+		out.info.SolveTimedOut = last.SolveTimedOut
+		out.info.WarmStarted = last.WarmStarted
+		out.info.DirtyFraction = last.DirtyFraction
+		out.info.FullSolveFallback = last.FullSolveFallback
 	}
 	if err != nil {
-		return nil, err
+		out.solveErr = err
+		return
 	}
-	res.Metrics = m
-	pairs = make([]AssignmentPair, len(sel))
+	out.metrics = m
+	out.sel = sel
+	out.pairs = make([]AssignmentPair, len(sel))
 	for i, ei := range sel {
 		e := &p.Edges[ei]
-		pairs[i] = AssignmentPair{
-			WorkerID: workerIDs[e.W],
-			TaskID:   taskIDs[e.T],
+		out.pairs[i] = AssignmentPair{
+			WorkerID: out.workerIDs[e.W],
+			TaskID:   out.taskIDs[e.T],
 			Quality:  e.Q,
 			Utility:  e.B,
 			Mutual:   e.M,
 		}
 	}
-	return pairs, nil
+}
+
+// commit is a round's commit phase: re-acquire the state and keep only
+// the pairs still valid (a failed solve records its error instead),
+// journal the round marker, then notify the checkpoint manager.  The
+// outcome lands on out.info; only the marker append can fail.
+func (s *Service) commit(out *shardSolve) error {
+	if out.solveErr == nil {
+		out.pairs, out.info.StalePairs = s.state.filterLivePairs(out.pairs)
+	} else {
+		out.info.SolveError = out.solveErr.Error()
+	}
+	marker, err := s.Submit(NewRoundClosed(s.state.Rounds()))
+	if err != nil {
+		return err
+	}
+	out.info.Seq = marker.Seq
+	out.info.Pairs = len(out.pairs)
+	if cm := s.Checkpointer(); cm != nil {
+		// The round is committed; checkpointing is recovery-time
+		// optimization and must never undo that, so its errors are
+		// reported on the result instead of failing the close.
+		took, err := cm.RoundClosed()
+		out.info.Checkpointed = took
+		if err != nil {
+			out.info.CheckpointError = err.Error()
+		}
+	}
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/benefit"
 	"repro/internal/core"
@@ -50,68 +49,39 @@ type ShardRound struct {
 	// cross-shard reconciliation churn: optimistic picks dropped because a
 	// spanning worker was over-subscribed, and freed slots refilled from
 	// this shard's remaining edges.
-	ReconcileDropped  int     `json:"reconcile_dropped,omitempty"`
-	ReconcileRefilled int     `json:"reconcile_refilled,omitempty"`
-	StalePairs        int     `json:"stale_pairs,omitempty"`
-	Seq               uint64  `json:"seq,omitempty"`
-	ServedBy          string  `json:"served_by,omitempty"`
-	DegradedFrom      string  `json:"degraded_from,omitempty"`
-	SolveTimedOut     bool    `json:"solve_timed_out,omitempty"`
-	WarmStarted       bool    `json:"warm_started,omitempty"`
-	DirtyFraction     float64 `json:"dirty_fraction,omitempty"`
-	FullSolveFallback bool    `json:"full_solve_fallback,omitempty"`
-	SolveError        string  `json:"solve_error,omitempty"`
-	Checkpointed      bool    `json:"checkpointed,omitempty"`
-	CheckpointError   string  `json:"checkpoint_error,omitempty"`
-}
-
-// shardRuntime is one shard plus its round-serving scratch.
-type shardRuntime struct {
-	id         int
-	state      *State
-	journal    Journal
-	solver     core.Solver
-	checkpoint *CheckpointManager
-	rng        *stats.RNG    // touched only by this shard's solve goroutine
-	prev       *core.Problem // previous round's arena; guarded by roundMu
-}
-
-// submit applies an event to this shard, journaled when a journal is
-// attached (same atomic apply+append contract as Service.Submit).
-func (sh *shardRuntime) submit(e Event) (Event, error) {
-	if sh.journal == nil {
-		return sh.state.Apply(e)
-	}
-	return sh.state.ApplyJournaled(e, sh.journal.Append)
+	ReconcileDropped  int `json:"reconcile_dropped,omitempty"`
+	ReconcileRefilled int `json:"reconcile_refilled,omitempty"`
+	RoundProvenance
 }
 
 // ShardedService serves one logical market partitioned into N shard
-// markets (see ShardRouter for the placement rule).  Each shard owns its
-// own State, journal and checkpoint machinery — PR 5's crash-safety story
-// applies per shard, and any single shard recovers independently and
-// byte-identically.  The service owns the global identity space: platform
-// IDs are assigned once here (starting at 1) and submitted to the target
-// shards as explicit IDs, so an entity has the same ID in every shard it is
-// resident in.
+// markets (see ShardRouter for the placement rule).  Each shard is a
+// single-market Service over its own State, journal and checkpoint
+// machinery — the crash-safety story applies per shard, and any single
+// shard recovers independently and byte-identically.  ShardedService holds
+// only what is sharded: the router, the global identity space and
+// residency maps, fan-out with compensation, recovery repair, cross-shard
+// reconciliation and metric aggregation.  Platform IDs are assigned once
+// here (starting at 1) and submitted to the target shards as explicit IDs,
+// so an entity has the same ID in every shard it is resident in.
 //
 // Concurrency model: Submit serialises on the service mutex (validation is
 // done before fan-out, so multi-shard applies fail only on journal I/O, and
 // a partial failure is compensated by rolling the already-applied shards
-// back).  CloseRound, like Service, holds no service-wide lock during the
-// expensive work: each shard snapshots its own state, rebuilds into its own
-// retained problem arena and solves — fanned across a bounded worker pool —
-// then a sequential reconciliation pass resolves spanning workers, and each
-// shard commits its share (filter-live, round marker, checkpoint
-// notification).  Rounds serialise among themselves on roundMu.
+// back).  CloseRound holds the service mutex only to cut every shard's
+// snapshot; the expensive work runs without it, like Service: each shard's
+// solve phase fans across a bounded worker pool, a sequential
+// reconciliation pass resolves spanning workers, and each shard runs its
+// commit phase (filter-live, round marker, checkpoint notification).
+// Rounds serialise among themselves on roundMu.
 //
 // Invariant (reconciliation): the merged assignment never over-subscribes a
 // worker, even one resident in several shards, and never over-fills a task
 // (a task lives in exactly one shard, whose solver already respects its
 // replication).
 type ShardedService struct {
-	params benefit.Params
 	router ShardRouter
-	shards []*shardRuntime
+	shards []*Service
 	par    int
 
 	mu           sync.Mutex
@@ -122,10 +92,10 @@ type ShardedService struct {
 
 	roundMu sync.Mutex // serialises CloseRound; guards every shard's prev
 
-	// fencedBy is the highest foreign replication epoch observed (see
-	// Service.fencedBy; one fence covers every shard — the shards fail
-	// over as a unit or not at all).
-	fencedBy atomic.Uint64
+	// fence covers every shard against the max shard epoch: the shards
+	// fail over as a unit or not at all, so a shard's own fence is never
+	// observed.
+	fence fence
 
 	// repairedWorkers counts the partial multi-shard worker writes reindex
 	// converged to absent during recovery (see reindex).
@@ -141,73 +111,36 @@ func NewShardedService(shards []Shard, params benefit.Params, opts ShardedOption
 	if len(shards) < 1 {
 		return nil, fmt.Errorf("platform: sharded service needs at least one shard")
 	}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	numCategories := 0
-	solverPtrs := map[uintptr]int{}
-	for k := range shards {
-		if shards[k].State == nil {
-			return nil, fmt.Errorf("platform: shard %d has nil state", k)
-		}
-		if shards[k].Solver == nil {
-			return nil, fmt.Errorf("platform: shard %d has nil solver", k)
-		}
-		if k == 0 {
-			numCategories = shards[k].State.NumCategories()
-		} else if shards[k].State.NumCategories() != numCategories {
-			return nil, fmt.Errorf("platform: shard %d has %d categories, shard 0 has %d",
-				k, shards[k].State.NumCategories(), numCategories)
-		}
-		// Stateful solvers must not be shared between concurrently solving
-		// shards; a shared pointer is almost certainly that mistake.
-		if v := reflect.ValueOf(shards[k].Solver); v.Kind() == reflect.Pointer {
-			if prev, dup := solverPtrs[v.Pointer()]; dup {
-				return nil, fmt.Errorf("platform: shards %d and %d share one solver instance", prev, k)
-			}
-			solverPtrs[v.Pointer()] = k
-		}
-	}
-
 	ss := &ShardedService{
-		params:       params,
 		router:       ShardRouter{Shards: len(shards)},
-		par:          opts.Parallel,
+		par:          min(max(opts.Parallel, 0), len(shards)),
 		nextWorkerID: 1,
 		nextTaskID:   1,
 		workerHome:   map[int][]int{},
 		taskHome:     map[int]int{},
 	}
-	if ss.par <= 0 {
-		ss.par = runtime.GOMAXPROCS(0)
+	if ss.par == 0 {
+		ss.par = min(runtime.GOMAXPROCS(0), len(shards))
 	}
-	if ss.par > len(shards) {
-		ss.par = len(shards)
-	}
-	if ss.par < 1 {
-		ss.par = 1
-	}
-	for k := range shards {
-		journal := shards[k].Journal
-		// Typed-nil journal guard, as in NewService.
-		switch j := journal.(type) {
-		case *Log:
-			if j == nil {
-				journal = nil
-			}
-		case *SegmentedLog:
-			if j == nil {
-				journal = nil
-			}
+	solverPtrs := map[uintptr]int{}
+	for k, b := range shards {
+		svc, err := NewService(b.State, b.Solver, params, b.Journal, seed+uint64(k)*0x9e3779b97f4a7c15)
+		if err != nil {
+			return nil, fmt.Errorf("platform: shard %d: %w", k, err)
 		}
-		ss.shards = append(ss.shards, &shardRuntime{
-			id:         k,
-			state:      shards[k].State,
-			journal:    journal,
-			solver:     shards[k].Solver,
-			checkpoint: shards[k].Checkpoint,
-			rng:        stats.NewRNG(seed + uint64(k)*0x9e3779b97f4a7c15),
-		})
+		if n, n0 := b.State.NumCategories(), shards[0].State.NumCategories(); n != n0 {
+			return nil, fmt.Errorf("platform: shard %d has %d categories, shard 0 has %d", k, n, n0)
+		}
+		// Stateful solvers must not be shared between concurrently solving
+		// shards; a shared pointer is almost certainly that mistake.
+		if v := reflect.ValueOf(b.Solver); v.Kind() == reflect.Pointer {
+			if prev, dup := solverPtrs[v.Pointer()]; dup {
+				return nil, fmt.Errorf("platform: shards %d and %d share one solver instance", prev, k)
+			}
+			solverPtrs[v.Pointer()] = k
+		}
+		svc.SetCheckpointer(b.Checkpoint)
+		ss.shards = append(ss.shards, svc)
 	}
 	if err := ss.reindex(); err != nil {
 		return nil, err
@@ -274,7 +207,7 @@ func (ss *ShardedService) reindex() error {
 		// completes the join's rollback or the leave's remainder.  The
 		// removals are journaled, so the repair is durable.
 		for _, k := range got {
-			if _, err := ss.shards[k].submit(NewWorkerLeft(wid)); err != nil {
+			if _, err := ss.shards[k].Submit(NewWorkerLeft(wid)); err != nil {
 				return fmt.Errorf("platform: repairing partial worker %d on shard %d: %w", wid, k, err)
 			}
 		}
@@ -335,7 +268,7 @@ func (ss *ShardedService) Counts() (workers, tasks int) {
 func (ss *ShardedService) Rounds() int {
 	min := -1
 	for _, sh := range ss.shards {
-		if r := sh.state.Rounds(); min < 0 || r < min {
+		if r := sh.Rounds(); min < 0 || r < min {
 			min = r
 		}
 	}
@@ -355,11 +288,12 @@ func (ss *ShardedService) Checkpoint() ([]CheckpointResult, bool, error) {
 	var results []CheckpointResult
 	configured := false
 	for k, sh := range ss.shards {
-		if sh.checkpoint == nil {
+		cm := sh.Checkpointer()
+		if cm == nil {
 			continue
 		}
 		configured = true
-		res, err := sh.checkpoint.Checkpoint()
+		res, err := cm.Checkpoint()
 		if err != nil {
 			return results, true, fmt.Errorf("platform: checkpointing shard %d: %w", k, err)
 		}
@@ -376,7 +310,7 @@ func (ss *ShardedService) Checkpoint() ([]CheckpointResult, bool, error) {
 // applied, restoring the all-or-nothing Submit contract.  Round markers are
 // journaled by CloseRound itself and are rejected here.
 func (ss *ShardedService) Submit(e Event) (Event, error) {
-	if err := ss.checkFence(); err != nil {
+	if err := ss.fence.check(ss.Epoch()); err != nil {
 		return Event{}, err
 	}
 	if err := e.Validate(); err != nil {
@@ -409,35 +343,18 @@ func (ss *ShardedService) Submit(e Event) (Event, error) {
 // directory tree may carry the bump in any shard's journal).
 func (ss *ShardedService) Epoch() uint64 {
 	var top uint64
-	for _, rt := range ss.shards {
-		if e := rt.state.Epoch(); e > top {
-			top = e
-		}
+	for _, sh := range ss.shards {
+		top = max(top, sh.Epoch())
 	}
 	return top
 }
 
 // ObserveEpoch implements Fenceable (see Service.ObserveEpoch).
-func (ss *ShardedService) ObserveEpoch(epoch uint64) {
-	for {
-		cur := ss.fencedBy.Load()
-		if epoch <= cur || ss.fencedBy.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
+func (ss *ShardedService) ObserveEpoch(epoch uint64) { ss.fence.observe(epoch) }
 
 // FenceStatus implements Fenceable.
 func (ss *ShardedService) FenceStatus() (fenced bool, observed uint64) {
-	observed = ss.fencedBy.Load()
-	return observed > ss.Epoch(), observed
-}
-
-func (ss *ShardedService) checkFence() error {
-	if fenced, observed := ss.FenceStatus(); fenced {
-		return fmt.Errorf("%w: observed epoch %d above local %d", ErrFenced, observed, ss.Epoch())
-	}
-	return nil
+	return ss.fence.status(ss.Epoch())
 }
 
 func (ss *ShardedService) submitWorkerJoined(e Event) (Event, error) {
@@ -462,10 +379,10 @@ func (ss *ShardedService) submitWorkerJoined(e Event) (Event, error) {
 	targets := ss.router.WorkerShards(w.Specialties)
 	var applied Event
 	for i, k := range targets {
-		ev, err := ss.shards[k].submit(NewWorkerJoined(w))
+		ev, err := ss.shards[k].Submit(NewWorkerJoined(w))
 		if err != nil {
 			for _, kk := range targets[:i] {
-				if _, cerr := ss.shards[kk].submit(NewWorkerLeft(w.ID)); cerr != nil {
+				if _, cerr := ss.shards[kk].Submit(NewWorkerLeft(w.ID)); cerr != nil {
 					return Event{}, fmt.Errorf("platform: worker join failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
 						k, err, kk, cerr)
 				}
@@ -494,10 +411,10 @@ func (ss *ShardedService) submitWorkerLeft(e Event) (Event, error) {
 	}
 	var applied Event
 	for i, k := range targets {
-		ev, err := ss.shards[k].submit(NewWorkerLeft(id))
+		ev, err := ss.shards[k].Submit(NewWorkerLeft(id))
 		if err != nil {
 			for _, kk := range targets[:i] {
-				if _, cerr := ss.shards[kk].submit(NewWorkerJoined(w)); cerr != nil {
+				if _, cerr := ss.shards[kk].Submit(NewWorkerJoined(w)); cerr != nil {
 					return Event{}, fmt.Errorf("platform: worker leave failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
 						k, err, kk, cerr)
 				}
@@ -529,7 +446,7 @@ func (ss *ShardedService) submitTaskPosted(e Event) (Event, error) {
 		return Event{}, fmt.Errorf("platform: task %d already open", t.ID)
 	}
 	k := ss.router.TaskShard(t.Category)
-	ev, err := ss.shards[k].submit(NewTaskPosted(t))
+	ev, err := ss.shards[k].Submit(NewTaskPosted(t))
 	if err != nil {
 		ss.nextTaskID = prevNext
 		return Event{}, err
@@ -544,26 +461,12 @@ func (ss *ShardedService) submitTaskClosed(e Event) (Event, error) {
 	if !open {
 		return Event{}, fmt.Errorf("platform: task %d not open", id)
 	}
-	ev, err := ss.shards[k].submit(NewTaskClosed(id))
+	ev, err := ss.shards[k].Submit(NewTaskClosed(id))
 	if err != nil {
 		return Event{}, err
 	}
 	delete(ss.taskHome, id)
 	return ev, nil
-}
-
-// submitBatch applies a per-shard slice of a global batch atomically
-// (ApplyBatchJournaled + one journal append), same contract as
-// Service.SubmitBatch for one shard.
-func (sh *shardRuntime) submitBatch(events []Event) ([]Event, error) {
-	if sh.journal == nil {
-		return sh.state.ApplyBatchJournaled(events, nil)
-	}
-	bj, ok := sh.journal.(BatchJournal)
-	if !ok {
-		return nil, fmt.Errorf("platform: shard journal %T cannot append batches atomically", sh.journal)
-	}
-	return sh.state.ApplyBatchJournaled(events, bj.AppendBatch)
 }
 
 // SubmitBatch applies a mixed batch of ingestion events all-or-nothing
@@ -580,16 +483,16 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
-	if err := ss.checkFence(); err != nil {
+	if err := ss.fence.check(ss.Epoch()); err != nil {
+		return nil, err
+	}
+	if err := rejectControlEvents(events); err != nil {
 		return nil, err
 	}
 	ncat := ss.shards[0].state.NumCategories()
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
 			return nil, fmt.Errorf("platform: batch event %d: %w", i, err)
-		}
-		if events[i].Kind == EventRoundClosed {
-			return nil, fmt.Errorf("platform: batch event %d: round markers are journaled per shard by CloseRound", i)
 		}
 	}
 
@@ -728,11 +631,11 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 		if len(perShard[k]) == 0 {
 			continue
 		}
-		evs, err := ss.shards[k].submitBatch(perShard[k])
+		evs, err := ss.shards[k].SubmitBatch(perShard[k])
 		if err != nil {
 			for kk := k - 1; kk >= 0; kk-- {
 				for j := len(inverse[kk]) - 1; j >= 0; j-- {
-					if _, cerr := ss.shards[kk].submit(inverse[kk][j]); cerr != nil {
+					if _, cerr := ss.shards[kk].Submit(inverse[kk][j]); cerr != nil {
 						return nil, fmt.Errorf("platform: batch failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
 							k, err, kk, cerr)
 					}
@@ -773,27 +676,38 @@ func (ss *ShardedService) CloseRound() (*RoundResult, error) {
 }
 
 // CloseRoundCtx closes one assignment round across every shard: fan out
-// snapshot→rebuild→solve per shard over a bounded worker pool, reconcile
-// spanning workers sequentially, then commit each shard's share (filter
-// against the live state, journal the round marker, notify the checkpoint
-// manager) and aggregate.  Cancellation before commit aborts the whole
-// round without journaling any marker; per-shard solve failures do not —
-// the shard contributes nothing, its error is recorded, and the round
-// closes everywhere (mirroring Service's solve-error policy).
+// each shard's solve phase over a bounded worker pool, reconcile spanning
+// workers sequentially, then run each shard's commit phase (filter against
+// the live state, journal the round marker, notify the checkpoint manager)
+// and aggregate.  Cancellation before commit aborts the whole round without
+// journaling any marker; per-shard solve failures do not — the shard
+// contributes nothing, its error is recorded, and the round closes
+// everywhere (mirroring Service's solve-error policy).
 //
 // If a marker commit fails mid-way the shards before it keep their marker:
 // round counters can transiently diverge by one, which is why Rounds()
 // reports the minimum.  Entity state is untouched by markers, so a retried
 // CloseRound re-serves everyone.
 func (ss *ShardedService) CloseRoundCtx(ctx context.Context) (*RoundResult, error) {
-	if err := ss.checkFence(); err != nil {
+	if err := ss.fence.check(ss.Epoch()); err != nil {
 		return nil, err
 	}
 	ss.roundMu.Lock()
 	defer ss.roundMu.Unlock()
 
-	// Phase 1: per-shard snapshot + solve on the worker pool.
+	// Phase 1: snapshot every shard under the service mutex, so the round
+	// sees one consistent cut of the market — never a fan-out half applied
+	// or half compensated (a rolled-back join's ID is handed out again, and
+	// a snapshot holding the transient copy would pair the new worker
+	// through the old one's edges) — then solve per shard on the worker
+	// pool.  Each shard touches only its own state, RNG and arena, so
+	// shards never contend.
 	outs := make([]*shardSolve, len(ss.shards))
+	ss.mu.Lock()
+	for k, sh := range ss.shards {
+		outs[k] = sh.snapshot()
+	}
+	ss.mu.Unlock()
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < ss.par; w++ {
@@ -801,7 +715,7 @@ func (ss *ShardedService) CloseRoundCtx(ctx context.Context) (*RoundResult, erro
 		go func() {
 			defer wg.Done()
 			for k := range idx {
-				outs[k] = ss.shards[k].solveRound(ctx, ss.params)
+				ss.shards[k].solve(ctx, outs[k])
 			}
 		}()
 	}
@@ -826,29 +740,14 @@ func (ss *ShardedService) CloseRoundCtx(ctx context.Context) (*RoundResult, erro
 	}
 	var solveErrs []string
 	for k, out := range outs {
-		sh := ss.shards[k]
-		if out.solveErr == nil {
-			var stale int
-			out.pairs, stale = sh.state.filterLivePairs(out.pairs)
-			out.info.StalePairs = stale
-			res.StalePairs += stale
-		} else {
+		if out.solveErr != nil {
 			solveErrs = append(solveErrs, fmt.Sprintf("shard %d: %v", k, out.solveErr))
-			out.info.SolveError = out.solveErr.Error()
 		}
-		marker, err := sh.submit(NewRoundClosed(sh.state.Rounds()))
-		if err != nil {
+		if err := ss.shards[k].commit(out); err != nil {
 			return nil, fmt.Errorf("platform: committing round marker on shard %d: %w", k, err)
 		}
-		out.info.Seq = marker.Seq
-		if sh.checkpoint != nil {
-			took, err := sh.checkpoint.RoundClosed()
-			out.info.Checkpointed = took
-			if err != nil {
-				out.info.CheckpointError = err.Error()
-			}
-		}
-		out.info.Pairs = len(out.pairs)
+		out.info.Shard = k
+		res.StalePairs += out.info.StalePairs
 		res.Pairs = append(res.Pairs, out.pairs...)
 		res.Shards[k] = out.info
 	}
@@ -904,82 +803,4 @@ func (ss *ShardedService) aggregateMetrics(outs []*shardSolve, pairs []Assignmen
 	m.WorkerJain = stats.JainIndex(benefits)
 	m.MeanWorkerBenefit = stats.Mean(benefits)
 	return m
-}
-
-// shardSolve is one shard's contribution to a round in flight: the
-// immutable snapshot it solved, the problem (retained for refill
-// candidates), and the optimistic pairs before reconciliation.
-type shardSolve struct {
-	in                 *market.Instance
-	workerIDs, taskIDs []int
-	p                  *core.Problem
-	sel                []int // selected edge indices into p.Edges, parallel to pairs
-	pairs              []AssignmentPair
-	info               ShardRound
-	solveErr           error
-}
-
-// solveRound snapshots and solves one shard (phase 1 and 2 of Service's
-// round, per shard).  It runs on the round worker pool: everything it
-// touches — the shard's state (snapshot under its own lock), rng, prev
-// arena — is owned by this shard, so shards never contend.
-func (sh *shardRuntime) solveRound(ctx context.Context, params benefit.Params) *shardSolve {
-	out := &shardSolve{}
-	out.info.Shard = sh.id
-	var delta *core.Delta
-	if _, ok := sh.solver.(core.DeltaSolver); ok {
-		out.in, out.workerIDs, out.taskIDs, delta = sh.state.SnapshotDelta()
-	} else {
-		out.in, out.workerIDs, out.taskIDs = sh.state.Snapshot()
-	}
-	out.info.Workers = len(out.workerIDs)
-	out.info.Tasks = len(out.taskIDs)
-	if out.in.NumWorkers() == 0 || out.in.NumTasks() == 0 {
-		return out
-	}
-	out.solveErr = sh.solveSnapshot(ctx, out, delta, params)
-	return out
-}
-
-// solveSnapshot is the panic-fenced rebuild+solve; it fills out.sel,
-// out.pairs and the provenance fields.
-func (sh *shardRuntime) solveSnapshot(ctx context.Context, out *shardSolve, delta *core.Delta, params benefit.Params) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.sel, out.pairs = nil, nil
-			err = fmt.Errorf("platform: shard %d round solve panicked: %v", sh.id, rec)
-		}
-	}()
-	p, err := core.RebuildProblem(sh.prev, out.in, params)
-	if err != nil {
-		return err
-	}
-	sh.prev = p
-	out.p = p
-	sel, _, err := core.RunDeltaCtx(ctx, p, sh.solver, delta, sh.rng.Split())
-	if rep, ok := sh.solver.(core.SolveReporter); ok {
-		last := rep.LastReport()
-		out.info.ServedBy = last.ServedBy
-		out.info.DegradedFrom = last.DegradedFrom
-		out.info.SolveTimedOut = last.SolveTimedOut
-		out.info.WarmStarted = last.WarmStarted
-		out.info.DirtyFraction = last.DirtyFraction
-		out.info.FullSolveFallback = last.FullSolveFallback
-	}
-	if err != nil {
-		return err
-	}
-	out.sel = sel
-	out.pairs = make([]AssignmentPair, len(sel))
-	for i, ei := range sel {
-		e := &p.Edges[ei]
-		out.pairs[i] = AssignmentPair{
-			WorkerID: out.workerIDs[e.W],
-			TaskID:   out.taskIDs[e.T],
-			Quality:  e.Q,
-			Utility:  e.B,
-			Mutual:   e.M,
-		}
-	}
-	return nil
 }
