@@ -18,8 +18,8 @@
 //	                                  # exact flow path, cold (serial
 //	                                  # reference) vs workspace-reused
 //	mbabench -benchjson BENCH_ingest.json -suites ingest
-//	                                  # journaled event throughput: JSONL
-//	                                  # single-event vs binary group-commit
+//	                                  # binary journal throughput: single
+//	                                  # events vs concurrent group commit
 //	                                  # vs 100-event batches, both fsyncs
 //	mbabench -benchjson BENCH_overload.json -suites overload
 //	                                  # admission-controlled serving under

@@ -1,8 +1,9 @@
 // Command mbareplay replays an event journal (as written by mbaserve or
 // generated with -synthesize) into a market state, prints the resulting
-// statistics and optionally runs one assignment round over it.  Both
-// journal encodings — JSONL and the framed binary format (.mbaj) — are
-// auto-detected per file, so mixed directories replay transparently.
+// statistics and optionally runs one assignment round over it.  Journals
+// are written in the framed binary format (.mbaj); legacy JSONL files are
+// still read, the encoding being auto-detected per file, so directories
+// mixing both replay transparently.
 //
 // Replay is crash-tolerant by default: a torn tail (the signature of a
 // crash mid-append) is dropped and reported rather than failing the whole
@@ -14,7 +15,7 @@
 //
 //	mbareplay -journal market.jsonl -categories 30 -assign greedy
 //	mbareplay -journal ./data -categories 30        # snapshot+segments dir
-//	mbareplay -synthesize 500 -categories 30 > trace.jsonl
+//	mbareplay -synthesize 500 -categories 30 > trace.mbaj
 package main
 
 import (
@@ -31,10 +32,10 @@ import (
 
 func main() {
 	var (
-		journal    = flag.String("journal", "", "event journal to replay, JSONL or binary (a file, or a snapshot+segments directory)")
+		journal    = flag.String("journal", "", "event journal to replay, binary or legacy JSONL (a file, or a snapshot+segments directory)")
 		categories = flag.Int("categories", 30, "category universe size")
 		assign     = flag.String("assign", "", "run one assignment round with this algorithm after replay")
-		synthesize = flag.Int("synthesize", 0, "instead of replaying, emit a synthetic trace of N events to stdout")
+		synthesize = flag.Int("synthesize", 0, "instead of replaying, emit a synthetic binary trace of N events to stdout")
 		seed       = flag.Uint64("seed", 42, "seed for -synthesize and randomised solvers")
 		strict     = flag.Bool("strict", false, "fail on any journal defect instead of recovering the valid prefix")
 	)

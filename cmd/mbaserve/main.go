@@ -1,36 +1,38 @@
 // Command mbaserve runs the live assignment service: a JSON HTTP API over
-// the event-sourced market state, journaling every mutation to an
-// append-only log (JSONL, or the framed binary format with
-// -journal-format binary) that can be replayed on restart.
+// the event-sourced market state.  With -snapshot-dir every mutation is
+// journaled into that directory and replayed on restart; without it the
+// market lives in memory only.
 //
 // Usage:
 //
-//	mbaserve -addr :8080 -categories 30 -solver greedy -journal market.jsonl
+//	mbaserve -addr :8080 -categories 30 -solver greedy -snapshot-dir ./data
 //	mbaserve -snapshot-dir ./data -snapshot-every 50 -segment-bytes 4194304
 //	mbaserve -shards 8 -snapshot-dir ./data -solver incremental
-//	mbaserve -snapshot-dir ./data -journal-format binary -fsync always
+//	mbaserve -snapshot-dir ./data -fsync always
 //	mbaserve -follow http://primary:8080 -snapshot-dir ./standby
 //	mbaserve -follow http://primary:8080 -snapshot-dir ./standby -auto-takeover
 //
-// With -snapshot-dir the journal is segmented inside that directory and a
-// checkpoint (atomic CRC-checked snapshot + journal compaction) is taken
-// every -snapshot-every rounds, so restart recovery costs O(state + tail)
-// instead of replaying history from genesis.
+// The journal is segmented inside the snapshot dir (journal.<seq>.mbaj,
+// CRC32C-framed binary records) and a checkpoint (atomic CRC-checked
+// snapshot + journal compaction) is taken every -snapshot-every rounds,
+// so restart recovery costs O(state + tail) instead of replaying history
+// from genesis.  Appends are group-committed: concurrent submits coalesce
+// into one write + one fsync.  Legacy .jsonl segments are still recovered
+// (the format is sniffed per file) but never appended to; the next event
+// starts a fresh .mbaj segment.
 //
-// -journal-format selects the encoding of newly written journal streams:
-// json (one event per line, greppable) or binary (CRC32C-framed records,
-// the high-throughput choice).  Recovery auto-detects the format per
-// file, so switching flag values across restarts — a directory with mixed
-// .jsonl and .mbaj segments — replays transparently.  Appends are group-
-// committed: concurrent submits coalesce into one write + one fsync.
+// A single-file journal from older releases (the retired -journal flag,
+// JSONL or binary) becomes a snapshot dir by moving it into place as the
+// directory's first segment:
+//
+//	mkdir data && mv market.jsonl data/journal.00000000000000000001.jsonl
 //
 // With -shards N the market is partitioned into N shard markets (tasks by
 // category, workers resident in every shard of their specialties), each
 // with its own state, segmented journal and checkpoints under
 // <snapshot-dir>/shard-%04d (shard-0000, shard-0001, …), solved per round
 // with its own solver instance and merged through the cross-shard
-// reconciliation pass.  The API is unchanged.  -journal (single-file
-// mode) is incompatible with -shards.
+// reconciliation pass.  The API is unchanged.
 //
 // Admission control is on by default: every route passes a priority-
 // aware admission controller (per-class token buckets keyed by the
@@ -225,19 +227,17 @@ func main() {
 		categories    = flag.Int("categories", 30, "category universe size")
 		solverName    = flag.String("solver", "greedy", "assignment algorithm per round")
 		lambda        = flag.Float64("lambda", 0.5, "requester-side weight in [0,1]")
-		journal       = flag.String("journal", "", "append-only event log path (replayed on start; empty disables)")
 		seed          = flag.Uint64("seed", 42, "seed for randomised solvers")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain limit for in-flight requests")
 		roundDeadline = flag.Duration("round-deadline", 0, "per-round solve budget; past it the round degrades down the fallback chain (0 disables)")
 		fallbackChain = flag.String("fallback-chain", "", "comma-separated degradation chain, best first (e.g. exact,local-search,greedy); empty with -round-deadline implies '<solver>,greedy'")
 		fsyncMode     = flag.String("fsync", "never", "journal durability: never (OS page cache) or always (fsync per event)")
-		snapshotDir   = flag.String("snapshot-dir", "", "checkpoint directory: segmented journal + atomic snapshots (mutually exclusive with -journal)")
+		snapshotDir   = flag.String("snapshot-dir", "", "data directory: segmented journal + atomic snapshots, recovered on start (empty keeps the market in memory only)")
 		snapshotEvery = flag.Int("snapshot-every", 50, "take a checkpoint every N closed rounds (0 = only via POST /v1/checkpoint)")
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "snapshot generations to retain as the corrupt-snapshot fallback chain")
 		segmentBytes  = flag.Int64("segment-bytes", platform.DefaultSegmentBytes, "seal a journal segment once it reaches this many bytes")
 		numShards     = flag.Int("shards", 1, "partition the market into N shard markets solved concurrently per round (1 = single market)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof debug handlers on this address (empty disables)")
-		journalFmt    = flag.String("journal-format", "json", "encoding for newly written journal streams: json or binary (recovery auto-detects)")
 		follow        = flag.String("follow", "", "run as a replication follower of this primary base URL (requires -snapshot-dir)")
 		autoTakeover  = flag.Bool("auto-takeover", false, "with -follow: promote to primary automatically once the primary fails -probe-failures consecutive health probes")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "with -follow: primary health-probe cadence")
@@ -249,21 +249,15 @@ func main() {
 		rateLow       = flag.Float64("rate-low", 0, "sustained req/s budget for batch ingest, round closes and checkpoints (0 = recommended default; negative = unlimited)")
 	)
 	flag.Parse()
-	if *snapshotDir != "" && *journal != "" {
-		log.Fatal("mbaserve: -snapshot-dir and -journal are mutually exclusive (the segmented journal lives in the snapshot dir)")
-	}
 	if *numShards < 1 {
 		log.Fatalf("mbaserve: -shards %d < 1", *numShards)
-	}
-	if *numShards > 1 && *journal != "" {
-		log.Fatal("mbaserve: -shards needs per-shard journals; use -snapshot-dir instead of -journal")
 	}
 	if *follow != "" {
 		if *snapshotDir == "" {
 			log.Fatal("mbaserve: -follow needs -snapshot-dir for the replicated journal")
 		}
-		if *numShards > 1 || *journal != "" {
-			log.Fatal("mbaserve: -follow is incompatible with -shards and -journal")
+		if *numShards > 1 {
+			log.Fatal("mbaserve: -follow is incompatible with -shards")
 		}
 	}
 
@@ -272,10 +266,6 @@ func main() {
 		log.Fatalf("mbaserve: %v", err)
 	}
 	admission, err := parseOnOff("admission", *admissionMode)
-	if err != nil {
-		log.Fatalf("mbaserve: %v", err)
-	}
-	format, err := platform.ParseJournalFormat(*journalFmt)
 	if err != nil {
 		log.Fatalf("mbaserve: %v", err)
 	}
@@ -288,7 +278,6 @@ func main() {
 		Fsync:        fsync,
 		MaxRetries:   3,
 		RetryBackoff: 2 * time.Millisecond,
-		Format:       format,
 		GroupCommit:  true,
 	}
 	params := benefit.Params{Lambda: *lambda, Beta: 0.5}
@@ -342,7 +331,6 @@ func main() {
 	}
 
 	// Shutdown resources, filled as the markets are assembled below.
-	var jfile *os.File                // single-file journal handle
 	var segs []*platform.SegmentedLog // segmented journals (1 or N)
 	var cms []*platform.CheckpointManager
 
@@ -382,20 +370,6 @@ func main() {
 			markets[k] = platform.Shard{State: state, Journal: seg, Solver: solver, Checkpoint: cm}
 			segs = append(segs, seg)
 			cms = append(cms, cm)
-		case *journal != "":
-			// Single-file mode: replay tolerating a torn tail from a crash
-			// mid-append, truncate it away, then keep appending.
-			jf, err := platform.OpenJournal(*journal, *categories, logOpts)
-			if err != nil {
-				log.Fatalf("mbaserve: replaying %s: %v", *journal, err)
-			}
-			if jf.Dropped != nil {
-				log.Printf("mbaserve: journal recovery: %v (truncated %d torn bytes)", jf.Dropped, jf.Truncated)
-			}
-			w, t := jf.State.Counts()
-			log.Printf("replayed journal: %d workers, %d tasks, %d rounds", w, t, jf.State.Rounds())
-			markets[k].State, markets[k].Journal = jf.State, jf.Log
-			jfile = jf.File
 		default:
 			if markets[k].State, err = platform.NewState(*categories); err != nil {
 				log.Fatalf("mbaserve: %v", err)
@@ -450,14 +424,6 @@ func main() {
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("mbaserve: serve: %v", err)
-	}
-	if jfile != nil {
-		if err := jfile.Sync(); err != nil {
-			log.Printf("mbaserve: journal sync: %v", err)
-		}
-		if err := jfile.Close(); err != nil {
-			log.Printf("mbaserve: journal close: %v", err)
-		}
 	}
 	for _, cm := range cms {
 		// A parting checkpoint makes the next start near-instant: recovery

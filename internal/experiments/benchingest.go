@@ -1,13 +1,11 @@
 package experiments
 
 // The "ingest" suite: sustained journaled event throughput through the
-// platform write path, across the encodings and batching strategies the
-// ingestion tentpole added.  Four pipelines:
+// platform write path, across the batching strategies of the binary
+// journal.  Three pipelines:
 //
-//   - "json-single":   one JSONL append + (policy) fsync per event — the
-//     pre-tentpole baseline.
-//   - "binary-single":  the binary record format with the group committer
-//     on, still one caller, so the entry isolates the encoding win.
+//   - "binary-single":  one caller appending one event at a time with the
+//     group committer on — the per-event baseline.
 //   - "binary-group-parallel": GOMAXPROCS goroutines appending binary
 //     records concurrently — the group committer coalesces their flushes,
 //     so this is the fsync-amortisation win for concurrent writers.
@@ -17,10 +15,9 @@ package experiments
 //
 // Every pipeline runs under FsyncNever and FsyncAlways; ns/op is per
 // *event* in all entries (events/sec = 1e9 / ns_per_op), so the
-// FsyncAlways rows are directly comparable: the ≥10× acceptance headline
-// is binary-batch100/fsync-always vs json-single/fsync-always.  Checked
-// in as BENCH_ingest.json and gated by `mbabench -benchdiff` like the
-// other suites.
+// FsyncAlways rows are directly comparable.  Checked in as
+// BENCH_ingest.json and gated by `mbabench -benchdiff` like the other
+// suites.
 //
 // The workload is bounded churn, not unbounded growth: after an off-clock
 // seeding phase the event stream cycles join → post → leave-oldest →
@@ -174,7 +171,7 @@ func sampleCategories(cfg BenchConfig) int {
 	return in.NumCategories
 }
 
-// runIngestSuite measures the four ingestion pipelines under both fsync
+// runIngestSuite measures the three ingestion pipelines under both fsync
 // policies.  Per-event ns/op everywhere.
 func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 	sc := ingestScale()
@@ -185,21 +182,17 @@ func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 		{"fsync-never", platform.FsyncNever},
 		{"fsync-always", platform.FsyncAlways},
 	}
-	type mode struct {
-		name   string
-		format platform.JournalFormat
-		group  bool
-		batch  int
-	}
-	modes := []mode{
-		{"json-single", platform.FormatJSONL, false, 1},
-		{"binary-single", platform.FormatBinary, true, 1},
-		{"binary-batch100", platform.FormatBinary, true, 100},
+	modes := []struct {
+		name  string
+		batch int
+	}{
+		{"binary-single", 1},
+		{"binary-batch100", 100},
 	}
 	for _, fs := range fsyncs {
 		add := benchAdder(log, rep, "ingest", sc, 0)
 		for _, m := range modes {
-			opts := platform.LogOptions{Format: m.format, GroupCommit: m.group, Fsync: fs.policy}
+			opts := platform.LogOptions{GroupCommit: true, Fsync: fs.policy}
 			svc, churn, closer, err := newIngestService(cfg, opts)
 			if err != nil {
 				return err
@@ -257,7 +250,7 @@ func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 		}
 		sl, err := platform.OpenSegmentedLog(dir, platform.SegmentOptions{
 			MaxBytes: 64 << 20,
-			Log:      platform.LogOptions{Format: platform.FormatBinary, GroupCommit: true, Fsync: fs.policy},
+			Log:      platform.LogOptions{GroupCommit: true, Fsync: fs.policy},
 		})
 		if err != nil {
 			os.RemoveAll(dir)

@@ -23,11 +23,10 @@ package experiments
 //     churn batches through carried duals.  Checked in as
 //     BENCH_incremental.json; the ≥10× warm-vs-cold headline lives in the
 //     "lg" rows.
-//   - "ingest": sustained journaled event throughput across the ingestion
-//     pipelines — JSONL single-event, binary single-event, concurrent
-//     binary group-commit, and 100-event batches — under both fsync
-//     policies.  Checked in as BENCH_ingest.json; the ≥10× headline is
-//     binary-batch100 vs json-single under fsync-always.
+//   - "ingest": sustained journaled event throughput across the binary
+//     journal's ingestion pipelines — single-event, concurrent
+//     group-commit, and 100-event batches — under both fsync policies.
+//     Checked in as BENCH_ingest.json.
 //   - "overload": the admission-controlled serving path under open-loop
 //     storms at 1×/2×/4× of write capacity — admitted-latency percentiles
 //     and the shed fraction per multiplier.  Checked in as

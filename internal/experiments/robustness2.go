@@ -58,8 +58,8 @@ func runRob2(w io.Writer, cfg RunConfig) error {
 	for _, n := range []int{total / 5, total / 2, total} {
 		subset := events[:n]
 
-		// Baseline: one flat JSONL journal, replayed from genesis.
-		flatPath := filepath.Join(dir, fmt.Sprintf("flat-%d.jsonl", n))
+		// Baseline: one flat journal file, replayed from genesis.
+		flatPath := filepath.Join(dir, fmt.Sprintf("flat-%d.mbaj", n))
 		f, err := os.Create(flatPath)
 		if err != nil {
 			return err

@@ -14,12 +14,13 @@ import (
 
 // Binary journal format ("MBAJRNL", version 1).
 //
-// The JSONL journal is greppable and diffable but pays json.Marshal on the
-// hot ingest path and carries field names on every record.  The binary
-// format keeps the same append-only, truncate-at-first-defect discipline
-// while being ~5× smaller and an order of magnitude cheaper to encode.  A
-// stream is the 8-byte magic followed by records framed exactly like the
-// snapshot format (snapshot.go):
+// Every journal stream is written in this format.  It replaced the seed's
+// JSONL journal, which paid json.Marshal on the hot ingest path and
+// carried field names on every record; the binary format keeps the same
+// append-only, truncate-at-first-defect discipline while being ~5×
+// smaller and an order of magnitude cheaper to encode.  A stream is the
+// 8-byte magic followed by records framed exactly like the snapshot
+// format (snapshot.go):
 //
 //	kind(1) | len(uint32 LE) | payload | crc32c(uint32 LE)
 //
@@ -39,13 +40,14 @@ import (
 //
 // All integers and float bit patterns are little-endian.  Accuracy and
 // interest lengths are encoded independently so the codec round-trips any
-// Event the JSONL codec accepts, even shapes the state layer would reject.
+// Event the JSONL reader accepts, even shapes the state layer would reject.
 //
-// Readers auto-detect the format per stream: JSONL lines always begin with
-// '{' (or a blank line), never 'M', so the first byte disambiguates — see
-// readLogPartialDetect.  A defect (bad CRC, short frame, foreign bytes)
-// wraps ErrRecordCorrupt; partial readers keep the valid prefix before it,
-// exactly like the JSONL torn-tail rules.
+// Legacy JSONL streams stay readable: readers auto-detect the format per
+// stream, and since JSONL lines always begin with '{' (or a blank line),
+// never 'M', the first byte disambiguates — see readLogPartialDetect.
+// A defect (bad CRC, short frame, foreign bytes) wraps ErrRecordCorrupt;
+// partial readers keep the valid prefix before it, exactly like the JSONL
+// torn-tail rules.
 
 // binaryLogMagic opens every binary journal stream; the final byte is the
 // format version.
@@ -78,39 +80,13 @@ func recordCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrRecordCorrupt, fmt.Sprintf(format, args...))
 }
 
-// JournalFormat selects the on-disk encoding of newly written journal
-// streams.  Readers never need it: they detect the format per segment.
+// JournalFormat is the type of LogOptions.Format, which is ignored:
+// every stream is written binary.
 type JournalFormat int
 
-const (
-	// FormatJSONL is the seed encoding: one JSON object per line.
-	FormatJSONL JournalFormat = iota
-	// FormatBinary is the CRC32C-framed binary encoding above.
-	FormatBinary
-)
-
-func (f JournalFormat) String() string {
-	switch f {
-	case FormatJSONL:
-		return "json"
-	case FormatBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("JournalFormat(%d)", int(f))
-	}
-}
-
-// ParseJournalFormat maps the CLI spelling to a JournalFormat.
-func ParseJournalFormat(s string) (JournalFormat, error) {
-	switch s {
-	case "json", "jsonl":
-		return FormatJSONL, nil
-	case "binary", "bin":
-		return FormatBinary, nil
-	default:
-		return FormatJSONL, fmt.Errorf("platform: unknown journal format %q (want json or binary)", s)
-	}
-}
+// FormatBinary names the encoding above, the only one ever written.
+// Setting LogOptions.Format to it is a no-op.
+const FormatBinary JournalFormat = 1
 
 // appendBinaryRecord encodes e as one framed binary record onto dst.
 func appendBinaryRecord(dst []byte, e *Event) ([]byte, error) {

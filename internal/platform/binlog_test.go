@@ -1,8 +1,8 @@
 package platform
 
-// Tests for the binary journal format (binlog.go): round-tripping,
-// exhaustive byte-flip and truncation mutation coverage, format
-// auto-detection, and mixed-format directory recovery.  The mutation
+// Tests for the binary journal format (binlog.go): round-tripping and
+// exhaustive byte-flip and truncation mutation coverage.  Legacy JSONL
+// input is covered by legacy_test.go.  The mutation
 // suite is the format's safety argument: every single-byte corruption of
 // a valid stream must be detected, and partial recovery must never
 // surface an event that was not appended.
@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 )
@@ -37,7 +36,7 @@ func binlogScript() []Event {
 func encodeBinaryStream(t *testing.T, script []Event) ([]byte, []int64) {
 	t.Helper()
 	var buf bytes.Buffer
-	l := NewLogWithOptions(&buf, LogOptions{Format: FormatBinary})
+	l := NewLog(&buf)
 	boundaries := []int64{0, int64(len(binaryLogMagic))}
 	for i := range script {
 		if err := l.Append(script[i]); err != nil {
@@ -64,7 +63,7 @@ func TestBinaryLogRoundTrip(t *testing.T) {
 	// Appending the decoded events to a fresh binary log is a byte-level
 	// fixed point — the property follower replication relies on.
 	var again bytes.Buffer
-	l := NewLogWithOptions(&again, LogOptions{Format: FormatBinary})
+	l := NewLog(&again)
 	for i := range got {
 		if err := l.Append(got[i]); err != nil {
 			t.Fatal(err)
@@ -152,162 +151,13 @@ func TestBinaryLogTruncationDetection(t *testing.T) {
 	}
 }
 
-func TestParseJournalFormat(t *testing.T) {
-	for in, want := range map[string]JournalFormat{
-		"json": FormatJSONL, "jsonl": FormatJSONL,
-		"binary": FormatBinary, "bin": FormatBinary,
-	} {
-		got, err := ParseJournalFormat(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseJournalFormat(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseJournalFormat("protobuf"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if FormatJSONL.String() != "json" || FormatBinary.String() != "binary" {
-		t.Fatal("JournalFormat String spelling changed")
-	}
-}
-
-// TestOpenJournalBinarySingleFile exercises the single-file path: write
-// binary, crash-truncate mid-record, reopen (which must heal and keep the
-// on-disk format), append more, replay.
-func TestOpenJournalBinarySingleFile(t *testing.T) {
-	path := t.TempDir() + "/market.bin"
-	opts := LogOptions{Format: FormatBinary}
-	jf, err := OpenJournal(path, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := jf.State.ApplyJournaled(NewWorkerJoined(validWorker()), jf.Log.Append); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jf.File.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the tail mid-record.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen requesting JSONL: the existing stream must keep its binary
-	// encoding anyway, and the torn record must be truncated and reported.
-	jf2, err := OpenJournal(path, 3, LogOptions{Format: FormatJSONL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jf2.Dropped == nil || jf2.Truncated == 0 {
-		t.Fatalf("torn tail not reported: dropped=%v truncated=%d", jf2.Dropped, jf2.Truncated)
-	}
-	if w, _ := jf2.State.Counts(); w != 4 {
-		t.Fatalf("recovered %d workers, want 4", w)
-	}
-	if _, err := jf2.State.ApplyJournaled(NewWorkerJoined(validWorker()), jf2.Log.Append); err != nil {
-		t.Fatal(err)
-	}
-	if err := jf2.File.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := ReadLog(f)
-	if err != nil {
-		t.Fatalf("journal not clean binary after heal+append: %v", err)
-	}
-	if len(events) != 5 {
-		t.Fatalf("replayed %d events, want 5", len(events))
-	}
-}
-
-// TestMixedFormatDirRecovery runs the same event script into directories
-// that switch encodings at different points (and never), then asserts all
-// of them recover to byte-identical snapshots — the transparency contract
-// of per-segment format detection.
-func TestMixedFormatDirRecovery(t *testing.T) {
-	run := func(formats [2]JournalFormat) ([]byte, string) {
-		dir := t.TempDir()
-		st := mustState(t)
-		// The script resolves removal targets from the applied events, so
-		// it depends only on the (deterministic) ID assignment, never on
-		// guessed IDs.  Phase boundary at iteration 12 of 24.
-		var workerIDs, taskIDs []int
-		for p, format := range formats {
-			seg, err := OpenSegmentedLog(dir, SegmentOptions{
-				MaxBytes: 2048, // small enough to rotate within each phase
-				Log:      LogOptions{Format: format},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			journal := func(e Event) error { return seg.Append(e) }
-			for i := p * 12; i < (p+1)*12; i++ {
-				we, err := st.ApplyJournaled(NewWorkerJoined(validWorker()), journal)
-				if err != nil {
-					t.Fatal(err)
-				}
-				workerIDs = append(workerIDs, we.Worker.ID)
-				te, err := st.ApplyJournaled(NewTaskPosted(validTask()), journal)
-				if err != nil {
-					t.Fatal(err)
-				}
-				taskIDs = append(taskIDs, te.Task.ID)
-				if i%5 == 4 {
-					if _, err := st.ApplyJournaled(NewWorkerLeft(workerIDs[0]), journal); err != nil {
-						t.Fatal(err)
-					}
-					workerIDs = workerIDs[1:]
-					if _, err := st.ApplyJournaled(NewTaskClosed(taskIDs[0]), journal); err != nil {
-						t.Fatal(err)
-					}
-					taskIDs = taskIDs[1:]
-				}
-			}
-			if err := seg.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rec, info, err := RecoverDir(dir, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.TailDropped != nil {
-			t.Fatalf("clean dir recovered with torn tail: %v", info.TailDropped)
-		}
-		var snap bytes.Buffer
-		if _, err := rec.EncodeSnapshot(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return snap.Bytes(), fmt.Sprintf("%v", formats)
-	}
-	ref, refName := run([2]JournalFormat{FormatJSONL, FormatJSONL})
-	for _, formats := range [][2]JournalFormat{
-		{FormatJSONL, FormatBinary},
-		{FormatBinary, FormatJSONL},
-		{FormatBinary, FormatBinary},
-	} {
-		snap, name := run(formats)
-		if !bytes.Equal(snap, ref) {
-			t.Fatalf("recovery of %s dir diverges from %s dir", name, refName)
-		}
-	}
-}
-
 // FuzzBinaryRecordDecode asserts the binary reader never panics, rejects
 // every corrupt stream with ErrRecordCorrupt, and round-trips whatever it
 // accepts.
 func FuzzBinaryRecordDecode(f *testing.F) {
 	script := binlogScript()
 	var valid bytes.Buffer
-	l := NewLogWithOptions(&valid, LogOptions{Format: FormatBinary})
+	l := NewLog(&valid)
 	for i := range script {
 		if err := l.Append(script[i]); err != nil {
 			f.Fatal(err)
@@ -330,7 +180,7 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 			return // accepted as JSONL; FuzzReadLog covers that codec
 		}
 		var out bytes.Buffer
-		l := NewLogWithOptions(&out, LogOptions{Format: FormatBinary})
+		l := NewLog(&out)
 		for i := range events {
 			if vErr := events[i].Validate(); vErr != nil {
 				t.Fatalf("accepted stream holds invalid event: %v", vErr)

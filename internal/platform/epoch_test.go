@@ -36,7 +36,7 @@ func TestEpochBumpedValidation(t *testing.T) {
 
 func TestEpochBumpedBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	log := NewLogWithOptions(&buf, LogOptions{Format: FormatBinary})
+	log := NewLog(&buf)
 	e := NewEpochBumped(7)
 	e.Seq = 1
 	if err := log.Append(e); err != nil {

@@ -7,15 +7,15 @@
 // tasks being posted and cancelled — and periodically closes an assignment
 // round over whatever is currently open.  This package provides:
 //
-//   - Event: the JSONL-encoded event vocabulary;
+//   - Event: the event vocabulary (JSON on the API, framed binary in the
+//     journal);
 //   - State: the mutable market state machine with deterministic replay;
-//   - Log: an append-only JSONL event log (write, read, replay);
+//   - Log: an append-only binary event log (write, read, replay);
 //   - Service: rounds of assignment over the live state via any core.Solver;
 //   - Server: a net/http JSON API over the service (cmd/mbaserve).
 package platform
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/market"
@@ -96,15 +96,6 @@ func (e *Event) Validate() error {
 		return fmt.Errorf("platform: unknown event kind %q", e.Kind)
 	}
 	return nil
-}
-
-// MarshalJSONL encodes the event as a single JSON line.
-func (e *Event) MarshalJSONL() ([]byte, error) {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("platform: encoding event: %w", err)
-	}
-	return append(b, '\n'), nil
 }
 
 // NewWorkerJoined builds a worker_joined event.

@@ -33,7 +33,7 @@ func newKillablePrimary(t *testing.T, dir string) (*httptest.Server, *Service, *
 	t.Helper()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1 << 20,
-		Log:      LogOptions{Format: FormatBinary, GroupCommit: true},
+		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestReplicationChaosLagResync(t *testing.T) {
 	primaryDir := t.TempDir()
 	ts, svc, cm := newCheckpointedPrimary(t, primaryDir, 512, 1)
 
-	segOpts := SegmentOptions{MaxBytes: 1 << 20, Log: LogOptions{Format: FormatBinary}}
+	segOpts := SegmentOptions{MaxBytes: 1 << 20}
 	controlDir, stallDir := t.TempDir(), t.TempDir()
 	control, err := NewFollower(ts.URL, controlDir, FollowerOptions{NumCategories: 3, Segment: segOpts})
 	if err != nil {

@@ -58,7 +58,7 @@ func TestFollowerMalformedLastSeqHeader(t *testing.T) {
 
 	f, err := NewFollower(fake.URL, t.TempDir(), FollowerOptions{
 		NumCategories: 3,
-		Segment:       SegmentOptions{MaxBytes: 1 << 20, Log: LogOptions{Format: FormatBinary}},
+		Segment:       SegmentOptions{MaxBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func newCheckpointedPrimary(t *testing.T, dir string, segBytes int64, keep int) 
 	t.Helper()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: segBytes,
-		Log:      LogOptions{Format: FormatBinary, GroupCommit: true},
+		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestFollowerResyncEqualsNeverLagged(t *testing.T) {
 	ts, svc, cm := newCheckpointedPrimary(t, primaryDir, 512, 1)
 
 	freshDir, lagDir := t.TempDir(), t.TempDir()
-	segOpts := SegmentOptions{MaxBytes: 1 << 20, Log: LogOptions{Format: FormatBinary}}
+	segOpts := SegmentOptions{MaxBytes: 1 << 20}
 	fresh, err := NewFollower(ts.URL, freshDir, FollowerOptions{NumCategories: 3, Segment: segOpts})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func failoverOptions(autoTakeover bool) FailoverOptions {
 	return FailoverOptions{
 		Follower: FollowerOptions{
 			NumCategories: 3,
-			Segment:       SegmentOptions{MaxBytes: 1 << 20, Log: LogOptions{Format: FormatBinary}},
+			Segment:       SegmentOptions{MaxBytes: 1 << 20},
 			PollInterval:  5 * time.Millisecond,
 			MaxBackoff:    20 * time.Millisecond,
 		},

@@ -40,10 +40,11 @@ type FollowerOptions struct {
 	// NumCategories is the market's category universe (must match the
 	// primary's).
 	NumCategories int
-	// Segment configures the follower's local journal (format, fsync,
+	// Segment configures the follower's local journal (fsync,
 	// rotation).  The follower mirrors events, not bytes: its segment
-	// boundaries and encoding may differ from the primary's, recovery
-	// equivalence is at the event level.
+	// boundaries may differ from the primary's (and its encoding from a
+	// primary still holding legacy JSONL segments); recovery equivalence
+	// is at the event level.
 	Segment SegmentOptions
 	// Client performs the HTTP requests; nil means a fresh default client.
 	Client *http.Client

@@ -25,7 +25,7 @@ func newPrimary(t *testing.T, dir string) (*httptest.Server, *Service) {
 	t.Helper()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1 << 20,
-		Log:      LogOptions{Format: FormatBinary, GroupCommit: true},
+		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFollowerSyncAndTakeover(t *testing.T) {
 		NumCategories: 3,
 		Segment: SegmentOptions{
 			MaxBytes: 1 << 20,
-			Log:      LogOptions{Format: FormatBinary, GroupCommit: true},
+			Log:      LogOptions{GroupCommit: true},
 		},
 	})
 	if err != nil {
@@ -248,7 +248,7 @@ func TestFollowerTornStreamKeepsPrefix(t *testing.T) {
 	followerDir := t.TempDir()
 	f, err := NewFollower(proxy.URL, followerDir, FollowerOptions{
 		NumCategories: 3,
-		Segment:       SegmentOptions{MaxBytes: 1 << 20, Log: LogOptions{Format: FormatBinary}},
+		Segment:       SegmentOptions{MaxBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,19 +3,32 @@ package platform
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzReadLog asserts the log parser never panics and never returns both a
 // nil error and events that fail replay-level validation on arbitrary
-// byte input.
+// byte input, and that the strict reader accepts exactly what the partial
+// reader recovers from a clean stream: whenever ReadLog succeeds,
+// ReadLogPartial returns the same events and no diagnostic.  JSONL is
+// only ever read now, so every input here is untrusted bytes from disk.
 func FuzzReadLog(f *testing.F) {
 	f.Add(`{"seq":1,"kind":"round_closed","round":0}`)
 	f.Add(`{"seq":1,"kind":"worker_left","worker_id":3}`)
 	f.Add("")
 	f.Add("\n\n{bad")
 	f.Add(`{"seq":1,"kind":"task_posted","task":{"id":0,"category":0,"replication":1,"payment":1,"difficulty":0}}`)
+	f.Add(`{"seq":1,"kind":"round_closed","round":0}` + "\n")
+	var bin bytes.Buffer
+	l := NewLog(&bin)
+	for _, e := range binlogScript() {
+		if err := l.Append(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(bin.String())
 	f.Fuzz(func(t *testing.T, input string) {
 		events, err := ReadLog(strings.NewReader(input))
 		if err != nil {
@@ -25,6 +38,13 @@ func FuzzReadLog(f *testing.F) {
 			if vErr := e.Validate(); vErr != nil {
 				t.Fatalf("ReadLog returned invalid event %+v: %v", e, vErr)
 			}
+		}
+		partial, dropped := ReadLogPartial(strings.NewReader(input))
+		if dropped != nil {
+			t.Fatalf("ReadLog accepted a stream ReadLogPartial drops from: %v", dropped)
+		}
+		if !reflect.DeepEqual(partial, events) {
+			t.Fatalf("ReadLog and ReadLogPartial disagree:\n strict  %+v\n partial %+v", events, partial)
 		}
 	})
 }

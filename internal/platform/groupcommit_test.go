@@ -28,53 +28,51 @@ func groupWorker(id int) Event {
 }
 
 func TestGroupCommitConcurrentAppends(t *testing.T) {
-	for _, format := range []JournalFormat{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			const goroutines, perG = 8, 50
-			var buf bytes.Buffer
-			l := NewLogWithOptions(&buf, LogOptions{Format: format, GroupCommit: true})
-			var wg sync.WaitGroup
-			errs := make(chan error, goroutines*perG)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perG; i++ {
-						if err := l.Append(groupWorker(g*perG + i + 1)); err != nil {
-							errs <- fmt.Errorf("append %d/%d: %w", g, i, err)
-						}
+	t.Run("binary", func(t *testing.T) {
+		const goroutines, perG = 8, 50
+		var buf bytes.Buffer
+		l := NewLogWithOptions(&buf, LogOptions{GroupCommit: true})
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines*perG)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					if err := l.Append(groupWorker(g*perG + i + 1)); err != nil {
+						errs <- fmt.Errorf("append %d/%d: %w", g, i, err)
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			events, err := ReadLog(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("log corrupt after concurrent group commit: %v", err)
-			}
-			if len(events) != goroutines*perG {
-				t.Fatalf("recovered %d events, want %d", len(events), goroutines*perG)
-			}
-			seen := map[int]bool{}
-			for _, e := range events {
-				if seen[e.Worker.ID] {
-					t.Fatalf("worker %d journaled twice", e.Worker.ID)
 				}
-				seen[e.Worker.ID] = true
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := ReadLog(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("log corrupt after concurrent group commit: %v", err)
+		}
+		if len(events) != goroutines*perG {
+			t.Fatalf("recovered %d events, want %d", len(events), goroutines*perG)
+		}
+		seen := map[int]bool{}
+		for _, e := range events {
+			if seen[e.Worker.ID] {
+				t.Fatalf("worker %d journaled twice", e.Worker.ID)
 			}
-		})
-	}
+			seen[e.Worker.ID] = true
+		}
+	})
 }
 
 func TestGroupCommitClosedAndPoisoned(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogWithOptions(&buf, LogOptions{Format: FormatBinary, GroupCommit: true})
+	l := NewLogWithOptions(&buf, LogOptions{GroupCommit: true})
 	if err := l.Append(groupWorker(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestGroupCommitClosedAndPoisoned(t *testing.T) {
 	var torn bytes.Buffer
 	fw := faultinject.NewFlakyWriter(&torn, faultinject.Once(0))
 	fw.Partial = true
-	lp := NewLogWithOptions(fw, LogOptions{Format: FormatBinary, GroupCommit: true})
+	lp := NewLogWithOptions(fw, LogOptions{GroupCommit: true})
 	if err := lp.Append(groupWorker(1)); err == nil {
 		t.Fatal("torn flush reported success")
 	}
@@ -124,69 +122,67 @@ func TestGroupCommitClosedAndPoisoned(t *testing.T) {
 func TestGroupCommitFlakyProperty(t *testing.T) {
 	const goroutines, perG = 6, 60
 	sawInjection := false
-	for _, format := range []JournalFormat{FormatJSONL, FormatBinary} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", format, seed), func(t *testing.T) {
-				var buf bytes.Buffer
-				fw := faultinject.NewFlakyWriter(&buf, faultinject.Seeded(seed, 0.05))
-				fw.Partial = true
-				l := NewLogWithOptions(fw, LogOptions{Format: format, GroupCommit: true})
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("binary/seed%d", seed), func(t *testing.T) {
+			var buf bytes.Buffer
+			fw := faultinject.NewFlakyWriter(&buf, faultinject.Seeded(seed, 0.05))
+			fw.Partial = true
+			l := NewLogWithOptions(fw, LogOptions{GroupCommit: true})
 
-				var mu sync.Mutex
-				acked := map[int]bool{}
-				var wg sync.WaitGroup
-				for g := 0; g < goroutines; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						for i := 0; i < perG; i++ {
-							id := g*perG + i + 1
-							if err := l.Append(groupWorker(id)); err == nil {
-								mu.Lock()
-								acked[id] = true
-								mu.Unlock()
-							}
+			var mu sync.Mutex
+			acked := map[int]bool{}
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						id := g*perG + i + 1
+						if err := l.Append(groupWorker(id)); err == nil {
+							mu.Lock()
+							acked[id] = true
+							mu.Unlock()
 						}
-					}(g)
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fw.Injections() > 0 {
+				sawInjection = true
+			}
+
+			recovered, validBytes, _ := readLogPartialOffset(bytes.NewReader(buf.Bytes()))
+			got := map[int]bool{}
+			for _, e := range recovered {
+				if got[e.Worker.ID] {
+					t.Fatalf("worker %d recovered twice", e.Worker.ID)
 				}
-				wg.Wait()
-				if err := l.Close(); err != nil {
+				got[e.Worker.ID] = true
+			}
+			for id := range acked {
+				if !got[id] {
+					t.Fatalf("acked worker %d missing from recovery (%d acked, %d recovered)",
+						id, len(acked), len(recovered))
+				}
+			}
+
+			// Byte-identity: a serial re-append of the recovered events
+			// must reproduce the valid prefix exactly.
+			var ref bytes.Buffer
+			rl := NewLog(&ref)
+			for i := range recovered {
+				if err := rl.Append(recovered[i]); err != nil {
 					t.Fatal(err)
 				}
-				if fw.Injections() > 0 {
-					sawInjection = true
-				}
-
-				recovered, validBytes, _ := readLogPartialOffset(bytes.NewReader(buf.Bytes()))
-				got := map[int]bool{}
-				for _, e := range recovered {
-					if got[e.Worker.ID] {
-						t.Fatalf("worker %d recovered twice", e.Worker.ID)
-					}
-					got[e.Worker.ID] = true
-				}
-				for id := range acked {
-					if !got[id] {
-						t.Fatalf("acked worker %d missing from recovery (%d acked, %d recovered)",
-							id, len(acked), len(recovered))
-					}
-				}
-
-				// Byte-identity: a serial re-append of the recovered events
-				// must reproduce the valid prefix exactly.
-				var ref bytes.Buffer
-				rl := NewLogWithOptions(&ref, LogOptions{Format: format})
-				for i := range recovered {
-					if err := rl.Append(recovered[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !bytes.Equal(ref.Bytes(), buf.Bytes()[:validBytes]) {
-					t.Fatalf("serial re-append differs from the valid prefix (%d vs %d bytes)",
-						ref.Len(), validBytes)
-				}
-			})
-		}
+			}
+			if !bytes.Equal(ref.Bytes(), buf.Bytes()[:validBytes]) {
+				t.Fatalf("serial re-append differs from the valid prefix (%d vs %d bytes)",
+					ref.Len(), validBytes)
+			}
+		})
 	}
 	if !sawInjection {
 		t.Fatal("no seed injected a fault — the property ran unexercised")
@@ -202,7 +198,7 @@ func TestSegmentedGroupCommitHealKeepsAcked(t *testing.T) {
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1 << 20,
 		Hook:     &flakyHook{point: CrashSegmentWrite, hit: 3},
-		Log:      LogOptions{Format: FormatBinary, GroupCommit: true},
+		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +252,7 @@ func TestSegmentedGroupCommitRotation(t *testing.T) {
 	dir := t.TempDir()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1024,
-		Log:      LogOptions{Format: FormatBinary, GroupCommit: true},
+		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)

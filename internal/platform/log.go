@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
 	"time"
 )
@@ -30,7 +29,7 @@ type BatchJournal interface {
 	AppendBatch(events []Event) error
 }
 
-// FsyncPolicy selects how hard Append pushes a line toward stable storage.
+// FsyncPolicy selects how hard Append pushes a record toward stable storage.
 type FsyncPolicy int
 
 const (
@@ -38,9 +37,9 @@ const (
 	// a machine crash may lose the tail.  The default, and the right
 	// trade-off for an experiment platform.
 	FsyncNever FsyncPolicy = iota
-	// FsyncAlways calls Sync after every appended line when the underlying
+	// FsyncAlways calls Sync after every append when the underlying
 	// writer supports it (*os.File does); a machine crash then loses at
-	// most the line being written — exactly the torn tail ReadLogPartial
+	// most the record being written — exactly the torn tail ReadLogPartial
 	// recovers from.
 	FsyncAlways
 )
@@ -62,10 +61,7 @@ type LogOptions struct {
 	// that don't forward Sync.  Nil falls back to asserting Sync on the
 	// writer itself.
 	Syncer interface{ Sync() error }
-	// Format selects the encoding of newly written streams (binlog.go).
-	// Readers ignore it: format is detected per stream.  Reopening an
-	// existing stream keeps the on-disk format regardless of this field —
-	// a stream never mixes encodings (directories may, per segment).
+	// Format is ignored: every stream is written binary (binlog.go).
 	Format JournalFormat
 	// GroupCommit runs Appends through a committer goroutine that
 	// coalesces concurrent calls into one write + one fsync
@@ -82,12 +78,12 @@ type LogOptions struct {
 	GroupWindow time.Duration
 }
 
-// ErrLogPoisoned marks a journal that failed partway through a line.  All
-// later Appends are refused: the file ends mid-line, so appending more
-// events would place them *after* the corruption, and recovery — which
-// truncates at the first corrupt line — would silently drop them while the
-// in-memory state retained them.  Refusing keeps "recovered state ==
-// applied state minus rolled-back events" true.
+// ErrLogPoisoned marks a journal that failed partway through a record.
+// All later Appends are refused: the file ends mid-record, so appending
+// more events would place them *after* the corruption, and recovery —
+// which truncates at the first corrupt record — would silently drop them
+// while the in-memory state retained them.  Refusing keeps "recovered
+// state == applied state minus rolled-back events" true.
 var ErrLogPoisoned = errors.New("platform: journal poisoned by a partial line write")
 
 // syncer is the optional durability hook of the underlying writer
@@ -99,10 +95,9 @@ type syncer interface{ Sync() error }
 // a racing caller — that path retries on the fresh segment).
 var ErrLogClosed = errors.New("platform: log closed")
 
-// Log is an append-only event log, JSONL (the seed format) or framed
-// binary (binlog.go).  Either way a torn final record (crash mid-write)
-// is detected and reported with its offset rather than silently
-// corrupting a replay.
+// Log is an append-only event log in the framed binary format
+// (binlog.go).  A torn final record (crash mid-write) is detected and
+// reported with its offset rather than silently corrupting a replay.
 //
 // Without group commit, Log methods are not safe for concurrent use; the
 // platform serialises Appends under the state mutex (State.ApplyJournaled),
@@ -112,10 +107,7 @@ var ErrLogClosed = errors.New("platform: log closed")
 type Log struct {
 	w    io.Writer
 	opts LogOptions
-	// format is the stream's actual encoding — opts.Format for a fresh
-	// stream, the detected format when reopening existing bytes.
-	format JournalFormat
-	// headerPending is true while a binary stream still owes its magic;
+	// headerPending is true while the stream still owes its magic;
 	// it is fused into the first commit so an empty file never holds a
 	// bare header that a torn first record would strand.
 	headerPending bool
@@ -136,19 +128,16 @@ func NewLog(w io.Writer) *Log { return NewLogWithOptions(w, LogOptions{}) }
 // NewLogWithOptions starts appending to w under the given durability
 // options, assuming a fresh (empty) stream.
 func NewLogWithOptions(w io.Writer, opts LogOptions) *Log {
-	return newLogAt(w, opts, opts.Format, false)
+	return newLogAt(w, opts, false)
 }
 
-// newLogAt builds a Log over a stream whose format is already decided —
-// opts.Format for fresh streams, the detected on-disk format when
-// reopening.  headerWritten says whether a binary stream's magic is
-// already durable.
-func newLogAt(w io.Writer, opts LogOptions, format JournalFormat, headerWritten bool) *Log {
+// newLogAt builds a Log over a stream whose magic is already durable
+// (headerWritten) or still owed.
+func newLogAt(w io.Writer, opts LogOptions, headerWritten bool) *Log {
 	l := &Log{
 		w:             w,
 		opts:          opts,
-		format:        format,
-		headerPending: format == FormatBinary && !headerWritten,
+		headerPending: !headerWritten,
 	}
 	if opts.GroupCommit {
 		l.gc = newCommitter(l)
@@ -171,19 +160,6 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// encodeRecord appends e's on-disk encoding (one JSON line or one binary
-// frame) to dst.
-func (l *Log) encodeRecord(dst []byte, e *Event) ([]byte, error) {
-	if l.format == FormatBinary {
-		return appendBinaryRecord(dst, e)
-	}
-	line, err := e.MarshalJSONL()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, line...), nil
-}
-
 // Append writes one event, retrying transient write failures on the
 // unwritten suffix and fsyncing per the policy.  An error return means
 // the record is NOT durably in the log: either nothing of it was written
@@ -199,7 +175,7 @@ func (l *Log) Append(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	rec, err := l.encodeRecord(nil, &e)
+	rec, err := appendBinaryRecord(nil, &e)
 	if err != nil {
 		return err
 	}
@@ -226,7 +202,7 @@ func (l *Log) AppendBatch(events []Event) error {
 			return fmt.Errorf("platform: batch event %d: %w", i, err)
 		}
 		var err error
-		if buf, err = l.encodeRecord(buf, &events[i]); err != nil {
+		if buf, err = appendBinaryRecord(buf, &events[i]); err != nil {
 			return fmt.Errorf("platform: batch event %d: %w", i, err)
 		}
 	}
@@ -322,54 +298,18 @@ func sniffBinaryLog(br *bufio.Reader) (isBinary bool, headErr error) {
 // ReadLog parses an event stream, auto-detecting JSONL vs binary framing
 // by the stream head.  Every event is validated; sequence numbers must be
 // strictly increasing (gaps are allowed — a compacted log keeps original
-// numbering).  Unlike the partial readers, any defect — including a torn
-// tail — is an error.
+// numbering).  It accepts exactly what ReadLogPartial recovers from a
+// clean stream: any defect the partial reader would drop — including a
+// torn tail — is an error.
 func ReadLog(r io.Reader) ([]Event, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	if isBinary, headErr := sniffBinaryLog(br); isBinary {
-		if headErr != nil {
-			return nil, headErr
-		}
-		events, _, dropped := readBinaryLogPartial(br)
-		if dropped != nil {
-			return nil, dropped
-		}
-		return events, nil
-	}
-	var events []Event
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	var lastSeq uint64
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("platform: log line %d: %w", lineNo, err)
-		}
-		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("platform: log line %d: %w", lineNo, err)
-		}
-		if e.Seq != 0 && e.Seq <= lastSeq {
-			return nil, fmt.Errorf("platform: log line %d: sequence %d not increasing (last %d)",
-				lineNo, e.Seq, lastSeq)
-		}
-		if e.Seq != 0 {
-			lastSeq = e.Seq
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("platform: reading log: %w", err)
+	events, dropped := ReadLogPartial(r)
+	if dropped != nil {
+		return nil, dropped
 	}
 	return events, nil
 }
 
-// ReplayLog reads a JSONL stream and replays it onto a fresh state.
+// ReplayLog reads a journal stream and replays it onto a fresh state.
 func ReplayLog(numCategories int, r io.Reader) (*State, error) {
 	events, err := ReadLog(r)
 	if err != nil {
@@ -379,9 +319,9 @@ func ReplayLog(numCategories int, r io.Reader) (*State, error) {
 }
 
 // ReadLogPartial is the crash-recovery variant of ReadLog: it returns every
-// valid event up to the first corrupted line together with a diagnostic
+// valid event up to the first corrupted record together with a diagnostic
 // describing what was dropped (nil when the log was clean).  A process that
-// died mid-Append leaves a torn final line; recovering the valid prefix and
+// died mid-Append leaves a torn final record; recovering the valid prefix and
 // truncating is the standard journal-recovery policy, and the diagnostic
 // lets the operator decide whether a *mid-log* corruption deserves a harder
 // look.
@@ -391,35 +331,38 @@ func ReadLogPartial(r io.Reader) (events []Event, dropped error) {
 }
 
 // readLogPartialOffset is ReadLogPartial plus the byte offset of the end
-// of the last fully-valid line — the truncation point that lets a
-// reopened journal resume appending on a clean line boundary instead of
-// after garbage.  A final line lacking its newline is treated as torn
-// even when its bytes happen to parse: accepting it while truncation (or
-// a later append) destroys it would let memory and disk disagree.
+// of the last fully-valid record — the truncation point that lets a
+// reopened journal resume appending on a clean record boundary instead of
+// after garbage.
 func readLogPartialOffset(r io.Reader) (events []Event, validBytes int64, dropped error) {
 	events, validBytes, _, dropped = readLogPartialDetect(r)
 	return events, validBytes, dropped
 }
 
-// readLogPartialDetect is readLogPartialOffset plus the detected stream
-// format — JSONL and binary segments recover through the same code path,
-// which is what lets a directory mix formats transparently.  For a valid
-// binary stream validBytes includes the 8-byte magic; a stream that opens
-// with a torn or foreign binary header recovers zero bytes (nothing
-// behind an unverifiable header is trustworthy).
-func readLogPartialDetect(r io.Reader) (events []Event, validBytes int64, format JournalFormat, dropped error) {
+// readLogPartialDetect is readLogPartialOffset plus whether the stream
+// sniffed as binary — legacy JSONL and binary segments recover through the
+// same code path, which is what lets a directory mix formats
+// transparently.  For a valid binary stream validBytes includes the
+// 8-byte magic; a stream that opens with a torn or foreign binary header
+// recovers zero bytes (nothing behind an unverifiable header is
+// trustworthy).
+func readLogPartialDetect(r io.Reader) (events []Event, validBytes int64, isBinary bool, dropped error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	if isBinary, headErr := sniffBinaryLog(br); isBinary {
 		if headErr != nil {
-			return nil, 0, FormatBinary, fmt.Errorf("platform: %w: recovered 0 events", headErr)
+			return nil, 0, true, fmt.Errorf("platform: %w: recovered 0 events", headErr)
 		}
 		events, consumed, dropped := readBinaryLogPartial(br)
-		return events, int64(len(binaryLogMagic)) + consumed, FormatBinary, dropped
+		return events, int64(len(binaryLogMagic)) + consumed, true, dropped
 	}
 	events, validBytes, dropped = readJSONLPartialOffset(br)
-	return events, validBytes, FormatJSONL, dropped
+	return events, validBytes, false, dropped
 }
 
+// readJSONLPartialOffset decodes a legacy JSONL stream, one event per
+// line.  A final line lacking its newline is treated as torn even when
+// its bytes happen to parse: accepting it while truncation destroys it
+// would let memory and disk disagree.
 func readJSONLPartialOffset(br *bufio.Reader) (events []Event, validBytes int64, dropped error) {
 	lineNo := 0
 	var lastSeq uint64
@@ -464,73 +407,4 @@ func RecoverLog(numCategories int, r io.Reader) (*State, error, error) {
 	events, dropped := ReadLogPartial(r)
 	state, err := Replay(numCategories, events)
 	return state, err, dropped
-}
-
-// JournalFile is a single-file journal recovered and reopened for append
-// by OpenJournal.
-type JournalFile struct {
-	// State is the replayed state (fresh when the file did not exist).
-	State *State
-	// Log appends to File under the requested durability options.
-	Log *Log
-	// File is the underlying append handle; the caller owns Sync/Close at
-	// shutdown.
-	File *os.File
-	// Dropped is the torn-tail diagnostic (nil when the journal was clean).
-	Dropped error
-	// Truncated is how many bytes of torn tail were removed before the
-	// file was reopened for append.
-	Truncated int64
-}
-
-// OpenJournal recovers a single-file journal and reopens it for
-// appending, truncating any torn tail *first* so new events are never
-// written after corrupt bytes.  Without the truncation, a crash mid-write
-// followed by a restart would append valid events after the torn line —
-// and the next recovery, which stops at the first corrupt line, would
-// silently drop them.
-func OpenJournal(path string, numCategories int, opts LogOptions) (*JournalFile, error) {
-	jf := &JournalFile{}
-	// A fresh journal is written in the requested format; an existing one
-	// keeps its on-disk format so a stream never mixes encodings.
-	format, headerWritten := opts.Format, false
-	if f, err := os.Open(path); err == nil {
-		fi, statErr := f.Stat()
-		if statErr != nil {
-			f.Close()
-			return nil, fmt.Errorf("platform: stating journal: %w", statErr)
-		}
-		events, valid, detected, dropped := readLogPartialDetect(f)
-		f.Close()
-		state, replayErr := Replay(numCategories, events)
-		if replayErr != nil {
-			return nil, replayErr
-		}
-		jf.State, jf.Dropped = state, dropped
-		if valid > 0 {
-			format, headerWritten = detected, detected == FormatBinary
-		}
-		if valid < fi.Size() {
-			if err := os.Truncate(path, valid); err != nil {
-				return nil, fmt.Errorf("platform: truncating torn journal tail: %w", err)
-			}
-			jf.Truncated = fi.Size() - valid
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("platform: opening journal: %w", err)
-	}
-	if jf.State == nil {
-		state, err := NewState(numCategories)
-		if err != nil {
-			return nil, err
-		}
-		jf.State = state
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("platform: opening journal for append: %w", err)
-	}
-	jf.File = f
-	jf.Log = newLogAt(f, opts, format, headerWritten)
-	return jf, nil
 }

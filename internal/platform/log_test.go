@@ -66,6 +66,23 @@ func TestReadLogRejectsNonIncreasingSeq(t *testing.T) {
 	}
 }
 
+// TestReadLogRejectsTornFinalLine: a final JSONL line without its newline
+// is torn even when its bytes parse — ReadLogPartial, RecoverDir and
+// OpenSegmentedLog all drop it — so the strict reader must refuse it
+// rather than replay a state recovery never produces.
+func TestReadLogRejectsTornFinalLine(t *testing.T) {
+	torn := `{"seq":1,"kind":"round_closed","round":0}`
+	if events, err := ReadLog(strings.NewReader(torn)); err == nil {
+		t.Fatalf("strict read accepted a torn final line: %d events", len(events))
+	}
+	if events, dropped := ReadLogPartial(strings.NewReader(torn)); dropped == nil || len(events) != 0 {
+		t.Fatalf("partial read of a torn line: %d events, dropped %v", len(events), dropped)
+	}
+	if events, err := ReadLog(strings.NewReader(torn + "\n")); err != nil || len(events) != 1 {
+		t.Fatalf("terminated line: %d events, err %v", len(events), err)
+	}
+}
+
 func TestReadLogSkipsBlankLines(t *testing.T) {
 	lines := "\n" + `{"seq":1,"kind":"round_closed","round":0}` + "\n\n"
 	events, err := ReadLog(strings.NewReader(lines))

@@ -48,7 +48,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 
 	dir := t.TempDir()
 	seg, err := OpenSegmentedLog(dir, SegmentOptions{
-		Log: LogOptions{Format: FormatBinary, GroupCommit: true},
+		Log: LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,6 @@ func TestChaosOverloadStorm(t *testing.T) {
 	fo, err := NewFailover(ts.URL, t.TempDir(), FailoverOptions{
 		Follower: FollowerOptions{
 			NumCategories: 3,
-			Segment:       SegmentOptions{Log: LogOptions{Format: FormatBinary}},
 			PollInterval:  50 * time.Millisecond,
 		},
 		ProbeInterval: 50 * time.Millisecond,

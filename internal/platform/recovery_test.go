@@ -6,28 +6,24 @@ import (
 	"testing"
 )
 
-// buildCleanLog returns a valid journal as bytes plus the event count.
+// buildCleanLog returns a valid n-event legacy JSONL journal — these
+// tests cut and corrupt it line by line to exercise the JSONL reader.
 func buildCleanLog(t *testing.T, n int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	l := NewLog(&buf)
 	s := mustState(t)
-	for i := 0; i < n; i++ {
-		var e Event
+	events := make([]Event, n)
+	for i := range events {
 		var err error
 		if i%2 == 0 {
-			e, err = s.Apply(NewWorkerJoined(validWorker()))
+			events[i], err = s.Apply(NewWorkerJoined(validWorker()))
 		} else {
-			e, err = s.Apply(NewTaskPosted(validTask()))
+			events[i], err = s.Apply(NewTaskPosted(validTask()))
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Append(e); err != nil {
-			t.Fatal(err)
-		}
 	}
-	return buf.Bytes()
+	return jsonlBytes(t, events)
 }
 
 func TestReadLogPartialCleanLog(t *testing.T) {

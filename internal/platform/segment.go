@@ -1,20 +1,20 @@
 package platform
 
 // SegmentedLog rotates the append-only journal across
-// journal.<firstseq>.jsonl / .mbaj files so checkpointing can retire
-// history: once a snapshot covers a whole segment, that segment can be
-// deleted and recovery cost becomes O(snapshot + tail) instead of
-// O(history).
+// journal.<firstseq>.mbaj files so checkpointing can retire history: once
+// a snapshot covers a whole segment, that segment can be deleted and
+// recovery cost becomes O(snapshot + tail) instead of O(history).
 //
 // Naming: a segment file carries the sequence number of its first event,
-// zero-padded so lexical order equals replay order; the extension records
-// the encoding it was created with (.jsonl seed format, .mbaj binary —
-// binlog.go), though recovery trusts content sniffing, not names.  Events
-// are contiguous across segments (sequence numbers never gap within a
-// live journal directory), which is what lets retirement reason about a
-// segment's last event from the next segment's name alone.  A directory
-// may freely mix formats across segments — each segment is one
-// self-describing stream.
+// zero-padded so lexical order equals replay order.  Every segment is
+// written in the binary format (.mbaj, binlog.go).  Directories written
+// before that may still hold legacy .jsonl segments: they are read (by
+// content sniffing, not by name) but never appended to — reopening a
+// directory whose newest segment is legacy seals it, and the next event
+// starts a fresh .mbaj segment.  Events are contiguous across segments
+// (sequence numbers never gap within a live journal directory), which is
+// what lets retirement reason about a segment's last event from the next
+// segment's name alone.
 //
 // Torn tails are healed by truncate-then-append: both at open (a crash
 // mid-append leaves half a record at the end of the newest segment) and
@@ -47,8 +47,8 @@ type SegmentOptions struct {
 	// RotateRounds seals the active segment after this many round_closed
 	// markers; 0 disables round-based rotation.
 	RotateRounds int
-	// Log is the per-segment durability policy (fsync, retries, format,
-	// group commit).
+	// Log is the per-segment durability policy (fsync, retries, group
+	// commit).
 	Log LogOptions
 	// Hook injects simulated crashes (tests only; nil in production).
 	Hook CrashHook
@@ -89,25 +89,21 @@ type SegmentedLog struct {
 	// curBase + log.committedBytes() is always a safe (never-truncated,
 	// record-aligned) prefix of the file — the heal target and the
 	// streaming read limit.
-	curBase   int64
-	curFormat JournalFormat
-	rounds    int // round markers in the active segment
+	curBase int64
+	rounds  int // round markers in the active segment
 
 	sealed  []SegmentInfo // older segments, ascending FirstSeq
 	dropped error         // open-time torn-tail diagnostic, if any
 }
 
 // segmentFileName formats the canonical segment name for a first
-// sequence number in the given encoding.
-func segmentFileName(firstSeq uint64, format JournalFormat) string {
-	ext := "jsonl"
-	if format == FormatBinary {
-		ext = "mbaj"
-	}
-	return fmt.Sprintf("journal.%020d.%s", firstSeq, ext)
+// sequence number.
+func segmentFileName(firstSeq uint64) string {
+	return fmt.Sprintf("journal.%020d.mbaj", firstSeq)
 }
 
-// parseSegmentSeq inverts segmentFileName; ok is false for foreign files.
+// parseSegmentSeq inverts segmentFileName, also accepting the legacy
+// .jsonl extension; ok is false for foreign files.
 func parseSegmentSeq(name string) (uint64, bool) {
 	rest, found := strings.CutPrefix(name, "journal.")
 	if !found {
@@ -120,16 +116,6 @@ func parseSegmentSeq(name string) (uint64, bool) {
 		}
 	}
 	return parseSeqToken(token)
-}
-
-// segmentPathFormat infers a segment's declared encoding from its
-// extension — only consulted when the file has no valid content to sniff
-// (empty or fully torn).
-func segmentPathFormat(path string) JournalFormat {
-	if strings.HasSuffix(path, ".mbaj") {
-		return FormatBinary
-	}
-	return FormatJSONL
 }
 
 // listSegments returns dir's journal segments ascending by first
@@ -165,9 +151,10 @@ func listSegments(dir string) ([]SegmentInfo, error) {
 // appending.  If the newest segment ends in a torn record — the signature
 // of a crash mid-append — it is truncated back to its last valid byte
 // before the file is opened for append; the diagnostic is available via
-// Dropped.  The reopened segment keeps its on-disk encoding regardless of
-// the requested format: a stream never mixes encodings, only the
-// directory does.
+// Dropped.  A legacy newest segment (a .jsonl name, or JSONL content) is
+// healed the same way but then sealed instead of reopened — or removed
+// when no event of it is left — so the next append starts a fresh .mbaj
+// segment and no encoding is ever appended to a stream of another.
 func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = DefaultSegmentBytes
@@ -186,16 +173,16 @@ func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 	sl.sealed = segs[:len(segs)-1]
 	active := segs[len(segs)-1]
 
-	valid, format, dropped, err := scanValidPrefix(active.Path)
+	f, err := os.Open(active.Path)
 	if err != nil {
 		return nil, err
 	}
+	events, valid, isBinary, dropped := readLogPartialDetect(f)
+	f.Close()
 	sl.dropped = dropped
-	if valid == 0 {
-		// Nothing sniffable; trust the extension so the segment keeps the
-		// encoding it was created with.
-		format = segmentPathFormat(active.Path)
-	}
+	// An empty or wholly torn .mbaj segment has nothing to sniff and is
+	// reused; anything else that is not a binary stream is legacy.
+	legacy := !strings.HasSuffix(active.Path, ".mbaj") || (valid > 0 && !isBinary)
 	if valid < active.Size {
 		// Truncate-then-append: drop the torn tail before the first new
 		// event can land after it.
@@ -209,11 +196,23 @@ func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 		}
 		active.Size = valid
 	}
-	f, err := os.OpenFile(active.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if legacy {
+		if len(events) > 0 {
+			sl.sealed = append(sl.sealed, active)
+			return sl, nil
+		}
+		// No event of it survives; left in place it would share its first
+		// sequence number with the .mbaj segment the next append creates.
+		if err := os.Remove(active.Path); err != nil {
+			return nil, fmt.Errorf("platform: removing empty segment %s: %w", active.Path, err)
+		}
+		fsyncDir(dir)
+		return sl, nil
+	}
+	if f, err = os.OpenFile(active.Path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, err
 	}
-	sl.attach(f, active, format)
+	sl.attach(f, active)
 	// Round markers already inside the reopened segment are not recounted:
 	// rotation thresholds are heuristics, and a segment slightly overshooting
 	// its round budget across a restart is harmless.
@@ -225,9 +224,9 @@ func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 // exactly the bytes that reached the file (torn halves included).  The
 // file itself is plumbed as the Log's fsync target: the wrappers don't
 // forward Sync, and FsyncAlways must reach the file, not a counter.
-// info.Size must be the file's current (valid) size; for a binary
-// segment a nonzero size proves the stream magic is already on disk.
-func (sl *SegmentedLog) attach(f *os.File, info SegmentInfo, format JournalFormat) {
+// info.Size must be the file's current (valid) size; a nonzero size
+// proves the stream magic is already on disk.
+func (sl *SegmentedLog) attach(f *os.File, info SegmentInfo) {
 	if sl.log != nil {
 		// Stop the previous committer (heal re-attaches over the same
 		// file); it has already answered every caller, so this is just
@@ -237,14 +236,13 @@ func (sl *SegmentedLog) attach(f *os.File, info SegmentInfo, format JournalForma
 	sl.f = f
 	sl.cur = info
 	sl.curBase = info.Size
-	sl.curFormat = format
 	var w io.Writer = &countingWriter{w: f, n: &sl.cur.Size}
 	if sl.opts.Hook != nil {
 		w = sl.opts.Hook.Wrap(CrashSegmentWrite, w)
 	}
 	logOpts := sl.opts.Log
 	logOpts.Syncer = f
-	sl.log = newLogAt(w, logOpts, format, info.Size > 0)
+	sl.log = newLogAt(w, logOpts, info.Size > 0)
 }
 
 // countingWriter tracks bytes that actually reached the underlying
@@ -316,12 +314,12 @@ func (sl *SegmentedLog) ensureActiveLocked(firstSeq uint64) error {
 			return fmt.Errorf("platform: rotating segment: %w", err)
 		}
 	}
-	path := filepath.Join(sl.dir, segmentFileName(firstSeq, sl.opts.Log.Format))
+	path := filepath.Join(sl.dir, segmentFileName(firstSeq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("platform: creating segment: %w", err)
 	}
-	sl.attach(f, SegmentInfo{Path: path, FirstSeq: firstSeq}, sl.opts.Log.Format)
+	sl.attach(f, SegmentInfo{Path: path, FirstSeq: firstSeq})
 	sl.rounds = 0
 	return nil
 }
@@ -425,7 +423,7 @@ func (sl *SegmentedLog) heal(offset int64) {
 	}
 	atomic.StoreInt64(&sl.cur.Size, offset)
 	// Rebuild the log chain: same file, fresh (unpoisoned) Log.
-	sl.attach(sl.f, sl.cur, sl.curFormat)
+	sl.attach(sl.f, sl.cur)
 }
 
 // healGrouped is heal for the group-commit path, where the failed flush
@@ -592,17 +590,4 @@ func (sl *SegmentedLog) Close() error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	return sl.sealLocked()
-}
-
-// scanValidPrefix reads a segment file and returns the byte offset of
-// the end of its last fully-valid record and the detected encoding, plus
-// the torn-tail diagnostic when that offset is short of the file size.
-func scanValidPrefix(path string) (int64, JournalFormat, error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, FormatJSONL, nil, err
-	}
-	defer f.Close()
-	_, valid, format, dropped := readLogPartialDetect(f)
-	return valid, format, dropped, nil
 }

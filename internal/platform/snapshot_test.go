@@ -238,9 +238,9 @@ func TestParseSnapshotSeq(t *testing.T) {
 	}
 	// Same strictness for segment names: a foreign "journal.5junk.jsonl"
 	// must never parse (and so never be pruned or replayed).
-	for _, format := range []JournalFormat{FormatJSONL, FormatBinary} {
-		if seq, ok := parseSegmentSeq(segmentFileName(42, format)); !ok || seq != 42 {
-			t.Fatalf("parse(%s) = %d, %v", segmentFileName(42, format), seq, ok)
+	for _, name := range []string{segmentFileName(42), "journal.00000000000000000042.jsonl"} {
+		if seq, ok := parseSegmentSeq(name); !ok || seq != 42 {
+			t.Fatalf("parse(%s) = %d, %v", name, seq, ok)
 		}
 	}
 	for _, name := range []string{"journal.5junk.jsonl", "journal.5.jsonl", "journal.jsonl", "journal.5.mbaj"} {
