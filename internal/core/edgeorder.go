@@ -1,76 +1,127 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
-// edgeOrder is the concrete sort.Interface behind every weight-ordered edge
-// scan: decreasing weight, ties broken by ascending edge index (so the
-// order is strict and the algorithms deterministic).  Weights are extracted
-// once into a flat slice so each comparison reads two contiguous arrays
-// instead of chasing EdgeInfo structs through a closure, which is what made
-// the seed's sort.Slice the hot spot of Greedy.Solve.
-type edgeOrder[T int | int32] struct {
-	idx []T
-	wt  []float64
-}
+// radixCutoff is the input length below which sortEdgesByWeightWS orders
+// the keys with a comparison sort instead of the radix passes, whose 8 KB
+// of histograms would dominate the per-worker and per-task sorts of the
+// online solvers.
+const radixCutoff = 256
 
-func (o *edgeOrder[T]) Len() int { return len(o.idx) }
-
-func (o *edgeOrder[T]) Less(a, b int) bool {
-	if o.wt[a] != o.wt[b] {
-		return o.wt[a] > o.wt[b]
+// orderKey maps a weight to a uint64 whose ascending order is the weight's
+// descending order.  −0 is folded onto +0 (the two compare equal), then the
+// IEEE bits are made order-preserving — every bit flipped for negatives,
+// only the sign bit otherwise — and the result inverted.
+func orderKey(w float64) uint64 {
+	b := math.Float64bits(w)
+	if b == 1<<63 {
+		b = 0
 	}
-	return o.idx[a] < o.idx[b]
-}
-
-func (o *edgeOrder[T]) Swap(a, b int) {
-	o.idx[a], o.idx[b] = o.idx[b], o.idx[a]
-	o.wt[a], o.wt[b] = o.wt[b], o.wt[a]
-}
-
-// extractWeights fills wt[k] with idx[k]'s weight under kind.  The kind
-// switch is hoisted out of the comparison loop into this extraction pass.
-func extractWeights[T int | int32](p *Problem, kind WeightKind, idx []T, wt []float64) {
-	switch kind {
-	case MutualWeight:
-		for k, ei := range idx {
-			wt[k] = p.Edges[ei].M
-		}
-	case QualityWeight:
-		for k, ei := range idx {
-			wt[k] = p.Edges[ei].Q
-		}
-	case WorkerWeight:
-		for k, ei := range idx {
-			wt[k] = p.Edges[ei].B
-		}
-	default:
-		panic("core: unknown weight kind")
+	if b>>63 != 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
 	}
+	return ^b
 }
 
-// sortEdgesByWeight sorts idx (edge indices into p.Edges) in place:
-// decreasing weight under kind, ascending index on ties.
-func sortEdgesByWeight[T int | int32](p *Problem, kind WeightKind, idx []T) {
-	if len(idx) < 2 {
-		return
-	}
-	wt := make([]float64, len(idx))
-	extractWeights(p, kind, idx, wt)
-	sort.Sort(&edgeOrder[T]{idx: idx, wt: wt})
-}
-
-// sortEdgesByWeightWS is sortEdgesByWeight drawing its weight buffer and
-// sorter from ws, so repeated sorts through one workspace allocate nothing.
+// sortEdgesByWeightWS is the one ordering kernel behind every
+// weight-ordered edge scan.  It sorts idx (edge indices into p.Edges) in
+// place by decreasing weight under kind, ties broken by ascending edge
+// index, drawing all scratch from ws so repeated sorts allocate nothing.
+//
+// Precondition: idx is ascending.  The sort is a stable LSD radix sort on
+// orderKey, so ties keep their input order — which is then ascending
+// index.  Every caller passes either the identity order or a CSR adjacency
+// list filtered in place, both ascending.
+//
+// NaN weights are out of scope: scored weights are bounded, and the
+// comparison order this kernel reproduces is undefined for NaN.
+//
+// Below radixCutoff a comparison sort orders idx by the same key, breaking
+// ties on the index itself.  Above it, all eight byte histograms are built
+// in the pass that computes the keys, passes whose byte is the same for
+// every key are skipped, and the key and index buffers ping-pong between
+// passes.
 func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace) {
-	if len(idx) < 2 {
+	n := len(idx)
+	if n < 2 {
 		return
 	}
-	ws.sortWt = growF64(ws.sortWt, len(idx))
-	wt := ws.sortWt[:len(idx)]
-	extractWeights(p, kind, idx, wt)
-	ws.sorter32.idx, ws.sorter32.wt = idx, wt
-	sort.Sort(&ws.sorter32)
-	ws.sorter32.idx, ws.sorter32.wt = nil, nil
+	if n < radixCutoff {
+		slices.SortFunc(idx, func(a, b int32) int {
+			if c := cmp.Compare(orderKey(p.Edges[a].Weight(kind)), orderKey(p.Edges[b].Weight(kind))); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return
+	}
+
+	ws.keys = growU64(ws.keys, 2*n)
+	keys, keysTmp := ws.keys[:n], ws.keys[n:2*n]
+	ws.orderTmp = growI32(ws.orderTmp, n)
+	src, dst := idx, ws.orderTmp[:n]
+
+	hist := &ws.radixHist
+	*hist = [8][256]uint32{}
+	for k, ei := range idx {
+		key := orderKey(p.Edges[ei].Weight(kind))
+		keys[k] = key
+		hist[0][byte(key)]++
+		hist[1][byte(key>>8)]++
+		hist[2][byte(key>>16)]++
+		hist[3][byte(key>>24)]++
+		hist[4][byte(key>>32)]++
+		hist[5][byte(key>>40)]++
+		hist[6][byte(key>>48)]++
+		hist[7][byte(key>>56)]++
+	}
+
+	// A byte every key shares cannot reorder anything: drop its pass.
+	var passes [8]uint
+	np := 0
+	for d := range hist {
+		if hist[d][byte(keys[0]>>(8*d))] != uint32(n) {
+			passes[np] = uint(d)
+			np++
+		}
+	}
+	for i, d := range passes[:np] {
+		h := &hist[d]
+		var sum uint32
+		for b, c := range h {
+			h[b] = sum
+			sum += c
+		}
+		shift := 8 * d
+		src = src[:n]
+		if i == np-1 {
+			// The last pass only places indices; its keys are never read.
+			for k, key := range keys {
+				b := byte(key >> shift)
+				dst[h[b]] = src[k]
+				h[b]++
+			}
+		} else {
+			for k, key := range keys {
+				b := byte(key >> shift)
+				at := h[b]
+				h[b]++
+				keysTmp[at] = key
+				dst[at] = src[k]
+			}
+			keys, keysTmp = keysTmp, keys
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &idx[0] {
+		copy(idx, src)
+	}
 }
 
 // identityOrderWS fills ws.order with the edge indices 0..n-1.
@@ -83,9 +134,9 @@ func identityOrderWS(ws *Workspace, n int) []int32 {
 	return order
 }
 
-// takeFeasible is the shared feasibility scan of Greedy, Random and
-// ShardedGreedy: walk order, take every edge whose endpoints still have
-// capacity, decrementing capW/capT and appending to sel.
+// takeFeasible is the shared feasibility scan of Greedy and Random: walk
+// order, take every edge whose endpoints still have capacity, decrementing
+// capW/capT and appending to sel.
 func takeFeasible[T int | int32](p *Problem, order []T, capW, capT []int, sel []int) []int {
 	for _, ei := range order {
 		e := &p.Edges[ei]

@@ -10,9 +10,9 @@ import (
 // The feasible assignments form the intersection of two partition matroids
 // (worker capacities, task replications), so this greedy is a classical
 // ½-approximation of the optimum — and in practice it lands within a few
-// percent (R-Fig10).  Runtime is O(E log E) for the sort plus a linear scan,
-// which is what makes it the only viable algorithm at millions of edges
-// (R-Fig9).
+// percent (R-Fig10).  Runtime is O(E): a radix sort of the edge order
+// (sortEdgesByWeightWS) plus a linear scan, which is what makes it the only
+// viable algorithm at millions of edges (R-Fig9).
 type Greedy struct {
 	Kind WeightKind
 	// WS optionally pins a reusable workspace; nil borrows one from the

@@ -163,7 +163,9 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 	}
 	ws.edgeWt = growF64(ws.edgeWt, nE)
 	wt := ws.edgeWt
-	extractWeights(p, kind, identityOrderWS(ws, nE), wt)
+	for ei := range wt {
+		wt[ei] = p.Edges[ei].Weight(kind)
+	}
 
 	ws.minChosenW = growI32(ws.minChosenW, nW)
 	ws.bestAddW = growI32(ws.bestAddW, nW)

@@ -3,13 +3,12 @@ package core
 import "slices"
 
 // PickEdge is one candidate assignment in an abstract dense bipartite index
-// space — the currency of the reconciliation pass shared by ShardedGreedy's
-// sequential phases and platform-level cross-shard merging.  W and T index
-// caller-chosen capacity arrays (they need not be instance indices: the
-// platform reconciler densifies only the contested workers and tasks), and
-// Ref is an opaque caller handle carried through the sort so the winner set
-// can be mapped back to whatever the picks came from (edge indices, pair
-// slots, ...).
+// space — the currency of the platform's cross-shard reconciliation pass.
+// W and T index caller-chosen capacity arrays (they need not be instance
+// indices: the platform reconciler densifies only the contested workers
+// and tasks), and Ref is an opaque caller handle carried through the sort
+// so the winner set can be mapped back to whatever the picks came from
+// (edge indices, pair slots, ...).
 type PickEdge struct {
 	W, T   int32
 	Weight float64

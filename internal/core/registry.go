@@ -27,7 +27,6 @@ var solverFactories = map[string]func() Solver{
 	"online-twophase":     func() Solver { return OnlineTwoPhase{Kind: MutualWeight} },
 	"online-task-greedy":  func() Solver { return OnlineTaskGreedy{Kind: MutualWeight} },
 	"annealing":           func() Solver { return SimulatedAnnealing{Kind: MutualWeight} },
-	"sharded-greedy":      func() Solver { return ShardedGreedy{Kind: MutualWeight} },
 	"stable-matching":     func() Solver { return StableMatching{} },
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Workspace is the reusable scratch memory behind the solvers' hot paths:
-// capacity and chosen-flag arrays, edge-order and weight buffers, the local
+// capacity and chosen-flag arrays, edge-order and radix-key buffers, the local
 // search's per-pass vertex tables and move lists, and the online solvers'
 // arrival orders.  Repeated solves of same-shape problems through one
 // workspace allocate (almost) nothing beyond the returned selection.
@@ -28,11 +28,11 @@ import (
 type Workspace struct {
 	capW, capT []int
 	chosen     []bool
-	order      []int32    // edge order under sort
-	sortWt     []float64  // weights permuted alongside order
-	sel        []int      // selection under construction
-	ints       []int      // arrival orders / int edge orders
-	picks      []PickEdge // reconciliation candidates (sharded union / refill)
+	order      []int32  // edge order under sort
+	orderTmp   []int32  // radix ping-pong partner of order
+	keys       []uint64 // radix keys: two length-n halves, ping-ponged
+	sel        []int    // selection under construction
+	ints       []int    // arrival orders / int edge orders
 
 	// Local-search state.
 	edgeWt                 []float64 // frozen per-edge weight, indexed by edge
@@ -43,7 +43,7 @@ type Workspace struct {
 	moves                  []lsMove
 	ls                     lsState // shared read-mostly view for the sweeps
 
-	sorter32   edgeOrder[int32]
+	radixHist  [8][256]uint32 // per-byte key histograms of one radix sort
 	moveSorter lsMoveSorter
 
 	// Exact-path state: the retained bipartite graph the flow reduction is
@@ -95,6 +95,13 @@ func growI32(buf []int32, n int) []int32 {
 	return make([]int32, n)
 }
 
+func growU64(buf []uint64, n int) []uint64 {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]uint64, n)
+}
+
 func growF64(buf []float64, n int) []float64 {
 	if cap(buf) >= n {
 		return buf[:n]
@@ -107,13 +114,6 @@ func growEdges(buf []EdgeInfo, n int) []EdgeInfo {
 		return buf[:n]
 	}
 	return make([]EdgeInfo, n)
-}
-
-func growPicks(buf []PickEdge, n int) []PickEdge {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]PickEdge, n)
 }
 
 func growBoolZero(buf []bool, n int) []bool {

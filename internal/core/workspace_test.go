@@ -27,7 +27,6 @@ func TestWorkspaceReuseIdenticalSelections(t *testing.T) {
 		Greedy{Kind: MutualWeight, WS: ws},
 		LocalSearch{Kind: MutualWeight, WS: ws},
 		LocalSearchSerial{Kind: MutualWeight, WS: ws},
-		ShardedGreedy{Kind: MutualWeight, Shards: 4, WS: ws},
 		Random{WS: ws},
 		RoundRobin{WS: ws},
 		OnlineGreedy{Kind: MutualWeight, WS: ws},
@@ -63,7 +62,6 @@ func TestWorkspacePinnedVsPooledIdentical(t *testing.T) {
 	pairs := [][2]Solver{
 		{Greedy{Kind: MutualWeight, WS: ws}, Greedy{Kind: MutualWeight}},
 		{LocalSearch{Kind: MutualWeight, WS: ws}, LocalSearch{Kind: MutualWeight}},
-		{ShardedGreedy{Kind: MutualWeight, Shards: 4, WS: ws}, ShardedGreedy{Kind: MutualWeight, Shards: 4}},
 		{RoundRobin{WS: ws}, RoundRobin{}},
 	}
 	for _, pr := range pairs {
@@ -89,11 +87,32 @@ func TestWorkspacePinnedVsPooledIdentical(t *testing.T) {
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	p := workspaceTestProblem(t)
 	t.Run("greedy", func(t *testing.T) {
-		s := Greedy{Kind: MutualWeight, WS: NewWorkspace()}
-		s.Solve(p, nil) // warm-up grows all scratch
-		n := testing.AllocsPerRun(20, func() { s.Solve(p, nil) })
-		if n > 1 {
-			t.Errorf("greedy: %v allocs/op in steady state, want <= 1 (the returned selection)", n)
+		if len(p.Edges) <= radixCutoff {
+			t.Fatalf("%d edges do not reach the radix path (cutoff %d)", len(p.Edges), radixCutoff)
+		}
+		ws := NewWorkspace()
+		for _, kind := range allWeightKinds {
+			s := Greedy{Kind: kind, WS: ws}
+			s.Solve(p, nil) // warm-up grows all scratch
+			n := testing.AllocsPerRun(20, func() { s.Solve(p, nil) })
+			if n > 1 {
+				t.Errorf("%s: %v allocs/op in steady state, want <= 1 (the returned selection)", s.Name(), n)
+			}
+		}
+	})
+	t.Run("edge-order", func(t *testing.T) {
+		// The ordering kernel alone, on both sides of the cutoff, allocates
+		// nothing once the workspace is warm.
+		ws := NewWorkspace()
+		for _, n := range []int{radixCutoff / 2, len(p.Edges)} {
+			idx := identityOrderWS(ws, n)
+			sortEdgesByWeightWS(p, MutualWeight, idx, ws)
+			allocs := testing.AllocsPerRun(20, func() {
+				sortEdgesByWeightWS(p, MutualWeight, identityOrderWS(ws, n), ws)
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d: %v allocs/op in steady state, want 0", n, allocs)
+			}
 		}
 	})
 	t.Run("local-search-serial", func(t *testing.T) {

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/benefit"
@@ -27,14 +26,6 @@ func init() {
 			"cost; annealing matches local-search only with a far larger time budget — the " +
 			"deterministic search is the right default",
 		Run: runAbl1,
-	})
-	register(Experiment{
-		ID:    "X-Abl2",
-		Title: "sharded parallel greedy: quality and wall-clock vs. shard count",
-		Expected: "reconciliation keeps quality within ~1% of sequential greedy at every shard " +
-			"count; wall-clock falls with shards only when GOMAXPROCS > 1 (the table reports the " +
-			"host's parallelism — on a single-core host the sharding is pure constant overhead)",
-		Run: runAbl2,
 	})
 	register(Experiment{
 		ID:    "X-Abl3",
@@ -139,34 +130,6 @@ func runAbl1(w io.Writer, cfg RunConfig) error {
 	for _, s := range solvers {
 		a := accs[s.Name()]
 		t.row(s.Name(), f3(a.ratio.Mean()), (a.time / time.Duration(reps)).Round(time.Microsecond).String())
-	}
-	return t.flush()
-}
-
-func runAbl2(w io.Writer, cfg RunConfig) error {
-	nw, nt := cfg.pick(3000, 150), cfg.pick(2000, 100)
-	in, err := market.Generate(market.FreelanceTraceConfig(nw, nt), cfg.Seed)
-	if err != nil {
-		return err
-	}
-	p, err := core.NewProblem(in, benefit.DefaultParams())
-	if err != nil {
-		return err
-	}
-	_, base, err := core.Run(p, core.Greedy{Kind: core.MutualWeight}, stats.NewRNG(cfg.Seed))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "host parallelism: GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-	t := newTable(w, "shards", "value-ratio-vs-greedy", "time", "greedy-time")
-	for _, shards := range []int{1, 2, 4, 8} {
-		_, m, err := core.Run(p, core.ShardedGreedy{Kind: core.MutualWeight, Shards: shards}, stats.NewRNG(cfg.Seed))
-		if err != nil {
-			return err
-		}
-		t.row(shards, f3(m.TotalMutual/base.TotalMutual),
-			m.Elapsed.Round(time.Microsecond).String(),
-			base.Elapsed.Round(time.Microsecond).String())
 	}
 	return t.flush()
 }

@@ -264,7 +264,6 @@ func runConstructionSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, r
 				core.Greedy{Kind: core.MutualWeight},
 				core.QualityOnly(),
 				core.WorkerOnly(),
-				core.ShardedGreedy{Kind: core.MutualWeight},
 				core.Random{},
 				core.RoundRobin{},
 				core.LocalSearch{Kind: core.MutualWeight},
@@ -322,7 +321,6 @@ func runSolveSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 		if solvers == nil {
 			solvers = []core.Solver{
 				core.Greedy{Kind: core.MutualWeight, WS: &core.Workspace{}},
-				core.ShardedGreedy{Kind: core.MutualWeight, WS: &core.Workspace{}},
 				core.LocalSearch{Kind: core.MutualWeight, WS: &core.Workspace{}},
 				core.LocalSearchSerial{Kind: core.MutualWeight, WS: &core.Workspace{}},
 			}

@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"R-Fig10", "R-Fig11", "R-Fig12", "R-Fig13",
 		"R-Fig4", "R-Fig5", "R-Fig6", "R-Fig7", "R-Fig8", "R-Fig9",
 		"R-Tab1", "R-Tab2", "R-Tab3", "R-Tab4",
-		"X-Abl1", "X-Abl2", "X-Abl3", "X-Abl4", "X-Abl5", "X-Abl6", "X-Abl7", "X-Abl8",
+		"X-Abl1", "X-Abl3", "X-Abl4", "X-Abl5", "X-Abl6", "X-Abl7", "X-Abl8",
 		"X-Abl9", "X-Rob1", "X-Rob2",
 	}
 	all := All()

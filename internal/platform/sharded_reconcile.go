@@ -3,10 +3,10 @@ package platform
 import "repro/internal/core"
 
 // reconcileShards resolves cross-shard worker over-subscription in a round
-// in flight, reusing core.ShardedGreedy's proven pattern — optimistic
-// shards, keep-heaviest, refill — via the same core.ReconcileTake
-// primitive.  It mutates each shard's sel/pairs in place and returns the
-// global drop/refill counts (also recorded per shard on out.info).
+// in flight with the optimistic-sharding pattern — optimistic shards,
+// keep-heaviest, refill — built on the core.ReconcileTake primitive.  It
+// mutates each shard's sel/pairs in place and returns the global
+// drop/refill counts (also recorded per shard on out.info).
 //
 // Step 1 (detect): a worker is contested when its picks summed across
 // shards exceed its capacity.  Only spanning workers can be — each shard's
