@@ -56,7 +56,8 @@ chaos:
 # power cut injected at every checkpoint/segment crash point (torn
 # snapshot, cut rename, torn append, mid-rotation cut, cut heal); after
 # each crash the directory is recovered and the final state must be
-# byte-identical to the crash-free reference.  Seeded like `make chaos`.
+# byte-identical to the crash-free reference.  Seeded like `make chaos`
+# (CI runs it at the same seeds).
 crash:
 	CHAOS_SEED=$${CHAOS_SEED:-1} $(GO) test -race -count=1 -v -run 'TestCrash' ./internal/platform/...
 

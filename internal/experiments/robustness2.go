@@ -105,7 +105,7 @@ func runRob2(w io.Writer, cfg RunConfig) error {
 			return err
 		}
 		for _, e := range subset {
-			if _, err := state.ApplyJournaled(e, seg.Append); err != nil {
+			if _, err := state.ApplyBatchJournaled([]platform.Event{e}, seg.AppendBatch); err != nil {
 				return err
 			}
 			if e.Kind == platform.EventRoundClosed {

@@ -260,7 +260,7 @@ func TestCrashDuringHealRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendJoins(t, s, sl, 3)
-	if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), sl.Append); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatalf("4th append: got %v, want the injected crash", err)
 	}
 	committed := stateBytes(t, s)

@@ -74,7 +74,7 @@ func TestStateEpochMonotonicAndRollback(t *testing.T) {
 	}
 	// A failed journal append rolls the bump back atomically.
 	failing := NewLogWithOptions(faultinject.NewFlakyWriter(&bytes.Buffer{}, faultinject.After(0)), LogOptions{})
-	if _, err := s.ApplyJournaled(NewEpochBumped(9), failing.Append); err == nil {
+	if _, err := s.ApplyBatchJournaled([]Event{NewEpochBumped(9)}, failing.AppendBatch); err == nil {
 		t.Fatal("bump with a dead journal reported success")
 	}
 	if s.Epoch() != 3 || s.Seq() != 1 {

@@ -297,7 +297,7 @@ func (f *Follower) SyncOnce(ctx context.Context) (int, error) {
 		if want := state.Seq() + 1; e.Seq != want {
 			return applied, fmt.Errorf("platform: stream gap: got seq %d, want %d", e.Seq, want)
 		}
-		if _, err := state.ApplyJournaled(e, seg.Append); err != nil {
+		if _, err := state.ApplyBatchJournaled([]Event{e}, seg.AppendBatch); err != nil {
 			return applied, fmt.Errorf("platform: applying replicated event %d: %w", e.Seq, err)
 		}
 		applied++

@@ -205,14 +205,14 @@ func TestSegmentedGroupCommitHealKeepsAcked(t *testing.T) {
 	}
 	s := mustState(t)
 	for i := 0; i < 3; i++ {
-		if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), sl.Append); err != nil {
+		if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Write op 3 tears (ops 0-2 were magic-fused flushes of the first
 	// three events... op counting is per-write: each lone append is one
 	// write).  The 4th append fails and must roll back.
-	if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), sl.Append); err == nil {
+	if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); err == nil {
 		t.Fatal("torn group flush reported success")
 	}
 	if s.Seq() != 3 {
@@ -223,7 +223,7 @@ func TestSegmentedGroupCommitHealKeepsAcked(t *testing.T) {
 	}
 	// Healed in place: later appends land on a clean boundary.
 	for i := 0; i < 2; i++ {
-		if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), sl.Append); err != nil {
+		if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestSegmentedGroupCommitRotation(t *testing.T) {
 	s := mustState(t)
 	const n = 60
 	for i := 0; i < n; i++ {
-		if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), sl.Append); err != nil {
+		if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // poisonedJournal is a Journal stub that reports itself unappendable.
 type poisonedJournal struct{ poisoned bool }
 
-func (j *poisonedJournal) Append(Event) error { return nil }
-func (j *poisonedJournal) Poisoned() bool     { return j.poisoned }
+func (j *poisonedJournal) AppendBatch([]Event) error { return nil }
+func (j *poisonedJournal) Poisoned() bool            { return j.poisoned }
 
 // getHealth fetches /v1/healthz and decodes the payload.
 func getHealth(t *testing.T, url string) (*http.Response, HealthStatus) {

@@ -36,7 +36,7 @@ func jsonlBytes(t testing.TB, events []Event) []byte {
 // legacyScript returns the sequenced events of a deterministic churn
 // script: a worker and a task per step, the oldest of each removed every
 // fifth step, a round marker every fourth.  Feeding the events back
-// through ApplyJournaled reproduces them exactly (replay keeps recorded
+// through ApplyBatchJournaled reproduces them exactly (replay keeps recorded
 // IDs), so a run can stop and resume anywhere in the script.
 func legacyScript(t *testing.T, steps int) []Event {
 	t.Helper()
@@ -71,7 +71,7 @@ func legacyScript(t *testing.T, steps int) []Event {
 func applyAll(t *testing.T, s *State, jnl Journal, events []Event) {
 	t.Helper()
 	for _, e := range events {
-		if _, err := s.ApplyJournaled(e, jnl.Append); err != nil {
+		if _, err := s.ApplyBatchJournaled([]Event{e}, jnl.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,22 +12,19 @@ import (
 )
 
 // Journal is the sink Service journals applied events into.  *Log (one
-// file) and *SegmentedLog (rotating directory) both implement it.  Append
-// is called under the state mutex (State.ApplyJournaled), so
-// implementations see events in strictly increasing sequence order.
+// stream) and *SegmentedLog (rotating directory) both implement it.
+// AppendBatch lands the events as one contiguous append — one write, and
+// under FsyncAlways one fsync — or, on error, leaves none of them durably
+// in the journal.  It is called under the state mutex
+// (State.ApplyBatchJournaled), so implementations see events in strictly
+// increasing sequence order; a single event arrives as a batch of one.
 type Journal interface {
-	Append(e Event) error
-}
-
-// BatchJournal is a Journal that can land a whole batch of events as one
-// contiguous append — one write, and under FsyncAlways one fsync.  *Log
-// and *SegmentedLog both implement it; the batch ingest path requires it
-// (falling back to per-event appends would silently break the batch's
-// all-or-nothing durability).
-type BatchJournal interface {
-	Journal
 	AppendBatch(events []Event) error
 }
+
+// BatchJournal is another name for Journal, kept because the perfbench
+// module names it.
+type BatchJournal = Journal
 
 // FsyncPolicy selects how hard Append pushes a record toward stable storage.
 type FsyncPolicy int
@@ -100,8 +97,9 @@ var ErrLogClosed = errors.New("platform: log closed")
 // reported with its offset rather than silently corrupting a replay.
 //
 // Without group commit, Log methods are not safe for concurrent use; the
-// platform serialises Appends under the state mutex (State.ApplyJournaled),
-// which is also what keeps journal order identical to sequence order.
+// platform serialises appends under the state mutex
+// (State.ApplyBatchJournaled), which is also what keeps journal order
+// identical to sequence order.
 // With GroupCommit enabled, Append and AppendBatch may be called
 // concurrently — the committer serialises the writes.
 type Log struct {
@@ -160,35 +158,18 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// Append writes one event, retrying transient write failures on the
-// unwritten suffix and fsyncing per the policy.  An error return means
-// the record is NOT durably in the log: either nothing of it was written
+// Append writes one event: a batch of one.
+func (l *Log) Append(e Event) error { return l.AppendBatch([]Event{e}) }
+
+// AppendBatch writes events as one contiguous run of records with a
+// single write and (under FsyncAlways) a single fsync, retrying transient
+// write failures on the unwritten suffix.  An error return means no record
+// of the batch is durably in the log: either nothing of it was written
 // (retryable — the log stays record-aligned) or the log is poisoned.  A
 // poisoned group-commit log may hold whole records of the failed flush
 // (other callers' as well as this one's) past the last committed offset;
 // every caller in that flush got the error, and SegmentedLog heals by
 // truncating to the committed offset so memory and disk agree.
-func (l *Log) Append(e Event) error {
-	if l.Poisoned() {
-		return ErrLogPoisoned
-	}
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	rec, err := appendBinaryRecord(nil, &e)
-	if err != nil {
-		return err
-	}
-	if l.gc != nil {
-		return l.gc.commit(rec)
-	}
-	return l.commitBytes(rec)
-}
-
-// AppendBatch writes events as one contiguous run of records with a
-// single write and (under FsyncAlways) a single fsync — the journal half
-// of the all-or-nothing batch ingest path.  On error nothing of the batch
-// is durably in the log under the same rules as Append.
 func (l *Log) AppendBatch(events []Event) error {
 	if len(events) == 0 {
 		return nil
@@ -199,11 +180,11 @@ func (l *Log) AppendBatch(events []Event) error {
 	var buf []byte
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
-			return fmt.Errorf("platform: batch event %d: %w", i, err)
+			return fmt.Errorf("platform: event %d: %w", i, err)
 		}
 		var err error
 		if buf, err = appendBinaryRecord(buf, &events[i]); err != nil {
-			return fmt.Errorf("platform: batch event %d: %w", i, err)
+			return fmt.Errorf("platform: event %d: %w", i, err)
 		}
 	}
 	if l.gc != nil {
@@ -220,7 +201,7 @@ func (l *Log) committedBytes() int64 { return l.committed.Load() }
 
 // commitBytes is the single point where encoded records reach the writer:
 // one write (with the stream magic fused in front when still owed), then
-// one fsync per the policy.  Called by Append/AppendBatch directly, or by
+// one fsync per the policy.  Called by AppendBatch directly, or by
 // the committer goroutine on coalesced buffers.
 func (l *Log) commitBytes(buf []byte) error {
 	if l.headerPending {

@@ -70,11 +70,11 @@ type SegmentInfo struct {
 var ErrSeqRetired = errors.New("platform: requested sequence retired from journal")
 
 // SegmentedLog is a rotating journal over a directory.  It implements
-// Journal; like Log, Append is serialised externally by the state mutex
-// (State.ApplyJournaled), but rotation-management entry points
+// Journal; like Log, AppendBatch is serialised externally by the state
+// mutex (State.ApplyBatchJournaled), but rotation-management entry points
 // (Rotate, RetireThrough) take an internal mutex so the checkpoint
 // manager may call them concurrently with appends.  With group commit
-// enabled (SegmentOptions.Log.GroupCommit) Append itself may also be
+// enabled (SegmentOptions.Log.GroupCommit) AppendBatch itself may also be
 // called concurrently: callers queue on the active segment's committer
 // and the mutex is only held for segment bookkeeping, not the write.
 type SegmentedLog struct {
@@ -275,30 +275,24 @@ func (sl *SegmentedLog) Poisoned() bool {
 	return sl.log != nil && sl.log.Poisoned()
 }
 
-// Append journals one applied event, rotating segments per the options.
-// A torn write is healed in place — the file is truncated back to the
-// last committed offset, so the (rolled-back) event leaves no bytes
-// behind and the next append lands on a clean record boundary.  The
-// error is still returned: the caller's rollback contract is unchanged.
-func (sl *SegmentedLog) Append(e Event) error {
-	return sl.appendEvents(e.Seq, []Event{e})
-}
+// Append journals one event: a batch of one.
+func (sl *SegmentedLog) Append(e Event) error { return sl.AppendBatch([]Event{e}) }
 
 // AppendBatch journals a batch as one contiguous write (and one fsync)
-// in the active segment; a batch never spans a segment boundary.  It
-// implements BatchJournal for the all-or-nothing ingest path.
+// in the active segment, rotating segments per the options; a batch never
+// spans a segment boundary.  A torn write is healed in place — the file
+// is truncated back to the last committed offset, so the (rolled-back)
+// batch leaves no bytes behind and the next append lands on a clean
+// record boundary.  The error is still returned: the caller's rollback
+// contract is unchanged.
 func (sl *SegmentedLog) AppendBatch(events []Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	return sl.appendEvents(events[0].Seq, events)
-}
-
-func (sl *SegmentedLog) appendEvents(firstSeq uint64, events []Event) error {
 	if sl.opts.Log.GroupCommit {
-		return sl.appendGrouped(firstSeq, events)
+		return sl.appendGrouped(events[0].Seq, events)
 	}
-	return sl.appendDirect(firstSeq, events)
+	return sl.appendDirect(events[0].Seq, events)
 }
 
 // ensureActiveLocked opens a fresh segment named after the incoming
@@ -351,13 +345,7 @@ func (sl *SegmentedLog) appendDirect(firstSeq uint64, events []Event) error {
 		return err
 	}
 	before := atomic.LoadInt64(&sl.cur.Size)
-	var err error
-	if len(events) == 1 {
-		err = sl.log.Append(events[0])
-	} else {
-		err = sl.log.AppendBatch(events)
-	}
-	if err != nil {
+	if err := sl.log.AppendBatch(events); err != nil {
 		if sl.log.Poisoned() && atomic.LoadInt64(&sl.cur.Size) > before {
 			sl.heal(before)
 		}
@@ -381,12 +369,7 @@ func (sl *SegmentedLog) appendGrouped(firstSeq uint64, events []Event) error {
 		log := sl.log
 		sl.mu.Unlock()
 
-		var err error
-		if len(events) == 1 {
-			err = log.Append(events[0])
-		} else {
-			err = log.AppendBatch(events)
-		}
+		err := log.AppendBatch(events)
 		if errors.Is(err, ErrLogClosed) {
 			// Sealed between our bookkeeping and the enqueue; the fresh
 			// segment has a live committer.

@@ -13,7 +13,7 @@ import (
 func appendJoins(t *testing.T, s *State, jnl Journal, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), jnl.Append); err != nil {
+		if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, jnl.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestSegmentedLogRotatesByRounds(t *testing.T) {
 	s := mustState(t)
 	for r := 1; r <= 6; r++ {
 		appendJoins(t, s, sl, 2)
-		if _, err := s.ApplyJournaled(NewRoundClosed(r), sl.Append); err != nil {
+		if _, err := s.ApplyBatchJournaled([]Event{NewRoundClosed(r)}, sl.AppendBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,8 +219,8 @@ func TestSegmentedLogTornAppendHealsInPlace(t *testing.T) {
 	s := mustState(t)
 	appendJoins(t, s, sl, 3)
 
-	// The 4th append tears mid-line; ApplyJournaled must roll it back.
-	if _, err := s.ApplyJournaled(NewWorkerJoined(validWorker()), sl.Append); err == nil {
+	// The 4th append tears mid-line; ApplyBatchJournaled must roll it back.
+	if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); err == nil {
 		t.Fatal("torn append reported success")
 	}
 	if s.Seq() != 3 {

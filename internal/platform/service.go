@@ -95,11 +95,12 @@ type RoundProvenance struct {
 // steady-state serving loop stops re-allocating its largest data
 // structure.
 //
-// When a journal is attached, Submit routes through State.ApplyJournaled,
-// which holds the state mutex across apply-and-append: journal lines are
-// written in strictly increasing sequence order — the invariant ReadLog
-// enforces on recovery — and a journal failure rolls the state mutation
-// back, so memory and disk can never silently drift apart.
+// Submit and SubmitBatch share one write path: a single event is a batch
+// of one, applied and journaled by State.ApplyBatchJournaled, which holds
+// the state mutex across apply-and-append.  Journal records are written in
+// strictly increasing sequence order — the invariant ReadLog enforces on
+// recovery — and a journal failure rolls the state mutation back, so
+// memory and disk can never silently drift apart.
 type Service struct {
 	mu         sync.Mutex
 	state      *State
@@ -252,46 +253,44 @@ func (s *Service) NotePromotion(seq uint64) { s.promotedAt.Store(seq) }
 // NotePromotion (0 when this service started as a primary).
 func (s *Service) PromotedAtSeq() uint64 { return s.promotedAt.Load() }
 
-// Submit applies an event to the state and journals it.  With a journal
-// attached, the apply and the append happen atomically under the state
-// mutex (State.ApplyJournaled): sequence numbers are assigned inside the
-// apply, so interleaving two Submits' apply and append phases would write
-// the journal out of order — and if the append fails, the apply is rolled
-// back, so a Submit error means the event happened nowhere.
+// Submit applies one event: a batch of one through apply.  Unlike
+// SubmitBatch it accepts control events — CloseRound journals its round
+// markers, and failover its epoch bump, through here.
 func (s *Service) Submit(e Event) (Event, error) {
-	if err := s.fence.check(s.state.Epoch()); err != nil {
+	applied, err := s.apply([]Event{e})
+	if err != nil {
 		return Event{}, err
 	}
-	if s.journal == nil {
-		return s.state.Apply(e)
-	}
-	return s.state.ApplyJournaled(e, s.journal.Append)
+	return applied[0], nil
 }
 
 // SubmitBatch applies a batch of ingestion events all-or-nothing: every
 // event validates and applies, and the batch lands in the journal as one
 // contiguous append (one write + one fsync), or none of it happens.
-// Control events are refused (see rejectControlEvents).  Requires the
-// journal (if any) to implement BatchJournal; *Log and *SegmentedLog both
-// do.
+// Control events are refused (see rejectControlEvents).
 func (s *Service) SubmitBatch(events []Event) ([]Event, error) {
+	if err := rejectControlEvents(events); err != nil {
+		return nil, err
+	}
+	return s.apply(events)
+}
+
+// apply is the service's one write path: the fence check, then the
+// atomic apply-and-append of State.ApplyBatchJournaled.  Sequence numbers
+// are assigned inside the apply, under the state mutex, so the journal is
+// written in sequence order; if the append fails the apply is rolled back,
+// so an error means the events happened nowhere.
+func (s *Service) apply(events []Event) ([]Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
 	if err := s.fence.check(s.state.Epoch()); err != nil {
 		return nil, err
 	}
-	if err := rejectControlEvents(events); err != nil {
-		return nil, err
-	}
 	if s.journal == nil {
 		return s.state.ApplyBatchJournaled(events, nil)
 	}
-	bj, ok := s.journal.(BatchJournal)
-	if !ok {
-		return nil, fmt.Errorf("platform: journal %T cannot append batches atomically", s.journal)
-	}
-	return s.state.ApplyBatchJournaled(events, bj.AppendBatch)
+	return s.state.ApplyBatchJournaled(events, s.journal.AppendBatch)
 }
 
 // rejectControlEvents refuses round markers and epoch bumps in a batch.

@@ -65,11 +65,12 @@ type ShardRound struct {
 // here (starting at 1) and submitted to the target shards as explicit IDs,
 // so an entity has the same ID in every shard it is resident in.
 //
-// Concurrency model: Submit serialises on the service mutex (validation is
-// done before fan-out, so multi-shard applies fail only on journal I/O, and
-// a partial failure is compensated by rolling the already-applied shards
-// back).  CloseRound holds the service mutex only to cut every shard's
-// snapshot; the expensive work runs without it, like Service: each shard's
+// Concurrency model: writes (SubmitBatch, and Submit as a batch of one)
+// serialise on the service mutex (validation is done before fan-out, so
+// multi-shard applies fail only on journal I/O, and a partial failure is
+// compensated by rolling the already-applied shards back).  CloseRound
+// holds the service mutex only to cut every shard's snapshot; the
+// expensive work runs without it, like Service: each shard's
 // solve phase fans across a bounded worker pool, a sequential
 // reconciliation pass resolves spanning workers, and each shard runs its
 // commit phase (filter-live, round marker, checkpoint notification).
@@ -302,31 +303,11 @@ func (ss *ShardedService) Checkpoint() ([]CheckpointResult, bool, error) {
 	return results, configured, nil
 }
 
-// Submit validates, routes and applies one event.  Worker events fan out to
-// every shard the worker's specialties map to; task events go to exactly
-// one shard.  The event is validated up front against the shared category
-// universe, so a multi-shard apply can only fail on journal I/O — and a
-// partial failure is compensated by undoing the shards that had already
-// applied, restoring the all-or-nothing Submit contract.  Round markers are
-// journaled by CloseRound itself and are rejected here.
+// Submit applies one event: a batch of one through SubmitBatch, which
+// routes it and compensates a partial multi-shard apply.  Round markers
+// and epoch bumps are refused here with their own reasons.
 func (ss *ShardedService) Submit(e Event) (Event, error) {
-	if err := ss.fence.check(ss.Epoch()); err != nil {
-		return Event{}, err
-	}
-	if err := e.Validate(); err != nil {
-		return Event{}, err
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	switch e.Kind {
-	case EventWorkerJoined:
-		return ss.submitWorkerJoined(e)
-	case EventWorkerLeft:
-		return ss.submitWorkerLeft(e)
-	case EventTaskPosted:
-		return ss.submitTaskPosted(e)
-	case EventTaskClosed:
-		return ss.submitTaskClosed(e)
 	case EventRoundClosed:
 		return Event{}, fmt.Errorf("platform: round markers are journaled per shard by CloseRound")
 	case EventEpochBumped:
@@ -334,9 +315,12 @@ func (ss *ShardedService) Submit(e Event) (Event, error) {
 		// directory tree, not over one journal stream, so the control event
 		// has nowhere coherent to land.
 		return Event{}, fmt.Errorf("platform: epoch bumps are not routable on a sharded backend")
-	default:
-		return Event{}, fmt.Errorf("platform: unknown event kind %q", e.Kind)
 	}
+	applied, err := ss.SubmitBatch([]Event{e})
+	if err != nil {
+		return Event{}, err
+	}
+	return applied[0], nil
 }
 
 // Epoch implements Fenceable: the max over the shard states (a recovered
@@ -357,128 +341,18 @@ func (ss *ShardedService) FenceStatus() (fenced bool, observed uint64) {
 	return ss.fence.status(ss.Epoch())
 }
 
-func (ss *ShardedService) submitWorkerJoined(e Event) (Event, error) {
-	w := *e.Worker
-	if err := validateWorkerProfile(&w, ss.shards[0].state.NumCategories()); err != nil {
-		return Event{}, err
-	}
-	prevNext := ss.nextWorkerID
-	if w.ID >= ss.nextWorkerID {
-		ss.nextWorkerID = w.ID + 1
-	} else if w.ID == 0 {
-		// nextWorkerID starts at 1, so a fresh (ID-less) event always lands
-		// here and global IDs are never 0 — which keeps compensation
-		// unambiguous (re-joining ID 0 would be re-assigned a fresh ID).
-		w.ID = ss.nextWorkerID
-		ss.nextWorkerID++
-	}
-	if _, live := ss.workerHome[w.ID]; live {
-		ss.nextWorkerID = prevNext
-		return Event{}, fmt.Errorf("platform: worker %d already live", w.ID)
-	}
-	targets := ss.router.WorkerShards(w.Specialties)
-	var applied Event
-	for i, k := range targets {
-		ev, err := ss.shards[k].Submit(NewWorkerJoined(w))
-		if err != nil {
-			for _, kk := range targets[:i] {
-				if _, cerr := ss.shards[kk].Submit(NewWorkerLeft(w.ID)); cerr != nil {
-					return Event{}, fmt.Errorf("platform: worker join failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
-						k, err, kk, cerr)
-				}
-			}
-			ss.nextWorkerID = prevNext
-			return Event{}, err
-		}
-		if i == 0 {
-			applied = ev
-		}
-	}
-	ss.workerHome[w.ID] = targets
-	return applied, nil
-}
-
-func (ss *ShardedService) submitWorkerLeft(e Event) (Event, error) {
-	id := *e.WorkerID
-	targets, live := ss.workerHome[id]
-	if !live {
-		return Event{}, fmt.Errorf("platform: worker %d not live", id)
-	}
-	// The profile is needed to compensate a partial removal.
-	w, ok := ss.shards[targets[0]].state.Worker(id)
-	if !ok {
-		return Event{}, fmt.Errorf("platform: worker %d in routing table but not in shard %d", id, targets[0])
-	}
-	var applied Event
-	for i, k := range targets {
-		ev, err := ss.shards[k].Submit(NewWorkerLeft(id))
-		if err != nil {
-			for _, kk := range targets[:i] {
-				if _, cerr := ss.shards[kk].Submit(NewWorkerJoined(w)); cerr != nil {
-					return Event{}, fmt.Errorf("platform: worker leave failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
-						k, err, kk, cerr)
-				}
-			}
-			return Event{}, err
-		}
-		if i == 0 {
-			applied = ev
-		}
-	}
-	delete(ss.workerHome, id)
-	return applied, nil
-}
-
-func (ss *ShardedService) submitTaskPosted(e Event) (Event, error) {
-	t := *e.Task
-	if err := validateTaskShape(&t, ss.shards[0].state.NumCategories()); err != nil {
-		return Event{}, err
-	}
-	prevNext := ss.nextTaskID
-	if t.ID >= ss.nextTaskID {
-		ss.nextTaskID = t.ID + 1
-	} else if t.ID == 0 {
-		t.ID = ss.nextTaskID
-		ss.nextTaskID++
-	}
-	if _, open := ss.taskHome[t.ID]; open {
-		ss.nextTaskID = prevNext
-		return Event{}, fmt.Errorf("platform: task %d already open", t.ID)
-	}
-	k := ss.router.TaskShard(t.Category)
-	ev, err := ss.shards[k].Submit(NewTaskPosted(t))
-	if err != nil {
-		ss.nextTaskID = prevNext
-		return Event{}, err
-	}
-	ss.taskHome[t.ID] = k
-	return ev, nil
-}
-
-func (ss *ShardedService) submitTaskClosed(e Event) (Event, error) {
-	id := *e.TaskID
-	k, open := ss.taskHome[id]
-	if !open {
-		return Event{}, fmt.Errorf("platform: task %d not open", id)
-	}
-	ev, err := ss.shards[k].Submit(NewTaskClosed(id))
-	if err != nil {
-		return Event{}, err
-	}
-	delete(ss.taskHome, id)
-	return ev, nil
-}
-
 // SubmitBatch applies a mixed batch of ingestion events all-or-nothing
-// across the shards.  Planning happens first, under the service mutex but
-// against *staged* ID counters and residency overlays, so an intra-batch
-// sequence (join then leave, close then re-post) routes exactly as
-// sequential Submits would and any validation or routing error rejects
-// the batch before a single shard is touched.  Each shard then receives
-// its slice of the batch as one atomic apply+append; if shard k fails,
-// shards 0..k-1 are compensated with their inverse events in reverse
-// order (the PR 7 fan-out discipline, batch-sized), restoring the
-// pre-batch state everywhere.
+// across the shards; it is the sharded write path, and Submit is a batch
+// of one.  Worker events fan out to every shard the worker's specialties
+// map to, task events go to exactly one shard.  Planning happens first,
+// under the service mutex but against *staged* ID counters and residency
+// overlays, so an intra-batch sequence (join then leave, close then
+// re-post) routes exactly as one-at-a-time submission would, and any
+// validation or routing error rejects the batch before a single shard is
+// touched.  Each shard then receives its slice of the batch as one atomic
+// apply+append, so a multi-shard apply can only fail on journal I/O; if
+// shard k fails, shards 0..k-1 are compensated with their inverse events
+// in reverse order, restoring the pre-batch state everywhere.
 func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -489,10 +363,14 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 	if err := rejectControlEvents(events); err != nil {
 		return nil, err
 	}
+	rejected := func(i int, format string, args ...any) ([]Event, error) {
+		return nil, fmt.Errorf("platform: event %d (%s) rejected, nothing applied: "+format,
+			append([]any{i, events[i].Kind}, args...)...)
+	}
 	ncat := ss.shards[0].state.NumCategories()
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
-			return nil, fmt.Errorf("platform: batch event %d: %w", i, err)
+			return rejected(i, "%w", err)
 		}
 	}
 
@@ -544,16 +422,20 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 		case EventWorkerJoined:
 			w := *events[i].Worker
 			if err := validateWorkerProfile(&w, ncat); err != nil {
-				return nil, fmt.Errorf("platform: batch event %d: %w", i, err)
+				return rejected(i, "%w", err)
 			}
 			if w.ID >= nextWorkerID {
 				nextWorkerID = w.ID + 1
 			} else if w.ID == 0 {
+				// nextWorkerID starts at 1, so a fresh (ID-less) event always
+				// lands here and global IDs are never 0 — which keeps
+				// compensation unambiguous (re-joining ID 0 would be
+				// re-assigned a fresh ID).
 				w.ID = nextWorkerID
 				nextWorkerID++
 			}
 			if _, live := lookupWorker(w.ID); live {
-				return nil, fmt.Errorf("platform: batch event %d: worker %d already live", i, w.ID)
+				return rejected(i, "worker %d already live", w.ID)
 			}
 			targets := ss.router.WorkerShards(w.Specialties)
 			for _, k := range targets {
@@ -568,13 +450,13 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 			id := *events[i].WorkerID
 			targets, live := lookupWorker(id)
 			if !live {
-				return nil, fmt.Errorf("platform: batch event %d: worker %d not live", i, id)
+				return rejected(i, "worker %d not live", id)
 			}
 			w, staged := profiles[id]
 			if !staged {
 				var ok bool
 				if w, ok = ss.shards[targets[0]].state.Worker(id); !ok {
-					return nil, fmt.Errorf("platform: batch event %d: worker %d in routing table but not in shard %d", i, id, targets[0])
+					return rejected(i, "worker %d in routing table but not in shard %d", id, targets[0])
 				}
 			}
 			for _, k := range targets {
@@ -587,7 +469,7 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 		case EventTaskPosted:
 			t := *events[i].Task
 			if err := validateTaskShape(&t, ncat); err != nil {
-				return nil, fmt.Errorf("platform: batch event %d: %w", i, err)
+				return rejected(i, "%w", err)
 			}
 			if t.ID >= nextTaskID {
 				nextTaskID = t.ID + 1
@@ -596,7 +478,7 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 				nextTaskID++
 			}
 			if _, open := lookupTask(t.ID); open {
-				return nil, fmt.Errorf("platform: batch event %d: task %d already open", i, t.ID)
+				return rejected(i, "task %d already open", t.ID)
 			}
 			k := ss.router.TaskShard(t.Category)
 			refs[i] = eventRef{k, place(k, NewTaskPosted(t), NewTaskClosed(t.ID))}
@@ -606,19 +488,19 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 			id := *events[i].TaskID
 			k, open := lookupTask(id)
 			if !open {
-				return nil, fmt.Errorf("platform: batch event %d: task %d not open", i, id)
+				return rejected(i, "task %d not open", id)
 			}
 			t, staged := taskShapes[id]
 			if !staged {
 				var ok bool
 				if t, ok = ss.shards[k].state.Task(id); !ok {
-					return nil, fmt.Errorf("platform: batch event %d: task %d in routing table but not in shard %d", i, id, k)
+					return rejected(i, "task %d in routing table but not in shard %d", id, k)
 				}
 			}
 			refs[i] = eventRef{k, place(k, NewTaskClosed(id), NewTaskPosted(t))}
 			taskStage[id] = stagedTask{open: false}
 		default:
-			return nil, fmt.Errorf("platform: batch event %d: unknown event kind %q", i, events[i].Kind)
+			return rejected(i, "unknown event kind %q", events[i].Kind)
 		}
 	}
 
@@ -636,12 +518,12 @@ func (ss *ShardedService) SubmitBatch(events []Event) ([]Event, error) {
 			for kk := k - 1; kk >= 0; kk-- {
 				for j := len(inverse[kk]) - 1; j >= 0; j-- {
 					if _, cerr := ss.shards[kk].Submit(inverse[kk][j]); cerr != nil {
-						return nil, fmt.Errorf("platform: batch failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
+						return nil, fmt.Errorf("platform: apply failed on shard %d (%v) and compensation failed on shard %d: %w — shards inconsistent",
 							k, err, kk, cerr)
 					}
 				}
 			}
-			return nil, fmt.Errorf("platform: batch failed on shard %d, batch rolled back: %w", k, err)
+			return nil, fmt.Errorf("platform: apply failed on shard %d, every shard rolled back: %w", k, err)
 		}
 		applied[k] = evs
 	}

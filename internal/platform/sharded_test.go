@@ -400,7 +400,7 @@ func TestShardedPartialJoinRepaired(t *testing.T) {
 	}
 	w := shardedWorker(categories, c0, c1)
 	w.ID = 1
-	if _, err := st.ApplyJournaled(NewWorkerJoined(w), seg.Append); err != nil {
+	if _, err := st.ApplyBatchJournaled([]Event{NewWorkerJoined(w)}, seg.AppendBatch); err != nil {
 		t.Fatal(err)
 	}
 	if err := seg.Close(); err != nil {

@@ -123,44 +123,24 @@ func (s *State) Apply(e Event) (Event, error) {
 	return applied, err
 }
 
-// ApplyJournaled applies e and journals the applied event as one atomic
-// step: the state mutex is held across both, so journal lines land in
-// strictly increasing sequence order, and a journal failure rolls the
-// state mutation back via the undo closure — the event then exists
-// neither in memory nor on disk.  This is the state-applied-but-journal-
-// failed contract: Submit can fail *cleanly*, with replay equivalence
-// preserved, instead of letting memory and journal drift apart.
-func (s *State) ApplyJournaled(e Event, journal func(Event) error) (Event, error) {
-	if err := e.Validate(); err != nil {
-		return Event{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	applied, undo, err := s.applyLocked(e)
-	if err != nil {
-		return Event{}, err
-	}
-	if err := journal(applied); err != nil {
-		undo()
-		return Event{}, fmt.Errorf("platform: event %s rolled back, journal append failed: %w", applied.Kind, err)
-	}
-	return applied, nil
-}
-
 // ApplyBatchJournaled applies a batch of events and journals them through
-// one call — the all-or-nothing half of batch ingest.  The state mutex is
-// held across the whole batch, so the events occupy a contiguous sequence
-// range and land in the journal as one contiguous (single-write,
-// single-fsync via BatchJournal) run.  Any failure — validation, apply, or
-// journal — unwinds every already-applied event of the batch in reverse
-// order: afterwards the batch exists neither in memory nor on disk.
+// one call.  It is the only place the state mutex is held across apply and
+// append, and every journaled write — a single Submit is a batch of one —
+// goes through it.  Holding the mutex across the whole batch gives the
+// events a contiguous sequence range, so journal records land in strictly
+// increasing sequence order (the invariant ReadLog enforces on recovery)
+// as one contiguous run: one write, and under FsyncAlways one fsync.  Any
+// failure — validation, apply, or journal — unwinds every already-applied
+// event of the batch in reverse order: afterwards the batch exists neither
+// in memory nor on disk, so memory and journal never drift apart.  A nil
+// journal applies without journaling.
 func (s *State) ApplyBatchJournaled(events []Event, journal func([]Event) error) ([]Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
 	for i := range events {
 		if err := events[i].Validate(); err != nil {
-			return nil, fmt.Errorf("platform: batch event %d: %w", i, err)
+			return nil, fmt.Errorf("platform: event %d (%s) rejected, nothing applied: %w", i, events[i].Kind, err)
 		}
 	}
 	s.mu.Lock()
@@ -176,7 +156,7 @@ func (s *State) ApplyBatchJournaled(events []Event, journal func([]Event) error)
 		a, undo, err := s.applyLocked(events[i])
 		if err != nil {
 			unwind()
-			return nil, fmt.Errorf("platform: batch event %d (%s) rejected, batch rolled back: %w", i, events[i].Kind, err)
+			return nil, fmt.Errorf("platform: event %d (%s) rejected, nothing applied: %w", i, events[i].Kind, err)
 		}
 		applied = append(applied, a)
 		undos = append(undos, undo)
@@ -184,7 +164,7 @@ func (s *State) ApplyBatchJournaled(events []Event, journal func([]Event) error)
 	if journal != nil {
 		if err := journal(applied); err != nil {
 			unwind()
-			return nil, fmt.Errorf("platform: batch of %d events rolled back, journal append failed: %w", len(applied), err)
+			return nil, fmt.Errorf("platform: %d event(s) rolled back, journal append failed: %w", len(applied), err)
 		}
 	}
 	return applied, nil
