@@ -29,24 +29,23 @@ func orderKey(w float64) uint64 {
 	return ^b
 }
 
-// sortEdgesByWeightWS is the one ordering kernel behind every
-// weight-ordered edge scan.  It sorts idx (edge indices into p.Edges) in
+// sortEdgesByWeightWS is the ordering kernel behind the weight-ordered
+// edge scans; Greedy, which gathers its own keys, runs its radix passes
+// (radixSortByKey) directly.  It sorts idx (edge indices into p.Edges) in
 // place by decreasing weight under kind, ties broken by ascending edge
 // index, drawing all scratch from ws so repeated sorts allocate nothing.
 //
 // Precondition: idx is ascending.  The sort is a stable LSD radix sort on
 // orderKey, so ties keep their input order — which is then ascending
-// index.  Every caller passes either the identity order or a CSR adjacency
-// list filtered in place, both ascending.
+// index.  Every caller passes a CSR adjacency list filtered in place,
+// which is ascending.
 //
 // NaN weights are out of scope: scored weights are bounded, and the
 // comparison order this kernel reproduces is undefined for NaN.
 //
 // Below radixCutoff a comparison sort orders idx by the same key, breaking
-// ties on the index itself.  Above it, all eight byte histograms are built
-// in the pass that computes the keys, passes whose byte is the same for
-// every key are skipped, and the key and index buffers ping-pong between
-// passes.
+// ties on the index itself.  Above it, one pass computes the keys and
+// radixSortByKey orders idx by them.
 func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace) {
 	n := len(idx)
 	if n < 2 {
@@ -63,15 +62,29 @@ func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace
 	}
 
 	ws.keys = growU64(ws.keys, 2*n)
-	keys, keysTmp := ws.keys[:n], ws.keys[n:2*n]
 	ws.orderTmp = growI32(ws.orderTmp, n)
-	src, dst := idx, ws.orderTmp[:n]
-
-	hist := &ws.radixHist
-	*hist = [8][256]uint32{}
+	keys := ws.keys[:n]
 	for k, ei := range idx {
-		key := orderKey(p.Edges[ei].Weight(kind))
-		keys[k] = key
+		keys[k] = orderKey(p.Edges[ei].Weight(kind))
+	}
+	radixSortByKey(keys, ws.keys[n:2*n], idx, ws.orderTmp[:n], &ws.radixHist)
+}
+
+// radixSortByKey is the radix passes of the ordering kernel: it stably
+// sorts idx by ascending key, where keys[k] is the key of idx[k].  keysTmp
+// and idxTmp are scratch of the same length; keys and keysTmp are
+// clobbered.  All eight byte histograms are built in one pass into hist,
+// passes whose byte is the same for every key are skipped, and the key and
+// index buffers ping-pong between passes.
+func radixSortByKey(keys, keysTmp []uint64, idx, idxTmp []int32, hist *[8][256]uint32) {
+	n := len(idx)
+	if n < 2 {
+		return
+	}
+	src, dst := idx, idxTmp
+
+	*hist = [8][256]uint32{}
+	for _, key := range keys {
 		hist[0][byte(key)]++
 		hist[1][byte(key>>8)]++
 		hist[2][byte(key>>16)]++
@@ -122,29 +135,4 @@ func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace
 	if &src[0] != &idx[0] {
 		copy(idx, src)
 	}
-}
-
-// identityOrderWS fills ws.order with the edge indices 0..n-1.
-func identityOrderWS(ws *Workspace, n int) []int32 {
-	ws.order = growI32(ws.order, n)
-	order := ws.order[:n]
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return order
-}
-
-// takeFeasible is the shared feasibility scan of Greedy and Random: walk
-// order, take every edge whose endpoints still have capacity, decrementing
-// capW/capT and appending to sel.
-func takeFeasible[T int | int32](p *Problem, order []T, capW, capT []int, sel []int) []int {
-	for _, ei := range order {
-		e := &p.Edges[ei]
-		if capW[e.W] > 0 && capT[e.T] > 0 {
-			capW[e.W]--
-			capT[e.T]--
-			sel = append(sel, int(ei))
-		}
-	}
-	return sel
 }

@@ -71,6 +71,17 @@ func checkOrderMatchesOracle(t testing.TB, p *Problem, kind WeightKind, idx []in
 	}
 }
 
+// identityOrderWS fills ws.order with the edge indices 0..n-1, reusing its
+// buffer so allocation tests can refill the kernel's input for free.
+func identityOrderWS(ws *Workspace, n int) []int32 {
+	ws.order = growI32(ws.order, n)
+	order := ws.order[:n]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
+}
+
 func identity32(n int) []int32 {
 	idx := make([]int32, n)
 	for i := range idx {

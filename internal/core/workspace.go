@@ -28,11 +28,14 @@ import (
 type Workspace struct {
 	capW, capT []int
 	chosen     []bool
-	order      []int32  // edge order under sort
-	orderTmp   []int32  // radix ping-pong partner of order
-	keys       []uint64 // radix keys: two length-n halves, ping-ponged
-	sel        []int    // selection under construction
-	ints       []int    // arrival orders / int edge orders
+	order      []int32       // edge order under sort
+	orderTmp   []int32       // radix ping-pong partner of order
+	keys       []uint64      // radix keys (two ping-ponged halves); greedy's per-edge keys
+	entries    []greedyEntry // greedy's per-edge bucket scatter
+	batch      []greedyEntry // greedy's survivors awaiting one sort
+	batchKeys  []uint64      // their keys, and the sort's key scratch
+	sel        []int         // selection under construction
+	ints       []int         // arrival orders / int edge orders
 
 	// Local-search state.
 	edgeWt                 []float64 // frozen per-edge weight, indexed by edge
@@ -114,6 +117,13 @@ func growEdges(buf []EdgeInfo, n int) []EdgeInfo {
 		return buf[:n]
 	}
 	return make([]EdgeInfo, n)
+}
+
+func growEntries(buf []greedyEntry, n int) []greedyEntry {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]greedyEntry, n)
 }
 
 func growBoolZero(buf []bool, n int) []bool {

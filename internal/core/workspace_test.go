@@ -90,13 +90,18 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 		if len(p.Edges) <= radixCutoff {
 			t.Fatalf("%d edges do not reach the radix path (cutoff %d)", len(p.Edges), radixCutoff)
 		}
-		ws := NewWorkspace()
-		for _, kind := range allWeightKinds {
-			s := Greedy{Kind: kind, WS: ws}
-			s.Solve(p, nil) // warm-up grows all scratch
-			n := testing.AllocsPerRun(20, func() { s.Solve(p, nil) })
-			if n > 1 {
-				t.Errorf("%s: %v allocs/op in steady state, want <= 1 (the returned selection)", s.Name(), n)
+		// The generated market saturates and skips most buckets; the
+		// never-saturating copy takes every edge and orders every bucket.
+		free := MustNewProblem(unsaturated(p.In, len(p.Edges)), benefit.DefaultParams())
+		for _, q := range []*Problem{p, free} {
+			ws := NewWorkspace()
+			for _, kind := range allWeightKinds {
+				s := Greedy{Kind: kind, WS: ws}
+				s.Solve(q, nil) // warm-up grows all scratch
+				n := testing.AllocsPerRun(20, func() { s.Solve(q, nil) })
+				if n > 1 {
+					t.Errorf("%s, %d edges: %v allocs/op in steady state, want <= 1 (the returned selection)", s.Name(), len(q.Edges), n)
+				}
 			}
 		}
 	})

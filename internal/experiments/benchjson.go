@@ -7,9 +7,10 @@ package experiments
 //     reference), the feasibility check, and the offline solver line-up at
 //     three market scales.  Checked in as BENCH_construction.json.
 //   - "solve": the steady-state serving path — same-shape RebuildProblem
-//     into retained arenas, and the greedy / sharded / local-search solvers
-//     with a pinned Workspace so repeated solves reuse their buffers.
-//     The O(E)-per-pass local search is cheap enough to run at every scale.
+//     into retained arenas, and the greedy / local-search solvers with a
+//     pinned Workspace so repeated solves reuse their buffers, plus greedy
+//     on a never-saturating copy of the market (its worst case).  The
+//     O(E)-per-pass local search is cheap enough to run at every scale.
 //   - "round": an end-to-end platform round — snapshot, rebuild, solve,
 //     validate-and-commit — over a live Service with no journal attached.
 //   - "matching": the exact flow path in isolation, cold (ExactSerial —
@@ -326,23 +327,58 @@ func runSolveSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 			}
 		}
 		for _, s := range solvers {
-			s := s
-			// Warm the pinned workspace so the entry reports steady-state
-			// allocation, not the first-call buffer growth.
-			if _, err := s.Solve(p, stats.NewRNG(0)); err != nil {
+			if err := addSteadySolve(add, s.Name(), s, p); err != nil {
 				return err
 			}
-			add(s.Name(), testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Solve(p, stats.NewRNG(uint64(i))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}))
+		}
+		if cfg.Solvers == nil {
+			// Greedy's worst case: every capacity and replication raised to
+			// the edge count, so every edge is taken and no bucket of its
+			// edge order is ever skipped.
+			free, err := core.NewProblem(unsaturatedInstance(in, len(p.Edges)), benefit.DefaultParams())
+			if err != nil {
+				return err
+			}
+			s := core.Greedy{Kind: core.MutualWeight, WS: &core.Workspace{}}
+			if err := addSteadySolve(add, "greedy-unsaturated", s, free); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// addSteadySolve records repeated solves of p by s under name.  A warm-up
+// solve first grows any pinned workspace, so the entry reports steady-state
+// allocation, not the first-call buffer growth.
+func addSteadySolve(add func(string, testing.BenchmarkResult), name string, s core.Solver, p *core.Problem) error {
+	if _, err := s.Solve(p, stats.NewRNG(0)); err != nil {
+		return err
+	}
+	add(name, testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Solve(p, stats.NewRNG(uint64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	return nil
+}
+
+// unsaturatedInstance returns a copy of in with every worker capacity and
+// task replication raised to slots.
+func unsaturatedInstance(in *market.Instance, slots int) *market.Instance {
+	out := *in
+	out.Workers = append([]market.Worker(nil), in.Workers...)
+	out.Tasks = append([]market.Task(nil), in.Tasks...)
+	for i := range out.Workers {
+		out.Workers[i].Capacity = slots
+	}
+	for j := range out.Tasks {
+		out.Tasks[j].Replication = slots
+	}
+	return &out
 }
 
 // MatchingBenchScales returns the three freelance-trace scales of the
