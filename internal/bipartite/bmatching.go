@@ -24,21 +24,20 @@ type BMatching struct {
 	Weight  float64 // sum of chosen edge weights
 }
 
-// buildAssignmentNetwork materialises the b-matching flow reduction shared
-// by the weighted and cardinality solvers.  Vertex layout: 0 = source,
-// 1..nL = left, nL+1..nL+nR = right, last = sink — source < left block <
-// right block < sink, so vertex order is topological and MinCostFlowWS's
-// O(E) potential sweep applies.
+// buildAssignmentNetwork materialises the b-matching flow reduction.  Vertex
+// layout: 0 = source, 1..nL = left, nL+1..nL+nR = right, last = sink —
+// source < left block < right block < sink, so vertex order is topological
+// and MinCostFlowWS's O(E) potential sweep applies.
 //
 // Arcs: source → left with capacity capL (skipped for zero-capacity or
 // isolated vertices), one unit arc per graph edge carrying the negated
-// scaled weight when weighted (skipped entirely when either endpoint has
-// zero capacity — a cap-0 arc can never carry flow and only bloats the
-// network; skipped entries get edgeArc[i] = -1), right → sink with capacity
-// capR.  The network is built into ws's retained arena when ws is non-nil,
-// freshly allocated otherwise.  It panics on capacity-length mismatch,
-// negative capacities, or (when weighted) negative weights.
-func buildAssignmentNetwork(ws *FlowWorkspace, g *Graph, capL, capR []int, weighted bool) (net *FlowNetwork, edgeArc []int32, s, t int) {
+// scaled weight (skipped entirely when either endpoint has zero capacity —
+// a cap-0 arc can never carry flow and only bloats the network; skipped
+// entries get edgeArc[i] = -1), right → sink with capacity capR.  The
+// network is built into ws's retained arena when ws is non-nil, freshly
+// allocated otherwise.  It panics on capacity-length mismatch, negative
+// capacities, or negative weights.
+func buildAssignmentNetwork(ws *FlowWorkspace, g *Graph, capL, capR []int) (net *FlowNetwork, edgeArc []int32, s, t int) {
 	if len(capL) != g.NL() || len(capR) != g.NR() {
 		panic("bipartite: capacity slice length mismatch")
 	}
@@ -63,18 +62,14 @@ func buildAssignmentNetwork(ws *FlowWorkspace, g *Graph, capL, capR []int, weigh
 		}
 	}
 	for i, e := range g.Edges() {
-		if weighted && e.Weight < 0 {
+		if e.Weight < 0 {
 			panic("bipartite: MaxWeightBMatching requires non-negative weights")
 		}
 		if capL[e.L] == 0 || capR[e.R] == 0 {
 			edgeArc[i] = -1
 			continue
 		}
-		var c int64
-		if weighted {
-			c = ScaledCost(e.Weight)
-		}
-		edgeArc[i] = int32(net.AddEdge(1+e.L, 1+nL+e.R, 1, c))
+		edgeArc[i] = int32(net.AddEdge(1+e.L, 1+nL+e.R, 1, ScaledCost(e.Weight)))
 	}
 	for r := 0; r < nR; r++ {
 		if capR[r] < 0 {
@@ -132,26 +127,8 @@ func MaxWeightBMatching(g *Graph, capL, capR []int) BMatching {
 // matching.  A nil ws borrows one from the package pool.
 func MaxWeightBMatchingWS(g *Graph, capL, capR []int, ws *FlowWorkspace) BMatching {
 	ws, pooled := acquireFlowWorkspace(ws)
-	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR, true)
+	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR)
 	net.MinCostFlowWS(s, t, int64(1)<<60, true, ws)
-	m := collectMatching(g, net, edgeArc)
-	releaseFlowWorkspace(ws, pooled)
-	return m
-}
-
-// MaxCardinalityBMatching computes a maximum-cardinality b-matching (degree
-// constraints, ignore weights) via Dinic max-flow.  Used for feasibility
-// analysis: how many assignment slots can be filled at all.
-func MaxCardinalityBMatching(g *Graph, capL, capR []int) BMatching {
-	return MaxCardinalityBMatchingWS(g, capL, capR, nil)
-}
-
-// MaxCardinalityBMatchingWS is MaxCardinalityBMatching solving inside ws;
-// a nil ws borrows one from the package pool.
-func MaxCardinalityBMatchingWS(g *Graph, capL, capR []int, ws *FlowWorkspace) BMatching {
-	ws, pooled := acquireFlowWorkspace(ws)
-	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR, false)
-	net.MaxFlowWS(s, t, ws)
 	m := collectMatching(g, net, edgeArc)
 	releaseFlowWorkspace(ws, pooled)
 	return m

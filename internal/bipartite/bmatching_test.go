@@ -289,22 +289,25 @@ func TestQuickBMatchingFeasibleAndMaximal(t *testing.T) {
 	}
 }
 
+// TestMaxCardinalityBMatching: with every weight equal, the max-weight
+// b-matching is a maximum-cardinality one, so the exact engine also answers
+// "how many assignment slots can be filled at all".
 func TestMaxCardinalityBMatching(t *testing.T) {
 	g := NewGraph(2, 2)
 	g.AddEdge(0, 0, 0.1)
 	g.AddEdge(0, 1, 0.1)
 	g.AddEdge(1, 0, 0.1)
-	m := MaxCardinalityBMatching(g, []int{1, 1}, []int{1, 1})
+	m := MaxWeightBMatching(g, []int{1, 1}, []int{1, 1})
 	if len(m.EdgeIdx) != 2 {
 		t.Fatalf("cardinality = %d, want 2", len(m.EdgeIdx))
 	}
 	// With worker 0 capacity 2, all three edges fit? deg constraints:
 	// L0 ≤ 2 (edges to R0,R1), L1 ≤ 1 (edge to R0) but R0 ≤ 1 blocks one.
-	m = MaxCardinalityBMatching(g, []int{2, 1}, []int{1, 1})
+	m = MaxWeightBMatching(g, []int{2, 1}, []int{1, 1})
 	if len(m.EdgeIdx) != 2 {
 		t.Fatalf("cardinality = %d, want 2", len(m.EdgeIdx))
 	}
-	m = MaxCardinalityBMatching(g, []int{2, 1}, []int{2, 1})
+	m = MaxWeightBMatching(g, []int{2, 1}, []int{2, 1})
 	if len(m.EdgeIdx) != 3 {
 		t.Fatalf("cardinality = %d, want 3", len(m.EdgeIdx))
 	}
@@ -325,7 +328,7 @@ func TestBMatchingZeroCapacitySkipsArcs(t *testing.T) {
 	capL := []int{0, 1, 1}
 	capR := []int{1, 1, 0}
 
-	net, edgeArc, _, _ := buildAssignmentNetwork(nil, g, capL, capR, true)
+	net, edgeArc, _, _ := buildAssignmentNetwork(nil, g, capL, capR)
 	for i, want := range []bool{true, true, false, true, false} {
 		if skipped := edgeArc[i] < 0; skipped != want {
 			t.Errorf("edge %d: skipped = %v, want %v", i, skipped, want)
@@ -349,10 +352,4 @@ func TestBMatchingZeroCapacitySkipsArcs(t *testing.T) {
 		t.Errorf("picked %v, want [2]", m.EdgeIdx)
 	}
 
-	// The cardinality solver shares the reduction and must skip too.
-	mc := MaxCardinalityBMatching(g, capL, capR)
-	feasible(t, g, mc, capL, capR)
-	if len(mc.EdgeIdx) != 1 {
-		t.Errorf("cardinality picked %v, want one edge", mc.EdgeIdx)
-	}
 }

@@ -1,8 +1,7 @@
 // Package bipartite implements the graph-algorithm substrate of the
-// reproduction: weighted bipartite graphs, maximum-cardinality matching
-// (Hopcroft–Karp), maximum-weight perfect matching (Hungarian / Kuhn–
-// Munkres), maximum flow (Dinic) and minimum-cost maximum-flow (successive
-// shortest paths with Johnson potentials).
+// reproduction: weighted bipartite graphs, minimum-cost flow (successive
+// shortest paths with Johnson potentials) and the exact maximum-weight
+// b-matching built on it, cold, warm-started and incremental (DeltaMatcher).
 //
 // The paper's central observation is that a labor market is a *bipartite*
 // structure — workers on one side, tasks on the other — and that assignment
@@ -12,11 +11,11 @@
 // flow reduction.  The heuristic and online algorithms in internal/core are
 // all measured against that optimum.
 //
-// Every kernel comes in three shapes: the plain entry point (pooled scratch),
-// a WS variant taking a pinned FlowWorkspace for allocation-free repeated
-// solves, and a retained *Serial reference — the straightforward
-// allocation-per-call implementation the property tests pin the optimised
-// kernels against, bit for bit.
+// The min-cost-flow kernel and the b-matching solver come in three shapes:
+// the plain entry point (pooled scratch), a WS variant taking a pinned
+// FlowWorkspace for allocation-free repeated solves, and a retained *Serial
+// reference — the straightforward allocation-per-call implementation the
+// property tests pin the optimised kernels against, bit for bit.
 package bipartite
 
 import "fmt"

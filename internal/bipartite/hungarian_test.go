@@ -1,11 +1,127 @@
 package bipartite
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/stats"
 )
+
+// Hungarian is the independent exact oracle the min-cost-flow tests compare
+// against on unit-capacity instances: given an n×m cost matrix (n ≤ m), it
+// finds a minimum-cost assignment of every row to a distinct column and
+// returns rowMatch (rowMatch[i] = column assigned to row i) and the total
+// cost.  It is the O(n²·m) shortest-augmenting-path variant of the Kuhn–
+// Munkres algorithm with potentials (the "e-maxx" formulation).  It panics
+// if n > m or the matrix is ragged.
+func Hungarian(cost [][]float64) (rowMatch []int, total float64) {
+	return hungarian(cost, 1)
+}
+
+// HungarianMax finds the assignment of rows to distinct columns maximising
+// total weight.  Weights are negated on access — no negated copy of the
+// matrix is built.
+func HungarianMax(weight [][]float64) (rowMatch []int, total float64) {
+	return hungarian(weight, -1)
+}
+
+// hungarian is the shared kernel: sign +1 minimises cost, sign -1 maximises
+// (entries are sign-multiplied on access).  The returned total is always in
+// the caller's original (un-negated) scale.
+func hungarian(cost [][]float64, sign float64) (rowMatch []int, total float64) {
+	n, m := checkCostMatrix(cost)
+	if n == 0 {
+		return nil, 0
+	}
+
+	// Potentials u (rows) and v (columns); p[j] = row matched to column j,
+	// all 1-indexed internally with 0 as a virtual root.
+	u := make([]float64, n+1)
+	v := make([]float64, m+1)
+	p := make([]int, m+1)
+	way := make([]int, m+1)
+	minv := make([]float64, m+1)
+	used := make([]bool, m+1)
+
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		j0 := 0
+		for j := range minv {
+			minv[j] = math.Inf(1)
+			used[j] = false
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := math.Inf(1)
+			j1 := -1
+			row := cost[i0-1]
+			for j := 1; j <= m; j++ {
+				if used[j] {
+					continue
+				}
+				cur := sign*row[j-1] - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= m; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		// Unwind the augmenting path.
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+
+	rowMatch = make([]int, n)
+	for j := 1; j <= m; j++ {
+		if p[j] != 0 {
+			rowMatch[p[j]-1] = j - 1
+		}
+	}
+	for i, j := range rowMatch {
+		total += cost[i][j]
+	}
+	return rowMatch, total
+}
+
+// checkCostMatrix validates an n×m cost matrix: rectangular, n ≤ m.  It
+// panics otherwise and returns (n, m).
+func checkCostMatrix(cost [][]float64) (n, m int) {
+	n = len(cost)
+	if n == 0 {
+		return 0, 0
+	}
+	m = len(cost[0])
+	for i, row := range cost {
+		if len(row) != m {
+			panic(fmt.Sprintf("bipartite: ragged cost matrix at row %d", i))
+		}
+	}
+	if n > m {
+		panic("bipartite: Hungarian requires rows <= columns")
+	}
+	return n, m
+}
 
 func TestHungarianKnownSquare(t *testing.T) {
 	cost := [][]float64{

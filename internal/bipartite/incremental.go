@@ -689,7 +689,7 @@ func (m *DeltaMatcher) SolveFull(g *Graph, capL, capR []int, ws *FlowWorkspace) 
 		ws.Stop = m.Stop
 		defer func() { ws.Stop = nil }()
 	}
-	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR, true)
+	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR)
 	_, info := net.MinCostFlowWarmWS(s, t, int64(1)<<60, true, ws)
 	nL, nR := g.NL(), g.NR()
 	m.reset(nL, nR)

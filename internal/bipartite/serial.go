@@ -1,12 +1,14 @@
 package bipartite
 
-// The retained reference implementations of the matching kernels, in the
-// style of core.NewProblemSerial / core.LocalSearchSerial: straightforward
+// The retained reference implementation of the min-cost-flow kernel and of
+// the exact b-matching solver built on it, in the style of
+// core.NewProblemSerial / core.LocalSearchSerial: straightforward
 // allocation-per-call code with the classic start-up (Bellman–Ford
 // potentials, fresh scratch every augmentation).  The property tests pin
-// each overhauled workspace kernel against its reference bit for bit —
-// identical matched pair sets and weights — across seeds, generators and
-// pool reuse, so the allocation-free fast paths cannot drift semantically.
+// the workspace kernels against it bit for bit — identical flows, costs,
+// residual capacities, matched pair sets and weights — across seeds,
+// generators and pool reuse, so the allocation-free fast paths cannot drift
+// semantically.
 
 // MinCostFlowSerial is the reference successive-shortest-paths solver: SPFA
 // Bellman–Ford potentials and per-call allocated Dijkstra state.  It must
@@ -136,229 +138,7 @@ func (f *FlowNetwork) bellmanFord(s int) []int64 {
 // MaxWeightBMatchingSerial is the reference exact solver: a freshly
 // allocated flow network per call solved with MinCostFlowSerial.
 func MaxWeightBMatchingSerial(g *Graph, capL, capR []int) BMatching {
-	net, edgeArc, s, t := buildAssignmentNetwork(nil, g, capL, capR, true)
+	net, edgeArc, s, t := buildAssignmentNetwork(nil, g, capL, capR)
 	net.MinCostFlowSerial(s, t, int64(1)<<60, true)
 	return collectMatching(g, net, edgeArc)
-}
-
-// MaxCardinalityBMatchingSerial is the reference feasibility solver: a
-// freshly allocated flow network per call solved with MaxFlowSerial.
-func MaxCardinalityBMatchingSerial(g *Graph, capL, capR []int) BMatching {
-	net, edgeArc, s, t := buildAssignmentNetwork(nil, g, capL, capR, false)
-	net.MaxFlowSerial(s, t)
-	return collectMatching(g, net, edgeArc)
-}
-
-// MaxFlowSerial is the reference Dinic solver with per-call allocated
-// level/iterator/frontier tables.
-func (f *FlowNetwork) MaxFlowSerial(s, t int) int64 {
-	if s == t {
-		panic("bipartite: MaxFlow with s == t")
-	}
-	f.ensureAdj()
-	const inf = int64(1) << 62
-	level := make([]int32, f.n)
-	iter := make([]int32, f.n)
-	queue := make([]int32, 0, f.n)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			for a, end := f.adjOff[v], f.adjOff[v+1]; a < end; a++ {
-				if f.es[a].cap > 0 && level[f.es[a].to] == -1 {
-					level[f.es[a].to] = level[v] + 1
-					queue = append(queue, f.es[a].to)
-				}
-			}
-		}
-		return level[t] != -1
-	}
-
-	var dfs func(v int32, up int64) int64
-	dfs = func(v int32, up int64) int64 {
-		if v == int32(t) {
-			return up
-		}
-		for end := f.adjOff[v+1]; iter[v] < end; iter[v]++ {
-			a := iter[v]
-			w := f.es[a].to
-			if f.es[a].cap > 0 && level[w] == level[v]+1 {
-				d := dfs(w, min64(up, f.es[a].cap))
-				if d > 0 {
-					f.es[a].cap -= d
-					f.es[f.pairPos[a]].cap += d
-					return d
-				}
-			}
-		}
-		return 0
-	}
-
-	var total int64
-	for bfs() {
-		copy(iter, f.adjOff[:f.n])
-		for {
-			d := dfs(int32(s), inf)
-			if d == 0 {
-				break
-			}
-			total += d
-		}
-	}
-	return total
-}
-
-// HopcroftKarpSerial is the retained reference maximum-cardinality matcher:
-// the seed's implementation with per-call allocated match tables, layer
-// distances and BFS queue.
-func HopcroftKarpSerial(g *Graph) (matchL []int, size int) {
-	const inf = int(^uint(0) >> 1)
-	nL, nR := g.NL(), g.NR()
-	matchL = make([]int, nL)
-	matchR := make([]int, nR)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	dist := make([]int, nL)
-	queue := make([]int, 0, nL)
-
-	// bfs builds the layered graph of alternating paths from free left
-	// vertices; it returns true if at least one augmenting path exists.
-	bfs := func() bool {
-		queue = queue[:0]
-		for l := 0; l < nL; l++ {
-			if matchL[l] == -1 {
-				dist[l] = 0
-				queue = append(queue, l)
-			} else {
-				dist[l] = inf
-			}
-		}
-		found := false
-		for qi := 0; qi < len(queue); qi++ {
-			l := queue[qi]
-			for _, ei := range g.AdjL(l) {
-				r := g.Edge(int(ei)).R
-				next := matchR[r]
-				if next == -1 {
-					found = true
-				} else if dist[next] == inf {
-					dist[next] = dist[l] + 1
-					queue = append(queue, next)
-				}
-			}
-		}
-		return found
-	}
-
-	// dfs searches for an augmenting path from l along the layered graph.
-	var dfs func(l int) bool
-	dfs = func(l int) bool {
-		for _, ei := range g.AdjL(l) {
-			r := g.Edge(int(ei)).R
-			next := matchR[r]
-			if next == -1 || (dist[next] == dist[l]+1 && dfs(next)) {
-				matchL[l] = r
-				matchR[r] = l
-				return true
-			}
-		}
-		dist[l] = inf
-		return false
-	}
-
-	for bfs() {
-		for l := 0; l < nL; l++ {
-			if matchL[l] == -1 && dfs(l) {
-				size++
-			}
-		}
-	}
-	return matchL, size
-}
-
-// HungarianSerial is the retained reference assignment solver: the seed's
-// shortest-augmenting-path Kuhn–Munkres with freshly allocated minv/used
-// arrays in the per-row loop (exactly the allocation pattern the optimised
-// Hungarian hoists out).
-func HungarianSerial(cost [][]float64) (rowMatch []int, total float64) {
-	n, m := checkCostMatrix(cost)
-	if n == 0 {
-		return nil, 0
-	}
-
-	// Potentials u (rows) and v (columns); p[j] = row matched to column j,
-	// all 1-indexed internally with 0 as a virtual root.
-	u := make([]float64, n+1)
-	v := make([]float64, m+1)
-	p := make([]int, m+1)
-	way := make([]int, m+1)
-
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, m+1)
-		used := make([]bool, m+1)
-		for j := range minv {
-			minv[j] = infFloat
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := infFloat
-			j1 := -1
-			for j := 1; j <= m; j++ {
-				if used[j] {
-					continue
-				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= m; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		// Unwind the augmenting path.
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-
-	rowMatch = make([]int, n)
-	for j := 1; j <= m; j++ {
-		if p[j] != 0 {
-			rowMatch[p[j]-1] = j - 1
-		}
-	}
-	for i, j := range rowMatch {
-		total += cost[i][j]
-	}
-	return rowMatch, total
 }

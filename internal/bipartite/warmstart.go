@@ -125,7 +125,7 @@ func (f *FlowNetwork) repairPotentials(pot []int64, maxPasses int) (int, bool) {
 // reports whether persistence actually engaged.
 func MaxWeightBMatchingWarmWS(g *Graph, capL, capR []int, ws *FlowWorkspace) (BMatching, WarmInfo) {
 	ws, pooled := acquireFlowWorkspace(ws)
-	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR, true)
+	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR)
 	_, info := net.MinCostFlowWarmWS(s, t, int64(1)<<60, true, ws)
 	m := collectMatching(g, net, edgeArc)
 	releaseFlowWorkspace(ws, pooled)

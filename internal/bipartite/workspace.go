@@ -2,12 +2,11 @@ package bipartite
 
 import "sync"
 
-// FlowWorkspace is the reusable scratch memory behind the matching kernels,
-// mirroring core.Workspace: Dijkstra's dist/prevArc/heap arrays, the
-// potential vector, Dinic's level/iter tables, Hopcroft–Karp's layer and
-// frontier queues, the Hungarian potentials, and — most importantly — a
-// retained FlowNetwork arena so repeated b-matching solves rebuild the flow
-// reduction inside the previous solve's allocations.
+// FlowWorkspace is the reusable scratch memory behind the min-cost-flow
+// kernel, mirroring core.Workspace: Dijkstra's dist/prevArc/heap arrays,
+// the potential vector and — most importantly — a retained FlowNetwork
+// arena so repeated b-matching solves rebuild the flow reduction inside the
+// previous solve's allocations.
 //
 // Two ways to use it:
 //
@@ -23,13 +22,12 @@ import "sync"
 // borrower a private one.  All buffers are sized lazily and retained at
 // high-water mark.
 type FlowWorkspace struct {
-	// Stop, when non-nil, is polled once per augmentation (MinCostFlowWS)
-	// or per phase (MaxFlowWS) and makes the kernel return early with
-	// whatever partial flow it has pushed so far.  It is the cooperative
-	// cancellation hook core.Exact uses to honour context deadlines: the
-	// caller that set it must treat the result as invalid once Stop has
-	// reported true.  Left nil (the default) the kernels are bit-identical
-	// to their uncancellable behaviour.
+	// Stop, when non-nil, is polled once per augmentation and makes the
+	// min-cost-flow loop return early with whatever partial flow it has
+	// pushed so far.  It is the cooperative cancellation hook core.Exact
+	// uses to honour context deadlines: the caller that set it must treat
+	// the result as invalid once Stop has reported true.  Left nil (the
+	// default) the kernel is bit-identical to its uncancellable behaviour.
 	Stop func() bool
 
 	// Min-cost-flow scratch (MinCostFlowWS).
@@ -43,20 +41,6 @@ type FlowWorkspace struct {
 	// 0 means no solve has completed yet.  The warm-start path refuses to
 	// reuse pot when the new network's size differs.
 	potN int
-
-	// Max-flow scratch (MaxFlowWS) and Hopcroft–Karp layers/frontier.
-	level []int32
-	iter  []int32
-	queue []int32
-
-	// Hopcroft–Karp right-side matches.
-	matchR []int32
-
-	// Hungarian scratch: potentials, column matches, augmenting-path
-	// book-keeping and the per-call (not per-row) minv/used arrays.
-	hu, hv, minv []float64
-	hp, hway     []int32
-	hused        []bool
 
 	// Retained network arena for the b-matching reduction, rebuilt in
 	// place by RebuildNetwork on every solve.
@@ -111,13 +95,6 @@ func growI64(buf []int64, n int) []int64 {
 		return buf[:n]
 	}
 	return make([]int64, n)
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
 }
 
 func growBool(buf []bool, n int) []bool {

@@ -7,6 +7,48 @@ import (
 	"repro/internal/market"
 )
 
+// BruteForceSubmodular computes the exact optimum of the MBA-S
+// (diminishing-returns) objective by depth-first enumeration over edge
+// subsets with feasibility pruning.  It is exponential — callers must keep
+// instances tiny (it panics above maxBruteEdges).  It is the test oracle
+// that measures SubmodularGreedy's *actual* approximation ratio against the
+// true optimum rather than only citing the ½ bound.
+func (p *Problem) BruteForceSubmodular() (best float64, bestSel []int) {
+	const maxBruteEdges = 22
+	if len(p.Edges) > maxBruteEdges {
+		panic("core: BruteForceSubmodular limited to tiny instances")
+	}
+	capW := p.CapacityW()
+	capT := p.CapacityT()
+	var cur []int
+
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(p.Edges) {
+			if v := p.SubmodularValue(cur); v > best {
+				best = v
+				bestSel = append(bestSel[:0], cur...)
+			}
+			return
+		}
+		// Branch 1: skip edge i.
+		rec(i + 1)
+		// Branch 2: take edge i if feasible.
+		e := &p.Edges[i]
+		if capW[e.W] > 0 && capT[e.T] > 0 {
+			capW[e.W]--
+			capT[e.T]--
+			cur = append(cur, i)
+			rec(i + 1)
+			cur = cur[:len(cur)-1]
+			capW[e.W]++
+			capT[e.T]++
+		}
+	}
+	rec(0)
+	return best, bestSel
+}
+
 // tinySubmodularProblem builds instances small enough for brute force.
 func tinySubmodularProblem(t testing.TB, seed uint64) *Problem {
 	t.Helper()

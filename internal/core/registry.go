@@ -9,25 +9,23 @@ import (
 // tools, the experiment harness and the root mba package all resolve
 // algorithms through this table, so names stay consistent everywhere.
 var solverFactories = map[string]func() Solver{
-	"exact":               func() Solver { return Exact{Kind: MutualWeight} },
-	"exact-serial":        func() Solver { return ExactSerial{Kind: MutualWeight} },
-	"incremental":         func() Solver { return NewIncrementalExact() },
-	"greedy":              func() Solver { return Greedy{Kind: MutualWeight} },
-	"local-search":        func() Solver { return LocalSearch{Kind: MutualWeight} },
-	"local-search-serial": func() Solver { return LocalSearchSerial{Kind: MutualWeight} },
-	"submodular-greedy":   func() Solver { return SubmodularGreedy{} },
-	"auction":             func() Solver { return Auction{Kind: MutualWeight} },
-	"degrader":            func() Solver { return DefaultDegrader() },
-	"quality-only":        func() Solver { return QualityOnly() },
-	"worker-only":         func() Solver { return WorkerOnly() },
-	"random":              func() Solver { return Random{} },
-	"round-robin":         func() Solver { return RoundRobin{} },
-	"online-greedy":       func() Solver { return OnlineGreedy{Kind: MutualWeight} },
-	"online-ranking":      func() Solver { return OnlineRanking{Kind: MutualWeight} },
-	"online-twophase":     func() Solver { return OnlineTwoPhase{Kind: MutualWeight} },
-	"online-task-greedy":  func() Solver { return OnlineTaskGreedy{Kind: MutualWeight} },
-	"annealing":           func() Solver { return SimulatedAnnealing{Kind: MutualWeight} },
-	"stable-matching":     func() Solver { return StableMatching{} },
+	"exact":              func() Solver { return Exact{Kind: MutualWeight} },
+	"incremental":        func() Solver { return NewIncrementalExact() },
+	"greedy":             func() Solver { return Greedy{Kind: MutualWeight} },
+	"local-search":       func() Solver { return LocalSearch{Kind: MutualWeight} },
+	"submodular-greedy":  func() Solver { return SubmodularGreedy{} },
+	"auction":            func() Solver { return Auction{Kind: MutualWeight} },
+	"degrader":           func() Solver { return DefaultDegrader() },
+	"quality-only":       func() Solver { return QualityOnly() },
+	"worker-only":        func() Solver { return WorkerOnly() },
+	"random":             func() Solver { return Random{} },
+	"round-robin":        func() Solver { return RoundRobin{} },
+	"online-greedy":      func() Solver { return OnlineGreedy{Kind: MutualWeight} },
+	"online-ranking":     func() Solver { return OnlineRanking{Kind: MutualWeight} },
+	"online-twophase":    func() Solver { return OnlineTwoPhase{Kind: MutualWeight} },
+	"online-task-greedy": func() Solver { return OnlineTaskGreedy{Kind: MutualWeight} },
+	"annealing":          func() Solver { return SimulatedAnnealing{Kind: MutualWeight} },
+	"stable-matching":    func() Solver { return StableMatching{} },
 }
 
 // ByName returns a fresh solver for the given registry name, or an error
