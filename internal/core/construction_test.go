@@ -48,7 +48,9 @@ func assertSameProblem(t *testing.T, label string, ref, got *Problem) {
 // property test: across 20 seeds and the three trace generators, the
 // counted parallel build must produce Edges, AdjW and AdjT byte-identical
 // to the retained serial reference, at every fan-out (including fan-outs
-// far above GOMAXPROCS, which exercise the chunk-boundary search).
+// far above GOMAXPROCS, which exercise the chunk-boundary search, and one
+// chunk per worker).  AdjT is filled by per-chunk category cursors, so the
+// fan-outs pin those too.
 func TestNewProblemMatchesSerialReference(t *testing.T) {
 	gens := []struct {
 		name string
@@ -69,7 +71,7 @@ func TestNewProblemMatchesSerialReference(t *testing.T) {
 				}
 				pub := MustNewProblem(in, benefit.DefaultParams())
 				assertSameProblem(t, "NewProblem", ref, pub)
-				for _, procs := range []int{1, 3, 8} {
+				for _, procs := range []int{1, 2, 3, 5, 8, 40} {
 					p, err := newProblemProcs(in, benefit.DefaultParams(), procs)
 					if err != nil {
 						t.Fatal(err)

@@ -103,17 +103,35 @@ type Problem struct {
 	adjT []int32 // edge indices incident to task t at [offT[t], offT[t+1])
 	offT []int32 // len NumTasks+1
 
-	// bs retains the counting-pass scratch so RebuildProblem can rebuild
-	// this Problem for the next round without reallocating it.
+	// bs retains the build scratch, and the spare arena a refresh writes
+	// into, so RebuildProblem can rebuild this Problem for the next round
+	// without reallocating it.
 	bs buildScratch
 }
 
-// buildScratch is the per-build counting scratch: category buckets, degree
-// counters and fill cursors.  All O(categories + tasks), all fully
-// rewritten by every build.
+// buildScratch is the per-build scratch: category buckets, degree
+// counters, chunk boundaries and per-chunk category cursors, all fully
+// rewritten by every build, plus the state the refresh path carries from
+// one build to the next.
 type buildScratch struct {
 	catOff, catTasks, catCur []int32
-	workersPerCat, cursorT   []int32
+	workersPerCat            []int32
+	bounds                   []int
+	seen                     []int32 // per chunk and category; see build
+
+	// built is set once Edges and the CSR arrays are a complete build of
+	// In: the precondition for refreshing from them.
+	built bool
+	// refreshed records whether the last build copied surviving rows
+	// instead of scoring every edge.
+	refreshed bool
+	// spareEdges and spareOffW are the arrays of the build before last.  A
+	// refresh reads the previous build while it writes the next one, so
+	// the two arenas ping-pong.
+	spareEdges []EdgeInfo
+	spareOffW  []int32
+	taskAt     []int32 // previous task index → current index, or -1
+	arrFrom    []int32 // per category: where arriving tasks start in catTasks
 }
 
 // parallelBuildCutoff is the edge count below which NewProblem stays
@@ -144,19 +162,23 @@ func newProblemProcs(in *market.Instance, params benefit.Params, procs int) (*Pr
 		return nil, err
 	}
 	p := &Problem{In: in, Model: model}
-	p.build(procs)
+	p.build(procs, nil)
 	return p, nil
 }
 
 // build materialises Edges and the CSR adjacency in two counted passes:
 // exact per-node degrees first (so every array is allocated once at final
-// size), then scoring into the precomputed disjoint ranges.
-func (p *Problem) build(procs int) {
+// size), then scoring into the precomputed disjoint ranges.  With a
+// non-nil src the second pass is a refresh: a surviving worker's row is
+// copied from its previous row, and only its edges to arriving tasks are
+// scored (see RebuildProblem).
+func (p *Problem) build(procs int, src *refreshSource) {
 	in := p.In
 	nW, nT, nC := in.NumWorkers(), in.NumTasks(), in.NumCategories
+	p.bs.built = false
 
 	// Every array below is drawn through a reuse-aware grow helper against
-	// the Problem's previous build (a no-op first time), so RebuildProblem
+	// the Problem's previous builds (a no-op first time), so RebuildProblem
 	// reruns this code with (almost) zero fresh allocation when the market
 	// shape is stable round over round.
 
@@ -181,11 +203,27 @@ func (p *Problem) build(procs int) {
 		catTasks[catCur[c]] = int32(j)
 		catCur[c]++
 	}
+	if src != nil {
+		// Arriving tasks hold the largest indices, so they are the tail of
+		// each category's bucket.
+		p.bs.arrFrom = growI32(p.bs.arrFrom, nC)
+		copy(p.bs.arrFrom, catOff[1:])
+		for j := src.firstArrT; j < nT; j++ {
+			p.bs.arrFrom[in.Tasks[j].Category]--
+		}
+	}
 
 	// Pass 1: exact degrees.  A worker's edge count is the sum of its
 	// specialty bucket sizes; a task's degree is the number of workers
 	// specialised in its category.
-	offW := growI32(p.offW, nW+1)
+	offW, edges := p.offW, p.Edges
+	if src != nil {
+		// The previous build is src's to read; write into the spare arena
+		// and keep the previous one as the next refresh's spare.
+		offW, edges = p.bs.spareOffW, p.bs.spareEdges
+		p.bs.spareOffW, p.bs.spareEdges = p.offW, p.Edges
+	}
+	offW = growI32(offW, nW+1)
 	offW[0] = 0
 	p.bs.workersPerCat = growI32(p.bs.workersPerCat, nC)
 	workersPerCat := p.bs.workersPerCat
@@ -205,7 +243,7 @@ func (p *Problem) build(procs int) {
 		offT[j+1] = offT[j] + workersPerCat[in.Tasks[j].Category]
 	}
 
-	p.Edges = growEdges(p.Edges, total)
+	p.Edges = growEdges(edges, total)
 	p.adjW = growI32(p.adjW, total)
 	p.adjT = growI32(p.adjT, total)
 	p.offW, p.offT = offW, offT
@@ -216,24 +254,42 @@ func (p *Problem) build(procs int) {
 			procs = 1
 		}
 	}
-	if procs > nW {
-		procs = nW
+	procs = max(1, min(procs, nW))
+
+	// Chunk boundaries at edge-count quantiles, so dense workers do not
+	// pile into one goroutine.
+	bounds := growInts(p.bs.bounds, procs+1)
+	p.bs.bounds = bounds
+	bounds[0], bounds[procs] = 0, nW
+	for k := 1; k < procs; k++ {
+		target := int32(int64(total) * int64(k) / int64(procs))
+		bounds[k] = sort.Search(nW, func(i int) bool { return offW[i] >= target })
 	}
 
-	// Pass 2: score edges.  Each chunk owns a contiguous worker range and
-	// therefore a disjoint range of Edges/adjW, so the fan-out is race-free
-	// and its output independent of goroutine scheduling.
-	if procs <= 1 {
-		p.scoreWorkers(0, nW, catOff, catTasks)
-	} else {
-		// Chunk boundaries at edge-count quantiles, so dense workers do not
-		// pile into one goroutine.
-		bounds := make([]int, procs+1)
-		bounds[procs] = nW
-		for k := 1; k < procs; k++ {
-			target := int32(int64(total) * int64(k) / int64(procs))
-			bounds[k] = sort.Search(nW, func(i int) bool { return offW[i] >= target })
+	// AdjT lists a task's edges in worker order, and each worker
+	// specialised in the task's category contributes exactly one.  So an
+	// edge's slot in its task's list is the number of earlier workers
+	// specialised in that category.  seen[k*nC+c] starts chunk k's count
+	// at the workers of the chunks before it.
+	seen := growI32(p.bs.seen, procs*nC)
+	p.bs.seen = seen
+	clear(workersPerCat)
+	for k := 0; k < procs; k++ {
+		copy(seen[k*nC:(k+1)*nC], workersPerCat)
+		for wi := bounds[k]; wi < bounds[k+1]; wi++ {
+			for _, c := range in.Workers[wi].Specialties {
+				workersPerCat[c]++
+			}
 		}
+	}
+
+	// Pass 2: fill rows.  Each chunk owns a contiguous worker range and
+	// therefore a disjoint range of Edges/adjW and disjoint adjT slots, so
+	// the fan-out is race-free and its output independent of goroutine
+	// scheduling.
+	if procs == 1 {
+		p.fillWorkers(0, nW, seen, src)
+	} else {
 		var wg sync.WaitGroup
 		for k := 0; k < procs; k++ {
 			lo, hi := bounds[k], bounds[k+1]
@@ -241,74 +297,118 @@ func (p *Problem) build(procs int) {
 				continue
 			}
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func(lo, hi int, seen []int32) {
 				defer wg.Done()
-				p.scoreWorkers(lo, hi, catOff, catTasks)
-			}(lo, hi)
+				p.fillWorkers(lo, hi, seen, src)
+			}(lo, hi, seen[k*nC:(k+1)*nC])
 		}
 		wg.Wait()
 	}
+	p.bs.built, p.bs.refreshed = true, src != nil
+}
 
-	// Task adjacency: edges ascend globally, so a single cursor sweep fills
-	// every task's list in ascending edge order — matching the order the
-	// grow-by-append build produced.
-	p.bs.cursorT = growI32(p.bs.cursorT, nT)
-	cursorT := p.bs.cursorT
-	copy(cursorT, offT[:nT])
-	for i := range p.Edges {
-		tj := p.Edges[i].T
-		p.adjT[cursorT[tj]] = int32(i)
-		cursorT[tj]++
+// fillWorkers writes the rows of workers [lo, hi) into their precomputed
+// Edges/adjW ranges and slots each edge into its task's adjacency.  seen
+// is the chunk's per-category count of earlier workers, advanced past
+// each worker.  A row is scored; on a refresh, a surviving worker's row
+// is instead copied from its previous row, and only its edges to arriving
+// tasks, which follow, are scored.
+//
+// While a row is written, each edge's adjT slot is noted in at, and a
+// tight loop of its own then stores the row's edges there.  Storing them
+// in the scoring loop instead interleaves one cache-missing store per edge
+// with the row's own writes, which stalls the loop once adjT outgrows the
+// cache.
+func (p *Problem) fillWorkers(lo, hi int, seen []int32, src *refreshSource) {
+	nC := p.In.NumCategories
+	cur := make([]int32, nC)
+	end := make([]int32, nC)
+	at := make([]int32, p.In.NumTasks()) // a row has at most one edge per task
+	for wi := lo; wi < hi; wi++ {
+		w := &p.In.Workers[wi]
+		row, k, from := p.offW[wi], int32(0), p.bs.catOff
+		if src != nil {
+			if pw := src.prevWorker[wi]; pw >= 0 {
+				k = p.copyRow(row, wi, src.edges[src.offW[pw]:src.offW[pw+1]], src.taskAt, seen, at)
+				from = p.bs.arrFrom
+			}
+		}
+		p.scoreRow(row+k, wi, w, from, seen, cur, end, at[k:])
+		for i, slot := range at[:p.offW[wi+1]-row] {
+			p.adjT[slot] = row + int32(i)
+		}
+		for _, c := range w.Specialties {
+			seen[c]++
+		}
 	}
 }
 
-// scoreWorkers scores the edges of workers [lo, hi) into their precomputed
-// Edges/adjW ranges.  Each worker's task list is the k-way merge of its
-// specialty buckets — disjoint ascending lists — replacing the seed's
-// per-worker union-then-sort.Ints.
-func (p *Problem) scoreWorkers(lo, hi int, catOff, catTasks []int32) {
-	in := p.In
-	nC := in.NumCategories
-	cur := make([]int32, nC)
-	end := make([]int32, nC)
-	for wi := lo; wi < hi; wi++ {
-		w := &in.Workers[wi]
-		pos := p.offW[wi]
-		specs := w.Specialties
-		if len(specs) == 1 {
-			c := specs[0]
-			for _, tj := range catTasks[catOff[c]:catOff[c+1]] {
-				p.scoreEdge(pos, wi, int(tj), w)
-				pos++
-			}
+// copyRow copies the edges of row, a surviving worker's previous row,
+// whose task survived, remapped to current indices, to Edges[pos:], noting
+// each one's adjT slot in at; it returns how many it copied.  Scores are
+// unchanged: the refresh only runs when both endpoints' scoring inputs,
+// the params and MaxPayment are.
+func (p *Problem) copyRow(pos int32, wi int, row []EdgeInfo, taskAt, seen, at []int32) int32 {
+	k := int32(0)
+	for i := range row {
+		tj := taskAt[row[i].T]
+		if tj < 0 {
 			continue
 		}
-		for s, c := range specs {
-			cur[s] = catOff[c]
-			end[s] = catOff[c+1]
+		e := &p.Edges[pos+k]
+		*e = row[i]
+		e.W, e.T = wi, int(tj)
+		p.adjW[pos+k] = pos + k
+		at[k] = p.offT[tj] + seen[p.In.Tasks[tj].Category]
+		k++
+	}
+	return k
+}
+
+// scoreRow scores worker wi's edges to the tasks of catTasks[from[c]:
+// catOff[c+1]] for each specialty c, in ascending task order, into
+// Edges[pos:], noting each one's adjT slot in at.  That order is the
+// k-way merge of the specialty buckets — disjoint ascending lists —
+// replacing the seed's per-worker union-then-sort.Ints.  cur and end are
+// per-specialty merge scratch.
+func (p *Problem) scoreRow(pos int32, wi int, w *market.Worker, from, seen, cur, end, at []int32) {
+	catOff, catTasks := p.bs.catOff, p.bs.catTasks
+	specs := w.Specialties
+	if len(specs) == 1 {
+		c := specs[0]
+		slot := seen[c]
+		for k, tj := range catTasks[from[c]:catOff[c+1]] {
+			p.scoreEdge(pos+int32(k), wi, tj, w)
+			at[k] = p.offT[tj] + slot
 		}
-		for pos < p.offW[wi+1] {
-			best, bestT := -1, int32(0)
-			for s := range specs {
-				if cur[s] < end[s] {
-					if tj := catTasks[cur[s]]; best == -1 || tj < bestT {
-						best, bestT = s, tj
-					}
+		return
+	}
+	n := int32(0)
+	for s, c := range specs {
+		cur[s], end[s] = from[c], catOff[c+1]
+		n += end[s] - cur[s]
+	}
+	for k := int32(0); k < n; k++ {
+		best, bestT := -1, int32(0)
+		for s := range specs {
+			if cur[s] < end[s] {
+				if tj := catTasks[cur[s]]; best == -1 || tj < bestT {
+					best, bestT = s, tj
 				}
 			}
-			cur[best]++
-			p.scoreEdge(pos, wi, int(bestT), w)
-			pos++
 		}
+		cur[best]++
+		p.scoreEdge(pos+k, wi, bestT, w)
+		at[k] = p.offT[bestT] + seen[specs[best]]
 	}
 }
 
 // scoreEdge fills Edges[pos] with the scored pair (wi, tj).  Edge index ==
 // position in the worker-major enumeration, so adjW is the identity there.
-func (p *Problem) scoreEdge(pos int32, wi, tj int, w *market.Worker) {
+func (p *Problem) scoreEdge(pos int32, wi int, tj int32, w *market.Worker) {
 	t := &p.In.Tasks[tj]
 	e := &p.Edges[pos]
-	e.W, e.T = wi, tj
+	e.W, e.T = wi, int(tj)
 	e.Q = p.Model.Quality(w, t)
 	e.B = p.Model.WorkerUtility(w, t)
 	e.M = p.Model.Combine(e.Q, e.B)

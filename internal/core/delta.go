@@ -8,19 +8,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Delta describes how the current Problem differs from the previous one a
-// delta-aware solver saw: which workers/tasks survived (and where they
-// moved, since instance indices are dense and shift on every churn), which
-// departed, and which arrived.  The platform's State tracks per-round churn
-// and builds one of these per CloseRound so the solver can repair its
-// carried matching instead of re-solving from scratch.
+// Delta describes how the current Problem differs from the previous one:
+// which workers/tasks survived (and where they moved, since instance
+// indices are dense and shift on every churn), which departed, and which
+// arrived.  The platform's State tracks per-round churn and builds one of
+// these per CloseRound.  It drives two things, for every solver:
+// RebuildProblem refreshes the previous round's problem from it, copying
+// the surviving edges and scoring only the arrivals'; and a delta-aware
+// solver repairs its carried matching instead of re-solving from scratch.
 //
-// Index conventions: "previous" indices refer to the Problem of the last
-// delta-or-full solve the same solver instance performed; "current" indices
-// refer to the Problem being solved now.  A solver validates the delta's
-// shape against its carried state and falls back to a full solve on any
-// mismatch, so a wrong (but well-formed) Delta degrades performance, never
-// correctness.
+// Index conventions: "previous" indices refer to the previous snapshot —
+// the instance the retained Problem was built from, and the Problem of the
+// last delta-or-full solve the same solver instance performed; "current"
+// indices refer to the Problem being built and solved now.  RebuildProblem
+// and the solvers each validate the delta against their own carried state
+// and fall back to a full build or solve on any mismatch, so a wrong (but
+// well-formed) Delta degrades performance, never correctness.
 type Delta struct {
 	// PrevWorker[i] is the previous index of current worker i, or -1 when
 	// the worker arrived this round.  len(PrevWorker) == NumWorkers().

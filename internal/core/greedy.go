@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -56,6 +58,10 @@ const greedyBatch = 1024
 // endpoints, so the liveness filter never reads p.Edges.
 type greedyEntry struct{ idx, w, t int32 }
 
+// parallelGreedyCutoff is the edge count below which greedyInto's O(E)
+// passes stay on the calling goroutine.
+const parallelGreedyCutoff = 1 << 15
+
 // greedyInto runs edge-greedy with all scratch drawn from ws and returns
 // the selection backed by ws.sel (valid until ws's next use), leaving
 // ws.capW/ws.capT at the residual capacities.  LocalSearch seeds from it
@@ -69,6 +75,9 @@ type greedyEntry struct{ idx, w, t int32 }
 // by key (radixSortByKey, the passes of the shared ordering kernel) and
 // taken while they fit.  The walk stops once either side has no slot left.
 //
+// The key, count and scatter passes run over contiguous edge chunks, one
+// goroutine each (see greedyScan); the walk is serial.
+//
 // The selection is bit-identical to ordering every edge with
 // sortEdgesByWeightWS and scanning the full order.  Bucketing is monotone
 // in the key, so bucket order is key order and equal weights share a
@@ -77,6 +86,13 @@ type greedyEntry struct{ idx, w, t int32 }
 // an edge dead when its bucket comes up would be skipped by the full scan
 // too.
 func greedyInto(p *Problem, kind WeightKind, ws *Workspace) []int {
+	return greedyIntoProcs(p, kind, ws, 0)
+}
+
+// greedyIntoProcs is greedyInto over an explicit number of chunks, so
+// tests can force the chunked passes regardless of GOMAXPROCS and market
+// size.  procs <= 0 selects GOMAXPROCS with the small-market cutoff.
+func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []int {
 	capW, capT := p.capacityWInto(ws), p.capacityTInto(ws)
 	sel := growInts(ws.sel, 0)[:0]
 	remW, remT := positiveSum(capW), positiveSum(capT)
@@ -86,39 +102,53 @@ func greedyInto(p *Problem, kind WeightKind, ws *Workspace) []int {
 		return sel
 	}
 
-	ws.keys = growU64(ws.keys, n)
-	keys := ws.keys[:n]
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for i := range p.Edges {
-		k := orderKey(p.Edges[i].Weight(kind))
-		keys[i] = k
-		lo, hi = min(lo, k), max(hi, k)
+	if procs <= 0 {
+		procs = runtime.GOMAXPROCS(0)
+		if n < parallelGreedyCutoff {
+			procs = 1
+		}
 	}
-	var shift uint
+	procs = min(procs, n)
+	g := &ws.scan
+	if cap(g.chunks) < procs {
+		g.chunks = make([]greedyChunk, procs)
+	}
+	g.chunks = g.chunks[:procs]
+	for k := range g.chunks {
+		g.chunks[k].lo, g.chunks[k].hi = k*n/procs, (k+1)*n/procs
+	}
+	ws.keys = growU64(ws.keys, n)
+	ws.entries = growEntries(ws.entries, n)
+	g.p, g.kind, g.keys, g.entries = p, kind, ws.keys[:n], ws.entries[:n]
+
+	g.each((*greedyScan).keyChunk)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for k := range g.chunks {
+		lo, hi = min(lo, g.chunks[k].minKey), max(hi, g.chunks[k].maxKey)
+	}
+	g.lo, g.shift = lo, 0
 	if l := bits.Len64(hi - lo); l > 8 {
-		shift = uint(l - 8)
+		g.shift = uint(l - 8)
 	}
 
-	// start[b] is bucket b's offset into entries once the counts are
-	// prefix-summed; next is the scatter cursor.
+	// start[b] is bucket b's offset into entries.  Within a bucket, chunk
+	// k's slots follow chunk k−1's, so each bucket still lists its edges
+	// in ascending index: the scatter stays stable.
+	g.each((*greedyScan).countChunk)
 	var start [greedyBuckets + 1]int
-	for _, k := range keys {
-		start[(k-lo)>>shift+1]++
+	widest, at := 0, 0
+	for b := 0; b < greedyBuckets; b++ {
+		start[b] = at
+		for k := range g.chunks {
+			c := &g.chunks[k]
+			c.next[b], at = at, at+c.next[b]
+		}
+		widest = max(widest, at-start[b])
 	}
-	widest := 0
-	for b := 1; b <= greedyBuckets; b++ {
-		widest = max(widest, start[b])
-		start[b] += start[b-1]
-	}
-	ws.entries = growEntries(ws.entries, n)
-	entries := ws.entries[:n]
-	next := start
-	for i, k := range keys {
-		b := (k - lo) >> shift
-		e := &p.Edges[i]
-		entries[next[b]] = greedyEntry{idx: int32(i), w: int32(e.W), t: int32(e.T)}
-		next[b]++
-	}
+	start[greedyBuckets] = at
+	g.each((*greedyScan).scatterChunk)
+	keys, entries := g.keys, g.entries
+	g.p = nil // the workspace must not pin the problem
 
 	// Survivors are gathered with their keys and endpoints, so ordering
 	// and taking them never reads p.Edges.  Consecutive buckets are pooled
@@ -174,6 +204,83 @@ func positiveSum(caps []int) int {
 		}
 	}
 	return s
+}
+
+// greedyScan is the shared state of greedyInto's chunked O(E) passes.
+// It lives in the Workspace, so the serial path allocates nothing.
+type greedyScan struct {
+	p       *Problem
+	kind    WeightKind
+	keys    []uint64      // keys[i] = orderKey of edge i
+	entries []greedyEntry // the bucket scatter
+	lo      uint64        // minimum key
+	shift   uint          // bucket of key k: (k − lo) >> shift
+	chunks  []greedyChunk
+}
+
+// greedyChunk is the edge range [lo, hi) of one pass goroutine, with its
+// key range and per-bucket counts, then scatter cursors.
+type greedyChunk struct {
+	lo, hi         int
+	minKey, maxKey uint64
+	next           [greedyBuckets]int
+}
+
+// each runs pass over every chunk: inline for one, one goroutine per chunk
+// otherwise.  A pass that panics re-panics on the calling goroutine, so
+// the solver's panic fence (RunCtx) still contains it.
+func (g *greedyScan) each(pass func(*greedyScan, *greedyChunk)) {
+	if len(g.chunks) == 1 {
+		pass(g, &g.chunks[0])
+		return
+	}
+	panics := make([]any, len(g.chunks))
+	var wg sync.WaitGroup
+	wg.Add(len(g.chunks))
+	for k := range g.chunks {
+		go func(k int) {
+			defer wg.Done()
+			defer func() { panics[k] = recover() }()
+			pass(g, &g.chunks[k])
+		}(k)
+	}
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
+}
+
+// keyChunk computes the chunk's keys and key range.
+func (g *greedyScan) keyChunk(c *greedyChunk) {
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	keys := g.keys[c.lo:c.hi]
+	for i := range keys {
+		k := orderKey(g.p.Edges[c.lo+i].Weight(g.kind))
+		keys[i] = k
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	c.minKey, c.maxKey = lo, hi
+}
+
+// countChunk counts the chunk's edges per bucket.
+func (g *greedyScan) countChunk(c *greedyChunk) {
+	c.next = [greedyBuckets]int{}
+	for _, k := range g.keys[c.lo:c.hi] {
+		c.next[(k-g.lo)>>g.shift]++
+	}
+}
+
+// scatterChunk places the chunk's edges at its bucket cursors, in index
+// order.
+func (g *greedyScan) scatterChunk(c *greedyChunk) {
+	for i := c.lo; i < c.hi; i++ {
+		b := (g.keys[i] - g.lo) >> g.shift
+		e := &g.p.Edges[i]
+		g.entries[c.next[b]] = greedyEntry{idx: int32(i), w: int32(e.W), t: int32(e.T)}
+		c.next[b]++
+	}
 }
 
 // QualityOnly is the strongest classical baseline: greedy assignment by

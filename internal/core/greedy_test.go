@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/benefit"
@@ -29,22 +30,30 @@ func greedyOracle(p *Problem, kind WeightKind) (sel, capW, capT []int) {
 	return sel, capW, capT
 }
 
-// checkGreedyMatchesOracle runs greedyInto through ws and fails unless its
-// selection (in order) and residual capacities equal the oracle's.
+// greedyProcs are the chunk counts greedy's passes are checked at: the
+// serial path, and fan-outs whose chunk boundaries fall at arbitrary edge
+// indices, inside runs of equal weights too.
+var greedyProcs = []int{1, 2, 3, 7}
+
+// checkGreedyMatchesOracle runs greedyInto through ws at every fan-out of
+// greedyProcs and fails unless its selection (in order) and residual
+// capacities equal the oracle's.
 func checkGreedyMatchesOracle(t testing.TB, p *Problem, kind WeightKind, ws *Workspace) {
 	t.Helper()
 	wantSel, wantW, wantT := greedyOracle(p, kind)
-	gotSel := greedyInto(p, kind, ws)
-	if !slices.Equal(gotSel, wantSel) {
-		k := 0
-		for k < len(gotSel) && k < len(wantSel) && gotSel[k] == wantSel[k] {
-			k++
+	for _, procs := range greedyProcs {
+		gotSel := greedyIntoProcs(p, kind, ws, procs)
+		if !slices.Equal(gotSel, wantSel) {
+			k := 0
+			for k < len(gotSel) && k < len(wantSel) && gotSel[k] == wantSel[k] {
+				k++
+			}
+			t.Fatalf("kind %v, %d edges, procs %d: selections diverge at position %d of %d (oracle has %d)",
+				kind, len(p.Edges), procs, k, len(gotSel), len(wantSel))
 		}
-		t.Fatalf("kind %v, %d edges: selections diverge at position %d of %d (oracle has %d)",
-			kind, len(p.Edges), k, len(gotSel), len(wantSel))
-	}
-	if !slices.Equal(ws.capW, wantW) || !slices.Equal(ws.capT, wantT) {
-		t.Fatalf("kind %v, %d edges: residual capacities differ from the oracle's", kind, len(p.Edges))
+		if !slices.Equal(ws.capW, wantW) || !slices.Equal(ws.capT, wantT) {
+			t.Fatalf("kind %v, %d edges, procs %d: residual capacities differ from the oracle's", kind, len(p.Edges), procs)
+		}
 	}
 }
 
@@ -231,4 +240,17 @@ func FuzzGreedyOracle(f *testing.F) {
 			checkGreedyMatchesOracle(t, free, MutualWeight, ws)
 		}
 	})
+}
+
+// TestGreedyChunkPanicIsContained pins that a pass panicking on a chunk
+// goroutine re-panics on the caller, where RunCtx's panic fence turns it
+// into an error, instead of crashing the process.
+func TestGreedyChunkPanicIsContained(t *testing.T) {
+	p := capacityProblem(seq(4, 1, 1), seq(4, 1, 1), make([][2]int, 64), make([]float64, 64))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unknown weight kind") {
+			t.Fatalf("recovered %v, want the chunk's panic", r)
+		}
+	}()
+	greedyIntoProcs(p, WeightKind(9), NewWorkspace(), 3)
 }

@@ -25,7 +25,7 @@ func TestRebuildProblemMatchesNewProblem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev, err = RebuildProblem(prev, in, benefit.DefaultParams())
+		prev, err = RebuildProblem(prev, in, benefit.DefaultParams(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestRebuildProblemMatchesNewProblem(t *testing.T) {
 // TestRebuildProblemNilPrev pins the nil-prev convenience path.
 func TestRebuildProblemNilPrev(t *testing.T) {
 	in := market.MustGenerate(market.Config{NumWorkers: 10, NumTasks: 10}, 3)
-	p, err := RebuildProblem(nil, in, benefit.DefaultParams())
+	p, err := RebuildProblem(nil, in, benefit.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRebuildProblemReusesArenas(t *testing.T) {
 	}
 	edges1, adjW1 := &p.Edges[0], &p.adjW[0]
 	capE, capA := cap(p.Edges), cap(p.adjW)
-	p2, err := RebuildProblem(p, in2, benefit.DefaultParams())
+	p2, err := RebuildProblem(p, in2, benefit.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ type Workspace struct {
 	orderTmp   []int32       // radix ping-pong partner of order
 	keys       []uint64      // radix keys (two ping-ponged halves); greedy's per-edge keys
 	entries    []greedyEntry // greedy's per-edge bucket scatter
+	scan       greedyScan    // greedy's chunked key, count and scatter passes
 	batch      []greedyEntry // greedy's survivors awaiting one sort
 	batchKeys  []uint64      // their keys, and the sort's key scratch
 	sel        []int         // selection under construction
@@ -83,47 +84,52 @@ func releaseWorkspace(ws *Workspace, pooled bool) {
 // The grow helpers return a length-n slice backed by buf when it is large
 // enough, a fresh allocation otherwise.  Contents are unspecified; callers
 // that need zeroed memory clear explicitly (growBoolZero does it for them).
+// A fresh allocation has capacity withHeadroom(n), so a market that grows
+// a little past its previous maximum does not reallocate its arenas.
+
+// withHeadroom is the capacity a grow helper allocates for n: 1/8 more.
+func withHeadroom(n int) int { return n + n/8 }
 
 func growInts(buf []int, n int) []int {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int, n)
+	return make([]int, n, withHeadroom(n))
 }
 
 func growI32(buf []int32, n int) []int32 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int32, n)
+	return make([]int32, n, withHeadroom(n))
 }
 
 func growU64(buf []uint64, n int) []uint64 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]uint64, n)
+	return make([]uint64, n, withHeadroom(n))
 }
 
 func growF64(buf []float64, n int) []float64 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]float64, n, withHeadroom(n))
 }
 
 func growEdges(buf []EdgeInfo, n int) []EdgeInfo {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]EdgeInfo, n)
+	return make([]EdgeInfo, n, withHeadroom(n))
 }
 
 func growEntries(buf []greedyEntry, n int) []greedyEntry {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]greedyEntry, n)
+	return make([]greedyEntry, n, withHeadroom(n))
 }
 
 func growBoolZero(buf []bool, n int) []bool {
@@ -132,7 +138,7 @@ func growBoolZero(buf []bool, n int) []bool {
 		clear(buf)
 		return buf
 	}
-	return make([]bool, n)
+	return make([]bool, n, withHeadroom(n))
 }
 
 // capacityWInto fills ws.capW with the workers' capacities and returns it.

@@ -7,7 +7,8 @@ package experiments
 //     reference), the feasibility check, and the offline solver line-up at
 //     three market scales.  Checked in as BENCH_construction.json.
 //   - "solve": the steady-state serving path — same-shape RebuildProblem
-//     into retained arenas, and the greedy / local-search solvers with a
+//     into retained arenas, both the full rebuild and the refresh from a
+//     1% churn delta, and the greedy / local-search solvers with a
 //     pinned Workspace so repeated solves reuse their buffers, plus greedy
 //     on a never-saturating copy of the market (its worst case).  The
 //     O(E)-per-pass local search is cheap enough to run at every scale.
@@ -310,11 +311,28 @@ func runSolveSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 		add("rebuild-problem", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p2, err := core.RebuildProblem(prev, in, benefit.DefaultParams())
+				p2, err := core.RebuildProblem(prev, in, benefit.DefaultParams(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				prev = p2
+			}
+		}))
+
+		// A round of the serving loop: 1% churn, then the refresh from its
+		// delta, continuing prev's chain.  Only the refresh is timed.
+		cur, r := prev, stats.NewRNG(cfg.Seed)
+		add("refresh-problem", testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				next, d := churnInstance(cur.In, r)
+				b.StartTimer()
+				p2, err := core.RebuildProblem(cur, next, benefit.DefaultParams(), d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cur = p2
 			}
 		}))
 
@@ -368,6 +386,56 @@ func addSteadySolve(add func(string, testing.BenchmarkResult), name string, s co
 
 // unsaturatedInstance returns a copy of in with every worker capacity and
 // task replication raised to slots.
+// churnInstance returns in after one round of 1% churn, the rounds-greedy
+// shape, with its delta against in: len/100 workers and tasks depart at
+// random and their profiles are re-posted as arrivals, which take the
+// largest indices as fresh platform IDs do.  Re-posting keeps the payment
+// multiset, so MaxPayment and the edge count stay put.
+func churnInstance(in *market.Instance, r *stats.RNG) (*market.Instance, *core.Delta) {
+	out := *in
+	d := &core.Delta{}
+	var order []int
+	order, d.PrevWorker, d.AddedWorkers, d.RemovedWorkers = churnOrder(len(in.Workers), r)
+	out.Workers = make([]market.Worker, len(order))
+	for i, q := range order {
+		out.Workers[i] = in.Workers[q]
+		out.Workers[i].ID = i
+	}
+	order, d.PrevTask, d.AddedTasks, d.RemovedTasks = churnOrder(len(in.Tasks), r)
+	out.Tasks = make([]market.Task, len(order))
+	for j, q := range order {
+		out.Tasks[j] = in.Tasks[q]
+		out.Tasks[j].ID = j
+	}
+	return &out, d
+}
+
+// churnOrder departs n/100 of n indices at random and returns the next
+// round's order as previous indices — the survivors ascending, then the
+// departed re-posted — with that side of the Delta.
+func churnOrder(n int, r *stats.RNG) (order []int, prev, added, removed []int32) {
+	gone := make([]bool, n)
+	for _, i := range r.Perm(n)[:n/100] {
+		gone[i] = true
+	}
+	for _, departed := range []bool{false, true} {
+		for i := range gone {
+			if gone[i] != departed {
+				continue
+			}
+			if departed {
+				added = append(added, int32(len(order)))
+				removed = append(removed, int32(i))
+				prev = append(prev, -1)
+			} else {
+				prev = append(prev, int32(i))
+			}
+			order = append(order, i)
+		}
+	}
+	return order, prev, added, removed
+}
+
 func unsaturatedInstance(in *market.Instance, slots int) *market.Instance {
 	out := *in
 	out.Workers = append([]market.Worker(nil), in.Workers...)

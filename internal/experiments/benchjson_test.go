@@ -74,6 +74,7 @@ func TestRunBenchJSONSolveAndRoundSuites(t *testing.T) {
 	type entry struct{ suite, name string }
 	want := []entry{
 		{"solve", "rebuild-problem"},
+		{"solve", "refresh-problem"},
 		{"solve", "greedy"},
 		{"round", "close-round"},
 	}

@@ -130,6 +130,10 @@ func (in *Instance) Validate() error {
 		return errors.New("market: instance needs at least one category")
 	}
 	maxPay := 0.0
+	// seen[c] == i+1 marks specialty c as listed by worker i: one
+	// per-category slice for the whole pass, allocated once a worker's
+	// profile lengths have bounded NumCategories by the input's size.
+	var seen []int
 	for i := range in.Workers {
 		w := &in.Workers[i]
 		if w.ID != i {
@@ -154,15 +158,17 @@ func (in *Instance) Validate() error {
 		if len(w.Specialties) == 0 {
 			return fmt.Errorf("market: worker %d has no specialties", i)
 		}
-		seen := map[int]bool{}
+		if seen == nil {
+			seen = make([]int, in.NumCategories)
+		}
 		for _, s := range w.Specialties {
 			if s < 0 || s >= in.NumCategories {
 				return fmt.Errorf("market: worker %d specialty %d out of range", i, s)
 			}
-			if seen[s] {
+			if seen[s] == i+1 {
 				return fmt.Errorf("market: worker %d has duplicate specialty %d", i, s)
 			}
-			seen[s] = true
+			seen[s] = i + 1
 		}
 		if w.ReservationWage < 0 {
 			return fmt.Errorf("market: worker %d has negative reservation wage", i)

@@ -125,3 +125,46 @@ func TestComputeStatsEmpty(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// TestValidateErrorMessages pins every Validate error byte for byte, and
+// that a specialty shared by different workers is no duplicate.
+func TestValidateErrorMessages(t *testing.T) {
+	cases := []struct {
+		mut  func(*Instance)
+		want string
+	}{
+		{func(in *Instance) { in.NumCategories = 0 }, "market: instance needs at least one category"},
+		{func(in *Instance) { in.Workers[1].ID = 5 }, "market: worker 1 has ID 5 (must be dense)"},
+		{func(in *Instance) { in.Workers[0].Capacity = -1 }, "market: worker 0 has negative capacity"},
+		{func(in *Instance) { in.Workers[1].Interest = in.Workers[1].Interest[:1] }, "market: worker 1 profile length mismatch"},
+		{func(in *Instance) { in.Workers[0].Accuracy[1] = 0.4 }, "market: worker 0 accuracy[1]=0.4 outside [0.5,1)"},
+		{func(in *Instance) { in.Workers[1].Interest[0] = 1.5 }, "market: worker 1 interest[0]=1.5 outside [0,1]"},
+		{func(in *Instance) { in.Workers[1].Specialties = nil }, "market: worker 1 has no specialties"},
+		{func(in *Instance) { in.Workers[0].Specialties = []int{0, -1} }, "market: worker 0 specialty -1 out of range"},
+		{func(in *Instance) { in.Workers[1].Specialties = []int{1, 2} }, "market: worker 1 specialty 2 out of range"},
+		{func(in *Instance) { in.Workers[0].Specialties = []int{0, 1, 0} }, "market: worker 0 has duplicate specialty 0"},
+		{func(in *Instance) { in.Workers[1].Specialties = []int{0, 1, 1} }, "market: worker 1 has duplicate specialty 1"},
+		{func(in *Instance) { in.Workers[1].ReservationWage = -2 }, "market: worker 1 has negative reservation wage"},
+		{func(in *Instance) { in.Tasks[1].ID = 0 }, "market: task 1 has ID 0 (must be dense)"},
+		{func(in *Instance) { in.Tasks[0].Category = -1 }, "market: task 0 category -1 out of range"},
+		{func(in *Instance) { in.Tasks[1].Replication = 0 }, "market: task 1 has non-positive replication"},
+		{func(in *Instance) { in.Tasks[0].Payment = -1 }, "market: task 0 has negative payment"},
+		{func(in *Instance) { in.Tasks[1].Difficulty = -0.5 }, "market: task 1 difficulty -0.5 outside [0,1]"},
+		{func(in *Instance) { in.MaxPayment = 4 }, "market: MaxPayment 4 below actual max 5"},
+	}
+	for _, c := range cases {
+		in := tinyInstance()
+		c.mut(in)
+		err := in.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("got error %v, want %q", err, c.want)
+		}
+	}
+
+	shared := tinyInstance()
+	shared.Workers[0].Specialties = []int{0, 1}
+	shared.Workers[1].Specialties = []int{1, 0}
+	if err := shared.Validate(); err != nil {
+		t.Fatalf("specialties shared across workers: %v", err)
+	}
+}

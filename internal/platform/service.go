@@ -90,10 +90,11 @@ type RoundProvenance struct {
 // interleaved with the solve (pairs whose endpoints vanished are dropped
 // and counted in RoundResult.StalePairs).  Rounds serialise among
 // themselves on roundMu (on ShardedService.roundMu for a shard), which also
-// guards the previous round's Problem:
-// round N+1 rebuilds into round N's arenas (core.RebuildProblem), so the
-// steady-state serving loop stops re-allocating its largest data
-// structure.
+// guards the previous round's Problem.  Round N+1 refreshes round N's
+// problem from the churn between their snapshots (core.RebuildProblem with
+// the round's core.Delta): it copies the surviving edges into retained
+// arenas and scores only the arrivals' edges, so a steady-state round
+// costs its churn, not the market, and allocates no new arena.
 //
 // Submit and SubmitBatch share one write path: a single event is a batch
 // of one, applied and journaled by State.ApplyBatchJournaled, which holds
@@ -410,30 +411,27 @@ type shardSolve struct {
 }
 
 // snapshot opens a round's solve phase: an immutable snapshot taken under
-// the state's lock only — with the churn since the previous snapshot when
-// the solver is delta-aware, so warm rounds repair the carried matching
-// instead of re-solving.  It is separate from solve so a sharded round can
-// cut every shard's snapshot under one lock.
+// the state's lock only, with the churn since the previous snapshot.  The
+// churn drives the problem refresh for every solver, and a delta-aware
+// solver's repair of its carried matching.  It is separate from solve so a
+// sharded round can cut every shard's snapshot under one lock.
 func (s *Service) snapshot() *shardSolve {
 	out := &shardSolve{}
-	if _, ok := s.solver.(core.DeltaSolver); ok {
-		out.in, out.workerIDs, out.taskIDs, out.delta = s.state.SnapshotDelta()
-	} else {
-		out.in, out.workerIDs, out.taskIDs = s.state.Snapshot()
-	}
+	out.in, out.workerIDs, out.taskIDs, out.delta = s.state.SnapshotDelta()
 	out.info.Workers, out.info.Tasks = len(out.workerIDs), len(out.taskIDs)
 	return out
 }
 
 // solve finishes the solve phase lock-free on out's snapshot: construct
-// the problem, rebuilding into the previous round's arenas, solve, and
+// the problem, refreshing the previous round's from out.delta, solve, and
 // record selection, pairs, metrics and solve provenance.  The caller holds
 // the round lock (roundMu, or ShardedService.roundMu for a shard), which
 // owns prev; nothing retains views into it (pairs are copied out), so the
 // reuse cannot be observed.  The panic fence covers construction as well
 // as the solve (core.RunCtx fences the solver itself), so malformed input
 // or an arena-reuse bug in the rebuild path costs one round, not the
-// process.
+// process.  prev is cleared across the rebuild and stored only once it
+// succeeds, so a half-built problem is never the next round's base.
 func (s *Service) solve(ctx context.Context, out *shardSolve) {
 	if out.in.NumWorkers() == 0 || out.in.NumTasks() == 0 {
 		return
@@ -447,7 +445,9 @@ func (s *Service) solve(ctx context.Context, out *shardSolve) {
 			out.solveErr = fmt.Errorf("platform: round solve panicked: %v", rec)
 		}
 	}()
-	p, err := core.RebuildProblem(s.prev, out.in, s.params)
+	prev := s.prev
+	s.prev = nil
+	p, err := core.RebuildProblem(prev, out.in, s.params, out.delta)
 	if err != nil {
 		out.solveErr = err
 		return
