@@ -46,7 +46,7 @@ func buildAssignmentNetwork(ws *FlowWorkspace, g *Graph, capL, capR []int) (net 
 	t = nL + nR + 1
 	if ws != nil {
 		net = RebuildNetwork(&ws.net, nL+nR+2, g.NumEdges()+nL+nR)
-		ws.edgeArc = growI32(ws.edgeArc, g.NumEdges())
+		ws.edgeArc = grow(ws.edgeArc, g.NumEdges())
 		edgeArc = ws.edgeArc
 	} else {
 		net = NewFlowNetwork(nL+nR+2, g.NumEdges()+nL+nR)

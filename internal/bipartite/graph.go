@@ -92,8 +92,8 @@ func (g *Graph) ensureAdj() {
 	if !g.dirty {
 		return
 	}
-	offL := growI32(g.offL, g.nL+1)
-	offR := growI32(g.offR, g.nR+1)
+	offL := grow(g.offL, g.nL+1)
+	offR := grow(g.offR, g.nR+1)
 	clear(offL)
 	clear(offR)
 	for i := range g.edges {
@@ -106,8 +106,8 @@ func (g *Graph) ensureAdj() {
 	for r := 0; r < g.nR; r++ {
 		offR[r+1] += offR[r]
 	}
-	adjL := growI32(g.adjL, len(g.edges))
-	adjR := growI32(g.adjR, len(g.edges))
+	adjL := grow(g.adjL, len(g.edges))
+	adjR := grow(g.adjR, len(g.edges))
 	for i := range g.edges {
 		e := &g.edges[i]
 		adjL[offL[e.L]] = int32(i)

@@ -446,10 +446,10 @@ func (m *DeltaMatcher) Reoptimize() (int, error) {
 		return 0, nil
 	}
 	ids := 1 + 2*max(len(m.capL), len(m.capR))
-	dist := growI64(m.dist, ids)
-	prevK := growI8(m.prevK, ids)
-	prevI := growI32(m.prevI, ids)
-	heapPos := growI32(m.heapPos, ids)
+	dist := grow(m.dist, ids)
+	prevK := grow(m.prevK, ids)
+	prevI := grow(m.prevI, ids)
+	heapPos := grow(m.heapPos, ids)
 	m.dist, m.prevK, m.prevI, m.heapPos = dist, prevK, prevI, heapPos
 
 	augmentations := 0
@@ -631,11 +631,11 @@ func (m *DeltaMatcher) augmentPath(target int32, prevK []int8, prevI []int32) in
 // reset clears the matcher to an empty instance with nL left and nR right
 // slots, reusing every arena.
 func (m *DeltaMatcher) reset(nL, nR int) {
-	m.capL = growI64(m.capL, nL)
-	m.srcFlow = growI64(m.srcFlow, nL)
-	m.potL = growI64(m.potL, nL)
-	m.balL = growI32(m.balL, nL)
-	m.aliveL = growBool(m.aliveL, nL)
+	m.capL = grow(m.capL, nL)
+	m.srcFlow = grow(m.srcFlow, nL)
+	m.potL = grow(m.potL, nL)
+	m.balL = grow(m.balL, nL)
+	m.aliveL = grow(m.aliveL, nL)
 	clear(m.srcFlow)
 	clear(m.balL)
 	for i := range m.aliveL {
@@ -649,11 +649,11 @@ func (m *DeltaMatcher) reset(nL, nR int) {
 		m.adjL[i] = m.adjL[i][:0]
 	}
 
-	m.capR = growI64(m.capR, nR)
-	m.snkFlow = growI64(m.snkFlow, nR)
-	m.potR = growI64(m.potR, nR)
-	m.balR = growI32(m.balR, nR)
-	m.aliveR = growBool(m.aliveR, nR)
+	m.capR = grow(m.capR, nR)
+	m.snkFlow = grow(m.snkFlow, nR)
+	m.potR = grow(m.potR, nR)
+	m.balR = grow(m.balR, nR)
+	m.aliveR = grow(m.aliveR, nR)
 	clear(m.snkFlow)
 	clear(m.balR)
 	for i := range m.aliveR {

@@ -43,7 +43,7 @@ func (f *FlowNetwork) MinCostFlowWS(s, t int, maxFlow int64, stopAtNonNegative b
 		panic("bipartite: MinCostFlow with s == t")
 	}
 	f.ensureAdj()
-	pot := growI64(ws.pot, f.n)
+	pot := grow(ws.pot, f.n)
 	f.initPotentials(s, pot)
 	ws.pot = pot
 	return f.minCostFlowLoop(s, t, maxFlow, stopAtNonNegative, ws)
@@ -57,9 +57,9 @@ func (f *FlowNetwork) MinCostFlowWS(s, t int, maxFlow int64, stopAtNonNegative b
 // final potentials are valid for, which is what the warm path checks.
 func (f *FlowNetwork) minCostFlowLoop(s, t int, maxFlow int64, stopAtNonNegative bool, ws *FlowWorkspace) MCMFResult {
 	pot := ws.pot[:f.n]
-	dist := growI64(ws.dist, f.n)
-	prevArc := growI32(ws.prevArc, f.n)
-	inHeap := growI32(ws.heapPos, f.n) // position in heap + 1; 0 = absent
+	dist := grow(ws.dist, f.n)
+	prevArc := grow(ws.prevArc, f.n)
+	inHeap := grow(ws.heapPos, f.n) // position in heap + 1; 0 = absent
 	h := heap64{es: ws.heapEs[:0], pos: inHeap}
 	ws.dist, ws.prevArc = dist, prevArc
 

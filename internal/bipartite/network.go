@@ -112,7 +112,7 @@ func (f *FlowNetwork) ensureAdj() {
 	for a, p := range f.posOfArc {
 		f.raw[a].cap = f.es[p].cap
 	}
-	off := growI32(f.adjOff, f.n+1)
+	off := grow(f.adjOff, f.n+1)
 	clear(off)
 	for a := range f.raw {
 		off[f.raw[a^1].to+1]++
@@ -120,8 +120,8 @@ func (f *FlowNetwork) ensureAdj() {
 	for v := 0; v < f.n; v++ {
 		off[v+1] += off[v]
 	}
-	es := growArcs(f.es, len(f.raw))
-	posOfArc := growI32(f.posOfArc, len(f.raw))
+	es := grow(f.es, len(f.raw))
+	posOfArc := grow(f.posOfArc, len(f.raw))
 	for a := range f.raw {
 		u := f.raw[a^1].to
 		p := off[u]
@@ -133,7 +133,7 @@ func (f *FlowNetwork) ensureAdj() {
 		off[v] = off[v-1]
 	}
 	off[0] = 0
-	pairPos := growI32(f.pairPos, len(f.raw))
+	pairPos := grow(f.pairPos, len(f.raw))
 	for a, p := range posOfArc {
 		pairPos[p] = posOfArc[a^1]
 	}

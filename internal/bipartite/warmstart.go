@@ -63,7 +63,7 @@ func (f *FlowNetwork) MinCostFlowWarmWS(s, t int, maxFlow int64, stopAtNonNegati
 			return f.minCostFlowLoop(s, t, maxFlow, stopAtNonNegative, ws), info
 		}
 	}
-	pot := growI64(ws.pot, f.n)
+	pot := grow(ws.pot, f.n)
 	f.initPotentials(s, pot)
 	ws.pot = pot
 	return f.minCostFlowLoop(s, t, maxFlow, stopAtNonNegative, ws), info

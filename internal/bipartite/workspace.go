@@ -72,41 +72,12 @@ func releaseFlowWorkspace(ws *FlowWorkspace, pooled bool) {
 	}
 }
 
-// The grow helpers return a length-n slice backed by buf when it is large
-// enough, a fresh allocation otherwise.  Contents are unspecified; callers
+// grow returns a length-n slice backed by buf when it is large enough, an
+// exact-size fresh allocation otherwise.  Contents are unspecified; callers
 // that need zeroed or sentinel-filled memory initialise explicitly.
-
-func growI32(buf []int32, n int) []int32 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int32, n)
-}
-
-func growI8(buf []int8, n int) []int8 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int8, n)
-}
-
-func growI64(buf []int64, n int) []int64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int64, n)
-}
-
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]bool, n)
-}
-
-func growArcs(buf []flowArc, n int) []flowArc {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]flowArc, n)
+	return make([]T, n)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/benefit"
@@ -171,4 +173,27 @@ func TestFilterProblemMatchesRebuild(t *testing.T) {
 	if covered != len(fp.Edges) {
 		t.Fatalf("filtered AdjT covers %d of %d edges", covered, len(fp.Edges))
 	}
+}
+
+// TestBuildChunkPanicIsContained pins that a scorer panicking on a build
+// chunk goroutine re-panics on the caller, where the serving round's panic
+// fence turns it into an error, instead of crashing the process.  The last
+// worker's accuracy vector is cut short behind the model's back, so
+// scoring its first edge indexes past it.
+func TestBuildChunkPanicIsContained(t *testing.T) {
+	in := market.MustGenerate(market.FreelanceTraceConfig(40, 30), 1)
+	model, err := benefit.NewModel(in, benefit.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *in
+	bad.Workers = append([]market.Worker(nil), in.Workers...)
+	bad.Workers[len(bad.Workers)-1].Accuracy = nil
+	p := &Problem{In: &bad, Model: model}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index out of range") {
+			t.Fatalf("recovered %v, want the chunk's panic", r)
+		}
+	}()
+	p.build(3, nil)
 }

@@ -26,9 +26,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/benefit"
 	"repro/internal/bipartite"
@@ -116,8 +114,9 @@ type Problem struct {
 type buildScratch struct {
 	catOff, catTasks, catCur []int32
 	workersPerCat            []int32
-	bounds                   []int
-	seen                     []int32 // per chunk and category; see build
+	bounds                   []int          // chunk k fills workers [bounds[k], bounds[k+1])
+	seen                     []int32        // per chunk and category; see build
+	src                      *refreshSource // the refresh being built, or nil
 
 	// built is set once Edges and the CSR arrays are a complete build of
 	// In: the precondition for refreshing from them.
@@ -171,7 +170,9 @@ func newProblemProcs(in *market.Instance, params benefit.Params, procs int) (*Pr
 // size), then scoring into the precomputed disjoint ranges.  With a
 // non-nil src the second pass is a refresh: a surviving worker's row is
 // copied from its previous row, and only its edges to arriving tasks are
-// scored (see RebuildProblem).
+// scored (see RebuildProblem).  The second pass runs in worker chunks on
+// forChunks, so a panic in any chunk re-raises here, on the caller's
+// goroutine, with the Problem left unbuilt.
 func (p *Problem) build(procs int, src *refreshSource) {
 	in := p.In
 	nW, nT, nC := in.NumWorkers(), in.NumTasks(), in.NumCategories
@@ -184,7 +185,7 @@ func (p *Problem) build(procs int, src *refreshSource) {
 
 	// CSR bucket of tasks by category; task ids ascend within each bucket
 	// because tasks are visited in id order.
-	p.bs.catOff = growI32(p.bs.catOff, nC+1)
+	p.bs.catOff = grow(p.bs.catOff, nC+1)
 	catOff := p.bs.catOff
 	clear(catOff)
 	for j := range in.Tasks {
@@ -193,9 +194,9 @@ func (p *Problem) build(procs int, src *refreshSource) {
 	for c := 0; c < nC; c++ {
 		catOff[c+1] += catOff[c]
 	}
-	p.bs.catTasks = growI32(p.bs.catTasks, nT)
+	p.bs.catTasks = grow(p.bs.catTasks, nT)
 	catTasks := p.bs.catTasks
-	p.bs.catCur = growI32(p.bs.catCur, nC)
+	p.bs.catCur = grow(p.bs.catCur, nC)
 	catCur := p.bs.catCur
 	copy(catCur, catOff[:nC])
 	for j := range in.Tasks {
@@ -206,7 +207,7 @@ func (p *Problem) build(procs int, src *refreshSource) {
 	if src != nil {
 		// Arriving tasks hold the largest indices, so they are the tail of
 		// each category's bucket.
-		p.bs.arrFrom = growI32(p.bs.arrFrom, nC)
+		p.bs.arrFrom = grow(p.bs.arrFrom, nC)
 		copy(p.bs.arrFrom, catOff[1:])
 		for j := src.firstArrT; j < nT; j++ {
 			p.bs.arrFrom[in.Tasks[j].Category]--
@@ -223,9 +224,9 @@ func (p *Problem) build(procs int, src *refreshSource) {
 		offW, edges = p.bs.spareOffW, p.bs.spareEdges
 		p.bs.spareOffW, p.bs.spareEdges = p.offW, p.Edges
 	}
-	offW = growI32(offW, nW+1)
+	offW = grow(offW, nW+1)
 	offW[0] = 0
-	p.bs.workersPerCat = growI32(p.bs.workersPerCat, nC)
+	p.bs.workersPerCat = grow(p.bs.workersPerCat, nC)
 	workersPerCat := p.bs.workersPerCat
 	clear(workersPerCat)
 	for wi := range in.Workers {
@@ -237,28 +238,23 @@ func (p *Problem) build(procs int, src *refreshSource) {
 		offW[wi+1] = offW[wi] + deg
 	}
 	total := int(offW[nW])
-	offT := growI32(p.offT, nT+1)
+	offT := grow(p.offT, nT+1)
 	offT[0] = 0
 	for j := range in.Tasks {
 		offT[j+1] = offT[j] + workersPerCat[in.Tasks[j].Category]
 	}
 
-	p.Edges = growEdges(edges, total)
-	p.adjW = growI32(p.adjW, total)
-	p.adjT = growI32(p.adjT, total)
+	p.Edges = grow(edges, total)
+	p.adjW = grow(p.adjW, total)
+	p.adjT = grow(p.adjT, total)
 	p.offW, p.offT = offW, offT
 
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-		if total < parallelBuildCutoff {
-			procs = 1
-		}
-	}
-	procs = max(1, min(procs, nW))
+	// Chunks split workers, so there are at most nW of them.
+	procs = min(fanOut(procs, total, parallelBuildCutoff), max(1, nW))
 
 	// Chunk boundaries at edge-count quantiles, so dense workers do not
 	// pile into one goroutine.
-	bounds := growInts(p.bs.bounds, procs+1)
+	bounds := grow(p.bs.bounds, procs+1)
 	p.bs.bounds = bounds
 	bounds[0], bounds[procs] = 0, nW
 	for k := 1; k < procs; k++ {
@@ -271,7 +267,7 @@ func (p *Problem) build(procs int, src *refreshSource) {
 	// edge's slot in its task's list is the number of earlier workers
 	// specialised in that category.  seen[k*nC+c] starts chunk k's count
 	// at the workers of the chunks before it.
-	seen := growI32(p.bs.seen, procs*nC)
+	seen := grow(p.bs.seen, procs*nC)
 	p.bs.seen = seen
 	clear(workersPerCat)
 	for k := 0; k < procs; k++ {
@@ -285,29 +281,14 @@ func (p *Problem) build(procs int, src *refreshSource) {
 
 	// Pass 2: fill rows.  Each chunk owns a contiguous worker range and
 	// therefore a disjoint range of Edges/adjW and disjoint adjT slots, so
-	// the fan-out is race-free and its output independent of goroutine
-	// scheduling.
-	if procs == 1 {
-		p.fillWorkers(0, nW, seen, src)
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < procs; k++ {
-			lo, hi := bounds[k], bounds[k+1]
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int, seen []int32) {
-				defer wg.Done()
-				p.fillWorkers(lo, hi, seen, src)
-			}(lo, hi, seen[k*nC:(k+1)*nC])
-		}
-		wg.Wait()
-	}
+	// the chunks are race-free and the output independent of scheduling.
+	p.bs.src = src
+	forChunks(p, procs, (*Problem).fillWorkers)
+	p.bs.src = nil
 	p.bs.built, p.bs.refreshed = true, src != nil
 }
 
-// fillWorkers writes the rows of workers [lo, hi) into their precomputed
+// fillWorkers writes the rows of chunk k's workers into their precomputed
 // Edges/adjW ranges and slots each edge into its task's adjacency.  seen
 // is the chunk's per-category count of earlier workers, advanced past
 // each worker.  A row is scored; on a refresh, a surviving worker's row
@@ -319,21 +300,22 @@ func (p *Problem) build(procs int, src *refreshSource) {
 // in the scoring loop instead interleaves one cache-missing store per edge
 // with the row's own writes, which stalls the loop once adjT outgrows the
 // cache.
-func (p *Problem) fillWorkers(lo, hi int, seen []int32, src *refreshSource) {
-	nC := p.In.NumCategories
+func (p *Problem) fillWorkers(k int) {
+	nC, src := p.In.NumCategories, p.bs.src
+	seen := p.bs.seen[k*nC : (k+1)*nC]
 	cur := make([]int32, nC)
 	end := make([]int32, nC)
 	at := make([]int32, p.In.NumTasks()) // a row has at most one edge per task
-	for wi := lo; wi < hi; wi++ {
+	for wi := p.bs.bounds[k]; wi < p.bs.bounds[k+1]; wi++ {
 		w := &p.In.Workers[wi]
-		row, k, from := p.offW[wi], int32(0), p.bs.catOff
+		row, copied, from := p.offW[wi], int32(0), p.bs.catOff
 		if src != nil {
 			if pw := src.prevWorker[wi]; pw >= 0 {
-				k = p.copyRow(row, wi, src.edges[src.offW[pw]:src.offW[pw+1]], src.taskAt, seen, at)
+				copied = p.copyRow(row, wi, src.edges[src.offW[pw]:src.offW[pw+1]], src.taskAt, seen, at)
 				from = p.bs.arrFrom
 			}
 		}
-		p.scoreRow(row+k, wi, w, from, seen, cur, end, at[k:])
+		p.scoreRow(row+copied, wi, w, from, seen, cur, end, at[copied:])
 		for i, slot := range at[:p.offW[wi+1]-row] {
 			p.adjT[slot] = row + int32(i)
 		}

@@ -23,7 +23,11 @@ import (
 // indices refer to the Problem being built and solved now.  RebuildProblem
 // and the solvers each validate the delta against their own carried state
 // and fall back to a full build or solve on any mismatch, so a wrong (but
-// well-formed) Delta degrades performance, never correctness.
+// well-formed) Delta degrades performance, never correctness.  A delta
+// carries no weight changes: RebuildProblem copies a row only when its
+// scoring inputs are unchanged, and the incremental solver re-derives
+// re-priced edges with an O(E) sweep (a MaxPayment shift re-prices every
+// edge at once, for example).
 type Delta struct {
 	// PrevWorker[i] is the previous index of current worker i, or -1 when
 	// the worker arrived this round.  len(PrevWorker) == NumWorkers().
@@ -39,19 +43,45 @@ type Delta struct {
 	AddedWorkers []int32
 	// AddedTasks lists current task indices with PrevTask[j] == -1.
 	AddedTasks []int32
-	// ChangedEdges optionally hints current edge indices whose weights
-	// changed.  Advisory only: the incremental solver re-derives weight
-	// changes itself with an O(E) sweep, so correctness never depends on
-	// the caller noticing a change (a MaxPayment shift re-prices every
-	// edge at once, for example).
-	ChangedEdges []int32
 }
 
-// Empty reports whether the delta describes zero churn.
-func (d *Delta) Empty() bool {
-	return d != nil &&
-		len(d.RemovedWorkers) == 0 && len(d.RemovedTasks) == 0 &&
-		len(d.AddedWorkers) == 0 && len(d.AddedTasks) == 0
+// DeltaBetween builds the Delta between two snapshots of one market whose
+// entities keep stable IDs: prevW and curW are the previous and current
+// snapshots' worker IDs by instance index, prevT and curT their task IDs,
+// each list ascending.
+func DeltaBetween(prevW, curW, prevT, curT []int) *Delta {
+	d := &Delta{}
+	d.PrevWorker, d.AddedWorkers, d.RemovedWorkers = diffSortedIDs(prevW, curW)
+	d.PrevTask, d.AddedTasks, d.RemovedTasks = diffSortedIDs(prevT, curT)
+	return d
+}
+
+// diffSortedIDs two-pointer-merges the previous and current sorted ID
+// lists into the Delta's positional encoding: prev[i] is the previous
+// index of current entity i (or -1 if it arrived), added lists current
+// indices of arrivals, removed lists previous indices of departures.
+func diffSortedIDs(prevIDs, curIDs []int) (prev, added, removed []int32) {
+	prev = make([]int32, len(curIDs))
+	i, j := 0, 0
+	for j < len(curIDs) {
+		switch {
+		case i < len(prevIDs) && prevIDs[i] == curIDs[j]:
+			prev[j] = int32(i)
+			i++
+			j++
+		case i < len(prevIDs) && prevIDs[i] < curIDs[j]:
+			removed = append(removed, int32(i))
+			i++
+		default:
+			prev[j] = -1
+			added = append(added, int32(j))
+			j++
+		}
+	}
+	for ; i < len(prevIDs); i++ {
+		removed = append(removed, int32(i))
+	}
+	return prev, added, removed
 }
 
 // DeltaSolver is the incremental extension of Solver: SolveDeltaCtx solves

@@ -61,8 +61,8 @@ func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace
 		return
 	}
 
-	ws.keys = growU64(ws.keys, 2*n)
-	ws.orderTmp = growI32(ws.orderTmp, n)
+	ws.keys = grow(ws.keys, 2*n)
+	ws.orderTmp = grow(ws.orderTmp, n)
 	keys := ws.keys[:n]
 	for k, ei := range idx {
 		keys[k] = orderKey(p.Edges[ei].Weight(kind))

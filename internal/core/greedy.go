@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -75,8 +73,9 @@ const parallelGreedyCutoff = 1 << 15
 // by key (radixSortByKey, the passes of the shared ordering kernel) and
 // taken while they fit.  The walk stops once either side has no slot left.
 //
-// The key, count and scatter passes run over contiguous edge chunks, one
-// goroutine each (see greedyScan); the walk is serial.
+// The key, count and scatter passes run over contiguous edge chunks on
+// forChunks, which re-raises a chunk's panic on the caller; the walk is
+// serial.
 //
 // The selection is bit-identical to ordering every edge with
 // sortEdgesByWeightWS and scanning the full order.  Bucketing is monotone
@@ -94,7 +93,7 @@ func greedyInto(p *Problem, kind WeightKind, ws *Workspace) []int {
 // size.  procs <= 0 selects GOMAXPROCS with the small-market cutoff.
 func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []int {
 	capW, capT := p.capacityWInto(ws), p.capacityTInto(ws)
-	sel := growInts(ws.sel, 0)[:0]
+	sel := grow(ws.sel, 0)[:0]
 	remW, remT := positiveSum(capW), positiveSum(capT)
 	n := len(p.Edges)
 	if n == 0 || remW == 0 || remT == 0 {
@@ -102,13 +101,7 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 		return sel
 	}
 
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-		if n < parallelGreedyCutoff {
-			procs = 1
-		}
-	}
-	procs = min(procs, n)
+	procs = fanOut(procs, n, parallelGreedyCutoff)
 	g := &ws.scan
 	if cap(g.chunks) < procs {
 		g.chunks = make([]greedyChunk, procs)
@@ -117,11 +110,11 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	for k := range g.chunks {
 		g.chunks[k].lo, g.chunks[k].hi = k*n/procs, (k+1)*n/procs
 	}
-	ws.keys = growU64(ws.keys, n)
-	ws.entries = growEntries(ws.entries, n)
+	ws.keys = grow(ws.keys, n)
+	ws.entries = grow(ws.entries, n)
 	g.p, g.kind, g.keys, g.entries = p, kind, ws.keys[:n], ws.entries[:n]
 
-	g.each((*greedyScan).keyChunk)
+	forChunks(g, procs, (*greedyScan).keyChunk)
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for k := range g.chunks {
 		lo, hi = min(lo, g.chunks[k].minKey), max(hi, g.chunks[k].maxKey)
@@ -134,7 +127,7 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	// start[b] is bucket b's offset into entries.  Within a bucket, chunk
 	// k's slots follow chunk k−1's, so each bucket still lists its edges
 	// in ascending index: the scatter stays stable.
-	g.each((*greedyScan).countChunk)
+	forChunks(g, procs, (*greedyScan).countChunk)
 	var start [greedyBuckets + 1]int
 	widest, at := 0, 0
 	for b := 0; b < greedyBuckets; b++ {
@@ -146,7 +139,7 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 		widest = max(widest, at-start[b])
 	}
 	start[greedyBuckets] = at
-	g.each((*greedyScan).scatterChunk)
+	forChunks(g, procs, (*greedyScan).scatterChunk)
 	keys, entries := g.keys, g.entries
 	g.p = nil // the workspace must not pin the problem
 
@@ -157,10 +150,10 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	// sorted as positions into it: equal keys share a bucket, where
 	// positions ascend with edge index.
 	m := widest + greedyBatch
-	ws.batchKeys = growU64(ws.batchKeys, 2*m)
-	ws.batch = growEntries(ws.batch, m)
-	ws.order = growI32(ws.order, m)
-	ws.orderTmp = growI32(ws.orderTmp, m)
+	ws.batchKeys = grow(ws.batchKeys, 2*m)
+	ws.batch = grow(ws.batch, m)
+	ws.order = grow(ws.order, m)
+	ws.orderTmp = grow(ws.orderTmp, m)
 	bkeys, batch := ws.batchKeys[:0:m], ws.batch[:0]
 	for b := 0; b < greedyBuckets && remW > 0 && remT > 0; b++ {
 		for _, e := range entries[start[b]:start[b+1]] {
@@ -218,63 +211,40 @@ type greedyScan struct {
 	chunks  []greedyChunk
 }
 
-// greedyChunk is the edge range [lo, hi) of one pass goroutine, with its
-// key range and per-bucket counts, then scatter cursors.
+// greedyChunk is the edge range [lo, hi) of one pass chunk, with its key
+// range and per-bucket counts, then scatter cursors.
 type greedyChunk struct {
 	lo, hi         int
 	minKey, maxKey uint64
 	next           [greedyBuckets]int
 }
 
-// each runs pass over every chunk: inline for one, one goroutine per chunk
-// otherwise.  A pass that panics re-panics on the calling goroutine, so
-// the solver's panic fence (RunCtx) still contains it.
-func (g *greedyScan) each(pass func(*greedyScan, *greedyChunk)) {
-	if len(g.chunks) == 1 {
-		pass(g, &g.chunks[0])
-		return
-	}
-	panics := make([]any, len(g.chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(g.chunks))
-	for k := range g.chunks {
-		go func(k int) {
-			defer wg.Done()
-			defer func() { panics[k] = recover() }()
-			pass(g, &g.chunks[k])
-		}(k)
-	}
-	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
-		}
-	}
-}
-
-// keyChunk computes the chunk's keys and key range.
-func (g *greedyScan) keyChunk(c *greedyChunk) {
+// keyChunk computes chunk k's keys and key range.
+func (g *greedyScan) keyChunk(k int) {
+	c := &g.chunks[k]
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	keys := g.keys[c.lo:c.hi]
 	for i := range keys {
-		k := orderKey(g.p.Edges[c.lo+i].Weight(g.kind))
-		keys[i] = k
-		lo, hi = min(lo, k), max(hi, k)
+		key := orderKey(g.p.Edges[c.lo+i].Weight(g.kind))
+		keys[i] = key
+		lo, hi = min(lo, key), max(hi, key)
 	}
 	c.minKey, c.maxKey = lo, hi
 }
 
-// countChunk counts the chunk's edges per bucket.
-func (g *greedyScan) countChunk(c *greedyChunk) {
+// countChunk counts chunk k's edges per bucket.
+func (g *greedyScan) countChunk(k int) {
+	c := &g.chunks[k]
 	c.next = [greedyBuckets]int{}
-	for _, k := range g.keys[c.lo:c.hi] {
-		c.next[(k-g.lo)>>g.shift]++
+	for _, key := range g.keys[c.lo:c.hi] {
+		c.next[(key-g.lo)>>g.shift]++
 	}
 }
 
-// scatterChunk places the chunk's edges at its bucket cursors, in index
+// scatterChunk places chunk k's edges at its bucket cursors, in index
 // order.
-func (g *greedyScan) scatterChunk(c *greedyChunk) {
+func (g *greedyScan) scatterChunk(k int) {
+	c := &g.chunks[k]
 	for i := c.lo; i < c.hi; i++ {
 		b := (g.keys[i] - g.lo) >> g.shift
 		e := &g.p.Edges[i]
@@ -305,7 +275,7 @@ func (s Random) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	ws, pooled := acquireWorkspace(s.WS)
 	defer releaseWorkspace(ws, pooled)
 	ws.ints = r.PermInto(ws.ints, len(p.Edges))
-	ws.sel = growInts(ws.sel, 0)[:0]
+	ws.sel = grow(ws.sel, 0)[:0]
 	ws.sel = takeFeasible(p, ws.ints, p.capacityWInto(ws), p.capacityTInto(ws), ws.sel)
 	return copySel(ws.sel), nil
 }
@@ -344,13 +314,13 @@ func (s RoundRobin) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 	capT := p.capacityTInto(ws)
 	chosen := growBoolZero(ws.chosen, len(p.Edges))
 	ws.chosen = chosen
-	ws.sel = growInts(ws.sel, 0)[:0]
+	ws.sel = grow(ws.sel, 0)[:0]
 	sel := ws.sel
 	// cursor[t] rotates over AdjT(t) so repeated slots of the same task go
 	// to different workers; the chosen guard prevents re-taking an edge when
 	// the cursor wraps around.
 	progress := true
-	ws.ints = growInts(ws.ints, p.In.NumTasks())
+	ws.ints = grow(ws.ints, p.In.NumTasks())
 	cursor := ws.ints
 	clear(cursor)
 	for progress {

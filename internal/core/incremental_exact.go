@@ -178,7 +178,7 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 		return 1, false
 	}
 	survivedW, survivedT := 0, 0
-	s.newSlotW = growI32(s.newSlotW, nW)
+	s.newSlotW = grow(s.newSlotW, nW)
 	for i, pi := range d.PrevWorker {
 		if pi < 0 {
 			s.newSlotW[i] = -1
@@ -190,7 +190,7 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 		s.newSlotW[i] = s.slotW[pi]
 		survivedW++
 	}
-	s.newSlotT = growI32(s.newSlotT, nT)
+	s.newSlotT = grow(s.newSlotT, nT)
 	for j, pj := range d.PrevTask {
 		if pj < 0 {
 			s.newSlotT[j] = -1
@@ -217,11 +217,11 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 	}
 
 	// Rebuild the slot → current-index inverses for this round.
-	s.workerOf = growI32(s.workerOf, s.m.NumLeftSlots())
+	s.workerOf = grow(s.workerOf, s.m.NumLeftSlots())
 	for i := range s.workerOf {
 		s.workerOf[i] = -1
 	}
-	s.taskOf = growI32(s.taskOf, s.m.NumRightSlots())
+	s.taskOf = grow(s.taskOf, s.m.NumRightSlots())
 	for i := range s.taskOf {
 		s.taskOf[i] = -1
 	}
@@ -405,11 +405,11 @@ func (s *IncrementalExact) fullSolve(ctx context.Context, p *Problem) ([]int, bi
 		return nil, info, err
 	}
 	nW, nT := p.In.NumWorkers(), p.In.NumTasks()
-	s.slotW = growI32(s.slotW, nW)
+	s.slotW = grow(s.slotW, nW)
 	for i := range s.slotW {
 		s.slotW[i] = int32(i)
 	}
-	s.slotT = growI32(s.slotT, nT)
+	s.slotT = grow(s.slotT, nT)
 	for j := range s.slotT {
 		s.slotT[j] = int32(j)
 	}

@@ -6,7 +6,7 @@ package core_test
 // bit-identical (as the scaled int64 the kernels optimise) to a cold
 // ExactSerial solve of the same round.  The harness draws entities from a
 // fixed pool so a departed worker can return later — the nastiest case for
-// slot reuse — and leaves Delta.ChangedEdges nil on purpose: re-pricing
+// slot reuse.  The Delta carries no weight changes, so re-pricing
 // detection must come from the solver's own O(E) sweep.
 
 import (

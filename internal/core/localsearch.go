@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -34,10 +32,11 @@ import (
 // addable edge at every worker and task — then derives each edge's best
 // move in O(1) from them, making a pass O(E) where the seed's
 // per-edge adjacency rescans were O(E·deg).  Both the table sweeps and the
-// move scan fan out across GOMAXPROCS goroutines over contiguous vertex and
-// edge ranges; the candidate moves are then sorted (gain descending, edge
-// index ascending) and applied serially, skipping any move that touches a
-// worker or task an earlier-applied move already touched.  The conflict
+// move scan run on forChunks, one goroutine per contiguous vertex or edge
+// range, which re-raises a range's panic on the caller.  The candidate
+// moves are then sorted (gain descending, edge index ascending) and
+// applied serially, skipping any move that touches a worker or task an
+// earlier-applied move already touched.  The conflict
 // filter keeps every applied move's frozen-state gain exact, so the
 // objective strictly increases and the outcome is bit-identical for any
 // goroutine count — LocalSearchSerial runs this very code single-threaded,
@@ -139,18 +138,7 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 		maxPasses = 8
 	}
 	nE := len(p.Edges)
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-		if nE < parallelLSCutoff {
-			procs = 1
-		}
-	}
-	if procs > nE {
-		procs = nE
-	}
-	if procs < 1 {
-		procs = 1
-	}
+	procs = fanOut(procs, nE, parallelLSCutoff)
 
 	nW, nT := p.In.NumWorkers(), p.In.NumTasks()
 	// greedyInto left capW/capT at post-greedy residuals — exactly the
@@ -161,16 +149,16 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 	for _, ei := range seed {
 		chosen[ei] = true
 	}
-	ws.edgeWt = growF64(ws.edgeWt, nE)
+	ws.edgeWt = grow(ws.edgeWt, nE)
 	wt := ws.edgeWt
 	for ei := range wt {
 		wt[ei] = p.Edges[ei].Weight(kind)
 	}
 
-	ws.minChosenW = growI32(ws.minChosenW, nW)
-	ws.bestAddW = growI32(ws.bestAddW, nW)
-	ws.minChosenT = growI32(ws.minChosenT, nT)
-	ws.bestAddT = growI32(ws.bestAddT, nT)
+	ws.minChosenW = grow(ws.minChosenW, nW)
+	ws.bestAddW = grow(ws.bestAddW, nW)
+	ws.minChosenT = grow(ws.minChosenT, nT)
+	ws.bestAddT = grow(ws.bestAddT, nT)
 	ws.touchedW = growBoolZero(ws.touchedW, nW)
 	ws.touchedT = growBoolZero(ws.touchedT, nT)
 	if cap(ws.moveBufs) < procs {
@@ -179,13 +167,13 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 	ws.moveBufs = ws.moveBufs[:procs]
 
 	// The shared state lives in the workspace and the sweeps are passed as
-	// method expressions, so a pass allocates nothing (method *values* like
-	// ls.sweepWorkers would each heap-allocate a closure).
+	// method expressions, so a serial pass allocates nothing.
 	ls := &ws.ls
 	*ls = lsState{
 		p: p, wt: wt, chosen: chosen, capW: capW, capT: capT,
 		minChosenW: ws.minChosenW, minChosenT: ws.minChosenT,
 		bestAddW: ws.bestAddW, bestAddT: ws.bestAddT,
+		chunks: procs, moveBufs: ws.moveBufs,
 	}
 
 	for pass := 0; pass < maxPasses; pass++ {
@@ -193,12 +181,12 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 			return nil, ctx.Err() // discard the partial refinement
 		}
 		// Phase 1 (parallel): per-vertex tables against the frozen state.
-		lsParallel(nW, procs, ls, (*lsState).sweepWorkers)
-		lsParallel(nT, procs, ls, (*lsState).sweepTasks)
+		forChunks(ls, procs, (*lsState).sweepWorkers)
+		forChunks(ls, procs, (*lsState).sweepTasks)
 
 		// Phase 2 (parallel): one candidate move per edge, collected into
 		// per-range buffers whose concatenation is ascending in edge index.
-		lsParallel2(nE, procs, ws.moveBufs, ls, (*lsState).scanRange)
+		forChunks(ls, procs, (*lsState).scanChunk)
 		ws.moves = ws.moves[:0]
 		for _, buf := range ws.moveBufs {
 			ws.moves = append(ws.moves, buf...)
@@ -234,8 +222,8 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 	return out, nil
 }
 
-// lsState bundles the shared read-mostly arrays of one local-search run so
-// the parallel sweeps close over a single pointer.
+// lsState bundles the shared read-mostly arrays of one local-search run,
+// which the chunked sweeps share through a single pointer.
 type lsState struct {
 	p          *Problem
 	wt         []float64
@@ -244,13 +232,25 @@ type lsState struct {
 	// Per-pass vertex tables (edge index or -1):
 	minChosenW, minChosenT []int32 // cheapest chosen edge at the vertex
 	bestAddW, bestAddT     []int32 // heaviest unchosen edge whose far side has spare capacity
+
+	chunks   int        // each sweep splits its range into this many chunks
+	moveBufs [][]lsMove // scanChunk's per-chunk candidate moves
 }
 
-// sweepWorkers fills the worker tables for workers [lo, hi).  Strict
+// chunkRange is chunk k's share of [0, n): contiguous ranges of
+// ⌈n/chunks⌉ items, the last one short and any beyond n empty.
+func (ls *lsState) chunkRange(n, k int) (lo, hi int) {
+	size := (n + ls.chunks - 1) / ls.chunks
+	lo = min(k*size, n)
+	return lo, min(lo+size, n)
+}
+
+// sweepWorkers fills the worker tables for chunk k's workers.  Strict
 // comparisons keep the first extremum in adjacency order, which is
 // ascending edge index — the deterministic tie-break.
-func (ls *lsState) sweepWorkers(lo, hi int) {
+func (ls *lsState) sweepWorkers(k int) {
 	p := ls.p
+	lo, hi := ls.chunkRange(p.In.NumWorkers(), k)
 	for w := lo; w < hi; w++ {
 		minC, best := int32(-1), int32(-1)
 		var minWt, bestWt float64
@@ -269,9 +269,10 @@ func (ls *lsState) sweepWorkers(lo, hi int) {
 	}
 }
 
-// sweepTasks fills the task tables for tasks [lo, hi).
-func (ls *lsState) sweepTasks(lo, hi int) {
+// sweepTasks fills the task tables for chunk k's tasks.
+func (ls *lsState) sweepTasks(k int) {
 	p := ls.p
+	lo, hi := ls.chunkRange(p.In.NumTasks(), k)
 	for t := lo; t < hi; t++ {
 		minC, best := int32(-1), int32(-1)
 		var minWt, bestWt float64
@@ -290,14 +291,16 @@ func (ls *lsState) sweepTasks(lo, hi int) {
 	}
 }
 
-// scanRange derives the best move of every edge in [lo, hi) from the vertex
-// tables.  Eligibility rests on two structural facts: worker-task pairs are
-// unique, so a rotate's two takes can never collide on a vertex (the
-// colliding edge would have to be the evicted pair itself), and an
-// exchange's two evictions can never be the same edge (it would have to be
-// the unchosen candidate).
-func (ls *lsState) scanRange(lo, hi int, out []lsMove) []lsMove {
+// scanChunk derives the best move of every edge of chunk k from the vertex
+// tables into moveBufs[k].  Eligibility rests on two structural facts:
+// worker-task pairs are unique, so a rotate's two takes can never collide
+// on a vertex (the colliding edge would have to be the evicted pair
+// itself), and an exchange's two evictions can never be the same edge (it
+// would have to be the unchosen candidate).
+func (ls *lsState) scanChunk(k int) {
 	p := ls.p
+	lo, hi := ls.chunkRange(len(p.Edges), k)
+	out := ls.moveBufs[k][:0]
 	for ei := lo; ei < hi; ei++ {
 		e := &p.Edges[ei]
 		we := ls.wt[ei]
@@ -342,7 +345,7 @@ func (ls *lsState) scanRange(lo, hi int, out []lsMove) []lsMove {
 			}
 		}
 	}
-	return out
+	ls.moveBufs[k] = out
 }
 
 // apply executes mv unless any involved vertex was already touched this
@@ -407,60 +410,4 @@ func (ls *lsState) take(ei int) {
 	ls.chosen[ei] = true
 	ls.capW[ls.p.Edges[ei].W]--
 	ls.capT[ls.p.Edges[ei].T]--
-}
-
-// lsParallel runs f(ls, lo, hi) over [0, n) split into procs contiguous
-// ranges.  f is a method expression, not a method value, so the serial path
-// performs zero allocations.
-func lsParallel(n, procs int, ls *lsState, f func(*lsState, int, int)) {
-	if procs <= 1 || n == 0 {
-		f(ls, 0, n)
-		return
-	}
-	chunk := (n + procs - 1) / procs
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(ls, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// lsParallel2 runs f over [0, n) split into len(bufs) contiguous ranges,
-// giving range k the reusable buffer bufs[k] (reset to length zero) and
-// storing f's result back, so the concatenation of bufs is ordered by range.
-func lsParallel2(n, procs int, bufs [][]lsMove, ls *lsState, f func(*lsState, int, int, []lsMove) []lsMove) {
-	if procs <= 1 || n == 0 {
-		bufs[0] = f(ls, 0, n, bufs[0][:0])
-		for k := 1; k < len(bufs); k++ {
-			bufs[k] = bufs[k][:0]
-		}
-		return
-	}
-	chunk := (n + procs - 1) / procs
-	var wg sync.WaitGroup
-	k := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			bufs[k] = f(ls, lo, hi, bufs[k][:0])
-		}(k, lo, hi)
-		k++
-	}
-	for ; k < len(bufs); k++ {
-		bufs[k] = bufs[k][:0]
-	}
-	wg.Wait()
 }

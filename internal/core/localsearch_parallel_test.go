@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/benefit"
@@ -97,4 +99,19 @@ func TestLocalSearchSerialNeverWorseThanGreedy(t *testing.T) {
 			t.Fatalf("instance %d: local-search-serial %v worse than greedy %v", i, l, g)
 		}
 	}
+}
+
+// TestLocalSearchSweepPanicIsContained pins that a sweep panicking on a
+// chunk goroutine re-panics on the caller, where RunCtx's panic fence
+// turns it into an error, instead of crashing the process.  The last task
+// adjacency entry is pointed past the edges, which only sweepTasks reads.
+func TestLocalSearchSweepPanicIsContained(t *testing.T) {
+	p := MustNewProblem(market.MustGenerate(market.FreelanceTraceConfig(60, 45), 1), benefit.DefaultParams())
+	p.adjT[len(p.adjT)-1] = int32(len(p.Edges))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index out of range") {
+			t.Fatalf("recovered %v, want the sweep's panic", r)
+		}
+	}()
+	localSearchRun(nil, p, MutualWeight, 0, 3, NewWorkspace())
 }

@@ -99,7 +99,9 @@ func Run(p *Problem, s Solver, r *stats.RNG) ([]int, Metrics, error) {
 // RunCtx is Run under a context: deadline-aware solvers (ContextSolver)
 // observe ctx cooperatively and return ctx.Err() once it fires, others run
 // to completion.  A solver panic is contained and surfaced as an error, so
-// a serving loop built on RunCtx survives a broken algorithm.
+// a serving loop built on RunCtx survives a broken algorithm.  That holds
+// at any GOMAXPROCS: the solvers' chunked passes run on forChunks, which
+// re-raises a chunk goroutine's panic here, on the caller's goroutine.
 func RunCtx(ctx context.Context, p *Problem, s Solver, r *stats.RNG) ([]int, Metrics, error) {
 	start := time.Now()
 	sel, err := safeSolve(ctx, p, s, r)

@@ -210,7 +210,7 @@ func (s OnlineTaskGreedy) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	for _, t := range arrival {
 		need := p.In.Tasks[t].Replication
 		adj := p.AdjT(t)
-		ws.order = growI32(ws.order, len(adj))[:0]
+		ws.order = grow(ws.order, len(adj))[:0]
 		order := ws.order
 		for _, ei := range adj {
 			if capW[p.Edges[ei].W] > 0 {
@@ -241,7 +241,7 @@ func appendBestEdges(p *Problem, kind WeightKind, w int, capT []int, sel []int, 
 		return sel
 	}
 	adj := p.AdjW(w)
-	ws.order = growI32(ws.order, len(adj))[:0]
+	ws.order = grow(ws.order, len(adj))[:0]
 	order := ws.order
 	for _, ei := range adj {
 		e := &p.Edges[ei]

@@ -107,7 +107,7 @@ func (p *Problem) refreshFrom(in *market.Instance, params benefit.Params, d *Del
 			return nil
 		}
 	}
-	taskAt := growI32(p.bs.taskAt, old.NumTasks())
+	taskAt := grow(p.bs.taskAt, old.NumTasks())
 	p.bs.taskAt = taskAt
 	for q := range taskAt {
 		taskAt[q] = -1

@@ -81,56 +81,20 @@ func releaseWorkspace(ws *Workspace, pooled bool) {
 	}
 }
 
-// The grow helpers return a length-n slice backed by buf when it is large
-// enough, a fresh allocation otherwise.  Contents are unspecified; callers
-// that need zeroed memory clear explicitly (growBoolZero does it for them).
-// A fresh allocation has capacity withHeadroom(n), so a market that grows
-// a little past its previous maximum does not reallocate its arenas.
+// grow returns a length-n slice backed by buf when it is large enough, a
+// fresh allocation otherwise.  Contents are unspecified; callers that need
+// zeroed memory clear explicitly (growBoolZero does it for them).  A fresh
+// allocation has capacity withHeadroom(n), so a market that grows a little
+// past its previous maximum does not reallocate its arenas.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n, withHeadroom(n))
+}
 
-// withHeadroom is the capacity a grow helper allocates for n: 1/8 more.
+// withHeadroom is the capacity grow allocates for n: 1/8 more.
 func withHeadroom(n int) int { return n + n/8 }
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n, withHeadroom(n))
-}
-
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int32, n, withHeadroom(n))
-}
-
-func growU64(buf []uint64, n int) []uint64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]uint64, n, withHeadroom(n))
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n, withHeadroom(n))
-}
-
-func growEdges(buf []EdgeInfo, n int) []EdgeInfo {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]EdgeInfo, n, withHeadroom(n))
-}
-
-func growEntries(buf []greedyEntry, n int) []greedyEntry {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]greedyEntry, n, withHeadroom(n))
-}
 
 func growBoolZero(buf []bool, n int) []bool {
 	if cap(buf) >= n {
@@ -143,7 +107,7 @@ func growBoolZero(buf []bool, n int) []bool {
 
 // capacityWInto fills ws.capW with the workers' capacities and returns it.
 func (p *Problem) capacityWInto(ws *Workspace) []int {
-	ws.capW = growInts(ws.capW, p.In.NumWorkers())
+	ws.capW = grow(ws.capW, p.In.NumWorkers())
 	for i := range p.In.Workers {
 		ws.capW[i] = p.In.Workers[i].Capacity
 	}
@@ -153,7 +117,7 @@ func (p *Problem) capacityWInto(ws *Workspace) []int {
 // capacityTInto fills ws.capT with the tasks' replication limits and
 // returns it.
 func (p *Problem) capacityTInto(ws *Workspace) []int {
-	ws.capT = growInts(ws.capT, p.In.NumTasks())
+	ws.capT = grow(ws.capT, p.In.NumTasks())
 	for j := range p.In.Tasks {
 		ws.capT[j] = p.In.Tasks[j].Replication
 	}

@@ -554,39 +554,6 @@ func benchSubsetInstance(in *market.Instance, strideW, strideT int) (*market.Ins
 	return out, keptW, keptT
 }
 
-// benchDeltaBetween encodes the positional churn delta from the market
-// whose entity identities are prevIDs to the one with curIDs; both lists
-// are ascending (they are kept-index lists over the same full market).
-func benchDeltaBetween(prevW, curW, prevT, curT []int) *core.Delta {
-	diff := func(prevIDs, curIDs []int) (prev, added, removed []int32) {
-		prev = make([]int32, len(curIDs))
-		i, j := 0, 0
-		for j < len(curIDs) {
-			switch {
-			case i < len(prevIDs) && prevIDs[i] == curIDs[j]:
-				prev[j] = int32(i)
-				i++
-				j++
-			case i < len(prevIDs) && prevIDs[i] < curIDs[j]:
-				removed = append(removed, int32(i))
-				i++
-			default:
-				prev[j] = -1
-				added = append(added, int32(j))
-				j++
-			}
-		}
-		for ; i < len(prevIDs); i++ {
-			removed = append(removed, int32(i))
-		}
-		return prev, added, removed
-	}
-	d := &core.Delta{}
-	d.PrevWorker, d.AddedWorkers, d.RemovedWorkers = diff(prevW, curW)
-	d.PrevTask, d.AddedTasks, d.RemovedTasks = diff(prevT, curT)
-	return d
-}
-
 // runIncrementalSuite measures the delta solving path on the churn grid.
 // Per scale: the cold exact baseline (exact-serial, fresh everything), the
 // warm full solve (exact through a pinned workspace), the incremental
@@ -688,8 +655,8 @@ func runIncrementalSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error
 			for j := range allT {
 				allT[j] = j
 			}
-			dAB := benchDeltaBetween(allW, keptW, allT, keptT)
-			dBA := benchDeltaBetween(keptW, allW, keptT, allT)
+			dAB := core.DeltaBetween(allW, keptW, allT, keptT)
+			dBA := core.DeltaBetween(keptW, allW, keptT, allT)
 			add(churn.name, testing.Benchmark(func(b *testing.B) {
 				s := core.NewIncrementalExact()
 				if _, err := s.Solve(p, nil); err != nil {

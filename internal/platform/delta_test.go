@@ -66,12 +66,6 @@ func TestSnapshotDeltaTracksChurn(t *testing.T) {
 	if len(d.AddedTasks) != 1 || len(d.RemovedTasks) != 0 {
 		t.Fatalf("task churn = added %v removed %v, want one addition", d.AddedTasks, d.RemovedTasks)
 	}
-
-	// After a baseline reset the next delta is nil again.
-	s.ResetDeltaBaseline()
-	if _, _, _, d := s.SnapshotDelta(); d != nil {
-		t.Fatalf("delta after reset: %+v", d)
-	}
 }
 
 // TestSnapshotDeltaConcurrentSubmit races churning Submits against a

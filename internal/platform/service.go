@@ -430,7 +430,9 @@ func (s *Service) snapshot() *shardSolve {
 // reuse cannot be observed.  The panic fence covers construction as well
 // as the solve (core.RunCtx fences the solver itself), so malformed input
 // or an arena-reuse bug in the rebuild path costs one round, not the
-// process.  prev is cleared across the rebuild and stored only once it
+// process.  Construction and the solvers re-raise a panic from any of
+// their chunk goroutines on this one, so the fence holds at any
+// GOMAXPROCS.  prev is cleared across the rebuild and stored only once it
 // succeeds, so a half-built problem is never the next round's base.
 func (s *Service) solve(ctx context.Context, out *shardSolve) {
 	if out.in.NumWorkers() == 0 || out.in.NumTasks() == 0 {

@@ -327,8 +327,8 @@ func (s *State) Snapshot() (*market.Instance, []int, []int) {
 // SnapshotDelta is Snapshot plus per-round churn tracking: it also returns
 // a core.Delta describing how this snapshot differs from the previous
 // SnapshotDelta call — which workers/tasks survived (and at which previous
-// instance index), departed, or arrived.  The first call, and any call
-// after ResetDeltaBaseline, returns a nil delta (no baseline yet).
+// instance index), departed, or arrived.  The first call returns a nil
+// delta (no baseline yet).
 //
 // The delta is advisory in the strict sense: a delta-aware solver
 // re-validates it against its own carried state and re-derives weight
@@ -340,50 +340,11 @@ func (s *State) SnapshotDelta() (*market.Instance, []int, []int, *core.Delta) {
 	in, workerIDs, taskIDs := s.snapshotLocked()
 	var d *core.Delta
 	if s.prevWorkerIDs != nil || s.prevTaskIDs != nil {
-		d = &core.Delta{}
-		d.PrevWorker, d.AddedWorkers, d.RemovedWorkers = diffSortedIDs(s.prevWorkerIDs, workerIDs)
-		d.PrevTask, d.AddedTasks, d.RemovedTasks = diffSortedIDs(s.prevTaskIDs, taskIDs)
+		d = core.DeltaBetween(s.prevWorkerIDs, workerIDs, s.prevTaskIDs, taskIDs)
 	}
 	s.prevWorkerIDs = workerIDs
 	s.prevTaskIDs = taskIDs
 	return in, workerIDs, taskIDs, d
-}
-
-// ResetDeltaBaseline forgets the churn baseline, so the next SnapshotDelta
-// reports no delta (forcing a full solve downstream).  Recovery paths call
-// this for hygiene after replaying a journal.
-func (s *State) ResetDeltaBaseline() {
-	s.mu.Lock()
-	s.prevWorkerIDs, s.prevTaskIDs = nil, nil
-	s.mu.Unlock()
-}
-
-// diffSortedIDs two-pointer-merges the previous and current sorted platform
-// ID lists into the Delta's positional encoding: prev[i] is the previous
-// index of current entity i (or -1 if it arrived), added lists current
-// indices of arrivals, removed lists previous indices of departures.
-func diffSortedIDs(prevIDs, curIDs []int) (prev, added, removed []int32) {
-	prev = make([]int32, len(curIDs))
-	i, j := 0, 0
-	for j < len(curIDs) {
-		switch {
-		case i < len(prevIDs) && prevIDs[i] == curIDs[j]:
-			prev[j] = int32(i)
-			i++
-			j++
-		case i < len(prevIDs) && prevIDs[i] < curIDs[j]:
-			removed = append(removed, int32(i))
-			i++
-		default:
-			prev[j] = -1
-			added = append(added, int32(j))
-			j++
-		}
-	}
-	for ; i < len(prevIDs); i++ {
-		removed = append(removed, int32(i))
-	}
-	return prev, added, removed
 }
 
 // snapshotLocked is Snapshot's body; the caller holds at least a read lock.
