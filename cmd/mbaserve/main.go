@@ -16,8 +16,9 @@
 // CRC32C-framed binary records) and a checkpoint (atomic CRC-checked
 // snapshot + journal compaction) is taken every -snapshot-every rounds,
 // so restart recovery costs O(state + tail) instead of replaying history
-// from genesis.  Appends are group-committed: concurrent submits coalesce
-// into one write + one fsync.  Legacy .jsonl segments are still recovered
+// from genesis.  Submits reach the journal one at a time under the state
+// lock, each as one write (+ one fsync under -fsync always); a batch is
+// one append.  Legacy .jsonl segments are still recovered
 // (the format is sniffed per file) but never appended to; the next event
 // starts a fresh .mbaj segment.
 //
@@ -271,14 +272,10 @@ func main() {
 	}
 	// Bounded retry absorbs transient write blips (a failed event is
 	// rolled back, not half-remembered); fsync policy per the flag.
-	// Group commit coalesces concurrent submits into one write + fsync —
-	// the ack-means-durable contract is unchanged, only the fsync cost is
-	// shared.
 	logOpts := platform.LogOptions{
 		Fsync:        fsync,
 		MaxRetries:   3,
 		RetryBackoff: 2 * time.Millisecond,
-		GroupCommit:  true,
 	}
 	params := benefit.Params{Lambda: *lambda, Beta: 0.5}
 	srvOpts := serverOptions(admission, *maxInflight, *rateHigh, *rateMedium, *rateLow, *seed)

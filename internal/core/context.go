@@ -37,17 +37,29 @@ func SolveWithContext(ctx context.Context, p *Problem, s Solver, r *stats.RNG) (
 	return s.Solve(p, r)
 }
 
-// safeSolve is SolveWithContext with a panic fence: a panicking solver
-// becomes an ordinary error instead of tearing down the serving process.
-// Run and the Degrader's stage runner both sit behind it, so a buggy or
-// adversarial algorithm can at worst fail its own round.
-func safeSolve(ctx context.Context, p *Problem, s Solver, r *stats.RNG) (sel []int, err error) {
+// safeSolve is the one panic-fenced solve dispatch: SolveDeltaCtx when s
+// is a DeltaSolver and d is non-nil (after the same upfront cancellation
+// check SolveWithContext makes), SolveWithContext otherwise.  A panicking
+// solver becomes an ordinary error instead of tearing down the serving
+// process.  Run and the Degrader's stage runner both sit behind it, so a
+// buggy or adversarial algorithm can at worst fail its own round.
+func safeSolve(ctx context.Context, p *Problem, s Solver, d *Delta, r *stats.RNG) (sel []int, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			sel, err = nil, fmt.Errorf("core: solver %s panicked: %v", s.Name(), rec)
 		}
 	}()
-	return SolveWithContext(ctx, p, s, r)
+	ds, ok := s.(DeltaSolver)
+	if !ok || d == nil {
+		return SolveWithContext(ctx, p, s, r)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ds.SolveDeltaCtx(ctx, p, d, r)
 }
 
 // ctxDone reports whether ctx is non-nil and already cancelled or expired —

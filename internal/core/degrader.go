@@ -184,13 +184,7 @@ func (d *Degrader) solveChain(ctx context.Context, p *Problem, delta *Delta, r *
 		if r != nil {
 			stageRNG = r.Split()
 		}
-		var sel []int
-		var err error
-		if ds, ok := s.(DeltaSolver); ok && delta != nil {
-			sel, err = safeSolveDelta(stageCtx, p, ds, delta, stageRNG)
-		} else {
-			sel, err = safeSolve(stageCtx, p, s, stageRNG)
-		}
+		sel, err := safeSolve(stageCtx, p, s, delta, stageRNG)
 		if cancel != nil {
 			cancel()
 		}

@@ -95,35 +95,14 @@ type DeltaSolver interface {
 	SolveDeltaCtx(ctx context.Context, p *Problem, d *Delta, r *stats.RNG) ([]int, error)
 }
 
-// safeSolveDelta is the delta-path twin of safeSolve: panic-fenced,
-// upfront-cancellation-checked.
-func safeSolveDelta(ctx context.Context, p *Problem, s DeltaSolver, d *Delta, r *stats.RNG) (sel []int, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			sel, err = nil, fmt.Errorf("core: solver %s panicked: %v", s.Name(), rec)
-		}
-	}()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.SolveDeltaCtx(ctx, p, d, r)
-}
-
 // RunDeltaCtx is RunCtx for delta-aware solves: when s implements
 // DeltaSolver and a delta is supplied, the solve goes through
-// SolveDeltaCtx; otherwise it degrades transparently to RunCtx.  Every
-// result passes the same feasibility gate and evaluation as RunCtx — the
-// incremental path earns no shortcut around validation.
+// SolveDeltaCtx; otherwise it is exactly RunCtx.  Every result passes the
+// same feasibility gate and evaluation — the incremental path earns no
+// shortcut around validation.
 func RunDeltaCtx(ctx context.Context, p *Problem, s Solver, d *Delta, r *stats.RNG) ([]int, Metrics, error) {
-	ds, ok := s.(DeltaSolver)
-	if !ok || d == nil {
-		return RunCtx(ctx, p, s, r)
-	}
 	start := time.Now()
-	sel, err := safeSolveDelta(ctx, p, ds, d, r)
+	sel, err := safeSolve(ctx, p, s, d, r)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, Metrics{}, fmt.Errorf("core: %s: %w", s.Name(), err)

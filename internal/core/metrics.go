@@ -103,17 +103,5 @@ func Run(p *Problem, s Solver, r *stats.RNG) ([]int, Metrics, error) {
 // at any GOMAXPROCS: the solvers' chunked passes run on forChunks, which
 // re-raises a chunk goroutine's panic here, on the caller's goroutine.
 func RunCtx(ctx context.Context, p *Problem, s Solver, r *stats.RNG) ([]int, Metrics, error) {
-	start := time.Now()
-	sel, err := safeSolve(ctx, p, s, r)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, Metrics{}, fmt.Errorf("core: %s: %w", s.Name(), err)
-	}
-	if err := p.Feasible(sel); err != nil {
-		return nil, Metrics{}, fmt.Errorf("core: %s returned infeasible assignment: %w", s.Name(), err)
-	}
-	m := p.Evaluate(sel)
-	m.Algorithm = s.Name()
-	m.Elapsed = elapsed
-	return sel, m, nil
+	return RunDeltaCtx(ctx, p, s, nil, r)
 }

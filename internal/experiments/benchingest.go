@@ -4,11 +4,11 @@ package experiments
 // platform write path, across the batching strategies of the binary
 // journal.  Three pipelines:
 //
-//   - "binary-single":  one caller appending one event at a time with the
-//     group committer on — the per-event baseline.
+//   - "binary-single":  one caller appending one event at a time — the
+//     per-event baseline.
 //   - "binary-group-parallel": GOMAXPROCS goroutines appending binary
-//     records concurrently — the group committer coalesces their flushes,
-//     so this is the fsync-amortisation win for concurrent writers.
+//     records concurrently — the journal coalesces their flushes, so this
+//     is the fsync-amortisation win for concurrent writers.
 //   - "binary-batch100": the POST /v1/batch backend path, 100 events per
 //     all-or-nothing SubmitBatch — one journal append and one fsync per
 //     hundred events.
@@ -192,7 +192,7 @@ func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 	for _, fs := range fsyncs {
 		add := benchAdder(log, rep, "ingest", sc, 0)
 		for _, m := range modes {
-			opts := platform.LogOptions{GroupCommit: true, Fsync: fs.policy}
+			opts := platform.LogOptions{Fsync: fs.policy}
 			svc, churn, closer, err := newIngestService(cfg, opts)
 			if err != nil {
 				return err
@@ -239,9 +239,9 @@ func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 			add(name, br)
 		}
 
-		// Concurrent appenders against the journal itself: the group
-		// committer folds concurrent writers into shared flushes, which is
-		// where group commit (as opposed to batching) pays off.  Pinned to
+		// Concurrent appenders against the journal itself: the Log folds
+		// concurrent writers into shared flushes, which is where group
+		// commit (as opposed to batching) pays off.  Pinned to
 		// 8 appender goroutines per processor so the entry measures
 		// coalescing even on single-CPU runners.
 		dir, err := os.MkdirTemp("", "mba-ingest-*")
@@ -250,7 +250,7 @@ func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 		}
 		sl, err := platform.OpenSegmentedLog(dir, platform.SegmentOptions{
 			MaxBytes: 64 << 20,
-			Log:      platform.LogOptions{GroupCommit: true, Fsync: fs.policy},
+			Log:      platform.LogOptions{Fsync: fs.policy},
 		})
 		if err != nil {
 			os.RemoveAll(dir)

@@ -33,7 +33,6 @@ func newKillablePrimary(t *testing.T, dir string) (*httptest.Server, *Service, *
 	t.Helper()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1 << 20,
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,6 @@ func newCheckpointedPrimary(t *testing.T, dir string, segBytes int64, keep int) 
 	t.Helper()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: segBytes,
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)

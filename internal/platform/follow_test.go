@@ -25,7 +25,6 @@ func newPrimary(t *testing.T, dir string) (*httptest.Server, *Service) {
 	t.Helper()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1 << 20,
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +143,6 @@ func TestFollowerSyncAndTakeover(t *testing.T) {
 		NumCategories: 3,
 		Segment: SegmentOptions{
 			MaxBytes: 1 << 20,
-			Log:      LogOptions{GroupCommit: true},
 		},
 	})
 	if err != nil {

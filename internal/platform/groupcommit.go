@@ -1,122 +1,91 @@
 package platform
 
-import (
-	"sync"
-	"time"
-)
+// groupCommitMax caps how many callers' appends one flush absorbs.
+const groupCommitMax = 128
 
-// committer is the group-commit engine behind LogOptions.GroupCommit: a
-// single goroutine that drains concurrently queued record buffers into
-// one contiguous write + one fsync.  The caller's Append stays
-// synchronous — commit() blocks until its bytes are durable (or the flush
-// failed) — so the ack-means-durable contract is exactly the synchronous
-// path's; only the fsync cost is amortised across whoever queued in the
-// same window.
-//
-// Failure semantics: every request coalesced into a failing flush gets
-// the same error, and the Log poisons exactly as a synchronous torn write
-// would.  Requests already queued behind a poisoned log are answered
-// ErrLogPoisoned without touching the writer, which is what makes
-// SegmentedLog's heal (truncate to Log.committedBytes) safe to run as
-// soon as any caller observes the poisoning.
-type committer struct {
-	l *Log
-
-	mu     sync.Mutex
-	closed bool
-	reqs   chan commitReq
-
-	exited chan struct{}
-
-	maxBatch int
-	maxDelay time.Duration
-}
-
+// commitReq is one caller queued behind an in-flight flush.  buf is
+// fixed once queued; err and done are guarded by Log.mu.
 type commitReq struct {
 	buf  []byte
-	done chan error
+	err  error
+	done bool
 }
 
-func newCommitter(l *Log) *committer {
-	maxBatch := l.opts.GroupMaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 128
-	}
-	maxDelay := l.opts.GroupWindow
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Millisecond
-	}
-	c := &committer{
-		l:        l,
-		reqs:     make(chan commitReq, maxBatch),
-		exited:   make(chan struct{}),
-		maxBatch: maxBatch,
-		maxDelay: maxDelay,
-	}
-	go c.run()
-	return c
-}
-
-// commit queues buf and blocks until the flush that absorbed it reports.
-func (c *committer) commit(buf []byte) error {
-	req := commitReq{buf: buf, done: make(chan error, 1)}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+// commit makes buf durable by leader-based group commit, on the caller's
+// goroutine.  The first caller to find no flush in flight leads: it
+// writes its own records plus whatever callers queued meanwhile (up to
+// groupCommitMax in all) as one write and one fsync, answers every queued
+// caller of that flush with the same error, and hands the next flush to
+// the front of the queue.  A lone append is therefore one inline write;
+// concurrent appends coalesce.  commit returns once buf's flush has
+// reported, so an ack still means durable.
+//
+// Failure semantics: every caller coalesced into a failing flush gets the
+// same error, and the Log poisons exactly as a lone torn write would.
+// Callers queued behind a poisoned log are answered ErrLogPoisoned
+// without touching the writer, which is what makes SegmentedLog's heal
+// (truncate to Log.committedBytes) safe to run as soon as any caller
+// observes the poisoning.
+func (l *Log) commit(buf []byte) error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
 		return ErrLogClosed
 	}
-	c.reqs <- req
-	c.mu.Unlock()
-	return <-req.done
-}
-
-// stop closes the queue and waits for the worker to flush what it already
-// accepted.  Idempotent.
-func (c *committer) stop() {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.reqs)
+	if l.flushing || len(l.queue) > 0 {
+		self := &commitReq{buf: buf}
+		l.queue = append(l.queue, self)
+		for !self.done && (l.flushing || l.queue[0] != self) {
+			l.flushed.Wait()
+		}
+		if self.done {
+			l.mu.Unlock()
+			return self.err
+		}
+		// Front of the queue with no flush in flight: lead the next one.
+		l.queue[0] = nil
+		l.queue = l.queue[1:]
 	}
-	c.mu.Unlock()
-	<-c.exited
-}
+	batch := l.queue[:min(len(l.queue), groupCommitMax-1)]
+	l.queue = l.queue[len(batch):]
+	l.flushing = true
+	l.mu.Unlock()
 
-// run is the committer goroutine: take one request, then drain whatever
-// else is already queued (bounded by maxBatch records and maxDelay of
-// draining — never waiting idly: an empty queue flushes immediately, so
-// the only latency a lone Append pays is the write+fsync itself).
-func (c *committer) run() {
-	defer close(c.exited)
-	var buf []byte
-	batch := make([]commitReq, 0, c.maxBatch)
-	for req := range c.reqs {
-		batch = append(batch[:0], req)
-		buf = append(buf[:0], req.buf...)
-		deadline := time.Now().Add(c.maxDelay)
-	drain:
-		for len(batch) < c.maxBatch && time.Now().Before(deadline) {
-			select {
-			case more, ok := <-c.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-				buf = append(buf, more.buf...)
-			default:
-				break drain
-			}
-		}
-		var err error
-		if c.l.Poisoned() {
-			// A previous flush tore the stream; nothing more may be
-			// written after the corruption point.
-			err = ErrLogPoisoned
-		} else {
-			err = c.l.commitBytes(buf)
-		}
+	if len(batch) > 0 {
+		joined := append([]byte(nil), buf...)
 		for _, r := range batch {
-			r.done <- err
+			joined = append(joined, r.buf...)
 		}
+		buf = joined
 	}
+	// A poisoned stream takes no more writes: anything after the tear
+	// would be lost to recovery.
+	err := ErrLogPoisoned
+	if !l.Poisoned() {
+		err = l.commitBytes(buf)
+	}
+
+	l.mu.Lock()
+	for i, r := range batch {
+		r.err, r.done = err, true
+		batch[i] = nil // the queue's array must not pin answered buffers
+	}
+	l.flushing = false
+	l.flushed.Broadcast()
+	l.mu.Unlock()
+	return err
+}
+
+// Close marks the log closed and waits until every append it already
+// accepted has flushed.  Appends after Close return ErrLogClosed.  The
+// underlying writer stays open (the caller owns it), and a Log holds no
+// goroutine, so an unclosed Log leaks nothing.
+func (l *Log) Close() error {
+	l.mu.Lock()
+	l.closed = true
+	for l.flushing || len(l.queue) > 0 {
+		l.flushed.Wait()
+	}
+	l.mu.Unlock()
+	return nil
 }

@@ -1,18 +1,21 @@
 package platform
 
 // Group-commit tests: concurrent appends coalesce without losing or
-// reordering anything durable, a torn flush poisons exactly like the
-// synchronous path, and the segmented heal removes every byte of a failed
-// flush while keeping every acked record.  The property test is the
-// core guarantee: under a flaky writer, whatever was acked is recoverable
-// and the recovered stream is byte-identical to a serial re-append.
+// reordering anything durable, a torn flush poisons exactly like a lone
+// torn append, Close waits for the flush in flight, and the segmented heal
+// removes every byte of a failed flush while keeping every acked record.
+// The property test is the core guarantee: under a flaky writer, whatever
+// was acked is recoverable and the recovered stream is byte-identical to
+// a serial re-append.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 )
@@ -27,11 +30,169 @@ func groupWorker(id int) Event {
 	return NewWorkerJoined(w)
 }
 
+// gatedWriter records every write and holds the first one until release
+// is closed, so a test can queue appenders behind a flush in flight.
+type gatedWriter struct {
+	entered chan struct{} // closed once the first write is in progress
+	release chan struct{}
+	writes  [][]byte
+}
+
+func newGatedWriter() *gatedWriter {
+	return &gatedWriter{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.writes = append(g.writes, append([]byte(nil), p...))
+	if len(g.writes) == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	return len(p), nil
+}
+
+// waitLog polls l under its mutex until cond holds.
+func waitLog(t *testing.T, l *Log, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l.mu.Lock()
+		ok := cond()
+		l.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGroupCommitCoalescesBehindFlush blocks the first flush of a plain
+// NewLog, queues n appenders behind it and releases: the queue drains in
+// flushes of at most groupCommitMax appends, the first queued caller
+// leading with its own record in front.
+func TestGroupCommitCoalescesBehindFlush(t *testing.T) {
+	for _, tc := range []struct {
+		queued int
+		want   []int // records per write after the gated first one
+	}{
+		{queued: 8, want: []int{8}},
+		{queued: groupCommitMax + 72, want: []int{groupCommitMax, 72}},
+	} {
+		t.Run(fmt.Sprintf("queued%d", tc.queued), func(t *testing.T) {
+			g := newGatedWriter()
+			l := NewLog(g)
+			first := make(chan error, 1)
+			go func() { first <- l.Append(groupWorker(1)) }()
+			<-g.entered
+
+			errs := make(chan error, tc.queued)
+			for i := 0; i < tc.queued; i++ {
+				go func(id int) { errs <- l.Append(groupWorker(id)) }(i + 2)
+			}
+			waitLog(t, l, "appenders to queue", func() bool { return len(l.queue) == tc.queued })
+			close(g.release)
+
+			if err := <-first; err != nil {
+				t.Fatalf("gated append: %v", err)
+			}
+			for i := 0; i < tc.queued; i++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("queued append: %v", err)
+				}
+			}
+			if len(g.writes) != 1+len(tc.want) {
+				t.Fatalf("%d writes, want %d", len(g.writes), 1+len(tc.want))
+			}
+			for i, want := range tc.want {
+				flush := append([]byte(binaryLogMagic), g.writes[i+1]...)
+				events, err := ReadLog(bytes.NewReader(flush))
+				if err != nil {
+					t.Fatalf("write %d: %v", i+1, err)
+				}
+				if len(events) != want {
+					t.Fatalf("write %d carried %d records, want %d", i+1, len(events), want)
+				}
+			}
+			events, err := ReadLog(bytes.NewReader(bytes.Join(g.writes, nil)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != tc.queued+1 {
+				t.Fatalf("recovered %d events, want %d", len(events), tc.queued+1)
+			}
+		})
+	}
+}
+
+// TestGroupCommitCloseWaitsForFlush: Close blocks while a flush is in
+// flight, appends from the moment it starts are refused, and the flush it
+// waited for is still acked and durable.
+func TestGroupCommitCloseWaitsForFlush(t *testing.T) {
+	g := newGatedWriter()
+	l := NewLog(g)
+	first := make(chan error, 1)
+	go func() { first <- l.Append(groupWorker(1)) }()
+	<-g.entered
+
+	closed := make(chan struct{})
+	go func() {
+		l.Close()
+		close(closed)
+	}()
+	waitLog(t, l, "Close to start", func() bool { return l.closed })
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a flush was in flight")
+	default:
+	}
+	if err := l.Append(groupWorker(2)); !errors.Is(err, ErrLogClosed) {
+		t.Fatalf("append during Close: %v, want ErrLogClosed", err)
+	}
+
+	close(g.release)
+	<-closed
+	if err := <-first; err != nil {
+		t.Fatalf("flush Close waited for: %v", err)
+	}
+	if err := l.Append(groupWorker(3)); !errors.Is(err, ErrLogClosed) {
+		t.Fatalf("append after Close: %v, want ErrLogClosed", err)
+	}
+	events, err := ReadLog(bytes.NewReader(bytes.Join(g.writes, nil)))
+	if err != nil || len(events) != 1 {
+		t.Fatalf("recovered %d events (%v), want 1", len(events), err)
+	}
+}
+
+// TestGroupCommitStartsNoGoroutine: a Log commits on its callers'
+// goroutines, so building one and appending leaves the goroutine count
+// where it was.  Goroutines left over from earlier tests may still be
+// exiting, so a drop is tolerated and a rise is retried a few times
+// before it fails.
+func TestGroupCommitStartsNoGoroutine(t *testing.T) {
+	var before, after int
+	for attempt := 0; attempt < 5; attempt++ {
+		var buf bytes.Buffer
+		before = runtime.NumGoroutine()
+		l := NewLog(&buf)
+		if err := l.Append(groupWorker(1)); err != nil {
+			t.Fatal(err)
+		}
+		after = runtime.NumGoroutine()
+		if after <= before {
+			return
+		}
+	}
+	t.Fatalf("NewLog + Append: %d goroutines, %d before", after, before)
+}
+
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		const goroutines, perG = 8, 50
 		var buf bytes.Buffer
-		l := NewLogWithOptions(&buf, LogOptions{GroupCommit: true})
+		l := NewLog(&buf)
 		var wg sync.WaitGroup
 		errs := make(chan error, goroutines*perG)
 		for g := 0; g < goroutines; g++ {
@@ -72,7 +233,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 
 func TestGroupCommitClosedAndPoisoned(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogWithOptions(&buf, LogOptions{GroupCommit: true})
+	l := NewLog(&buf)
 	if err := l.Append(groupWorker(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +250,7 @@ func TestGroupCommitClosedAndPoisoned(t *testing.T) {
 	var torn bytes.Buffer
 	fw := faultinject.NewFlakyWriter(&torn, faultinject.Once(0))
 	fw.Partial = true
-	lp := NewLogWithOptions(fw, LogOptions{GroupCommit: true})
+	lp := NewLog(fw)
 	if err := lp.Append(groupWorker(1)); err == nil {
 		t.Fatal("torn flush reported success")
 	}
@@ -127,7 +288,7 @@ func TestGroupCommitFlakyProperty(t *testing.T) {
 			var buf bytes.Buffer
 			fw := faultinject.NewFlakyWriter(&buf, faultinject.Seeded(seed, 0.05))
 			fw.Partial = true
-			l := NewLogWithOptions(fw, LogOptions{GroupCommit: true})
+			l := NewLog(fw)
 
 			var mu sync.Mutex
 			acked := map[int]bool{}
@@ -198,7 +359,6 @@ func TestSegmentedGroupCommitHealKeepsAcked(t *testing.T) {
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1 << 20,
 		Hook:     &flakyHook{point: CrashSegmentWrite, hit: 3},
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +412,6 @@ func TestSegmentedGroupCommitRotation(t *testing.T) {
 	dir := t.TempDir()
 	sl, err := OpenSegmentedLog(dir, SegmentOptions{
 		MaxBytes: 1024,
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,15 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Journal is the sink Service journals applied events into.  *Log (one
 // stream) and *SegmentedLog (rotating directory) both implement it.
-// AppendBatch lands the events as one contiguous append — one write, and
-// under FsyncAlways one fsync — or, on error, leaves none of them durably
-// in the journal.  It is called under the state mutex
+// AppendBatch lands the events as one contiguous run of records — in one
+// write, and under FsyncAlways one fsync, shared with whatever concurrent
+// appends coalesced into the same flush — or, on error, leaves none of
+// them durably in the journal.  It is called under the state mutex
 // (State.ApplyBatchJournaled), so implementations see events in strictly
 // increasing sequence order; a single event arrives as a batch of one.
 type Journal interface {
@@ -60,19 +62,9 @@ type LogOptions struct {
 	Syncer interface{ Sync() error }
 	// Format is ignored: every stream is written binary (binlog.go).
 	Format JournalFormat
-	// GroupCommit runs Appends through a committer goroutine that
-	// coalesces concurrent calls into one write + one fsync
-	// (groupcommit.go).  Append stays synchronous for the caller and the
-	// poisoning contract is unchanged; a Log with group commit enabled
-	// must be Closed to stop the goroutine.
+	// GroupCommit is ignored: every Log group-commits concurrent appends
+	// (groupcommit.go).
 	GroupCommit bool
-	// GroupMaxBatch caps how many pending appends one flush absorbs; 0
-	// means 128.
-	GroupMaxBatch int
-	// GroupWindow bounds how long the committer keeps draining newly
-	// arriving appends into the current flush; 0 means 2ms.  It is a cap,
-	// not a delay: a lone Append flushes immediately.
-	GroupWindow time.Duration
 }
 
 // ErrLogPoisoned marks a journal that failed partway through a record.
@@ -87,36 +79,43 @@ var ErrLogPoisoned = errors.New("platform: journal poisoned by a partial line wr
 // (*os.File implements it).
 type syncer interface{ Sync() error }
 
-// ErrLogClosed is returned by Append on a Log whose group committer has
-// been stopped (Close, or SegmentedLog sealing the segment out from under
-// a racing caller — that path retries on the fresh segment).
+// ErrLogClosed is returned by Append on a closed Log (Close, or
+// SegmentedLog sealing the segment out from under a racing caller — that
+// path retries on the fresh segment).
 var ErrLogClosed = errors.New("platform: log closed")
 
 // Log is an append-only event log in the framed binary format
 // (binlog.go).  A torn final record (crash mid-write) is detected and
 // reported with its offset rather than silently corrupting a replay.
 //
-// Without group commit, Log methods are not safe for concurrent use; the
-// platform serialises appends under the state mutex
-// (State.ApplyBatchJournaled), which is also what keeps journal order
-// identical to sequence order.
-// With GroupCommit enabled, Append and AppendBatch may be called
-// concurrently — the committer serialises the writes.
+// Append, AppendBatch and Close are safe for concurrent use: concurrent
+// appends coalesce into shared flushes (groupcommit.go).  Journal order is
+// flush order; the platform keeps it identical to sequence order by
+// appending under the state mutex (State.ApplyBatchJournaled).
 type Log struct {
 	w    io.Writer
 	opts LogOptions
 	// headerPending is true while the stream still owes its magic;
 	// it is fused into the first commit so an empty file never holds a
-	// bare header that a torn first record would strand.
+	// bare header that a torn first record would strand.  Only the flush
+	// leader touches it.
 	headerPending bool
 	// committed counts bytes of fully-successful commits (magic included).
-	// Only the committing goroutine advances it; SegmentedLog reads it
+	// Only the flush leader advances it; SegmentedLog reads it
 	// concurrently — after a failed commit to find the truncation point
 	// that removes every byte of the failed flush, and while streaming the
 	// active segment to bound reads to never-truncated bytes.
 	committed atomic.Int64
 	poisoned  atomic.Bool
-	gc        *committer
+
+	// The commit queue (groupcommit.go), guarded by mu: flushing is set
+	// while a leader writes, queue holds the callers waiting behind it,
+	// and flushed is broadcast whenever a flush reports.
+	mu       sync.Mutex
+	flushed  sync.Cond
+	flushing bool
+	closed   bool
+	queue    []*commitReq
 }
 
 // NewLog starts appending to w with zero-value options.  The caller owns
@@ -137,9 +136,7 @@ func newLogAt(w io.Writer, opts LogOptions, headerWritten bool) *Log {
 		opts:          opts,
 		headerPending: !headerWritten,
 	}
-	if opts.GroupCommit {
-		l.gc = newCommitter(l)
-	}
+	l.flushed.L = &l.mu
 	return l
 }
 
@@ -147,29 +144,19 @@ func newLogAt(w io.Writer, opts LogOptions, headerWritten bool) *Log {
 // unappendable (see ErrLogPoisoned).
 func (l *Log) Poisoned() bool { return l.poisoned.Load() }
 
-// Close stops the group-commit worker, flushing whatever it already
-// accepted.  The underlying writer stays open (the caller owns it); a Log
-// without group commit has nothing to stop and Close is a no-op.  Appends
-// after Close return ErrLogClosed.
-func (l *Log) Close() error {
-	if l.gc != nil {
-		l.gc.stop()
-	}
-	return nil
-}
-
 // Append writes one event: a batch of one.
 func (l *Log) Append(e Event) error { return l.AppendBatch([]Event{e}) }
 
 // AppendBatch writes events as one contiguous run of records with a
-// single write and (under FsyncAlways) a single fsync, retrying transient
+// single write and (under FsyncAlways) a single fsync — shared with
+// concurrent callers coalesced into the same flush — retrying transient
 // write failures on the unwritten suffix.  An error return means no record
 // of the batch is durably in the log: either nothing of it was written
 // (retryable — the log stays record-aligned) or the log is poisoned.  A
-// poisoned group-commit log may hold whole records of the failed flush
-// (other callers' as well as this one's) past the last committed offset;
-// every caller in that flush got the error, and SegmentedLog heals by
-// truncating to the committed offset so memory and disk agree.
+// poisoned log may hold whole records of the failed flush (other callers'
+// as well as this one's) past the last committed offset; every caller in
+// that flush got the error, and SegmentedLog heals by truncating to the
+// committed offset so memory and disk agree.
 func (l *Log) AppendBatch(events []Event) error {
 	if len(events) == 0 {
 		return nil
@@ -187,22 +174,18 @@ func (l *Log) AppendBatch(events []Event) error {
 			return fmt.Errorf("platform: event %d: %w", i, err)
 		}
 	}
-	if l.gc != nil {
-		return l.gc.commit(buf)
-	}
-	return l.commitBytes(buf)
+	return l.commit(buf)
 }
 
 // committedBytes is the stream offset after the last fully-successful
-// commit — the heal target after a failed group flush.  Callers must
-// order the read after the failing commit's reply (SegmentedLog does, via
-// the committer's done channel).
+// commit — the heal target after a failed flush.  Callers must order the
+// read after the failing commit returned (SegmentedLog reads it once
+// AppendBatch has).
 func (l *Log) committedBytes() int64 { return l.committed.Load() }
 
 // commitBytes is the single point where encoded records reach the writer:
 // one write (with the stream magic fused in front when still owed), then
-// one fsync per the policy.  Called by AppendBatch directly, or by
-// the committer goroutine on coalesced buffers.
+// one fsync per the policy.  Only the flush leader calls it (commit).
 func (l *Log) commitBytes(buf []byte) error {
 	if l.headerPending {
 		withMagic := make([]byte, 0, len(binaryLogMagic)+len(buf))
@@ -213,7 +196,6 @@ func (l *Log) commitBytes(buf []byte) error {
 		return err
 	}
 	l.headerPending = false
-	l.committed.Add(int64(len(buf)))
 	if l.opts.Fsync == FsyncAlways {
 		s := l.opts.Syncer
 		if s == nil {
@@ -228,6 +210,8 @@ func (l *Log) commitBytes(buf []byte) error {
 			}
 		}
 	}
+	// Counted only now, so a failed fsync's bytes lie past the heal target.
+	l.committed.Add(int64(len(buf)))
 	return nil
 }
 

@@ -47,9 +47,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 	)
 
 	dir := t.TempDir()
-	seg, err := OpenSegmentedLog(dir, SegmentOptions{
-		Log: LogOptions{GroupCommit: true},
-	})
+	seg, err := OpenSegmentedLog(dir, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,6 @@ func newChaosFollower(t *testing.T, url, dir string) *Follower {
 		NumCategories: 3,
 		Segment: SegmentOptions{
 			MaxBytes: 1 << 20,
-			Log:      LogOptions{GroupCommit: true},
 		},
 	})
 	if err != nil {
@@ -185,7 +184,6 @@ func TestReplicationChaosPrimaryDowntime(t *testing.T) {
 	// Small segments so downtime backlog provably spans several files.
 	sl, err := OpenSegmentedLog(primaryDir, SegmentOptions{
 		MaxBytes: 512,
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +275,6 @@ func TestReplicationChaosPrimaryPoisonTakeover(t *testing.T) {
 	sl, err := OpenSegmentedLog(primaryDir, SegmentOptions{
 		MaxBytes: 1 << 20,
 		Hook:     &poisonHook{hit: acked},
-		Log:      LogOptions{GroupCommit: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,11 @@ package platform
 // after a failed in-flight append, the file is truncated back to its last
 // valid byte before anything else is written — new events are never
 // appended after garbage, so the journal never buries committed events
-// behind a corrupt record.  Under group commit the truncation point is
-// the log's committed-bytes offset, which also removes whole records that
-// other callers coalesced into the failed flush: every one of those
-// callers got the flush's error and rolled back, so their records must
-// not survive either.
+// behind a corrupt record.  The truncation point is the log's
+// committed-bytes offset, which also removes whole records that other
+// callers coalesced into the failed flush: every one of those callers got
+// the flush's error and rolled back, so their records must not survive
+// either.
 
 import (
 	"errors"
@@ -47,8 +47,7 @@ type SegmentOptions struct {
 	// RotateRounds seals the active segment after this many round_closed
 	// markers; 0 disables round-based rotation.
 	RotateRounds int
-	// Log is the per-segment durability policy (fsync, retries, group
-	// commit).
+	// Log is the per-segment durability policy (fsync, retries).
 	Log LogOptions
 	// Hook injects simulated crashes (tests only; nil in production).
 	Hook CrashHook
@@ -70,13 +69,11 @@ type SegmentInfo struct {
 var ErrSeqRetired = errors.New("platform: requested sequence retired from journal")
 
 // SegmentedLog is a rotating journal over a directory.  It implements
-// Journal; like Log, AppendBatch is serialised externally by the state
-// mutex (State.ApplyBatchJournaled), but rotation-management entry points
-// (Rotate, RetireThrough) take an internal mutex so the checkpoint
-// manager may call them concurrently with appends.  With group commit
-// enabled (SegmentOptions.Log.GroupCommit) AppendBatch itself may also be
-// called concurrently: callers queue on the active segment's committer
-// and the mutex is only held for segment bookkeeping, not the write.
+// Journal, and every method is safe for concurrent use: the checkpoint
+// manager rotates and retires (Rotate, RetireThrough) while appends run.
+// AppendBatch holds the internal mutex only for segment bookkeeping, not
+// for the write: the records go through the active segment's Log, where
+// concurrent appends coalesce into shared flushes.
 type SegmentedLog struct {
 	mu   sync.Mutex
 	dir  string
@@ -227,12 +224,6 @@ func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 // info.Size must be the file's current (valid) size; a nonzero size
 // proves the stream magic is already on disk.
 func (sl *SegmentedLog) attach(f *os.File, info SegmentInfo) {
-	if sl.log != nil {
-		// Stop the previous committer (heal re-attaches over the same
-		// file); it has already answered every caller, so this is just
-		// goroutine hygiene.
-		sl.log.Close()
-	}
 	sl.f = f
 	sl.cur = info
 	sl.curBase = info.Size
@@ -246,9 +237,8 @@ func (sl *SegmentedLog) attach(f *os.File, info SegmentInfo) {
 }
 
 // countingWriter tracks bytes that actually reached the underlying
-// writer.  The count is updated atomically: under group commit the
-// committer goroutine writes while bookkeeping readers hold the segment
-// mutex.
+// writer.  The count is updated atomically: the flush leader writes
+// without the segment mutex while bookkeeping readers hold it.
 type countingWriter struct {
 	w io.Writer
 	n *int64
@@ -280,19 +270,47 @@ func (sl *SegmentedLog) Append(e Event) error { return sl.AppendBatch([]Event{e}
 
 // AppendBatch journals a batch as one contiguous write (and one fsync)
 // in the active segment, rotating segments per the options; a batch never
-// spans a segment boundary.  A torn write is healed in place — the file
-// is truncated back to the last committed offset, so the (rolled-back)
-// batch leaves no bytes behind and the next append lands on a clean
-// record boundary.  The error is still returned: the caller's rollback
-// contract is unchanged.
+// spans a segment boundary.  The mutex is not held across the write, so
+// concurrent appends coalesce in the segment's Log.  If the segment is
+// sealed out from under a caller (rotation racing an append) the caller
+// retries on the fresh segment.  A torn write is healed in place — the
+// file is truncated back to the last committed offset, so the
+// (rolled-back) batch leaves no bytes behind and the next append lands on
+// a clean record boundary.  The error is still returned: the caller's
+// rollback contract is unchanged.
 func (sl *SegmentedLog) AppendBatch(events []Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	if sl.opts.Log.GroupCommit {
-		return sl.appendGrouped(events[0].Seq, events)
+	for {
+		sl.mu.Lock()
+		if err := sl.ensureActiveLocked(events[0].Seq); err != nil {
+			sl.mu.Unlock()
+			return err
+		}
+		log := sl.log
+		sl.mu.Unlock()
+
+		err := log.AppendBatch(events)
+		if errors.Is(err, ErrLogClosed) {
+			// Sealed between our bookkeeping and the commit; the fresh
+			// segment has an open Log.
+			continue
+		}
+
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		if err != nil {
+			if log == sl.log && log.Poisoned() {
+				sl.heal()
+			}
+			return err
+		}
+		if log == sl.log {
+			sl.afterAppendLocked(events)
+		}
+		return nil
 	}
-	return sl.appendDirect(events[0].Seq, events)
 }
 
 // ensureActiveLocked opens a fresh segment named after the incoming
@@ -336,71 +354,21 @@ func (sl *SegmentedLog) afterAppendLocked(events []Event) {
 	}
 }
 
-// appendDirect is the synchronous path (no group commit): the mutex is
-// held across the write, exactly the seed semantics.
-func (sl *SegmentedLog) appendDirect(firstSeq uint64, events []Event) error {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if err := sl.ensureActiveLocked(firstSeq); err != nil {
-		return err
-	}
-	before := atomic.LoadInt64(&sl.cur.Size)
-	if err := sl.log.AppendBatch(events); err != nil {
-		if sl.log.Poisoned() && atomic.LoadInt64(&sl.cur.Size) > before {
-			sl.heal(before)
-		}
-		return err
-	}
-	sl.afterAppendLocked(events)
-	return nil
-}
-
-// appendGrouped queues the records on the active segment's committer
-// without holding the mutex across the write, so concurrent appends can
-// coalesce.  If the segment is sealed out from under a queued caller
-// (rotation racing an append) the caller retries on the fresh segment.
-func (sl *SegmentedLog) appendGrouped(firstSeq uint64, events []Event) error {
-	for {
-		sl.mu.Lock()
-		if err := sl.ensureActiveLocked(firstSeq); err != nil {
-			sl.mu.Unlock()
-			return err
-		}
-		log := sl.log
-		sl.mu.Unlock()
-
-		err := log.AppendBatch(events)
-		if errors.Is(err, ErrLogClosed) {
-			// Sealed between our bookkeeping and the enqueue; the fresh
-			// segment has a live committer.
-			continue
-		}
-
-		sl.mu.Lock()
-		defer sl.mu.Unlock()
-		if err != nil {
-			if log == sl.log && log.Poisoned() {
-				sl.healGrouped()
-			}
-			return err
-		}
-		if log == sl.log {
-			sl.afterAppendLocked(events)
-		}
-		return nil
-	}
-}
-
-// heal truncates the active segment back to offset after a torn append
-// and un-poisons the inner Log.  A crashed process cannot heal — the
-// hook's At(CrashSegmentHeal) models that — in which case the log stays
-// poisoned and the torn tail is left for open-time recovery to remove.
-func (sl *SegmentedLog) heal(offset int64) {
+// heal truncates the active segment back to its committed offset after a
+// failed flush and un-poisons the inner Log.  Everything of the failed
+// flush goes (all its callers were refused and rolled back), everything
+// of earlier successful flushes stays; poisoning is sticky, so no later
+// flush can have moved the file past the tear.  A crashed process cannot
+// heal — the hook's At(CrashSegmentHeal) models that — in which case the
+// log stays poisoned and the torn tail is left for open-time recovery to
+// remove.
+func (sl *SegmentedLog) heal() {
 	if hook := sl.opts.Hook; hook != nil {
 		if err := hook.At(CrashSegmentHeal); err != nil {
 			return
 		}
 	}
+	offset := sl.curBase + sl.log.committedBytes()
 	if err := sl.f.Truncate(offset); err != nil {
 		return
 	}
@@ -409,22 +377,11 @@ func (sl *SegmentedLog) heal(offset int64) {
 	sl.attach(sl.f, sl.cur)
 }
 
-// healGrouped is heal for the group-commit path, where the failed flush
-// may carry several callers' records and this caller's view of the
-// pre-append offset means nothing.  The truncation target is the log's
-// committed-bytes offset: everything of the failed flush goes (all its
-// callers were refused and rolled back), everything of earlier successful
-// flushes stays.  Poisoning is sticky, so no later flush can have moved
-// the file past the tear before we truncate.
-func (sl *SegmentedLog) healGrouped() {
-	sl.heal(sl.curBase + sl.log.committedBytes())
-}
-
 // sealLocked syncs and closes the active segment, adding it to the
 // sealed list.  The next Append opens a fresh segment named after its
-// event.  A group committer is stopped first, which flushes everything
-// it already accepted — records therefore never land after the seal's
-// fsync without their own.
+// event.  The Log is closed first, which waits for every append it
+// already accepted — records therefore never land after the seal's fsync
+// without their own.
 func (sl *SegmentedLog) sealLocked() error {
 	if sl.f == nil {
 		return nil
@@ -497,8 +454,8 @@ func (sl *SegmentedLog) Segments() []SegmentInfo {
 	defer sl.mu.Unlock()
 	out := append([]SegmentInfo(nil), sl.sealed...)
 	if sl.f != nil {
-		// Field by field: the committer goroutine bumps Size atomically, so
-		// a plain struct copy would race with it.
+		// Field by field: the flush leader bumps Size atomically outside
+		// the mutex, so a plain struct copy would race with it.
 		out = append(out, SegmentInfo{Path: sl.cur.Path, FirstSeq: sl.cur.FirstSeq, Size: atomic.LoadInt64(&sl.cur.Size)})
 	}
 	return out
@@ -507,15 +464,15 @@ func (sl *SegmentedLog) Segments() []SegmentInfo {
 // EventsSince returns every journaled event with sequence ≥ from, read
 // from the on-disk segments — the primary side of follower streaming.
 // Reads of the active segment stop at its committed-bytes offset, so an
-// in-flight (and possibly doomed) group flush is never served to a
-// follower; sealed segments are read whole.  ErrSeqRetired means from
+// in-flight (and possibly doomed) flush is never served to a follower;
+// sealed segments are read whole.  ErrSeqRetired means from
 // predates the oldest segment and the caller needs a snapshot bootstrap.
 func (sl *SegmentedLog) EventsSince(from uint64) ([]Event, error) {
 	sl.mu.Lock()
 	segs := append([]SegmentInfo(nil), sl.sealed...)
 	if sl.f != nil {
 		// Field by field, as in Segments: a struct copy would read Size
-		// under the committer's atomic writes.
+		// under the flush leader's atomic writes.
 		segs = append(segs, SegmentInfo{Path: sl.cur.Path, FirstSeq: sl.cur.FirstSeq, Size: sl.curBase + sl.log.committedBytes()})
 	}
 	sl.mu.Unlock()

@@ -323,3 +323,47 @@ func TestSegmentedLogFsyncAlwaysReachesFile(t *testing.T) {
 		t.Fatalf("reopened segment's sync target is %T, want the segment file", sl2.log.opts.Syncer)
 	}
 }
+
+// failingSyncer fails every fsync.
+type failingSyncer struct{}
+
+func (failingSyncer) Sync() error { return errors.New("injected fsync failure") }
+
+// TestSegmentedLogFsyncFailureHealsToCommitted: a flush whose write lands
+// but whose fsync fails is refused and rolled back, so the heal must
+// truncate its records away — a restart must not resurrect them.
+func TestSegmentedLogFsyncFailureHealsToCommitted(t *testing.T) {
+	dir := t.TempDir()
+	sl, err := OpenSegmentedLog(dir, SegmentOptions{Log: LogOptions{Fsync: FsyncAlways}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustState(t)
+	appendJoins(t, s, sl, 2)
+
+	sl.log.opts.Syncer = failingSyncer{}
+	if _, err := s.ApplyBatchJournaled([]Event{NewWorkerJoined(validWorker())}, sl.AppendBatch); err == nil {
+		t.Fatal("append with a failed fsync reported success")
+	}
+	if s.Seq() != 2 {
+		t.Fatalf("state seq %d after rollback, want 2", s.Seq())
+	}
+	if sl.Poisoned() {
+		t.Fatal("journal still poisoned after heal")
+	}
+	// The heal re-attached the segment with the file as its sync target.
+	appendJoins(t, s, sl, 1)
+	if err := sl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, info, err := RecoverDir(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.TailDropped != nil {
+		t.Fatalf("healed dir still torn: %v", info.TailDropped)
+	}
+	if !bytes.Equal(stateBytes(t, rec), stateBytes(t, s)) {
+		t.Fatal("recovered state differs from the live state")
+	}
+}
