@@ -12,9 +12,14 @@ package experiments
 //   - "binary-batch100": the POST /v1/batch backend path, 100 events per
 //     all-or-nothing SubmitBatch — one journal append and one fsync per
 //     hundred events.
+//   - "http-batch100" (FsyncNever only): the same batches as JSON bodies
+//     through Server.ServeHTTP with the recommended ServerOptions — body
+//     read, schema decode, SubmitBatch and the rendered ack.  The client
+//     side (json.Marshal of the batch, the request, reading the ack back
+//     for the churn's IDs) runs off the clock.
 //
-// Every pipeline runs under FsyncNever and FsyncAlways; ns/op is per
-// *event* in all entries (events/sec = 1e9 / ns_per_op), so the
+// Every other pipeline runs under FsyncNever and FsyncAlways; ns/op is
+// per *event* in all entries (events/sec = 1e9 / ns_per_op), so the
 // FsyncAlways rows are directly comparable.  Checked in as
 // BENCH_ingest.json and gated by `mbabench -benchdiff` like the other
 // suites.
@@ -26,8 +31,12 @@ package experiments
 // entities whose IDs a previous (already journaled) event assigned.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 
@@ -107,6 +116,18 @@ func (c *ingestChurn) absorb(applied []platform.Event) {
 			c.workers = append(c.workers, applied[i].Worker.ID)
 		case applied[i].Task != nil:
 			c.tasks = append(c.tasks, applied[i].Task.ID)
+		}
+	}
+}
+
+// absorbAck records the IDs a POST /v1/batch ack reports for add events.
+func (c *ingestChurn) absorbAck(items []platform.BatchItem) {
+	for _, it := range items {
+		switch it.Kind {
+		case platform.EventWorkerJoined:
+			c.workers = append(c.workers, it.ID)
+		case platform.EventTaskPosted:
+			c.tasks = append(c.tasks, it.ID)
 		}
 	}
 }
@@ -282,6 +303,60 @@ func runIngestSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 			return fmt.Errorf("experiments: ingest binary-group-parallel/%s: %w", fs.name, benchErr)
 		}
 		add("binary-group-parallel/"+fs.name, br)
+		if fs.policy == platform.FsyncNever {
+			br, err := benchHTTPBatch(cfg, platform.LogOptions{Fsync: fs.policy}, 100)
+			if err != nil {
+				return fmt.Errorf("experiments: ingest http-batch100/%s: %w", fs.name, err)
+			}
+			add("http-batch100/"+fs.name, br)
+		}
 	}
 	return nil
+}
+
+// benchHTTPBatch posts churn batches of batch events as JSON through the
+// server's handler and times only ServeHTTP; b.N counts events.
+func benchHTTPBatch(cfg BenchConfig, opts platform.LogOptions, batch int) (testing.BenchmarkResult, error) {
+	svc, churn, closer, err := newIngestService(cfg, opts)
+	if err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	defer closer()
+	h := platform.NewServerWithOptions(svc, platform.NewServerOptions())
+	var benchErr error
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		pending := make([]platform.Event, 0, batch)
+		flush := func() {
+			b.StopTimer()
+			body, err := json.Marshal(pending)
+			if err != nil {
+				benchErr = err
+				b.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			b.StartTimer()
+			h.ServeHTTP(rec, req)
+			b.StopTimer()
+			var ack struct{ Applied []platform.BatchItem }
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusOK || err != nil {
+				benchErr = fmt.Errorf("status %d: %s", rec.Code, rec.Body.Bytes())
+				b.Fatal(benchErr)
+			}
+			churn.absorbAck(ack.Applied)
+			pending = pending[:0]
+			b.StartTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			pending = append(pending, churn.next())
+			if len(pending) == batch {
+				flush()
+			}
+		}
+		if len(pending) > 0 {
+			flush()
+		}
+	})
+	return br, benchErr
 }

@@ -13,8 +13,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/market"
 )
 
 // Server exposes the assignment service as a JSON HTTP API (cmd/mbaserve):
@@ -34,7 +32,14 @@ import (
 // closed afterwards — the "one round collects the panel" policy; without it
 // tasks stay open and keep collecting across rounds.
 //
-// Robustness posture: POST bodies are size-capped (413 past the limit),
+// The write routes (workers, tasks, batch) read their body once and decode
+// it with the schema decoder in eventjson.go, which accepts exactly what
+// encoding/json does and yields the same values; a malformed body or a
+// type error anywhere in it is a 400 and applies nothing.  The batch ack
+// is rendered by hand, byte-identical to encoding/json's.
+//
+// Robustness posture: POST bodies are size-capped, and a body over the
+// cap is always 413, whatever its bytes would have parsed as;
 // ingestion requests run under a per-request timeout, and POST /v1/rounds
 // is single-flight — a second concurrent close gets 409 with Retry-After
 // instead of queueing behind the solver, and a round that exceeds its
@@ -197,30 +202,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// decodeBody decodes a size-capped JSON body into v.  The caller maps the
-// error; oversized bodies surface as *http.MaxBytesError.  The body must
-// be exactly one JSON value: trailing bytes after it are a 400, not
-// silently discarded — `{"kind":"add_worker"}junk` is a malformed
-// request, and a proxy or client bug that concatenates bodies must not
-// have its first event applied.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := r.Body
-	if s.opts.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+// decodeRequest reads the size-capped body (0 = uncapped) and decodes it
+// with one of the schema decoders in eventjson.go.
+func decodeRequest[T any](w http.ResponseWriter, r *http.Request, limit int64, decode func([]byte) (T, error)) (T, error) {
+	body, err := readBody(w, r, limit)
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return requireEOF(dec)
-}
-
-// requireEOF verifies a decoder has consumed its entire input.
-func requireEOF(dec *json.Decoder) error {
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("trailing data after JSON value")
-	}
-	return nil
+	return decode(body)
 }
 
 // writeDecodeError distinguishes an oversized body (413) from a malformed
@@ -258,8 +248,8 @@ func writeSubmitError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
-	var worker market.Worker
-	if err := s.decodeBody(w, r, &worker); err != nil {
+	worker, err := decodeRequest(w, r, s.opts.MaxBodyBytes, decodeWorkerJSON)
+	if err != nil {
 		writeDecodeError(w, fmt.Errorf("decoding worker: %w", err))
 		return
 	}
@@ -285,8 +275,8 @@ func (s *Server) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAddTask(w http.ResponseWriter, r *http.Request) {
-	var task market.Task
-	if err := s.decodeBody(w, r, &task); err != nil {
+	task, err := decodeRequest(w, r, s.opts.MaxBodyBytes, decodeTaskJSON)
+	if err != nil {
 		writeDecodeError(w, fmt.Errorf("decoding task: %w", err))
 		return
 	}
@@ -329,17 +319,8 @@ type BatchItem struct {
 // all-or-nothing: one journaled append (one fsync) for the whole batch,
 // 422 with nothing applied if any event is invalid.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body := r.Body
-	if s.opts.MaxBatchBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.opts.MaxBatchBytes)
-	}
-	var events []Event
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&events); err != nil {
-		writeDecodeError(w, fmt.Errorf("decoding batch: %w", err))
-		return
-	}
-	if err := requireEOF(dec); err != nil {
+	events, err := decodeRequest(w, r, s.opts.MaxBatchBytes, decodeEventsJSON)
+	if err != nil {
 		writeDecodeError(w, fmt.Errorf("decoding batch: %w", err))
 		return
 	}
@@ -362,7 +343,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].ID = *applied[i].TaskID
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": items})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(appendBatchAck(make([]byte, 0, 16+48*len(items)), items))
 }
 
 // HealthReporter is the optional backend capability behind GET

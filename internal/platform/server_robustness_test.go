@@ -2,6 +2,9 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -159,5 +162,184 @@ func TestServerDrainClosesTasksInSortedOrder(t *testing.T) {
 	}
 	if sawClosed == 0 {
 		t.Fatal("drain closed nothing")
+	}
+}
+
+// writeRoutes are the three write routes with one valid body each.
+func writeRoutes(t *testing.T) []struct{ path, body string } {
+	t.Helper()
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	return []struct{ path, body string }{
+		{"/v1/workers", marshal(validWorker())},
+		{"/v1/tasks", marshal(validTask())},
+		{"/v1/batch", marshal([]Event{NewWorkerJoined(validWorker()), NewTaskPosted(validTask())})},
+	}
+}
+
+// post sends a raw body and returns the status and response body.
+func post(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(out)
+}
+
+// requireEmptyMarket fails unless no worker and no task was applied.
+func requireEmptyMarket(t *testing.T, url string) {
+	t.Helper()
+	status, body := post(t, url+"/v1/rounds", "")
+	var res RoundResult
+	if err := json.Unmarshal([]byte(body), &res); status != http.StatusOK || err != nil {
+		t.Fatalf("round status %d (%s): %v", status, body, err)
+	}
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]int
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats["workers"] != 0 || stats["tasks"] != 0 {
+		t.Fatalf("a rejected body was applied: %v", stats)
+	}
+}
+
+// TestServerOversizedBodyIs413OnEveryRoute: a body over the route's limit
+// is 413 however it would have parsed — including a complete value whose
+// trailing whitespace crosses the limit — and applies nothing.
+func TestServerOversizedBodyIs413OnEveryRoute(t *testing.T) {
+	const limit = 512
+	ts := newLimitedServer(t, core.Greedy{Kind: core.MutualWeight}, ServerOptions{MaxBodyBytes: limit, MaxBatchBytes: limit})
+	routes := writeRoutes(t)
+	for _, r := range routes {
+		for name, body := range map[string]string{
+			"padded value":        r.body + strings.Repeat(" ", limit),
+			"value one byte over": r.body + strings.Repeat(" ", limit+1-len(r.body)),
+			"unknown key":         `{"padding":"` + strings.Repeat("x", limit) + `"}`,
+			"malformed":           strings.Repeat("[", limit+1),
+		} {
+			if status, out := post(t, ts.URL+r.path, body); status != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s (%d bytes): status %d (%s), want 413", r.path, name, len(body), status, out)
+			}
+		}
+	}
+	requireEmptyMarket(t, ts.URL)
+	// Exactly at the limit is in bounds.
+	for _, r := range routes {
+		body := r.body + strings.Repeat(" ", limit-len(r.body))
+		if status, out := post(t, ts.URL+r.path, body); status != http.StatusCreated && status != http.StatusOK {
+			t.Errorf("%s at the limit: status %d (%s)", r.path, status, out)
+		}
+	}
+}
+
+// TestServerBadBodiesAre400AndApplyNothing: malformed in-limit bodies and
+// type errors — also after a valid event — are 400 with the route's
+// "decoding …:" prefix and a byte offset, and nothing is applied.
+func TestServerBadBodiesAre400AndApplyNothing(t *testing.T) {
+	ts := newLimitedServer(t, core.Greedy{Kind: core.MutualWeight}, NewServerOptions())
+	valid := `{"kind":"worker_joined","worker":{"capacity":2,"accuracy":[0.8,0.6,0.7],"interest":[0.9,0.1,0.4],"specialties":[0,2],"reservation_wage":1}}`
+	cases := []struct{ path, prefix, body string }{
+		{"/v1/workers", "decoding worker: ", `{"capacity":2,"accuracy":[0.8,`},
+		{"/v1/workers", "decoding worker: ", `{"capacity":1.5,"accuracy":[0.8,0.6,0.7],"interest":[0.9,0.1,0.4],"specialties":[0]}`},
+		{"/v1/tasks", "decoding task: ", `{"category":0 "replication":2}`},
+		{"/v1/tasks", "decoding task: ", `{"category":0,"replication":2,"payment":1e400}`},
+		{"/v1/batch", "decoding batch: ", `[` + valid + `,`},
+		{"/v1/batch", "decoding batch: ", `[` + valid + `,{"kind":"worker_joined","worker":{"capacity":"x"}}]`},
+		{"/v1/batch", "decoding batch: ", `[` + valid + `,{"kind":"task_closed","task_id":-1.5}]`},
+		{"/v1/batch", "decoding batch: ", "\xef\xbb\xbf[" + valid + `]`},
+	}
+	for _, c := range cases {
+		status, out := post(t, ts.URL+c.path, c.body)
+		var env map[string]string
+		if err := json.Unmarshal([]byte(out), &env); err != nil {
+			t.Fatalf("%s %q: %v", c.path, c.body, err)
+		}
+		if status != http.StatusBadRequest || !strings.HasPrefix(env["error"], c.prefix) || !strings.Contains(env["error"], " at offset ") {
+			t.Errorf("%s %q: status %d, error %q; want 400 %q… at offset", c.path, c.body, status, env["error"], c.prefix)
+		}
+	}
+	requireEmptyMarket(t, ts.URL)
+}
+
+// TestServerNullBatchAcksEmpty: a top-level null is an empty batch.
+func TestServerNullBatchAcksEmpty(t *testing.T) {
+	ts := newLimitedServer(t, core.Greedy{Kind: core.MutualWeight}, NewServerOptions())
+	for _, body := range []string{"null", " null\n", "[]"} {
+		if status, out := post(t, ts.URL+"/v1/batch", body); status != http.StatusOK || out != "{\"applied\":[]}\n" {
+			t.Errorf("batch %q: status %d body %q, want 200 {\"applied\":[]}", body, status, out)
+		}
+	}
+}
+
+// encodeAck is the batch ack as encoding/json renders it.
+func encodeAck(t *testing.T, items []BatchItem) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(map[string]any{"applied": items}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBatchAckMatchesEncoder: the hand-rendered ack is byte-equal to
+// json.Encoder's, for random items (ID 0 omitted) and for kinds that need
+// escaping.
+func TestBatchAckMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	kinds := []EventKind{EventWorkerJoined, EventWorkerLeft, EventTaskPosted, EventTaskClosed,
+		EventRoundClosed, EventEpochBumped, "", "a<b>&c", "quote\"back\\slash", "tab\tnl\n\x00", "é\u2028", "bad\xff"}
+	for trial := 0; trial < 200; trial++ {
+		items := make([]BatchItem, rng.IntN(6))
+		for i := range items {
+			items[i] = BatchItem{Seq: rng.Uint64() >> rng.UintN(64), Kind: kinds[rng.IntN(len(kinds))]}
+			switch rng.IntN(3) {
+			case 0: // ID 0: omitted
+			case 1:
+				items[i].ID = rng.IntN(1000)
+			default:
+				items[i].ID = int(rng.Int64()) - int(rng.Int64())
+			}
+		}
+		if got, want := appendBatchAck(nil, items), encodeAck(t, items); !bytes.Equal(got, want) {
+			t.Fatalf("items %+v:\n got  %s\n want %s", items, got, want)
+		}
+	}
+	if got, want := appendBatchAck(nil, nil), encodeAck(t, nil); !bytes.Equal(got, want) {
+		t.Fatalf("nil items: got %s, want %s", got, want)
+	}
+
+	// And on the wire: the served ack re-encodes to the same bytes.
+	ts := newLimitedServer(t, core.Greedy{Kind: core.MutualWeight}, NewServerOptions())
+	events := []Event{NewWorkerJoined(validWorker()), NewTaskPosted(validTask()), NewWorkerJoined(validWorker())}
+	b, err := json.Marshal(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, out := post(t, ts.URL+"/v1/batch", string(b))
+	var ack struct{ Applied []BatchItem }
+	if err := json.Unmarshal([]byte(out), &ack); status != http.StatusOK || err != nil || len(ack.Applied) != 3 {
+		t.Fatalf("batch status %d body %s: %v", status, out, err)
+	}
+	if want := encodeAck(t, ack.Applied); out != string(want) {
+		t.Fatalf("served ack %q, encoder %q", out, want)
+	}
+	if ack.Applied[0].ID != 0 || strings.Contains(out[:strings.Index(out, "},")], `"id"`) {
+		t.Fatalf("first worker's ID 0 not omitted: %s", out)
 	}
 }

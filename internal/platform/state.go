@@ -281,7 +281,13 @@ func validateWorkerProfile(w *market.Worker, numCategories int) error {
 	if len(w.Specialties) == 0 {
 		return fmt.Errorf("platform: worker has no specialties")
 	}
-	seen := map[int]bool{}
+	// Runs under State.mu: mark seen categories in a stack array when they
+	// fit, so a join allocates nothing here.
+	var small [64]bool
+	seen := small[:]
+	if numCategories > len(small) {
+		seen = make([]bool, numCategories)
+	}
 	for _, sp := range w.Specialties {
 		if sp < 0 || sp >= numCategories {
 			return fmt.Errorf("platform: specialty %d out of range", sp)

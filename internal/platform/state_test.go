@@ -238,3 +238,68 @@ func TestReplayRejectsCorruptedHistory(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestValidateWorkerProfileMessages pins every message of
+// validateWorkerProfile and the order its checks fire in: each case also
+// breaks every check listed after it.
+func TestValidateWorkerProfileMessages(t *testing.T) {
+	wide := func(n int) market.Worker {
+		w := market.Worker{Capacity: 1, ReservationWage: 1, Specialties: []int{0, n - 1}}
+		for c := 0; c < n; c++ {
+			w.Accuracy = append(w.Accuracy, 0.7)
+			w.Interest = append(w.Interest, 0.5)
+		}
+		return w
+	}
+	cases := []struct {
+		ncat int
+		mut  func(*market.Worker)
+		want string
+	}{
+		{3, func(w *market.Worker) { w.Capacity = -1; w.Accuracy = nil; w.Specialties = nil },
+			"platform: worker capacity -1 negative"},
+		{3, func(w *market.Worker) { w.Accuracy = w.Accuracy[:2]; w.Interest[0] = 2; w.Specialties = nil },
+			"platform: worker profile length mismatch (want 3 categories)"},
+		{3, func(w *market.Worker) { w.Interest = append(w.Interest, 0.5) },
+			"platform: worker profile length mismatch (want 3 categories)"},
+		{3, func(w *market.Worker) { w.Accuracy[1] = 0.4; w.Accuracy[2] = 1; w.Interest[0] = -1 },
+			"platform: worker accuracy[1]=0.4 outside [0.5,1)"},
+		{3, func(w *market.Worker) { w.Accuracy[2] = 1 }, "platform: worker accuracy[2]=1 outside [0.5,1)"},
+		{3, func(w *market.Worker) { w.Interest[2] = 1.5; w.Specialties = nil },
+			"platform: worker interest[2]=1.5 outside [0,1]"},
+		{3, func(w *market.Worker) { w.Specialties = []int{}; w.ReservationWage = -1 },
+			"platform: worker has no specialties"},
+		{3, func(w *market.Worker) { w.Specialties = []int{0, 0, 3}; w.ReservationWage = -1 },
+			"platform: duplicate specialty 0"},
+		{3, func(w *market.Worker) { w.Specialties = []int{2, 3, 2} }, "platform: specialty 3 out of range"},
+		{3, func(w *market.Worker) { w.Specialties = []int{-1} }, "platform: specialty -1 out of range"},
+		{3, func(w *market.Worker) { w.ReservationWage = -0.5 }, "platform: negative reservation wage"},
+		{64, func(w *market.Worker) { w.Specialties = []int{63, 0, 63} }, "platform: duplicate specialty 63"},
+		{64, func(w *market.Worker) { w.Specialties = []int{64} }, "platform: specialty 64 out of range"},
+		{70, func(w *market.Worker) { w.Specialties = []int{69, 64, 69} }, "platform: duplicate specialty 69"},
+		{70, func(w *market.Worker) { w.Specialties = []int{70} }, "platform: specialty 70 out of range"},
+	}
+	for _, c := range cases {
+		w := wide(c.ncat)
+		c.mut(&w)
+		if err := validateWorkerProfile(&w, c.ncat); err == nil || err.Error() != c.want {
+			t.Errorf("%d categories: got error %v, want %q", c.ncat, err, c.want)
+		}
+	}
+	for _, ncat := range []int{3, 64, 70} {
+		w := wide(ncat)
+		if err := validateWorkerProfile(&w, ncat); err != nil {
+			t.Fatalf("%d categories: valid worker rejected: %v", ncat, err)
+		}
+	}
+	// A specialist in every category: past eight entries a map spills to
+	// the heap.
+	w := wide(30)
+	w.Specialties = w.Specialties[:0]
+	for c := 0; c < 30; c++ {
+		w.Specialties = append(w.Specialties, c)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = validateWorkerProfile(&w, 30) }); allocs != 0 {
+		t.Fatalf("validating a 30-specialty worker allocates %.0f times", allocs)
+	}
+}
