@@ -375,7 +375,7 @@ func main() {
 	}
 	var backend platform.Backend
 	if *numShards > 1 {
-		if backend, err = platform.NewShardedService(markets, params, platform.ShardedOptions{}, *seed); err != nil {
+		if backend, err = platform.NewShardedService(markets, params, *seed); err != nil {
 			log.Fatalf("mbaserve: %v", err)
 		}
 	} else {

@@ -161,21 +161,10 @@ func (m *DeltaMatcher) Arc(a int32) (l, r int, cost int64, flow bool, ext int32)
 // SetArcExt updates arc a's caller tag without touching flow or duals.
 func (m *DeltaMatcher) SetArcExt(a int32, ext int32) { m.arcs[a].ext = ext }
 
-// ForEachMatched calls fn for every flowing arc, in left-slot order.
-func (m *DeltaMatcher) ForEachMatched(fn func(a int32, l, r int, ext int32)) {
-	for l := range m.adjL {
-		for _, a := range m.adjL[l] {
-			if rec := &m.arcs[a]; rec.flow {
-				fn(a, int(rec.l), int(rec.r), rec.ext)
-			}
-		}
-	}
-}
-
 // AppendMatched appends the ext tag of every flowing arc to dst, in
-// left-slot order, and returns the extended slice.  It is ForEachMatched
-// without the closure: the caller that counts allocations (the incremental
-// solver's per-round extraction) pays only for dst's own growth.
+// left-slot order, and returns the extended slice.  It takes no closure,
+// so the caller that counts allocations (the incremental solver's
+// per-round extraction) pays only for dst's own growth.
 func (m *DeltaMatcher) AppendMatched(dst []int) []int {
 	for l := range m.adjL {
 		for _, a := range m.adjL[l] {

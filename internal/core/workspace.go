@@ -18,9 +18,9 @@ import (
 //     workspace from a package-wide sync.Pool for its duration — concurrent
 //     solves each get their own;
 //   - explicit: set the WS field (e.g. Greedy{Kind: MutualWeight, WS: ws})
-//     to pin one workspace across calls, which is what the platform service
-//     does round over round and what the allocation regression test
-//     measures.
+//     to pin one workspace across calls, which is what the allocation
+//     regression test measures.  The platform service does not: it
+//     resolves solvers through ByName, so its rounds borrow from the pool.
 //
 // A Workspace is not safe for concurrent use; the pool hands each borrower
 // a private one.  All buffers are sized lazily and retained at high-water

@@ -73,7 +73,7 @@ func newBenchShardedService(in *market.Instance, shards int, solverName string, 
 		}
 		bundles[k] = platform.Shard{State: state, Solver: solver}
 	}
-	ss, err := platform.NewShardedService(bundles, benefit.DefaultParams(), platform.ShardedOptions{}, seed)
+	ss, err := platform.NewShardedService(bundles, benefit.DefaultParams(), seed)
 	if err != nil {
 		return nil, err
 	}

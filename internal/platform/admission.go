@@ -120,6 +120,11 @@ func concurrencyLimited(method, path string) bool {
 // AdmissionOptions configures the admission controller.  The zero value
 // means "disabled" (seed semantics: every request admitted, nothing
 // shed); NewAdmissionOptions returns the recommended enabled defaults.
+// mbaserve overrides the rates, MaxInflight (clamping MinInflight to it)
+// and Seed from its flags.  The tuning fields (LatencyTarget, MaxQueue,
+// BrownoutShedRate, BrownoutHalflife, MaxClients) keep their defaults in
+// production and are test seams: tests shrink them to drive overload
+// deterministically.
 type AdmissionOptions struct {
 	// Enabled turns admission on.  Off preserves pre-admission behavior.
 	Enabled bool
@@ -129,9 +134,6 @@ type AdmissionOptions struct {
 	RateHigh   float64
 	RateMedium float64
 	RateLow    float64
-	// Burst scales bucket capacity: a class with rate r admits bursts of
-	// up to r*Burst requests.  Values < 1 are clamped to 1 second.
-	Burst float64
 
 	// MinInflight/MaxInflight clamp the AIMD concurrency limit for the
 	// journaled write paths.  The limiter starts at MaxInflight and
@@ -145,13 +147,12 @@ type AdmissionOptions struct {
 	MaxQueue int
 
 	// BrownoutShedRate is the recent shed fraction (0..1) above which
-	// the controller enters brownout.  BrownoutQueueFrac is the queue
-	// occupancy fraction with the same effect.  BrownoutHalflife is the
-	// decay half-life of the shed-rate signal: after the storm stops the
-	// controller forgets at this rate, so healthz recovers promptly.
-	BrownoutShedRate  float64
-	BrownoutQueueFrac float64
-	BrownoutHalflife  time.Duration
+	// the controller enters brownout (so does a wait queue more than
+	// brownoutQueueFrac full).  BrownoutHalflife is the decay half-life
+	// of the shed-rate signal: after the storm stops the controller
+	// forgets at this rate, so healthz recovers promptly.
+	BrownoutShedRate float64
+	BrownoutHalflife time.Duration
 
 	// MaxClients bounds the per-client bucket table (LRU-free: once full,
 	// new clients share the global bucket).  Protects against header
@@ -169,20 +170,18 @@ type AdmissionOptions struct {
 // journal path.
 func NewAdmissionOptions() AdmissionOptions {
 	return AdmissionOptions{
-		Enabled:           true,
-		RateHigh:          5000,
-		RateMedium:        2000,
-		RateLow:           50,
-		Burst:             1,
-		MinInflight:       4,
-		MaxInflight:       256,
-		LatencyTarget:     25 * time.Millisecond,
-		MaxQueue:          64,
-		BrownoutShedRate:  0.05,
-		BrownoutQueueFrac: 0.5,
-		BrownoutHalflife:  500 * time.Millisecond,
-		MaxClients:        1024,
-		Seed:              1,
+		Enabled:          true,
+		RateHigh:         5000,
+		RateMedium:       2000,
+		RateLow:          50,
+		MinInflight:      4,
+		MaxInflight:      256,
+		LatencyTarget:    25 * time.Millisecond,
+		MaxQueue:         64,
+		BrownoutShedRate: 0.05,
+		BrownoutHalflife: 500 * time.Millisecond,
+		MaxClients:       1024,
+		Seed:             1,
 	}
 }
 
@@ -197,8 +196,13 @@ func (o AdmissionOptions) rateFor(p Priority) float64 {
 	}
 }
 
+// brownoutQueueFrac is the wait-queue occupancy above which the
+// controller enters brownout.
+const brownoutQueueFrac = 0.5
+
 // tokenBucket is a standard refill-on-demand token bucket.  rate is
-// tokens/second, burst the capacity.  Safe for concurrent use.
+// tokens/second, burst the capacity: one second of rate, at least one
+// token.  Safe for concurrent use.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64
@@ -207,17 +211,11 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-func newTokenBucket(rate, burstSeconds float64, now time.Time) *tokenBucket {
+func newTokenBucket(rate float64, now time.Time) *tokenBucket {
 	if rate <= 0 {
 		return nil // nil bucket = unlimited
 	}
-	if burstSeconds < 1 {
-		burstSeconds = 1
-	}
-	burst := rate * burstSeconds
-	if burst < 1 {
-		burst = 1
-	}
+	burst := math.Max(rate, 1)
 	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: now}
 }
 
@@ -472,9 +470,6 @@ func NewAdmission(opts AdmissionOptions) *Admission {
 	if opts.BrownoutShedRate <= 0 {
 		opts.BrownoutShedRate = 0.05
 	}
-	if opts.BrownoutQueueFrac <= 0 {
-		opts.BrownoutQueueFrac = 0.5
-	}
 	if opts.MaxClients <= 0 {
 		opts.MaxClients = 1024
 	}
@@ -491,7 +486,7 @@ func NewAdmission(opts AdmissionOptions) *Admission {
 	}
 	now := a.now()
 	for p := Priority(0); p < numPriorities; p++ {
-		a.global[p] = newTokenBucket(opts.rateFor(p), opts.Burst, now)
+		a.global[p] = newTokenBucket(opts.rateFor(p), now)
 	}
 	a.signalAt = now
 	return a
@@ -514,7 +509,7 @@ func (a *Admission) bucketFor(client string, p Priority) *tokenBucket {
 		set = new([numPriorities]*tokenBucket)
 		now := a.now()
 		for q := Priority(0); q < numPriorities; q++ {
-			set[q] = newTokenBucket(a.opts.rateFor(q), a.opts.Burst, now)
+			set[q] = newTokenBucket(a.opts.rateFor(q), now)
 		}
 		a.clients[client] = set
 	}
@@ -565,8 +560,8 @@ func (a *Admission) severity(now time.Time) float64 {
 	if thr := a.opts.BrownoutShedRate; rate > thr {
 		sev = math.Max(sev, math.Min(1, (rate-thr)/math.Max(1e-9, 1-thr)))
 	}
-	if frac := float64(queued) / float64(a.opts.MaxQueue); frac > a.opts.BrownoutQueueFrac {
-		sev = math.Max(sev, math.Min(1, (frac-a.opts.BrownoutQueueFrac)/(1-a.opts.BrownoutQueueFrac)))
+	if frac := float64(queued) / float64(a.opts.MaxQueue); frac > brownoutQueueFrac {
+		sev = math.Max(sev, math.Min(1, (frac-brownoutQueueFrac)/(1-brownoutQueueFrac)))
 	}
 	return sev
 }

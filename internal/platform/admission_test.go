@@ -75,7 +75,7 @@ func TestClassifyRequest(t *testing.T) {
 
 func TestTokenBucketRefill(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newTokenBucket(10, 1, now) // 10/s, burst 10
+	b := newTokenBucket(10, now) // 10/s, burst 10
 	for i := 0; i < 10; i++ {
 		if ok, _ := b.take(now); !ok {
 			t.Fatalf("take %d refused within burst", i)
@@ -95,7 +95,7 @@ func TestTokenBucketRefill(t *testing.T) {
 }
 
 func TestTokenBucketUnlimited(t *testing.T) {
-	if b := newTokenBucket(0, 1, time.Unix(0, 0)); b != nil {
+	if b := newTokenBucket(0, time.Unix(0, 0)); b != nil {
 		t.Fatal("rate 0 should mean no bucket (unlimited)")
 	}
 }

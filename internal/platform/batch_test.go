@@ -156,7 +156,7 @@ func newBatchSharded(t *testing.T, cats int, flaky *faultinject.FlakyWriter) (*S
 		}
 		bundles[k] = Shard{State: st, Journal: journal, Solver: greedySolver()}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

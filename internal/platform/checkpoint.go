@@ -32,9 +32,6 @@ import (
 
 // CheckpointOptions configures the snapshot/compaction policy.
 type CheckpointOptions struct {
-	// Dir is where snapshots live; empty defaults to the segmented log's
-	// directory.
-	Dir string
 	// EveryRounds takes a checkpoint after this many closed rounds;
 	// 0 means manual checkpoints only (Checkpoint / POST /v1/checkpoint).
 	EveryRounds int
@@ -54,29 +51,27 @@ type CheckpointResult struct {
 	SnapshotsPruned int          `json:"snapshots_pruned"`
 }
 
-// CheckpointManager snapshots a State on a round policy and retires the
-// journal history its snapshots cover.  Safe for concurrent use.
+// CheckpointManager snapshots a State on a round policy into its
+// segmented journal's directory and retires the journal history its
+// snapshots cover.  Safe for concurrent use.
 type CheckpointManager struct {
 	mu          sync.Mutex
 	state       *State
-	seg         *SegmentedLog // may be nil (snapshot-only mode)
+	seg         *SegmentedLog
 	opts        CheckpointOptions
 	roundsSince int
 	last        SnapshotInfo
 	taken       int
 }
 
-// NewCheckpointManager wires a manager.  seg may be nil, in which case
-// checkpoints only write snapshots (no journal compaction).
+// NewCheckpointManager wires a manager over a state and the segmented
+// journal it compacts; snapshots are written into the journal's directory.
 func NewCheckpointManager(state *State, seg *SegmentedLog, opts CheckpointOptions) (*CheckpointManager, error) {
 	if state == nil {
 		return nil, fmt.Errorf("platform: nil state")
 	}
-	if opts.Dir == "" {
-		if seg == nil {
-			return nil, fmt.Errorf("platform: checkpoint dir required without a segmented log")
-		}
-		opts.Dir = seg.Dir()
+	if seg == nil {
+		return nil, fmt.Errorf("platform: nil segmented log")
 	}
 	if opts.Keep <= 0 {
 		opts.Keep = 2
@@ -88,9 +83,8 @@ func NewCheckpointManager(state *State, seg *SegmentedLog, opts CheckpointOption
 }
 
 // SnapshotDir returns where this manager writes snapshots (the segmented
-// log's directory unless overridden) — the directory GET /v1/snapshot
-// serves from.
-func (cm *CheckpointManager) SnapshotDir() string { return cm.opts.Dir }
+// log's directory) — the directory GET /v1/snapshot serves from.
+func (cm *CheckpointManager) SnapshotDir() string { return cm.seg.Dir() }
 
 // RoundClosed notifies the manager that a round committed; it takes a
 // checkpoint when the policy says so.  took reports whether a checkpoint
@@ -127,23 +121,21 @@ func (cm *CheckpointManager) LastSnapshot() (SnapshotInfo, int) {
 
 func (cm *CheckpointManager) checkpointLocked() (CheckpointResult, error) {
 	var res CheckpointResult
-	path, info, err := WriteSnapshot(cm.opts.Dir, cm.state, cm.opts.Hook)
+	path, info, err := WriteSnapshot(cm.seg.Dir(), cm.state, cm.opts.Hook)
 	if err != nil {
 		return res, err
 	}
 	res.Path, res.Snapshot = path, info
 	pruned, oldestKept := cm.pruneLocked()
 	res.SnapshotsPruned = pruned
-	if cm.seg != nil {
-		// Rotation and retirement are best-effort: the snapshot is already
-		// durable, and an unrotated or unretired segment only costs a
-		// little extra replay next recovery.  Retirement is bounded by the
-		// OLDEST retained snapshot, not the one just written: every kept
-		// generation must keep its replay tail on disk, or falling back
-		// past a corrupt newest snapshot would hit a journal gap.
-		if err := cm.seg.Rotate(); err == nil {
-			res.SegmentsRetired, _ = cm.seg.RetireThrough(oldestKept)
-		}
+	// Rotation and retirement are best-effort: the snapshot is already
+	// durable, and an unrotated or unretired segment only costs a little
+	// extra replay next recovery.  Retirement is bounded by the OLDEST
+	// retained snapshot, not the one just written: every kept generation
+	// must keep its replay tail on disk, or falling back past a corrupt
+	// newest snapshot would hit a journal gap.
+	if err := cm.seg.Rotate(); err == nil {
+		res.SegmentsRetired, _ = cm.seg.RetireThrough(oldestKept)
 	}
 	cm.roundsSince = 0
 	cm.last = info
@@ -157,7 +149,8 @@ func (cm *CheckpointManager) checkpointLocked() (CheckpointResult, error) {
 // journal segments past it must survive so every retained generation
 // keeps its replay tail.
 func (cm *CheckpointManager) pruneLocked() (pruned int, oldestKept uint64) {
-	snaps, err := listSnapshots(cm.opts.Dir)
+	dir := cm.seg.Dir()
+	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return 0, 0
 	}
@@ -173,14 +166,14 @@ func (cm *CheckpointManager) pruneLocked() (pruned int, oldestKept uint64) {
 			pruned++
 		}
 	}
-	entries, err := os.ReadDir(cm.opts.Dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return pruned, oldestKept
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".tmp") {
-			if os.Remove(filepath.Join(cm.opts.Dir, name)) == nil {
+			if os.Remove(filepath.Join(dir, name)) == nil {
 				pruned++
 			}
 		}

@@ -42,6 +42,14 @@ func newCheckpointedService(t *testing.T, dir string, everyRounds, keep int, seg
 	return svc, sl, cm
 }
 
+// TestCheckpointManagerNeedsSegmentedLog: snapshots live in the
+// journal's directory, so a manager without a segmented log is refused.
+func TestCheckpointManagerNeedsSegmentedLog(t *testing.T) {
+	if _, err := NewCheckpointManager(mustState(t), nil, CheckpointOptions{}); err == nil {
+		t.Fatal("checkpoint manager without a segmented log accepted")
+	}
+}
+
 // churnRound submits a little churn and closes a round, returning the
 // round result.
 func churnRound(t *testing.T, svc *Service) *RoundResult {

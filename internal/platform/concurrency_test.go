@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/benefit"
 	"repro/internal/core"
+	"repro/internal/market"
 	"repro/internal/stats"
 )
 
@@ -219,5 +221,94 @@ func TestCloseRoundDoesNotBlockSubmits(t *testing.T) {
 	}
 	if out.res.Metrics.Pairs != out.res.StalePairs {
 		t.Fatalf("metrics report %d assigned but %d went stale", out.res.Metrics.Pairs, out.res.StalePairs)
+	}
+}
+
+// TestRoundsLeaveWorkerProfilesUntouched holds the State invariant that
+// profiles are immutable once applied: snapshots share the state's
+// profile slices, so a solver or a concurrent apply that wrote one would
+// change the stored profile.  Rounds close with each solver family while
+// joins land concurrently; under -race a write racing a snapshot read is
+// also a reported race.
+func TestRoundsLeaveWorkerProfilesUntouched(t *testing.T) {
+	for _, name := range []string{"greedy", "exact", "local-search", "incremental"} {
+		t.Run(name, func(t *testing.T) {
+			solver, err := core.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewService(mustState(t), solver, benefit.DefaultParams(), nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			want := map[int]market.Worker{} // deep copies, taken before submit
+			join := func(rng *stats.RNG) {
+				w := market.Worker{
+					Capacity:        1 + rng.Intn(3),
+					Accuracy:        make([]float64, 3),
+					Interest:        make([]float64, 3),
+					Specialties:     rng.Perm(3)[:1+rng.Intn(3)],
+					ReservationWage: 2 * rng.Float64(),
+				}
+				for c := range w.Accuracy {
+					w.Accuracy[c] = 0.5 + 0.45*rng.Float64()
+					w.Interest[c] = rng.Float64()
+				}
+				cp := w
+				cp.Accuracy = slices.Clone(w.Accuracy)
+				cp.Interest = slices.Clone(w.Interest)
+				cp.Specialties = slices.Clone(w.Specialties)
+				e, err := svc.Submit(NewWorkerJoined(w))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cp.ID = e.Worker.ID
+				mu.Lock()
+				want[cp.ID] = cp
+				mu.Unlock()
+			}
+			rng := stats.NewRNG(3)
+			for i := 0; i < 20; i++ {
+				join(rng)
+				task := market.Task{Category: rng.Intn(3), Replication: 1 + rng.Intn(2), Payment: 1 + 9*rng.Float64(), Difficulty: 0.5 * rng.Float64()}
+				if _, err := svc.Submit(NewTaskPosted(task)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				jr := stats.NewRNG(4)
+				for i := 0; i < 40; i++ {
+					join(jr)
+				}
+			}()
+			for r := 0; r < 8; r++ {
+				if _, err := svc.CloseRound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wg.Wait()
+			if _, err := svc.CloseRound(); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(want) != 60 {
+				t.Fatalf("%d joins recorded, want 60", len(want))
+			}
+			for id, w := range want {
+				got, ok := svc.State().Worker(id)
+				if !ok {
+					t.Fatalf("worker %d missing", id)
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("worker %d profile changed:\n got %+v\nwant %+v", id, got, w)
+				}
+			}
+		})
 	}
 }

@@ -40,7 +40,8 @@ type FailoverOptions struct {
 	// ProbeInterval is the health-probe cadence while the primary looks
 	// alive; 0 means 500ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe request; 0 means 2s.
+	// ProbeTimeout bounds each probe request; 0 means 2s.  Production
+	// uses the default; tests shorten it to run fast.
 	ProbeTimeout time.Duration
 	// ProbeFailures is how many consecutive bad probes (transport error,
 	// non-200, or a degraded payload) trigger takeover; 0 means 5.  The
@@ -48,7 +49,8 @@ type FailoverOptions struct {
 	// promotion.
 	ProbeFailures int
 	// ProbeMaxBackoff caps the jittered backoff between failed probes;
-	// 0 means 5s.
+	// 0 means 5s.  Production uses the default; tests shorten it to run
+	// fast.
 	ProbeMaxBackoff time.Duration
 	// AutoTakeover enables promotion.  Off, the supervisor only reports
 	// probe state through Health and never promotes — the PR-8 behaviour
@@ -252,7 +254,10 @@ func (fo *Failover) Run(ctx context.Context) error {
 // promote turns the replica directory into a serving primary: open it
 // (it is a valid checkpoint dir — the follower journaled before applying,
 // always), build the service and journal the epoch bump that fences the
-// old primary.
+// old primary.  The new epoch outranks both the replica's own and the
+// epoch the primary last advertised: a replica whose stream was torn
+// before the primary's own epoch bump lags that epoch, and promoting to
+// it would leave a resurrected old primary unfenced at the same epoch.
 func (fo *Failover) promote() (*Service, *SegmentedLog, *CheckpointManager, error) {
 	state, seg, cm, _, err := OpenMarketDir(fo.dir, fo.opts.Follower.NumCategories, fo.opts.Follower.Segment, fo.opts.Checkpoint)
 	if err != nil {
@@ -267,7 +272,7 @@ func (fo *Failover) promote() (*Service, *SegmentedLog, *CheckpointManager, erro
 	// The journaled epoch bump is the promotion: it survives restarts of
 	// the new primary and rides every response header from here on, which
 	// is what demotes a resurrected old primary.
-	bump, err := svc.Submit(NewEpochBumped(state.Epoch() + 1))
+	bump, err := svc.Submit(NewEpochBumped(max(state.Epoch(), fo.follower.PrimaryEpoch()) + 1))
 	if err != nil {
 		seg.Close()
 		return nil, nil, nil, fmt.Errorf("journaling epoch bump: %w", err)

@@ -392,6 +392,90 @@ func TestFailoverAutoTakeover(t *testing.T) {
 	}
 }
 
+// TestFailoverPromotionOutranksPrimaryEpoch: a standby whose last stream
+// response was torn before the primary's newest epoch bump holds an older
+// epoch than the primary advertised on that response.  Promoting to its
+// own epoch + 1 would tie the primary's, leaving a resurrected old
+// primary unfenced; the promotion must outrank the observed epoch, and
+// the old primary must refuse writes once it hears the new one.
+func TestFailoverPromotionOutranksPrimaryEpoch(t *testing.T) {
+	ts, svc := newPrimary(t, t.TempDir())
+	// The primary's history holds two epoch bumps: seq 5 (epoch 1) and
+	// seq 9 (epoch 2), its current epoch.
+	submitN(t, svc, 4)
+	for _, epoch := range []uint64{1, 2} {
+		if _, err := svc.Submit(NewEpochBumped(epoch)); err != nil {
+			t.Fatal(err)
+		}
+		submitN(t, svc, 3)
+	}
+
+	// The primary dies while streaming: its first stream response is torn
+	// inside record 8 (the epoch-2 bump), and every later request fails.
+	torn := &tornOnceProxy{t: t, primaryURL: ts.URL, cutRecord: 8}
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if torn.torn.Load() {
+			http.Error(w, "primary down", http.StatusBadGateway)
+			return
+		}
+		torn.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	fo, err := NewFailover(front.URL, t.TempDir(), failoverOptions(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fo.Follower()
+	if n, err := f.SyncOnce(context.Background()); err == nil || n != 8 {
+		t.Fatalf("torn sync applied %d (err %v), want 8 and an error", n, err)
+	}
+	if f.State().Epoch() != 1 || f.PrimaryEpoch() != 2 {
+		t.Fatalf("replica at epoch %d, primary advertised %d; want 1 and 2", f.State().Epoch(), f.PrimaryEpoch())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- fo.Run(ctx) }()
+	select {
+	case <-fo.Promoted():
+	case <-time.After(5 * time.Second):
+		t.Fatal("takeover never happened")
+	}
+	promoted, err := fo.Service()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if promoted.Epoch() != 3 || promoted.PromotedAtSeq() != 9 {
+		t.Fatalf("promoted to epoch %d at seq %d, want 3 at 9", promoted.Epoch(), promoted.PromotedAtSeq())
+	}
+
+	// The old primary comes back and hears the new epoch on a request.
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(validWorker()); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/workers", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(EpochHeader, strconv.FormatUint(promoted.Epoch(), 10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("old primary answered %d to a write at the promoted epoch, want 409", resp.StatusCode)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()

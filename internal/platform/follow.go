@@ -46,30 +46,30 @@ type FollowerOptions struct {
 	// primary still holding legacy JSONL segments); recovery equivalence
 	// is at the event level.
 	Segment SegmentOptions
-	// Client performs the HTTP requests; nil means a fresh default client.
-	Client *http.Client
 	// PollInterval is the idle re-poll delay in Run; 0 means 200ms.  It is
-	// also the base of the error backoff.
+	// also the base of the error backoff.  Production uses the default;
+	// tests shorten it to run fast.
 	PollInterval time.Duration
 	// MaxBackoff caps the jittered exponential backoff Run applies after
 	// consecutive errors (so a fleet of followers doesn't hammer a
-	// restarting primary); 0 means 5s.
+	// restarting primary); 0 means 5s.  Production uses the default;
+	// tests shorten it to run fast.
 	MaxBackoff time.Duration
-	// BackoffSeed seeds the backoff jitter; 0 means 1.  Two followers with
-	// different seeds desynchronise their retries.
-	BackoffSeed uint64
-	// DegradedContactAge degrades Health once the last successful primary
-	// contact is older than this; 0 means 10s, negative disables the check.
-	DegradedContactAge time.Duration
-	// DegradedLag degrades Health once ReplicationLag reaches this many
-	// events; 0 disables the check (transient lag is normal).
-	DegradedLag uint64
-	// ResyncBudget caps the wall-clock time of one snapshot resync attempt
-	// in Run.  Without it a primary that accepts the connection but stalls
-	// the snapshot body pins the follower forever (the HTTP client has no
-	// default timeout).  0 means 30s; negative disables the cap.
-	ResyncBudget time.Duration
 }
+
+const (
+	// followerBackoffSeed seeds Run's backoff jitter.
+	followerBackoffSeed = 1
+	// followerContactAge degrades Health once the last successful
+	// primary contact is older than this.  Replication lag alone never
+	// degrades it: transient lag is normal.
+	followerContactAge = 10 * time.Second
+	// followerResyncBudget caps the wall-clock time of one snapshot
+	// resync attempt in Run.  Without it a primary that accepts the
+	// connection but stalls the snapshot body pins the follower forever
+	// (the HTTP client has no default timeout).
+	followerResyncBudget = 30 * time.Second
+)
 
 // ErrResyncNeeded reports that the follower's replication position was
 // checkpoint-retired on the primary (410 Gone from the journal stream):
@@ -121,14 +121,10 @@ func NewFollower(primaryURL, dir string, opts FollowerOptions) (*Follower, error
 	if err != nil {
 		return nil, fmt.Errorf("platform: opening follower journal: %w", err)
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	f := &Follower{
 		primary: primaryURL,
 		opts:    opts,
-		client:  client,
+		client:  &http.Client{},
 		state:   state,
 		seg:     seg,
 	}
@@ -188,11 +184,10 @@ func (f *Follower) ContactAge() time.Duration {
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
 
 // Health implements HealthReporter for a follower process.  A follower
-// degrades when its journal is poisoned, when the primary has been out
-// of contact past DegradedContactAge, or when replication lag reaches
-// DegradedLag — an unreachable primary must not keep reporting "ok"
-// forever, or nothing watching this endpoint ever learns replication has
-// stalled.
+// degrades when its journal is poisoned or when the primary has been out
+// of contact past followerContactAge — an unreachable primary must not
+// keep reporting "ok" forever, or nothing watching this endpoint ever
+// learns replication has stalled.
 func (f *Follower) Health() HealthStatus {
 	st, seg := f.replica()
 	workers, tasks := st.Counts()
@@ -211,16 +206,7 @@ func (f *Follower) Health() HealthStatus {
 		ConsecutiveRetries: f.ConsecutiveRetries(),
 	}
 	h.Status = "ok"
-	maxAge := f.opts.DegradedContactAge
-	if maxAge == 0 {
-		maxAge = 10 * time.Second
-	}
-	switch {
-	case h.JournalPoisoned:
-		h.Status = "degraded"
-	case maxAge > 0 && contactAge > maxAge:
-		h.Status = "degraded"
-	case f.opts.DegradedLag > 0 && h.ReplicationLag >= f.opts.DegradedLag:
+	if h.JournalPoisoned || contactAge > followerContactAge {
 		h.Status = "degraded"
 	}
 	return h
@@ -416,15 +402,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	if maxB <= 0 {
 		maxB = 5 * time.Second
 	}
-	seed := f.opts.BackoffSeed
-	if seed == 0 {
-		seed = 1
-	}
-	budget := f.opts.ResyncBudget
-	if budget == 0 {
-		budget = 30 * time.Second
-	}
-	rng := stats.NewRNG(seed)
+	rng := stats.NewRNG(followerBackoffSeed)
 	fails := 0
 	for {
 		n, err := f.SyncOnce(ctx)
@@ -435,10 +413,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			// Budget the whole resync attempt: the default HTTP client has
 			// no timeout, and a primary that stalls the snapshot body mid-
 			// transfer must cost one bounded attempt, not pin Run forever.
-			rctx, cancel := ctx, context.CancelFunc(func() {})
-			if budget > 0 {
-				rctx, cancel = context.WithTimeout(ctx, budget)
-			}
+			rctx, cancel := context.WithTimeout(ctx, followerResyncBudget)
 			_, rerr := f.Resync(rctx)
 			cancel()
 			if rerr == nil {

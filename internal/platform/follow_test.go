@@ -227,6 +227,7 @@ func (p *tornOnceProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(JournalLastSeqHeader, resp.Header.Get(JournalLastSeqHeader))
+	w.Header().Set(EpochHeader, resp.Header.Get(EpochHeader))
 	w.WriteHeader(resp.StatusCode)
 	if resp.StatusCode == http.StatusOK && p.torn.CompareAndSwap(false, true) {
 		cw := faultinject.NewCutWriter(w, binaryStreamCut(p.t, body, p.cutRecord))

@@ -66,7 +66,7 @@ func TestHealthzShardedPoisonedShard(t *testing.T) {
 		}
 		bundles[k] = Shard{State: st, Solver: greedySolver(), Journal: j}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

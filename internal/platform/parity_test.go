@@ -49,7 +49,7 @@ func TestOneShardMatchesService(t *testing.T) {
 				t.Fatal(err)
 			}
 			ss, err := NewShardedService([]Shard{{State: ssState, Journal: NewLog(&ssBuf), Solver: mkSolver()}},
-				benefit.DefaultParams(), ShardedOptions{}, seed)
+				benefit.DefaultParams(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,9 +44,6 @@ type SegmentOptions struct {
 	// MaxBytes seals the active segment once it reaches this size;
 	// 0 means the default (4 MiB).  Negative disables size rotation.
 	MaxBytes int64
-	// RotateRounds seals the active segment after this many round_closed
-	// markers; 0 disables round-based rotation.
-	RotateRounds int
 	// Log is the per-segment durability policy (fsync, retries).
 	Log LogOptions
 	// Hook injects simulated crashes (tests only; nil in production).
@@ -87,7 +84,6 @@ type SegmentedLog struct {
 	// record-aligned) prefix of the file — the heal target and the
 	// streaming read limit.
 	curBase int64
-	rounds  int // round markers in the active segment
 
 	sealed  []SegmentInfo // older segments, ascending FirstSeq
 	dropped error         // open-time torn-tail diagnostic, if any
@@ -210,9 +206,6 @@ func OpenSegmentedLog(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 		return nil, err
 	}
 	sl.attach(f, active)
-	// Round markers already inside the reopened segment are not recounted:
-	// rotation thresholds are heuristics, and a segment slightly overshooting
-	// its round budget across a restart is harmless.
 	return sl, nil
 }
 
@@ -307,7 +300,7 @@ func (sl *SegmentedLog) AppendBatch(events []Event) error {
 			return err
 		}
 		if log == sl.log {
-			sl.afterAppendLocked(events)
+			sl.afterAppendLocked()
 		}
 		return nil
 	}
@@ -332,21 +325,13 @@ func (sl *SegmentedLog) ensureActiveLocked(firstSeq uint64) error {
 		return fmt.Errorf("platform: creating segment: %w", err)
 	}
 	sl.attach(f, SegmentInfo{Path: path, FirstSeq: firstSeq})
-	sl.rounds = 0
 	return nil
 }
 
-// afterAppendLocked does the post-append bookkeeping: round counting and
-// threshold rotation.
-func (sl *SegmentedLog) afterAppendLocked(events []Event) {
-	for i := range events {
-		if events[i].Kind == EventRoundClosed {
-			sl.rounds++
-		}
-	}
-	size := atomic.LoadInt64(&sl.cur.Size)
-	if (sl.opts.MaxBytes > 0 && size >= sl.opts.MaxBytes) ||
-		(sl.opts.RotateRounds > 0 && sl.rounds >= sl.opts.RotateRounds) {
+// afterAppendLocked does the post-append bookkeeping: size-threshold
+// rotation.
+func (sl *SegmentedLog) afterAppendLocked() {
+	if sl.opts.MaxBytes > 0 && atomic.LoadInt64(&sl.cur.Size) >= sl.opts.MaxBytes {
 		// The events are durably appended; a Sync failure delays rotation
 		// (retried at the next append) and a Close failure has already
 		// detached the synced segment, so surface nothing either way.
@@ -400,7 +385,6 @@ func (sl *SegmentedLog) sealLocked() error {
 	sl.sealed = append(sl.sealed, done)
 	sl.f, sl.log = nil, nil
 	sl.cur = SegmentInfo{}
-	sl.rounds = 0
 	return err
 }
 

@@ -84,27 +84,6 @@ func TestSegmentedLogRotatesBySize(t *testing.T) {
 	}
 }
 
-func TestSegmentedLogRotatesByRounds(t *testing.T) {
-	dir := t.TempDir()
-	sl, err := OpenSegmentedLog(dir, SegmentOptions{MaxBytes: -1, RotateRounds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mustState(t)
-	for r := 1; r <= 6; r++ {
-		appendJoins(t, s, sl, 2)
-		if _, err := s.ApplyBatchJournaled([]Event{NewRoundClosed(r)}, sl.AppendBatch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 6 rounds at 2 rounds per segment → 3 sealed segments, no active one.
-	segs := sl.Segments()
-	if len(segs) != 3 {
-		t.Fatalf("6 rounds with RotateRounds=2 produced %d segments, want 3", len(segs))
-	}
-	readAllSegments(t, dir)
-}
-
 func TestSegmentedLogReopenAppends(t *testing.T) {
 	dir := t.TempDir()
 	opts := SegmentOptions{MaxBytes: 800}

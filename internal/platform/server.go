@@ -42,8 +42,8 @@ import (
 // cap is always 413, whatever its bytes would have parsed as;
 // ingestion requests run under a per-request timeout, and POST /v1/rounds
 // is single-flight — a second concurrent close gets 409 with Retry-After
-// instead of queueing behind the solver, and a round that exceeds its
-// budget gets 503.  All limits live in ServerOptions.
+// instead of queueing behind the solver, and a round whose request
+// context dies gets 503.  All limits live in ServerOptions.
 type Server struct {
 	svc     Backend
 	mux     *http.ServeMux
@@ -56,11 +56,11 @@ type Server struct {
 // market) and ShardedService (N shard markets behind one API) both satisfy
 // it, so `mbaserve -shards N` serves the exact same routes.
 type Backend interface {
+	BatchSubmitter
+	Fenceable
+	HealthReporter
 	// Submit validates, applies and (if configured) journals one event.
 	Submit(Event) (Event, error)
-	// SubmitBatch applies a batch of ingestion events all-or-nothing
-	// (POST /v1/batch).
-	SubmitBatch(events []Event) ([]Event, error)
 	// CloseRoundCtx closes one assignment round under a context.
 	CloseRoundCtx(context.Context) (*RoundResult, error)
 	// Counts returns live worker/task counts (global for a sharded backend).
@@ -83,10 +83,6 @@ type ServerOptions struct {
 	// RequestTimeout bounds ingestion requests (everything except round
 	// closes) through the request context; 0 means unbounded.
 	RequestTimeout time.Duration
-	// RoundTimeout bounds POST /v1/rounds; the round is cancelled
-	// cooperatively through the solver stack and the request answered 503.
-	// 0 means unbounded.
-	RoundTimeout time.Duration
 	// MaxBatchBytes caps POST /v1/batch bodies separately from
 	// MaxBodyBytes — a batch is by design many events; 0 means unlimited.
 	MaxBatchBytes int64
@@ -96,9 +92,10 @@ type ServerOptions struct {
 }
 
 // NewServerOptions returns the recommended limits: 1 MiB bodies (a worker
-// profile is a few KiB), 5s ingestion requests, unbounded rounds (bound
-// the solve itself with a core.Degrader deadline instead — a cancelled
-// round helps nobody, a degraded one serves everyone).
+// profile is a few KiB), 5s ingestion requests.  Rounds get no server
+// deadline: bound the solve itself with a core.Degrader deadline instead
+// (mbaserve -round-deadline) — a cancelled round helps nobody, a degraded
+// one serves everyone.
 func NewServerOptions() ServerOptions {
 	return ServerOptions{
 		MaxBodyBytes:   1 << 20,
@@ -142,9 +139,7 @@ func NewServerWithOptions(svc Backend, opts ServerOptions) *Server {
 // of a newer epoch.
 const EpochHeader = "X-MBA-Epoch"
 
-// Fenceable is the optional backend capability behind epoch fencing.
-// Service and ShardedService implement it; backends without it serve
-// exactly as before (no epoch header, no fencing).
+// Fenceable is the backend's half of epoch fencing, part of Backend.
 type Fenceable interface {
 	// Epoch is the backend's own (journaled) replication epoch.
 	Epoch() uint64
@@ -156,8 +151,8 @@ type Fenceable interface {
 }
 
 // timeoutExempt reports whether a route escapes the per-request
-// ingestion deadline: round closes manage their own (longer) budget in
-// handleCloseRound, and snapshot transfers are unbounded (a resyncing
+// ingestion deadline: round closes are bounded by their solver's
+// deadline instead, and snapshot transfers are unbounded (a resyncing
 // follower may pull a large file).
 func timeoutExempt(method, path string) bool {
 	return (method == http.MethodPost && path == "/v1/rounds") ||
@@ -166,18 +161,16 @@ func timeoutExempt(method, path string) bool {
 
 // ServeHTTP implements http.Handler.  Ingestion requests get the
 // per-request deadline here (see timeoutExempt for the exceptions), then
-// pass through admission control when it is enabled.  Epoch-aware
-// backends get the fencing exchange on every request: observe the
-// caller's epoch, advertise our own.
+// pass through admission control when it is enabled.  Every request
+// gets the fencing exchange: observe the caller's epoch, advertise our
+// own.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if fc, ok := s.svc.(Fenceable); ok {
-		if h := r.Header.Get(EpochHeader); h != "" {
-			if v, err := strconv.ParseUint(h, 10, 64); err == nil {
-				fc.ObserveEpoch(v)
-			}
+	if h := r.Header.Get(EpochHeader); h != "" {
+		if v, err := strconv.ParseUint(h, 10, 64); err == nil {
+			s.svc.ObserveEpoch(v)
 		}
-		w.Header().Set(EpochHeader, strconv.FormatUint(fc.Epoch(), 10))
 	}
+	w.Header().Set(EpochHeader, strconv.FormatUint(s.svc.Epoch(), 10))
 	if s.opts.RequestTimeout > 0 && !timeoutExempt(r.Method, r.URL.Path) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 		defer cancel()
@@ -301,9 +294,10 @@ func (s *Server) handleRemoveTask(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// BatchSubmitter is the batch half of Backend on its own, kept because
-// the perfbench module embeds it next to Backend.
+// BatchSubmitter is the batch write path of Backend.
 type BatchSubmitter interface {
+	// SubmitBatch applies a batch of ingestion events all-or-nothing
+	// (POST /v1/batch, and the drain after POST /v1/rounds).
 	SubmitBatch(events []Event) ([]Event, error)
 }
 
@@ -348,9 +342,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(appendBatchAck(make([]byte, 0, 16+48*len(items)), items))
 }
 
-// HealthReporter is the optional backend capability behind GET
-// /v1/healthz; backends without it get a status synthesized from Backend
-// alone (no journal visibility).
+// HealthReporter is the backend's report behind GET /v1/healthz, part
+// of Backend.
 type HealthReporter interface {
 	Health() HealthStatus
 }
@@ -363,14 +356,7 @@ type HealthReporter interface {
 // load is the server doing its job, and a probe that flipped overload
 // into failover would reward the storm with a promotion.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	var h HealthStatus
-	if hr, ok := s.svc.(HealthReporter); ok {
-		h = hr.Health()
-	} else {
-		h.Status, h.Role = "ok", "primary"
-		h.Workers, h.Tasks = s.svc.Counts()
-		h.Rounds = s.svc.Rounds()
-	}
+	h := s.svc.Health()
 	if s.adm != nil {
 		h.Admission = s.adm.HealthSnapshot()
 		if h.Status == "ok" && s.adm.Overloaded() {
@@ -523,11 +509,6 @@ func (s *Server) handleCloseRound(w http.ResponseWriter, r *http.Request) {
 	defer s.closing.Store(false)
 
 	ctx := r.Context()
-	if s.opts.RoundTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RoundTimeout)
-		defer cancel()
-	}
 	res, err := s.svc.CloseRoundCtx(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -544,17 +525,20 @@ func (s *Server) handleCloseRound(w http.ResponseWriter, r *http.Request) {
 			assigned[p.TaskID] = true
 		}
 		// Close in sorted order so the journal (and any replay) is
-		// deterministic instead of following map iteration order.
+		// deterministic instead of following map iteration order, as one
+		// all-or-nothing batch: one journal append, one fsync.
 		ids := make([]int, 0, len(assigned))
 		for id := range assigned {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		for _, id := range ids {
-			if _, err := s.svc.Submit(NewTaskClosed(id)); err != nil {
-				writeSubmitError(w, http.StatusInternalServerError, err)
-				return
-			}
+		closes := make([]Event, len(ids))
+		for i, id := range ids {
+			closes[i] = NewTaskClosed(id)
+		}
+		if _, err := s.svc.SubmitBatch(closes); err != nil {
+			writeSubmitError(w, http.StatusInternalServerError, err)
+			return
 		}
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -239,7 +239,7 @@ func TestServerTimeoutExemptPaths(t *testing.T) {
 			for i := range bundles {
 				bundles[i] = Shard{State: mustState(t), Solver: core.Greedy{Kind: core.MutualWeight}}
 			}
-			ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+			ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,13 +2,17 @@ package platform
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,23 +102,33 @@ func TestServerSingleFlightRound(t *testing.T) {
 	}
 }
 
+// TestServerRoundTimeoutReturns503: a round whose request context dies
+// mid-solve is abandoned with 503 and Retry-After, promptly.  Rounds get
+// no server-side deadline (bound them with a core.Degrader deadline), so
+// the deadline here rides on the request context.
 func TestServerRoundTimeoutReturns503(t *testing.T) {
 	slow := faultinject.SleepySolver{Inner: core.Greedy{Kind: core.MutualWeight}, Delay: 10 * time.Second}
-	opts := NewServerOptions()
-	opts.RoundTimeout = 100 * time.Millisecond
-	ts := newLimitedServer(t, slow, opts)
-	if resp, _ := postJSON(t, ts.URL+"/v1/workers", validWorker()); resp.StatusCode != http.StatusCreated {
-		t.Fatal("seeding worker failed")
+	svc, err := NewService(mustState(t), slow, benefit.DefaultParams(), nil, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/tasks", validTask()); resp.StatusCode != http.StatusCreated {
-		t.Fatal("seeding task failed")
+	if _, err := svc.Submit(NewWorkerJoined(validWorker())); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := svc.Submit(NewTaskPosted(validTask())); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWithOptions(svc, NewServerOptions())
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/rounds", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
 	start := time.Now()
-	resp, _ := postJSON(t, ts.URL+"/v1/rounds", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", rec.Code)
 	}
-	if resp.Header.Get("Retry-After") == "" {
+	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 carried no Retry-After")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -122,27 +136,50 @@ func TestServerRoundTimeoutReturns503(t *testing.T) {
 	}
 }
 
+// countingJournal counts the appends that reach a journal.
+type countingJournal struct {
+	Journal
+	appends atomic.Int64
+}
+
+func (j *countingJournal) AppendBatch(events []Event) error {
+	j.appends.Add(1)
+	return j.Journal.AppendBatch(events)
+}
+
+// TestServerDrainClosesTasksInSortedOrder: ?drain=true closes every task
+// the round assigned, in ascending ID order, as one journal append, and
+// journals exactly what closing them one Submit at a time would.
 func TestServerDrainClosesTasksInSortedOrder(t *testing.T) {
+	seed := func(t *testing.T, svc *Service) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			if _, err := svc.Submit(NewWorkerJoined(validWorker())); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Submit(NewTaskPosted(validTask())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var buf bytes.Buffer
-	state := mustState(t)
-	svc, err := NewService(state, core.Greedy{Kind: core.MutualWeight}, benefit.DefaultParams(), NewLog(&buf), 1)
+	jnl := &countingJournal{Journal: NewLog(&buf)}
+	svc, err := NewService(mustState(t), core.Greedy{Kind: core.MutualWeight}, benefit.DefaultParams(), jnl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed(t, svc)
 	ts := httptest.NewServer(NewServerWithOptions(svc, NewServerOptions()))
 	t.Cleanup(ts.Close)
 
-	for i := 0; i < 4; i++ {
-		if resp, _ := postJSON(t, ts.URL+"/v1/workers", validWorker()); resp.StatusCode != http.StatusCreated {
-			t.Fatal("seeding worker failed")
-		}
-		if resp, _ := postJSON(t, ts.URL+"/v1/tasks", validTask()); resp.StatusCode != http.StatusCreated {
-			t.Fatal("seeding task failed")
-		}
-	}
+	before := jnl.appends.Load()
 	resp, _ := postJSON(t, ts.URL+"/v1/rounds?drain=true", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain round status = %d", resp.StatusCode)
+	}
+	// One append for the round marker, one for the whole drain.
+	if got := jnl.appends.Load() - before; got != 2 {
+		t.Fatalf("round and drain took %d journal appends, want 2", got)
 	}
 	events, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -162,6 +199,41 @@ func TestServerDrainClosesTasksInSortedOrder(t *testing.T) {
 	}
 	if sawClosed == 0 {
 		t.Fatal("drain closed nothing")
+	}
+
+	// The reference: the same market and round, its tasks closed one
+	// Submit each.
+	var want bytes.Buffer
+	ref, err := NewService(mustState(t), core.Greedy{Kind: core.MutualWeight}, benefit.DefaultParams(), NewLog(&want), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(t, ref)
+	res, err := ref.CloseRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, p := range res.Pairs {
+		if !slices.Contains(ids, p.TaskID) {
+			ids = append(ids, p.TaskID)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if _, err := ref.Submit(NewTaskClosed(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantEvents, err := ReadLog(bytes.NewReader(want.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(events, wantEvents) {
+		t.Fatalf("drained journal differs from one-close-per-Submit:\n got %+v\nwant %+v", events, wantEvents)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("drained journal bytes differ from one-close-per-Submit")
 	}
 }
 

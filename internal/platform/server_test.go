@@ -107,7 +107,7 @@ func forEachJournaledBackend(t *testing.T, f func(t *testing.T, url string, b Ba
 				bufs[k] = &bytes.Buffer{}
 				bundles[k] = Shard{State: mustState(t), Journal: NewLog(bufs[k]), Solver: greedySolver()}
 			}
-			ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+			ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

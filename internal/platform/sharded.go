@@ -29,13 +29,6 @@ type Shard struct {
 	Checkpoint *CheckpointManager // optional
 }
 
-// ShardedOptions tunes a ShardedService.
-type ShardedOptions struct {
-	// Parallel bounds the per-shard solve fan-out inside CloseRound; 0
-	// means GOMAXPROCS, always capped at the shard count.
-	Parallel int
-}
-
 // ShardRound is one shard's provenance inside an aggregated RoundResult:
 // the shard's market size at snapshot time, its share of the committed
 // pairs, and the same solve/checkpoint provenance Service reports for a
@@ -70,8 +63,8 @@ type ShardRound struct {
 // multi-shard applies fail only on journal I/O, and a partial failure is
 // compensated by rolling the already-applied shards back).  CloseRound
 // holds the service mutex only to cut every shard's snapshot; the
-// expensive work runs without it, like Service: each shard's
-// solve phase fans across a bounded worker pool, a sequential
+// expensive work runs without it, like Service: each shard's solve phase
+// fans across a worker pool of min(GOMAXPROCS, shards), a sequential
 // reconciliation pass resolves spanning workers, and each shard runs its
 // commit phase (filter-live, round marker, checkpoint notification).
 // Rounds serialise among themselves on roundMu.
@@ -83,7 +76,6 @@ type ShardRound struct {
 type ShardedService struct {
 	router ShardRouter
 	shards []*Service
-	par    int
 
 	mu           sync.Mutex
 	nextWorkerID int
@@ -107,21 +99,18 @@ type ShardedService struct {
 // bundles.  All states must share one category universe; recovered states
 // are re-indexed into the routing tables (and cross-checked against the
 // router, which catches recovering with a different -shards than the
-// directory was written with).  seed derives every shard's RNG stream.
-func NewShardedService(shards []Shard, params benefit.Params, opts ShardedOptions, seed uint64) (*ShardedService, error) {
+// directory was written with).  Each bundle's solver must be its own
+// instance.  seed derives every shard's RNG stream.
+func NewShardedService(shards []Shard, params benefit.Params, seed uint64) (*ShardedService, error) {
 	if len(shards) < 1 {
 		return nil, fmt.Errorf("platform: sharded service needs at least one shard")
 	}
 	ss := &ShardedService{
 		router:       ShardRouter{Shards: len(shards)},
-		par:          min(max(opts.Parallel, 0), len(shards)),
 		nextWorkerID: 1,
 		nextTaskID:   1,
 		workerHome:   map[int][]int{},
 		taskHome:     map[int]int{},
-	}
-	if ss.par == 0 {
-		ss.par = min(runtime.GOMAXPROCS(0), len(shards))
 	}
 	solverPtrs := map[uintptr]int{}
 	for k, b := range shards {
@@ -592,7 +581,8 @@ func (ss *ShardedService) CloseRoundCtx(ctx context.Context) (*RoundResult, erro
 	ss.mu.Unlock()
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < ss.par; w++ {
+	workers := min(runtime.GOMAXPROCS(0), len(ss.shards))
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

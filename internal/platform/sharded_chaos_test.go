@@ -108,7 +108,7 @@ func TestChaosShardedRounds(t *testing.T) {
 			Journal: NewLogWithOptions(w, LogOptions{MaxRetries: 1, RetryBackoff: 50 * time.Microsecond}),
 		}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, seed)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

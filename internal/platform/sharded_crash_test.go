@@ -115,7 +115,7 @@ func buildShardedCrashStack(t *testing.T, dir string, hook CrashHook, crashShard
 		}
 		bundles[k] = Shard{State: states[k], Journal: seg, Solver: solver, Checkpoint: cm}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func newTestShardedService(t *testing.T, shards, categories int, mkSolver func()
 		}
 		bundles[k] = Shard{State: st, Solver: mkSolver()}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, seed)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestShardedSubmitCompensation(t *testing.T) {
 			Journal: NewLogWithOptions(w, LogOptions{}),
 		}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestShardedRecoveryByteIdentical(t *testing.T) {
 			bundles[k] = Shard{State: states[k], Journal: seg, Solver: greedySolver(), Checkpoint: cm}
 			segs = append(segs, seg)
 		}
-		ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 7)
+		ss, err := NewShardedService(bundles, benefit.DefaultParams(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestShardedRecoveryShardCountMismatch(t *testing.T) {
 		states[k] = st
 		bundles[k] = Shard{State: st, Journal: seg, Solver: greedySolver()}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestShardedRecoveryShardCountMismatch(t *testing.T) {
 	for k := range four {
 		four[k] = Shard{State: rec[k], Solver: greedySolver()}
 	}
-	_, err = NewShardedService(four, benefit.DefaultParams(), ShardedOptions{}, 1)
+	_, err = NewShardedService(four, benefit.DefaultParams(), 1)
 	if err == nil || !strings.Contains(err.Error(), "shard count mismatch") {
 		t.Fatalf("recovering 2-shard data with 4 shards: err = %v, want a shard count mismatch", err)
 	}
@@ -421,7 +421,7 @@ func TestShardedPartialJoinRepaired(t *testing.T) {
 		segs = append(segs, sg)
 		bundles[k] = Shard{State: states[k], Journal: sg, Solver: greedySolver()}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatalf("recovery refused a torn join: %v", err)
 	}
@@ -450,7 +450,7 @@ func TestShardedPartialJoinRepaired(t *testing.T) {
 	for k := range bundles {
 		bundles[k] = Shard{State: states2[k], Solver: greedySolver()}
 	}
-	ss2, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss2, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestShardedSharedSolverRejected(t *testing.T) {
 		}
 		bundles[k] = Shard{State: st, Solver: shared}
 	}
-	if _, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1); err == nil {
+	if _, err := NewShardedService(bundles, benefit.DefaultParams(), 1); err == nil {
 		t.Fatal("two shards sharing one solver instance were accepted")
 	}
 }
@@ -670,7 +670,7 @@ func TestShardedCloseRoundMarkerFailure(t *testing.T) {
 		}
 		bundles[k] = Shard{State: st, Solver: greedySolver(), Journal: NewLogWithOptions(w, LogOptions{})}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

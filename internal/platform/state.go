@@ -19,6 +19,11 @@ import (
 // entities into a market.Instance with dense instance-local indices and
 // returns the mapping back to platform IDs, so assignment results can be
 // reported against stable identities.
+//
+// Invariant: worker profiles are immutable once applied.  The state keeps
+// the Accuracy, Interest and Specialties slices of the applied event and
+// never writes them in place; Worker, snapshots and the applied event all
+// share them, so no holder may write them either.
 type State struct {
 	mu sync.RWMutex
 
@@ -85,18 +90,13 @@ func (s *State) NextIDs() (nextWorkerID, nextTaskID int) {
 	return s.nextWorkerID, s.nextTaskID
 }
 
-// Worker returns a deep copy of a live worker by platform ID.
+// Worker returns a live worker by platform ID.  Its profile slices are
+// shared with the state and must not be written (see State).
 func (s *State) Worker(id int) (market.Worker, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	w, ok := s.workers[id]
-	if !ok {
-		return market.Worker{}, false
-	}
-	w.Accuracy = append([]float64(nil), w.Accuracy...)
-	w.Interest = append([]float64(nil), w.Interest...)
-	w.Specialties = append([]int(nil), w.Specialties...)
-	return w, true
+	return w, ok
 }
 
 // Task returns a copy of an open task by platform ID.
@@ -111,8 +111,10 @@ func (s *State) Task(id int) (market.Task, bool) {
 // number.  It returns the applied event (with Seq and any platform-assigned
 // IDs filled in) so callers can append it to a log.
 //
-// Apply is the single mutation entry point: the HTTP API, the log replayer
-// and tests all converge here, which is what makes replay deterministic.
+// Apply serves replay (Replay, RecoverDir) and tests; the write paths —
+// the HTTP API, Service and the follower — go through ApplyBatchJournaled.
+// Both apply through the same applyLocked, which is what makes replay
+// deterministic.
 func (s *State) Apply(e Event) (Event, error) {
 	if err := e.Validate(); err != nil {
 		return Event{}, err
@@ -373,12 +375,9 @@ func (s *State) snapshotLocked() (*market.Instance, []int, []int) {
 		Tasks:         make([]market.Task, len(taskIDs)),
 	}
 	for i, id := range workerIDs {
+		// The profile slices are shared, not copied: profiles are
+		// immutable once applied (see State).
 		w := s.workers[id]
-		// Deep-copy the profile slices: the instance must be immune to
-		// later state mutation.
-		w.Accuracy = append([]float64(nil), w.Accuracy...)
-		w.Interest = append([]float64(nil), w.Interest...)
-		w.Specialties = append([]int(nil), w.Specialties...)
 		w.ID = i
 		in.Workers[i] = w
 	}

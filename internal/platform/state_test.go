@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -169,12 +170,18 @@ func TestSnapshotIsValidInstanceAndIsolated(t *testing.T) {
 	if in.NumWorkers() != 2 {
 		t.Fatal("snapshot shrank after state mutation")
 	}
-	// Deep copy: mutating the live worker's profile must not leak in.
-	in2, _, _ := s.Snapshot()
-	in2.Workers[0].Accuracy[0] = 0.99
-	in3, _, _ := s.Snapshot()
-	if in3.Workers[0].Accuracy[0] == 0.99 {
-		t.Fatal("snapshots share profile slices")
+	// Profiles are immutable once applied (see State): snapshots share the
+	// state's profile slices instead of copying them, and later applies
+	// leave a snapshot's profiles as they were.
+	in2, ids2, _ := s.Snapshot()
+	live, _ := s.Worker(ids2[0])
+	if &in2.Workers[0].Accuracy[0] != &live.Accuracy[0] {
+		t.Fatal("snapshot copied a profile the state shares")
+	}
+	s.Apply(NewWorkerJoined(validWorker()))
+	s.Apply(NewWorkerLeft(ids2[0]))
+	if !reflect.DeepEqual(in2.Workers[0].Accuracy, validWorker().Accuracy) {
+		t.Fatalf("snapshot profile changed under later applies: %v", in2.Workers[0].Accuracy)
 	}
 }
 
