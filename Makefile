@@ -1,13 +1,13 @@
 # Pre-merge verification and perf tooling.  `make verify` is the documented
 # gate: the tier-1 build+test, go vet + gofmt, the race detector over the
 # concurrency-bearing packages (problem construction, the flow kernels and
-# their workspace pool, and the platform server), and vet + tests of the
-# perfbench module.
+# their workspace pool, and the platform server), vet + tests of the
+# perfbench module, and the reachability check.
 GO ?= go
 
-.PHONY: verify build test vet race perfbench-test chaos crash bench benchjson bench-diff
+.PHONY: verify build test vet race perfbench-test reach chaos crash bench benchjson bench-diff
 
-verify: build test vet race perfbench-test
+verify: build test vet race perfbench-test reach
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,7 @@ test:
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags chaos ./...
+	$(GO) vet -tags reach ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
@@ -29,6 +30,14 @@ race:
 # change cannot silently break the end-to-end benchmark.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Every function declared in a non-test file must be linked into one of the
+# 11 binaries (cmd/*, examples/*, perfbench), built with inlining off and
+# read back with `go tool nm`.  Behind the `reach` build tag because the
+# builds take seconds (about 5 s warm, 20 s cold on 2 CPUs); see
+# reach_test.go for the matching rules and the allowlist.
+reach:
+	$(GO) test -tags reach -count=1 -run 'TestEveryFunctionReachesABinary|TestReachMatching' .
 
 # Fault-injection suite: ≥120 serving rounds under injected journal
 # faults, solver panics and concurrent churn, then recovery verification;

@@ -11,7 +11,7 @@ import (
 
 // This file extends the façade with the analysis and operator tooling built
 // on top of the core assignment loop: quality SLAs, stability analysis,
-// per-category market health, and payment recommendation.
+// per-category market health, and the payment retention curve.
 
 // AssignWithSLA is Assign with a per-pair quality floor: pairs whose
 // requester-side quality falls below minQuality are excluded before the
@@ -110,12 +110,6 @@ func RetentionCurve(cfg DynamicsConfig, multipliers []float64, seed uint64) ([]R
 	return pricing.RetentionCurve(cfg, multipliers, seed)
 }
 
-// RecommendPaymentMultiplier returns the smallest candidate multiplier
-// whose simulated final participation reaches target.
-func RecommendPaymentMultiplier(cfg DynamicsConfig, candidates []float64, target float64, seed uint64) (float64, error) {
-	return pricing.RecommendMultiplier(cfg, candidates, target, seed)
-}
-
 // ClusteredMarket generates the two-tier expert/generalist workload (see
 // market.ClusteredMarket).
 func ClusteredMarket(workers, tasks int, expertFrac float64, seed uint64) *Instance {
@@ -124,7 +118,7 @@ func ClusteredMarket(workers, tasks int, expertFrac float64, seed uint64) *Insta
 
 // Incremental is the dynamic-market assigner: it keeps a greedy-maximal
 // mutual-benefit assignment standing while workers join/leave and tasks
-// are posted/closed, repairing locally per event instead of recomputing.
+// are posted, repairing locally per event instead of recomputing.
 // See core.Incremental for the repair semantics and invariants.
 type Incremental = core.Incremental
 

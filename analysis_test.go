@@ -110,9 +110,6 @@ func TestRetentionCurveFacade(t *testing.T) {
 	if len(curve) != 2 {
 		t.Fatalf("curve = %v", curve)
 	}
-	if _, err := RecommendPaymentMultiplier(cfg, []float64{0.5, 2}, 0.05, 5); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestClusteredMarketFacade(t *testing.T) {

@@ -406,8 +406,10 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkExperimentSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.RunConfig{Seed: uint64(i), Quick: true, Reps: 1}
-		if err := experiments.RunAll(io.Discard, cfg); err != nil {
-			b.Fatal(err)
+		for _, e := range experiments.All() {
+			if err := experiments.RunOne(io.Discard, e, cfg); err != nil {
+				b.Fatalf("%s: %v", e.ID, err)
+			}
 		}
 	}
 }

@@ -81,3 +81,62 @@ func ExampleStability() {
 	fmt.Println("blocking pairs:", rep.BlockingPairs)
 	// Output: blocking pairs: 0
 }
+
+// ExampleGenerate builds a market from explicit generator knobs.
+func ExampleGenerate() {
+	in, err := mba.Generate(mba.MarketConfig{NumWorkers: 30, NumTasks: 20, NumCategories: 4}, 7)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("workers:", in.NumWorkers(), "tasks:", in.NumTasks(), "categories:", in.NumCategories)
+	// Output: workers: 30 tasks: 20 categories: 4
+}
+
+// ExampleAlgorithms lists the names Assign and NewSolver accept.
+func ExampleAlgorithms() {
+	names := mba.Algorithms()
+	fmt.Println(len(names), "algorithms, first:", names[0])
+	// Output: 17 algorithms, first: annealing
+}
+
+// ExampleByCategory shows where an assignment clears the market, category
+// by category.
+func ExampleByCategory() {
+	in := mba.FreelanceTrace(50, 40, 7)
+	res, _ := mba.Assign(in, mba.DefaultParams(), "exact", 7)
+	reports, err := mba.ByCategory(in, mba.DefaultParams(), res)
+	if err != nil {
+		panic(err)
+	}
+	filled := 0
+	for _, r := range reports {
+		filled += r.Filled
+	}
+	fmt.Println("categories:", len(reports), "filled slots:", filled, "pairs:", len(res.Pairs))
+	// Output: categories: 30 filled slots: 48 pairs: 48
+}
+
+// ExampleRetentionCurve probes final workforce participation against a
+// uniform payment multiplier.
+func ExampleRetentionCurve() {
+	solver, _ := mba.NewSolver("greedy")
+	cfg := mba.DynamicsConfig{
+		Rounds: 10,
+		Market: mba.MarketConfig{NumWorkers: 40, NumTasks: 30},
+		Params: mba.DefaultParams(),
+		Solver: solver,
+	}
+	curve, err := mba.RetentionCurve(cfg, []float64{0.1, 4}, 5)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("participation at 0.1x pay: %.2f, at 4x: %.2f\n", curve[0].FinalParticipation, curve[1].FinalParticipation)
+	// Output: participation at 0.1x pay: 0.38, at 4x: 0.50
+}
+
+// ExampleClusteredMarket generates the two-tier expert/generalist market.
+func ExampleClusteredMarket() {
+	in := mba.ClusteredMarket(50, 30, 0.2, 6)
+	fmt.Println("valid:", in.Validate() == nil, "workers:", in.NumWorkers(), "tasks:", in.NumTasks())
+	// Output: valid: true workers: 50 tasks: 30
+}

@@ -41,19 +41,3 @@ func MajorityCorrectProb(accs []float64) float64 {
 	}
 	return p
 }
-
-// MajorityGain returns the increase in majority-correctness probability from
-// adding a worker with accuracy a to a task already holding accs.  It never
-// returns a negative value: mathematically the gain can be slightly negative
-// (adding a weak voter can hurt an odd-sized panel), and the submodular
-// greedy must treat such additions as worthless rather than winning moves,
-// so the gain is clamped at zero.
-func MajorityGain(accs []float64, a float64) float64 {
-	before := MajorityCorrectProb(accs)
-	after := MajorityCorrectProb(append(append(make([]float64, 0, len(accs)+1), accs...), a))
-	g := after - before
-	if g < 0 {
-		return 0
-	}
-	return g
-}

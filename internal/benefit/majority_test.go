@@ -108,25 +108,6 @@ func TestMajorityMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestMajorityGainClampedNonNegative(t *testing.T) {
-	// Adding a coin flipper to an odd strong panel strictly hurts the raw
-	// probability (creates tie mass); the clamped gain must be 0.
-	if g := MajorityGain([]float64{0.9, 0.9, 0.9}, 0.5); g != 0 {
-		t.Fatalf("gain = %v, want clamp to 0", g)
-	}
-	if g := MajorityGain(nil, 0.8); math.Abs(g-0.3) > 1e-12 {
-		t.Fatalf("first-voter gain = %v, want 0.3", g)
-	}
-}
-
-func TestMajorityGainDoesNotMutateInput(t *testing.T) {
-	accs := []float64{0.7, 0.8}
-	MajorityGain(accs, 0.9)
-	if accs[0] != 0.7 || accs[1] != 0.8 || len(accs) != 2 {
-		t.Fatal("MajorityGain mutated its input")
-	}
-}
-
 // Property: the DP always matches brute force for small random panels, and
 // the result is within [0,1].
 func TestQuickMajorityMatchesBrute(t *testing.T) {

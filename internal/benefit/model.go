@@ -160,9 +160,6 @@ func (m *Model) memoBase(w *market.Worker) int {
 // Params returns the model's parameters.
 func (m *Model) Params() Params { return m.p }
 
-// Instance returns the underlying market instance.
-func (m *Model) Instance() *market.Instance { return m.in }
-
 // EffectiveAccuracy is the probability worker w answers task t correctly:
 // base accuracy in t's category discounted by task difficulty towards the
 // coin-flip floor 0.5.  Always in [0.5, 1).

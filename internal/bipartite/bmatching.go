@@ -105,7 +105,7 @@ func collectMatching(g *Graph, net *FlowNetwork, edgeArc []int32) BMatching {
 	return m
 }
 
-// MaxWeightBMatching computes an exact maximum-weight b-matching of g:
+// MaxWeightBMatchingWS computes an exact maximum-weight b-matching of g:
 // a subset M of edges maximising Σweight such that every left vertex l is
 // covered at most capL[l] times and every right vertex r at most capR[r]
 // times.  Edge weights must be non-negative (benefit values are); it panics
@@ -115,16 +115,10 @@ func collectMatching(g *Graph, net *FlowNetwork, edgeArc []int32) BMatching {
 // source → worker arcs with capacity capL, per-edge unit arcs carrying the
 // negated scaled weight, task → sink arcs with capacity capR, then min-cost
 // flow with the stop-at-non-negative rule so only benefit-positive
-// augmenting paths are taken.  Scratch and the network arena come from a
-// pooled FlowWorkspace; MaxWeightBMatchingWS pins one across solves.
-func MaxWeightBMatching(g *Graph, capL, capR []int) BMatching {
-	return MaxWeightBMatchingWS(g, capL, capR, nil)
-}
-
-// MaxWeightBMatchingWS is MaxWeightBMatching solving inside ws: the flow
-// network is rebuilt in ws's retained arena and every kernel scratch array
-// is reused, so steady-state repeated solves allocate only the returned
-// matching.  A nil ws borrows one from the package pool.
+// augmenting paths are taken.  The flow network is rebuilt in ws's
+// retained arena and every kernel scratch array is reused, so steady-state
+// repeated solves allocate only the returned matching.  A nil ws borrows
+// one from the package pool.
 func MaxWeightBMatchingWS(g *Graph, capL, capR []int, ws *FlowWorkspace) BMatching {
 	ws, pooled := acquireFlowWorkspace(ws)
 	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR)

@@ -76,7 +76,7 @@ func TestMaxWeightBMatchingSimple(t *testing.T) {
 	g := NewGraph(2, 1)
 	g.AddEdge(0, 0, 0.3)
 	g.AddEdge(1, 0, 0.9)
-	m := MaxWeightBMatching(g, []int{1, 1}, []int{1})
+	m := MaxWeightBMatchingWS(g, []int{1, 1}, []int{1}, nil)
 	if len(m.EdgeIdx) != 1 || g.Edge(m.EdgeIdx[0]).L != 1 {
 		t.Fatalf("picked %v", m)
 	}
@@ -90,12 +90,12 @@ func TestMaxWeightBMatchingUsesCapacities(t *testing.T) {
 	g := NewGraph(1, 2)
 	g.AddEdge(0, 0, 0.5)
 	g.AddEdge(0, 1, 0.6)
-	m := MaxWeightBMatching(g, []int{2}, []int{1, 1})
+	m := MaxWeightBMatchingWS(g, []int{2}, []int{1, 1}, nil)
 	if len(m.EdgeIdx) != 2 || math.Abs(m.Weight-1.1) > 1e-9 {
 		t.Fatalf("m = %+v", m)
 	}
 	// With capacity 1 only the better edge survives.
-	m = MaxWeightBMatching(g, []int{1}, []int{1, 1})
+	m = MaxWeightBMatchingWS(g, []int{1}, []int{1, 1}, nil)
 	if len(m.EdgeIdx) != 1 || math.Abs(m.Weight-0.6) > 1e-9 {
 		t.Fatalf("m = %+v", m)
 	}
@@ -104,7 +104,7 @@ func TestMaxWeightBMatchingUsesCapacities(t *testing.T) {
 func TestMaxWeightBMatchingZeroCapacity(t *testing.T) {
 	g := NewGraph(1, 1)
 	g.AddEdge(0, 0, 1)
-	m := MaxWeightBMatching(g, []int{0}, []int{1})
+	m := MaxWeightBMatchingWS(g, []int{0}, []int{1}, nil)
 	if len(m.EdgeIdx) != 0 {
 		t.Fatal("zero-capacity worker must stay unmatched")
 	}
@@ -112,7 +112,7 @@ func TestMaxWeightBMatchingZeroCapacity(t *testing.T) {
 
 func TestMaxWeightBMatchingEmptyGraph(t *testing.T) {
 	g := NewGraph(3, 3)
-	m := MaxWeightBMatching(g, []int{1, 1, 1}, []int{1, 1, 1})
+	m := MaxWeightBMatchingWS(g, []int{1, 1, 1}, []int{1, 1, 1}, nil)
 	if len(m.EdgeIdx) != 0 || m.Weight != 0 {
 		t.Fatalf("m = %+v", m)
 	}
@@ -128,7 +128,7 @@ func TestMaxWeightBMatchingTradesCardinalityForWeight(t *testing.T) {
 	g.AddEdge(0, 0, 1.0)
 	g.AddEdge(0, 1, 0.2)
 	g.AddEdge(1, 0, 0.2)
-	m := MaxWeightBMatching(g, []int{1, 1}, []int{1, 1})
+	m := MaxWeightBMatchingWS(g, []int{1, 1}, []int{1, 1}, nil)
 	// Optimum is heavy + nothing else? L0-R0 (1.0) plus no other feasible
 	// edge (L1-R1 absent) = 1.0, vs 0.4.  But wait: with heavy chosen, L1
 	// and R1 are free yet not adjacent.  So best = 1.0.
@@ -160,7 +160,7 @@ func TestMaxWeightBMatchingMatchesBruteForce(t *testing.T) {
 		for i := range capR {
 			capR[i] = r.IntRange(0, 3)
 		}
-		m := MaxWeightBMatching(g, capL, capR)
+		m := MaxWeightBMatchingWS(g, capL, capR, nil)
 		feasible(t, g, m, capL, capR)
 		want := bruteMaxWeightBMatching(g, capL, capR)
 		if math.Abs(m.Weight-want) > 1e-6 {
@@ -187,7 +187,7 @@ func TestMaxWeightBMatchingMatchesHungarianOnSquare(t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		m := MaxWeightBMatching(g, ones, ones)
+		m := MaxWeightBMatchingWS(g, ones, ones, nil)
 		_, hTotal := HungarianMax(weight)
 		// Hungarian solves the *perfect* matching variant; with non-negative
 		// weights the max-weight b-matching is at least as good and the
@@ -212,7 +212,7 @@ func TestMaxWeightBMatchingPanics(t *testing.T) {
 				t.Error("negative weight did not panic")
 			}
 		}()
-		MaxWeightBMatching(g, []int{1}, []int{1})
+		MaxWeightBMatchingWS(g, []int{1}, []int{1}, nil)
 	}()
 	g2 := NewGraph(2, 1)
 	g2.AddEdge(0, 0, 1)
@@ -222,7 +222,7 @@ func TestMaxWeightBMatchingPanics(t *testing.T) {
 				t.Error("capacity length mismatch did not panic")
 			}
 		}()
-		MaxWeightBMatching(g2, []int{1}, []int{1, 1})
+		MaxWeightBMatchingWS(g2, []int{1}, []int{1, 1}, nil)
 	}()
 	func() {
 		defer func() {
@@ -230,7 +230,7 @@ func TestMaxWeightBMatchingPanics(t *testing.T) {
 				t.Error("negative capacity did not panic")
 			}
 		}()
-		MaxWeightBMatching(g2, []int{-1, 1}, []int{1})
+		MaxWeightBMatchingWS(g2, []int{-1, 1}, []int{1}, nil)
 	}()
 }
 
@@ -257,7 +257,7 @@ func TestQuickBMatchingFeasibleAndMaximal(t *testing.T) {
 		for i := range capR {
 			capR[i] = r.IntRange(1, 3)
 		}
-		m := MaxWeightBMatching(g, capL, capR)
+		m := MaxWeightBMatchingWS(g, capL, capR, nil)
 		degL := make([]int, nL)
 		degR := make([]int, nR)
 		for _, ei := range m.EdgeIdx {
@@ -297,17 +297,17 @@ func TestMaxCardinalityBMatching(t *testing.T) {
 	g.AddEdge(0, 0, 0.1)
 	g.AddEdge(0, 1, 0.1)
 	g.AddEdge(1, 0, 0.1)
-	m := MaxWeightBMatching(g, []int{1, 1}, []int{1, 1})
+	m := MaxWeightBMatchingWS(g, []int{1, 1}, []int{1, 1}, nil)
 	if len(m.EdgeIdx) != 2 {
 		t.Fatalf("cardinality = %d, want 2", len(m.EdgeIdx))
 	}
 	// With worker 0 capacity 2, all three edges fit? deg constraints:
 	// L0 ≤ 2 (edges to R0,R1), L1 ≤ 1 (edge to R0) but R0 ≤ 1 blocks one.
-	m = MaxWeightBMatching(g, []int{2, 1}, []int{1, 1})
+	m = MaxWeightBMatchingWS(g, []int{2, 1}, []int{1, 1}, nil)
 	if len(m.EdgeIdx) != 2 {
 		t.Fatalf("cardinality = %d, want 2", len(m.EdgeIdx))
 	}
-	m = MaxWeightBMatching(g, []int{2, 1}, []int{2, 1})
+	m = MaxWeightBMatchingWS(g, []int{2, 1}, []int{2, 1}, nil)
 	if len(m.EdgeIdx) != 3 {
 		t.Fatalf("cardinality = %d, want 3", len(m.EdgeIdx))
 	}
@@ -341,7 +341,7 @@ func TestBMatchingZeroCapacitySkipsArcs(t *testing.T) {
 		t.Errorf("network has %d arcs, want 12", net.NumArcs())
 	}
 
-	m := MaxWeightBMatching(g, capL, capR)
+	m := MaxWeightBMatchingWS(g, capL, capR, nil)
 	feasible(t, g, m, capL, capR)
 	if want := bruteMaxWeightBMatching(g, capL, capR); math.Abs(m.Weight-want) > 1e-9 {
 		t.Errorf("weight %v, want brute-force optimum %v", m.Weight, want)
@@ -353,3 +353,6 @@ func TestBMatchingZeroCapacitySkipsArcs(t *testing.T) {
 	}
 
 }
+
+// NumArcs returns the number of arcs including residual reverses.
+func (f *FlowNetwork) NumArcs() int { return len(f.raw) }

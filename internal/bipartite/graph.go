@@ -30,19 +30,14 @@ type Edge struct {
 // vertices.  Vertices are dense integer ids (0-based on each side); the
 // market layer maps worker/task identities onto them.
 //
-// Adjacency is stored in CSR form — one flat edge-index array per side plus
-// an offsets array — built lazily in two counted passes the first time any
-// adjacency accessor runs after an AddEdge.  Building therefore performs a
-// fixed number of allocations regardless of degree distribution, and Reset
-// lets a retained Graph rebuild a same-or-different-shape instance inside
-// its previous arenas.
+// Vertex degrees are counted lazily, in one pass the first time DegreeL
+// or DegreeR runs after an AddEdge, and Reset lets a retained Graph
+// rebuild a same-or-different-shape instance inside its previous arenas.
 type Graph struct {
 	nL, nR int
 	edges  []Edge
-	adjL   []int32 // edge indices incident to l at [offL[l], offL[l+1])
-	offL   []int32 // len nL+1
-	adjR   []int32 // edge indices incident to r at [offR[r], offR[r+1])
-	offR   []int32 // len nR+1
+	degL   []int32 // len nL
+	degR   []int32 // len nR
 	dirty  bool
 }
 
@@ -85,47 +80,19 @@ func (g *Graph) AddEdge(l, r int, w float64) {
 	g.dirty = true
 }
 
-// ensureAdj (re)builds the CSR adjacency in two counted passes: exact
-// per-vertex degrees first, then a cursor sweep filling each vertex's list
-// in ascending edge order (the order AddEdge appended them).
-func (g *Graph) ensureAdj() {
+// ensureDegrees (re)counts every vertex's degree.
+func (g *Graph) ensureDegrees() {
 	if !g.dirty {
 		return
 	}
-	offL := grow(g.offL, g.nL+1)
-	offR := grow(g.offR, g.nR+1)
-	clear(offL)
-	clear(offR)
+	g.degL = grow(g.degL, g.nL)
+	g.degR = grow(g.degR, g.nR)
+	clear(g.degL)
+	clear(g.degR)
 	for i := range g.edges {
-		offL[g.edges[i].L+1]++
-		offR[g.edges[i].R+1]++
+		g.degL[g.edges[i].L]++
+		g.degR[g.edges[i].R]++
 	}
-	for l := 0; l < g.nL; l++ {
-		offL[l+1] += offL[l]
-	}
-	for r := 0; r < g.nR; r++ {
-		offR[r+1] += offR[r]
-	}
-	adjL := grow(g.adjL, len(g.edges))
-	adjR := grow(g.adjR, len(g.edges))
-	for i := range g.edges {
-		e := &g.edges[i]
-		adjL[offL[e.L]] = int32(i)
-		offL[e.L]++
-		adjR[offR[e.R]] = int32(i)
-		offR[e.R]++
-	}
-	// The fill advanced each offset to its successor; shift back.
-	for l := g.nL; l > 0; l-- {
-		offL[l] = offL[l-1]
-	}
-	offL[0] = 0
-	for r := g.nR; r > 0; r-- {
-		offR[r] = offR[r-1]
-	}
-	offR[0] = 0
-	g.adjL, g.offL = adjL, offL
-	g.adjR, g.offR = adjR, offR
 	g.dirty = false
 }
 
@@ -137,34 +104,12 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // DegreeL returns the degree of left vertex l.
 func (g *Graph) DegreeL(l int) int {
-	g.ensureAdj()
-	return int(g.offL[l+1] - g.offL[l])
+	g.ensureDegrees()
+	return int(g.degL[l])
 }
 
 // DegreeR returns the degree of right vertex r.
 func (g *Graph) DegreeR(r int) int {
-	g.ensureAdj()
-	return int(g.offR[r+1] - g.offR[r])
-}
-
-// AdjL returns the edge indices incident to left vertex l.  Callers must not
-// mutate the returned slice, and must not hold it across an AddEdge.
-func (g *Graph) AdjL(l int) []int32 {
-	g.ensureAdj()
-	return g.adjL[g.offL[l]:g.offL[l+1]]
-}
-
-// AdjR returns the edge indices incident to right vertex r.
-func (g *Graph) AdjR(r int) []int32 {
-	g.ensureAdj()
-	return g.adjR[g.offR[r]:g.offR[r+1]]
-}
-
-// TotalWeight sums all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for _, e := range g.edges {
-		s += e.Weight
-	}
-	return s
+	g.ensureDegrees()
+	return int(g.degR[r])
 }

@@ -22,29 +22,6 @@ func TestGraphBasics(t *testing.T) {
 	if e := g.Edge(1); e.L != 0 || e.R != 1 || e.Weight != 2.5 {
 		t.Fatalf("edge 1 = %+v", e)
 	}
-	if w := g.TotalWeight(); w != 7.0 {
-		t.Fatalf("total weight = %v", w)
-	}
-}
-
-func TestGraphAdjacency(t *testing.T) {
-	g := NewGraph(2, 2)
-	g.AddEdge(0, 0, 1)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 1, 1)
-	adj := g.AdjL(0)
-	if len(adj) != 2 {
-		t.Fatalf("AdjL(0) = %v", adj)
-	}
-	for _, ei := range adj {
-		if g.Edge(int(ei)).L != 0 {
-			t.Fatal("AdjL returned foreign edge")
-		}
-	}
-	adjR := g.AdjR(1)
-	if len(adjR) != 2 {
-		t.Fatalf("AdjR(1) = %v", adjR)
-	}
 }
 
 func TestGraphPanics(t *testing.T) {

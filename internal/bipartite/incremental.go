@@ -130,15 +130,8 @@ const idST = int32(0)
 func (m *DeltaMatcher) NumLeftSlots() int  { return len(m.capL) }
 func (m *DeltaMatcher) NumRightSlots() int { return len(m.capR) }
 
-// LiveArcs returns the number of live matching arcs.
-func (m *DeltaMatcher) LiveArcs() int { return m.liveArcs }
-
 // MatchedCount returns the number of arcs currently carrying flow.
 func (m *DeltaMatcher) MatchedCount() int { return m.matched }
-
-// Objective returns the scaled-integer matching weight Σ round(w·1e9),
-// the exact objective the cold kernel maximises.
-func (m *DeltaMatcher) Objective() int64 { return m.objective }
 
 // ArcsOfLeft returns the live arc ids of left slot l.  The slice is owned
 // by the matcher, is invalidated by any mutation, and must not be modified.
@@ -763,102 +756,4 @@ func (m *DeltaMatcher) mergePotentials() error {
 		}
 	}
 	return errors.New("bipartite: merged-potential sweep did not converge (negative residual cycle)")
-}
-
-// Verify exhaustively checks the matcher's invariants: balance bookkeeping
-// against actual flow divergence, capacity bounds, dual feasibility of
-// every residual arc, and the objective/matched counters.  Test and
-// self-check hook; O(V + E).
-func (m *DeltaMatcher) Verify() error {
-	var st int64
-	inL := make([]int64, len(m.capL))
-	matched, liveArcs := 0, 0
-	var objective int64
-	for l := range m.adjL {
-		if !m.aliveL[l] && (len(m.adjL[l]) > 0 || m.srcFlow[l] != 0) {
-			return fmt.Errorf("dead left slot %d still has arcs or source flow", l)
-		}
-		for _, a := range m.adjL[l] {
-			rec := &m.arcs[a]
-			liveArcs++
-			if int(rec.l) != l {
-				return fmt.Errorf("arc %d in adjL[%d] claims tail %d", a, l, rec.l)
-			}
-			if rec.flow {
-				matched++
-				objective += -rec.cost
-				inL[l]--
-			}
-			// Dual feasibility: idle arcs need rc ≥ 0, flowing arcs rc ≤ 0
-			// (their reverse is the residual arc).
-			rc := rec.cost + m.potL[l] - m.potR[rec.r]
-			if !rec.flow && rc < 0 {
-				return fmt.Errorf("idle arc %d has negative reduced cost %d", a, rc)
-			}
-			if rec.flow && rc > 0 {
-				return fmt.Errorf("flowing arc %d has positive reduced cost %d", a, rc)
-			}
-		}
-		if m.srcFlow[l] < 0 || m.srcFlow[l] > m.capL[l] {
-			return fmt.Errorf("left slot %d source flow %d outside [0,%d]", l, m.srcFlow[l], m.capL[l])
-		}
-		if m.aliveL[l] {
-			if m.srcFlow[l] > 0 && m.potST > m.potL[l] {
-				return fmt.Errorf("left slot %d: reverse source arc infeasible", l)
-			}
-			if m.srcFlow[l] < m.capL[l] && m.potL[l] > m.potST {
-				return fmt.Errorf("left slot %d: source arc infeasible", l)
-			}
-		}
-		inL[l] += m.srcFlow[l]
-		st -= m.srcFlow[l]
-	}
-	for r := range m.adjR {
-		if !m.aliveR[r] && (len(m.adjR[r]) > 0 || m.snkFlow[r] != 0) {
-			return fmt.Errorf("dead right slot %d still has arcs or sink flow", r)
-		}
-		if m.snkFlow[r] < 0 || m.snkFlow[r] > m.capR[r] {
-			return fmt.Errorf("right slot %d sink flow %d outside [0,%d]", r, m.snkFlow[r], m.capR[r])
-		}
-		if m.aliveR[r] {
-			if m.snkFlow[r] > 0 && m.potR[r] > m.potST {
-				return fmt.Errorf("right slot %d: reverse sink arc infeasible", r)
-			}
-			if m.snkFlow[r] < m.capR[r] && m.potST > m.potR[r] {
-				return fmt.Errorf("right slot %d: sink arc infeasible", r)
-			}
-		}
-		st += m.snkFlow[r]
-		var div int64
-		for _, a := range m.adjR[r] {
-			if int(m.arcs[a].r) != r {
-				return fmt.Errorf("arc %d in adjR[%d] claims head %d", a, r, m.arcs[a].r)
-			}
-			if m.arcs[a].flow {
-				div++
-			}
-		}
-		div -= m.snkFlow[r]
-		if int32(div) != m.balR[r] {
-			return fmt.Errorf("right slot %d divergence %d != bookkept balance %d", r, div, m.balR[r])
-		}
-	}
-	for l := range inL {
-		if int32(inL[l]) != m.balL[l] {
-			return fmt.Errorf("left slot %d divergence %d != bookkept balance %d", l, inL[l], m.balL[l])
-		}
-	}
-	if int32(st) != m.balST {
-		return fmt.Errorf("ST divergence %d != bookkept balance %d", st, m.balST)
-	}
-	if matched != m.matched {
-		return fmt.Errorf("matched recount %d != counter %d", matched, m.matched)
-	}
-	if liveArcs != m.liveArcs {
-		return fmt.Errorf("live-arc recount %d != counter %d", liveArcs, m.liveArcs)
-	}
-	if objective != m.objective {
-		return fmt.Errorf("objective recount %d != counter %d", objective, m.objective)
-	}
-	return nil
 }

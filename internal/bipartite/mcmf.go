@@ -10,25 +10,15 @@ type MCMFResult struct {
 	Cost int64 // total cost of that flow
 }
 
-// MinCostFlow pushes flow from s to t along successive shortest (cheapest)
-// paths until either maxFlow units have been sent or no augmenting path
-// remains.  If stopAtNonNegative is true it additionally stops as soon as the
-// cheapest augmenting path has non-negative cost — exactly the stopping rule
-// that turns a min-cost-flow solver into a *maximum-weight* b-matching solver
-// when edge weights are encoded as negated costs.
-//
-// Scratch comes from a pooled FlowWorkspace; use MinCostFlowWS to pin one
-// across calls and amortise the arrays over many solves.
-func (f *FlowNetwork) MinCostFlow(s, t int, maxFlow int64, stopAtNonNegative bool) MCMFResult {
-	ws, pooled := acquireFlowWorkspace(nil)
-	res := f.MinCostFlowWS(s, t, maxFlow, stopAtNonNegative, ws)
-	releaseFlowWorkspace(ws, pooled)
-	return res
-}
-
-// MinCostFlowWS is MinCostFlow drawing every scratch array — potentials,
-// Dijkstra labels, the heap — from ws, so repeated solves through a pinned
-// workspace allocate nothing.
+// MinCostFlowWS pushes flow from s to t along successive shortest
+// (cheapest) paths until either maxFlow units have been sent or no
+// augmenting path remains.  If stopAtNonNegative is true it additionally
+// stops as soon as the cheapest augmenting path has non-negative cost —
+// exactly the stopping rule that turns a min-cost-flow solver into a
+// *maximum-weight* b-matching solver when edge weights are encoded as
+// negated costs.  Every scratch array — potentials, Dijkstra labels, the
+// heap — comes from ws, so repeated solves through a pinned workspace
+// allocate nothing.
 //
 // Costs may be negative on original arcs (they are, in the b-matching
 // reduction).  Initial potentials come from an ordered relaxation sweep

@@ -175,3 +175,11 @@ func TestMinCostFlowPanicsOnSameST(t *testing.T) {
 	}()
 	f.MinCostFlow(1, 1, 1, false)
 }
+
+// MinCostFlow is MinCostFlowWS with a workspace borrowed from the pool.
+func (f *FlowNetwork) MinCostFlow(s, t int, maxFlow int64, stopAtNonNegative bool) MCMFResult {
+	ws, pooled := acquireFlowWorkspace(nil)
+	res := f.MinCostFlowWS(s, t, maxFlow, stopAtNonNegative, ws)
+	releaseFlowWorkspace(ws, pooled)
+	return res
+}

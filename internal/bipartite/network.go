@@ -1,7 +1,7 @@
 package bipartite
 
 // FlowNetwork is a directed graph with edge capacities and costs, solved by
-// minimum-cost flow (MinCostFlow).  Edges are stored in the standard
+// minimum-cost flow (MinCostFlowWS).  Edges are stored in the standard
 // paired-arc layout: edge i and its residual reverse edge i^1 are adjacent,
 // so residual updates are branch-free.
 //
@@ -71,12 +71,6 @@ func RebuildNetwork(net *FlowNetwork, n, m int) *FlowNetwork {
 	net.Reset(n, m)
 	return net
 }
-
-// N returns the number of vertices.
-func (f *FlowNetwork) N() int { return f.n }
-
-// NumArcs returns the number of arcs including residual reverses.
-func (f *FlowNetwork) NumArcs() int { return len(f.raw) }
 
 // AddEdge adds a directed edge u→v with the given capacity and cost and its
 // zero-capacity reverse arc.  It returns the arc index, from which the flow

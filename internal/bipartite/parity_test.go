@@ -182,7 +182,7 @@ func TestQuickFlowEnginesAgree(t *testing.T) {
 			return f
 		}
 		a, b := build(), build()
-		n := a.N()
+		n := a.n
 		return a.MinCostFlow(0, n-1, 1<<40, false) == b.MinCostFlowSerial(0, n-1, 1<<40, false) &&
 			slices.Equal(a.es, b.es)
 	}

@@ -118,16 +118,3 @@ func (f *FlowNetwork) repairPotentials(pot []int64, maxPasses int) (int, bool) {
 	}
 	return maxPasses, false
 }
-
-// MaxWeightBMatchingWarmWS is MaxWeightBMatchingWS through the warm-start
-// path: a pinned ws carries the previous round's duals into this solve.
-// The matching is exactly as optimal as the cold entry point; WarmInfo
-// reports whether persistence actually engaged.
-func MaxWeightBMatchingWarmWS(g *Graph, capL, capR []int, ws *FlowWorkspace) (BMatching, WarmInfo) {
-	ws, pooled := acquireFlowWorkspace(ws)
-	net, edgeArc, s, t := buildAssignmentNetwork(ws, g, capL, capR)
-	_, info := net.MinCostFlowWarmWS(s, t, int64(1)<<60, true, ws)
-	m := collectMatching(g, net, edgeArc)
-	releaseFlowWorkspace(ws, pooled)
-	return m, info
-}

@@ -10,13 +10,12 @@ import "sync"
 //
 // Two ways to use it:
 //
-//   - implicit: call the plain kernel entry points (MaxWeightBMatching,
-//     MinCostFlow, …) and each call borrows a workspace from a package-wide
-//     sync.Pool for its duration — concurrent solves each get their own;
+//   - implicit: pass a nil workspace to MaxWeightBMatchingWS and the call
+//     borrows one from a package-wide sync.Pool for its duration —
+//     concurrent solves each get their own;
 //   - explicit: allocate one with NewFlowWorkspace and pass it to the WS
-//     variants (MaxWeightBMatchingWS, …) to pin it across calls, which is
-//     what core.Exact does when its own Workspace is pinned round over
-//     round.
+//     entry points to pin it across calls, which is what core.Exact does
+//     when its own Workspace is pinned round over round.
 //
 // A FlowWorkspace is not safe for concurrent use; the pool hands each
 // borrower a private one.  All buffers are sized lazily and retained at

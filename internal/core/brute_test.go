@@ -128,3 +128,30 @@ func TestBruteForceEmptyProblem(t *testing.T) {
 		t.Fatalf("empty: %v %v", best, sel)
 	}
 }
+
+// SubmodularValue evaluates the MBA-S (diminishing-returns) objective of an
+// assignment: per task, the majority-vote correctness of its assigned panel
+// (rescaled from [0.5,1] to [0,1] like Quality) weighted by λ, plus the
+// (1−λ)-weighted worker utilities.  Tasks with empty panels contribute zero
+// quality — the requester learned nothing.
+//
+// This is the objective the paper's hardness story lives in: per-task
+// quality is a set function with diminishing returns, so edge weights no
+// longer add up and matching-based exact solvers do not apply.
+func (p *Problem) SubmodularValue(sel []int) float64 {
+	lambda := p.Model.Params().Lambda
+	accs := make(map[int][]float64)
+	workerPart := 0.0
+	for _, ei := range sel {
+		e := &p.Edges[ei]
+		w := &p.In.Workers[e.W]
+		t := &p.In.Tasks[e.T]
+		accs[e.T] = append(accs[e.T], p.Model.EffectiveAccuracy(w, t))
+		workerPart += e.B
+	}
+	qualityPart := 0.0
+	for _, a := range accs {
+		qualityPart += 2 * (benefit.MajorityCorrectProb(a) - 0.5)
+	}
+	return lambda*qualityPart + (1-lambda)*workerPart
+}

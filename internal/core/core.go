@@ -415,16 +415,6 @@ func (p *Problem) setAdjacency(adjW, adjT [][]int32) {
 	}
 }
 
-// MustNewProblem is NewProblem that panics on error, for tests, examples and
-// benchmarks with literal inputs.
-func MustNewProblem(in *market.Instance, params benefit.Params) *Problem {
-	p, err := NewProblem(in, params)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // AdjW returns the edge indices incident to worker w (do not mutate).
 func (p *Problem) AdjW(w int) []int32 { return p.adjW[p.offW[w]:p.offW[w+1]] }
 

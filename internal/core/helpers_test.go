@@ -55,3 +55,13 @@ func TestTrapProblemShape(t *testing.T) {
 		t.Fatalf("trap miscalibrated: greedy %v (want 1.0), exact %v (want 1.8)", g, e)
 	}
 }
+
+// MustNewProblem is NewProblem that panics on error, for tests with
+// literal inputs.
+func MustNewProblem(in *market.Instance, params benefit.Params) *Problem {
+	p, err := NewProblem(in, params)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // Incremental maintains a mutual-benefit assignment under a *changing*
-// market — workers join and leave, tasks are posted and closed — repairing
+// market — workers join and leave, tasks are posted — repairing
 // locally instead of recomputing from scratch.  This is the data-structure
 // answer to the online problem: where the online solvers commit
 // irrevocably, Incremental keeps the standing assignment greedy-maximal at
@@ -26,7 +26,6 @@ type Incremental struct {
 	inst   *market.Instance // evolving backing store for the model
 
 	activeW []bool
-	activeT []bool
 	usedW   []int
 	usedT   []int
 
@@ -84,19 +83,14 @@ func (inc *Incremental) Pairs() [][2]int {
 	return out
 }
 
-// Counts returns the number of active workers and tasks.
+// Counts returns the number of active workers and of posted tasks.
 func (inc *Incremental) Counts() (workers, tasks int) {
 	for _, a := range inc.activeW {
 		if a {
 			workers++
 		}
 	}
-	for _, a := range inc.activeT {
-		if a {
-			tasks++
-		}
-	}
-	return workers, tasks
+	return workers, len(inc.inst.Tasks)
 }
 
 // AddWorker activates a worker and immediately gives it its best feasible
@@ -164,34 +158,10 @@ func (inc *Incremental) AddTask(t market.Task) (int, error) {
 	id := len(inc.inst.Tasks)
 	t.ID = id
 	inc.inst.Tasks = append(inc.inst.Tasks, t)
-	inc.activeT = append(inc.activeT, true)
 	inc.usedT = append(inc.usedT, 0)
 	inc.tasksByCat[t.Category] = append(inc.tasksByCat[t.Category], id)
 	inc.fillTask(id)
 	return id, nil
-}
-
-// RemoveTask deactivates a task, releases its assignments and lets the
-// freed workers pick up other work.
-func (inc *Incremental) RemoveTask(id int) error {
-	if id < 0 || id >= len(inc.activeT) || !inc.activeT[id] {
-		return fmt.Errorf("core: task %d not active", id)
-	}
-	inc.activeT[id] = false
-	var freedWorkers []int
-	for w, ts := range inc.assigned {
-		if mu, ok := ts[id]; ok {
-			inc.value -= mu
-			delete(ts, id)
-			inc.usedW[w]--
-			inc.usedT[id]--
-			freedWorkers = append(freedWorkers, w)
-		}
-	}
-	for _, w := range freedWorkers {
-		inc.fillWorker(w)
-	}
-	return nil
 }
 
 // mutual computes the pair benefit through the shared model.
@@ -223,7 +193,7 @@ func (inc *Incremental) fillWorker(w int) {
 		bestT, bestMu := -1, 0.0
 		for _, c := range wk.Specialties {
 			for _, t := range inc.tasksByCat[c] {
-				if !inc.activeT[t] || inc.usedT[t] >= inc.inst.Tasks[t].Replication {
+				if inc.usedT[t] >= inc.inst.Tasks[t].Replication {
 					continue
 				}
 				if _, dup := inc.assigned[w][t]; dup {
@@ -244,9 +214,6 @@ func (inc *Incremental) fillWorker(w int) {
 // fillTask greedily fills task t's remaining slots with the best available
 // workers.
 func (inc *Incremental) fillTask(t int) {
-	if !inc.activeT[t] {
-		return
-	}
 	task := &inc.inst.Tasks[t]
 	for inc.usedT[t] < task.Replication {
 		bestW, bestMu := -1, 0.0
@@ -274,15 +241,12 @@ func (inc *Incremental) fillTask(t int) {
 // paths.
 func (inc *Incremental) CheckInvariants() error {
 	usedW := make([]int, len(inc.activeW))
-	usedT := make([]int, len(inc.activeT))
+	usedT := make([]int, len(inc.inst.Tasks))
 	total := 0.0
 	for w, ts := range inc.assigned {
 		for t, mu := range ts {
 			if !inc.activeW[w] {
 				return fmt.Errorf("core: inactive worker %d assigned", w)
-			}
-			if !inc.activeT[t] {
-				return fmt.Errorf("core: inactive task %d assigned", t)
 			}
 			if !inc.inst.Workers[w].AcceptsCategory(inc.inst.Tasks[t].Category) {
 				return fmt.Errorf("core: ineligible pair (%d,%d)", w, t)
@@ -304,7 +268,7 @@ func (inc *Incremental) CheckInvariants() error {
 		if usedT[t] != inc.usedT[t] {
 			return fmt.Errorf("core: task %d used count drift", t)
 		}
-		if inc.activeT[t] && usedT[t] > inc.inst.Tasks[t].Replication {
+		if usedT[t] > inc.inst.Tasks[t].Replication {
 			return fmt.Errorf("core: task %d over replication", t)
 		}
 	}
@@ -318,7 +282,7 @@ func (inc *Incremental) CheckInvariants() error {
 		}
 		for _, c := range inc.inst.Workers[w].Specialties {
 			for _, t := range inc.tasksByCat[c] {
-				if !inc.activeT[t] || inc.usedT[t] >= inc.inst.Tasks[t].Replication {
+				if inc.usedT[t] >= inc.inst.Tasks[t].Replication {
 					continue
 				}
 				if _, ok := inc.assigned[w][t]; !ok {

@@ -119,40 +119,10 @@ func TestIncrementalRemoveWorkerRefills(t *testing.T) {
 	}
 }
 
-func TestIncrementalRemoveTaskFreesWorkers(t *testing.T) {
-	inc := newInc(t)
-	w := market.Worker{
-		Capacity:    1,
-		Accuracy:    []float64{0.8, 0.8, 0.6},
-		Interest:    []float64{0.9, 0.3, 0},
-		Specialties: []int{0, 1},
-	}
-	wid, _ := inc.AddWorker(w)
-	hot, _ := inc.AddTask(market.Task{Category: 0, Replication: 1, Payment: 5})
-	if _, err := inc.AddTask(market.Task{Category: 1, Replication: 1, Payment: 5}); err != nil {
-		t.Fatal(err)
-	}
-	// Worker capacity 1: it should hold the category-0 task (higher
-	// interest).  Removing it must move the worker to the other task.
-	if err := inc.RemoveTask(hot); err != nil {
-		t.Fatal(err)
-	}
-	pairs := inc.Pairs()
-	if len(pairs) != 1 || pairs[0][0] != wid {
-		t.Fatalf("worker not re-placed: %v", pairs)
-	}
-	if err := inc.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIncrementalErrors(t *testing.T) {
 	inc := newInc(t)
 	if err := inc.RemoveWorker(0); err == nil {
 		t.Fatal("removing unknown worker accepted")
-	}
-	if err := inc.RemoveTask(0); err == nil {
-		t.Fatal("removing unknown task accepted")
 	}
 	if _, err := inc.AddWorker(market.Worker{Capacity: -1}); err == nil {
 		t.Fatal("bad worker accepted")
@@ -178,9 +148,9 @@ func TestQuickIncrementalInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var workerIDs, taskIDs []int
+		var workerIDs []int
 		for step := 0; step < 40; step++ {
-			switch r.Intn(4) {
+			switch r.Intn(3) {
 			case 0:
 				id, err := inc.AddWorker(incWorker(r))
 				if err != nil {
@@ -188,11 +158,9 @@ func TestQuickIncrementalInvariants(t *testing.T) {
 				}
 				workerIDs = append(workerIDs, id)
 			case 1:
-				id, err := inc.AddTask(incTask(r))
-				if err != nil {
+				if _, err := inc.AddTask(incTask(r)); err != nil {
 					return false
 				}
-				taskIDs = append(taskIDs, id)
 			case 2:
 				if len(workerIDs) > 0 {
 					i := r.Intn(len(workerIDs))
@@ -200,14 +168,6 @@ func TestQuickIncrementalInvariants(t *testing.T) {
 						return false
 					}
 					workerIDs = append(workerIDs[:i], workerIDs[i+1:]...)
-				}
-			case 3:
-				if len(taskIDs) > 0 {
-					i := r.Intn(len(taskIDs))
-					if err := inc.RemoveTask(taskIDs[i]); err != nil {
-						return false
-					}
-					taskIDs = append(taskIDs[:i], taskIDs[i+1:]...)
 				}
 			}
 			if err := inc.CheckInvariants(); err != nil {

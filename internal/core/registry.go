@@ -65,19 +65,6 @@ func ComparisonSolvers() []Solver {
 	}
 }
 
-// HeuristicSolvers returns the scalable line-up used on instances too large
-// for the exact flow solver.
-func HeuristicSolvers() []Solver {
-	return []Solver{
-		Greedy{Kind: MutualWeight},
-		LocalSearch{Kind: MutualWeight},
-		QualityOnly(),
-		WorkerOnly(),
-		Random{},
-		RoundRobin{},
-	}
-}
-
 // OnlineSolvers returns the online line-up of R-Fig11 (worker arrival plus
 // the task-arrival variant).
 func OnlineSolvers() []Solver {

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/stats"
-
 // CategoryReport breaks an assignment down by task category — the view a
 // platform operator reads to see *where* the market clears and where it
 // starves.
@@ -78,11 +76,4 @@ func (p *Problem) StarvedCategories(sel []int, threshold float64) []CategoryRepo
 		}
 	}
 	return out
-}
-
-// GiniWorkerBenefit computes the Gini coefficient of per-worker received
-// benefit under sel — a complement to the Jain index in Metrics for readers
-// who think in inequality terms.
-func (p *Problem) GiniWorkerBenefit(sel []int) float64 {
-	return stats.Gini(p.PerWorkerBenefit(sel))
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/benefit"
@@ -86,34 +85,5 @@ func TestStarvedCategoriesSorted(t *testing.T) {
 		if ci < cp {
 			t.Fatal("starved list not sorted by coverage")
 		}
-	}
-}
-
-func TestGiniWorkerBenefit(t *testing.T) {
-	p := smallProblem(t, 94)
-	if g := p.GiniWorkerBenefit(nil); g != 0 {
-		t.Fatalf("empty assignment Gini = %v", g)
-	}
-	sel, _ := (Greedy{Kind: MutualWeight}).Solve(p, nil)
-	g := p.GiniWorkerBenefit(sel)
-	if g < 0 || g > 1 {
-		t.Fatalf("Gini = %v", g)
-	}
-	// Quality-only concentrates benefit on fewer workers, so its Gini
-	// should not be lower than random's spread-out allocation (aggregate
-	// across seeds to kill noise).
-	var qoSum, rndSum float64
-	for seed := uint64(1); seed <= 8; seed++ {
-		pp := smallProblem(t, seed)
-		qoSel, _ := QualityOnly().Solve(pp, nil)
-		rndSel, _ := (Random{}).Solve(pp, stats.NewRNG(seed))
-		qoSum += pp.GiniWorkerBenefit(qoSel)
-		rndSum += pp.GiniWorkerBenefit(rndSel)
-	}
-	if qoSum < rndSum-0.5 {
-		t.Fatalf("quality-only Gini %v unexpectedly far below random %v", qoSum, rndSum)
-	}
-	if math.IsNaN(g) {
-		t.Fatal("NaN Gini")
 	}
 }

@@ -88,16 +88,6 @@ func ByID(id string) (Experiment, error) {
 	return e, nil
 }
 
-// RunAll executes every experiment in ID order.
-func RunAll(w io.Writer, cfg RunConfig) error {
-	for _, e := range All() {
-		if err := RunOne(w, e, cfg); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
-}
-
 // RunOne executes a single experiment with its standard header and footer.
 func RunOne(w io.Writer, e Experiment, cfg RunConfig) error {
 	fmt.Fprintf(w, "==== %s — %s (seed=%d quick=%v) ====\n", e.ID, e.Title, cfg.Seed, cfg.Quick)

@@ -18,19 +18,6 @@ func (in *Instance) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON parses and validates an instance from r.
-func ReadJSON(r io.Reader) (*Instance, error) {
-	var in Instance
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("market: decoding instance: %w", err)
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return &in, nil
-}
-
 // WriteCSVTasks emits the task table as CSV (header + one row per task),
 // convenient for spreadsheet inspection of generated workloads.
 func (in *Instance) WriteCSVTasks(w io.Writer) error {

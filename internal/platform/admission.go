@@ -28,7 +28,6 @@ package platform
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -57,20 +56,6 @@ const (
 
 	numPriorities = 3
 )
-
-// String returns the canonical class name used in flags and health payloads.
-func (p Priority) String() string {
-	switch p {
-	case PriorityHigh:
-		return "high"
-	case PriorityMedium:
-		return "medium"
-	case PriorityLow:
-		return "low"
-	default:
-		return fmt.Sprintf("priority(%d)", int(p))
-	}
-}
 
 // ClientHeader names the request header used to key per-client token
 // buckets.  Requests without it share the global per-class bucket.

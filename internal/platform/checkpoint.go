@@ -60,8 +60,6 @@ type CheckpointManager struct {
 	seg         *SegmentedLog
 	opts        CheckpointOptions
 	roundsSince int
-	last        SnapshotInfo
-	taken       int
 }
 
 // NewCheckpointManager wires a manager over a state and the segmented
@@ -111,14 +109,6 @@ func (cm *CheckpointManager) Checkpoint() (CheckpointResult, error) {
 	return cm.checkpointLocked()
 }
 
-// LastSnapshot returns the most recent snapshot this manager wrote and
-// how many it has taken.
-func (cm *CheckpointManager) LastSnapshot() (SnapshotInfo, int) {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return cm.last, cm.taken
-}
-
 func (cm *CheckpointManager) checkpointLocked() (CheckpointResult, error) {
 	var res CheckpointResult
 	path, info, err := WriteSnapshot(cm.seg.Dir(), cm.state, cm.opts.Hook)
@@ -138,8 +128,6 @@ func (cm *CheckpointManager) checkpointLocked() (CheckpointResult, error) {
 		res.SegmentsRetired, _ = cm.seg.RetireThrough(oldestKept)
 	}
 	cm.roundsSince = 0
-	cm.last = info
-	cm.taken++
 	return res, nil
 }
 

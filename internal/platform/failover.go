@@ -18,7 +18,6 @@ package platform
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -78,10 +77,6 @@ const (
 	PhasePrimary       = "primary"
 )
 
-// ErrNotPromoted reports an accessor that only makes sense after
-// promotion (e.g. Service) being called before it.
-var ErrNotPromoted = errors.New("platform: failover has not promoted")
-
 // Failover is the supervisor.  It is an http.Handler whose behaviour
 // changes with the phase; see the package comment on promotion ordering.
 type Failover struct {
@@ -136,20 +131,8 @@ func probeTimeout(opts FailoverOptions) time.Duration {
 // Phase is the current lifecycle phase: follower, transitioning, primary.
 func (fo *Failover) Phase() string { return fo.phase.Load().(string) }
 
-// Promoted is closed once the supervisor has promoted to primary.
-func (fo *Failover) Promoted() <-chan struct{} { return fo.promoted }
-
 // Follower exposes the replication tail (read-only inspection).
 func (fo *Failover) Follower() *Follower { return fo.follower }
-
-// Service returns the promoted primary service, or ErrNotPromoted before
-// takeover.
-func (fo *Failover) Service() (*Service, error) {
-	if s := fo.svc.Load(); s != nil {
-		return s, nil
-	}
-	return nil, ErrNotPromoted
-}
 
 // ServeHTTP delegates to the current phase's handler.  The swap is a
 // single atomic store, so requests always see a coherent phase: follower

@@ -488,3 +488,22 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 	t.Fatal("condition never held")
 }
+
+// Promoted is closed once the supervisor has promoted to primary.
+func (fo *Failover) Promoted() <-chan struct{} { return fo.promoted }
+
+// Service returns the promoted primary service, or ErrNotPromoted before
+// takeover.
+func (fo *Failover) Service() (*Service, error) {
+	if s := fo.svc.Load(); s != nil {
+		return s, nil
+	}
+	return nil, ErrNotPromoted
+}
+
+// Resyncs counts the snapshot bootstraps this follower has performed.
+func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
+
+// ErrNotPromoted reports an accessor that only makes sense after
+// promotion (e.g. Service) being called before it.
+var ErrNotPromoted = errors.New("platform: failover has not promoted")

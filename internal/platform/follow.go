@@ -158,9 +158,6 @@ func (f *Follower) PrimarySeq() uint64 { return f.primarySeq.Load() }
 // response (0 before the first contact).
 func (f *Follower) PrimaryEpoch() uint64 { return f.primaryEpoch.Load() }
 
-// Resyncs counts the snapshot bootstraps this follower has performed.
-func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
-
 // ConsecutiveRetries is how many poll/resync attempts in a row have
 // failed (0 while replication is healthy).
 func (f *Follower) ConsecutiveRetries() int64 { return f.consecRetries.Load() }

@@ -243,10 +243,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return k, err
 }
 
-// Dropped reports the open-time torn-tail diagnostic (nil when the
-// directory was clean).
-func (sl *SegmentedLog) Dropped() error { return sl.dropped }
-
 // Dir returns the segment directory.
 func (sl *SegmentedLog) Dir() string { return sl.dir }
 

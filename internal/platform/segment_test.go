@@ -346,3 +346,7 @@ func TestSegmentedLogFsyncFailureHealsToCommitted(t *testing.T) {
 		t.Fatal("recovered state differs from the live state")
 	}
 }
+
+// Dropped reports the open-time torn-tail diagnostic (nil when the
+// directory was clean).
+func (sl *SegmentedLog) Dropped() error { return sl.dropped }

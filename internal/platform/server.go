@@ -104,12 +104,6 @@ func NewServerOptions() ServerOptions {
 	}
 }
 
-// NewServer wires the HTTP handlers around a backend with zero-value
-// (unlimited) options.
-func NewServer(svc Backend) *Server {
-	return NewServerWithOptions(svc, ServerOptions{})
-}
-
 // NewServerWithOptions wires the HTTP handlers with explicit limits.
 func NewServerWithOptions(svc Backend, opts ServerOptions) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux(), opts: opts, adm: NewAdmission(opts.Admission)}

@@ -317,3 +317,9 @@ func TestServerRoundWithoutDrainKeepsTasks(t *testing.T) {
 		t.Fatalf("tasks = %d, want 1 (no drain)", stats["tasks"])
 	}
 }
+
+// NewServer wires the HTTP handlers around a backend with zero-value
+// (unlimited) options.
+func NewServer(svc Backend) *Server {
+	return NewServerWithOptions(svc, ServerOptions{})
+}

@@ -210,9 +210,6 @@ func (s *Service) Checkpointer() *CheckpointManager {
 	return s.checkpoint
 }
 
-// State exposes the underlying state (read-mostly use).
-func (s *Service) State() *State { return s.state }
-
 // Counts implements Backend (live worker/task counts).
 func (s *Service) Counts() (workers, tasks int) { return s.state.Counts() }
 

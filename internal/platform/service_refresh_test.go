@@ -111,7 +111,10 @@ func TestGreedyServiceRefreshMatchesFreshBuild(t *testing.T) {
 		var wantPairs []AssignmentPair
 		var want core.Metrics
 		if in.NumWorkers() > 0 && in.NumTasks() > 0 {
-			p := core.MustNewProblem(in, params)
+			p, err := core.NewProblem(in, params)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sel, m, err := core.Run(p, solver, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -151,3 +151,6 @@ func TestServiceWithExactSolver(t *testing.T) {
 		t.Fatalf("pairs = %d, want 3", len(res.Pairs))
 	}
 }
+
+// State exposes the underlying state (read-mostly use).
+func (s *Service) State() *State { return s.state }

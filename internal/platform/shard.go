@@ -72,25 +72,3 @@ func (r ShardRouter) WorkerShards(specialties []int) []int {
 func ShardDir(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", shard))
 }
-
-// RecoverShardedDir recovers all shards of a sharded service's directory
-// layout: shard k is recovered independently from ShardDir(dir, k) via
-// RecoverDir (newest valid snapshot plus the journal tail).  Missing
-// subdirectories recover as empty shards, so a fresh directory boots a
-// fresh service.
-func RecoverShardedDir(dir string, numCategories, shards int) ([]*State, []*RecoveryInfo, error) {
-	if shards < 1 {
-		return nil, nil, fmt.Errorf("platform: shard count %d < 1", shards)
-	}
-	states := make([]*State, shards)
-	infos := make([]*RecoveryInfo, shards)
-	for k := 0; k < shards; k++ {
-		st, info, err := RecoverDir(ShardDir(dir, k), numCategories)
-		if err != nil {
-			return nil, nil, fmt.Errorf("platform: recovering shard %d: %w", k, err)
-		}
-		states[k] = st
-		infos[k] = info
-	}
-	return states, infos, nil
-}

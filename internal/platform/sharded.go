@@ -206,11 +206,6 @@ func (ss *ShardedService) reindex() error {
 	return nil
 }
 
-// RepairedWorkers reports how many workers reindex found resident in a
-// strict subset of their router shards — a crash between the fan-out
-// appends of a join or leave — and converged to absent during recovery.
-func (ss *ShardedService) RepairedWorkers() int { return ss.repairedWorkers }
-
 // equalIntSlices reports a == b elementwise.
 func equalIntSlices(a, b []int) bool {
 	if len(a) != len(b) {
@@ -238,12 +233,6 @@ func subsetIntSlice(a, b []int) bool {
 	}
 	return true
 }
-
-// NumShards returns the shard count.
-func (ss *ShardedService) NumShards() int { return len(ss.shards) }
-
-// ShardState exposes shard k's state (tests, stats).
-func (ss *ShardedService) ShardState(k int) *State { return ss.shards[k].state }
 
 // Counts returns global live-entity counts (a spanning worker counts once).
 func (ss *ShardedService) Counts() (workers, tasks int) {

@@ -761,3 +761,36 @@ func TestShardedRoundProvenance(t *testing.T) {
 		t.Fatalf("Rounds = %d after a cancelled round, want 1", got)
 	}
 }
+
+// RecoverShardedDir recovers all shards of a sharded service's directory
+// layout: shard k is recovered independently from ShardDir(dir, k) via
+// RecoverDir (newest valid snapshot plus the journal tail).  Missing
+// subdirectories recover as empty shards, so a fresh directory boots a
+// fresh service.
+func RecoverShardedDir(dir string, numCategories, shards int) ([]*State, []*RecoveryInfo, error) {
+	if shards < 1 {
+		return nil, nil, fmt.Errorf("platform: shard count %d < 1", shards)
+	}
+	states := make([]*State, shards)
+	infos := make([]*RecoveryInfo, shards)
+	for k := 0; k < shards; k++ {
+		st, info, err := RecoverDir(ShardDir(dir, k), numCategories)
+		if err != nil {
+			return nil, nil, fmt.Errorf("platform: recovering shard %d: %w", k, err)
+		}
+		states[k] = st
+		infos[k] = info
+	}
+	return states, infos, nil
+}
+
+// RepairedWorkers reports how many workers reindex found resident in a
+// strict subset of their router shards — a crash between the fan-out
+// appends of a join or leave — and converged to absent during recovery.
+func (ss *ShardedService) RepairedWorkers() int { return ss.repairedWorkers }
+
+// NumShards returns the shard count.
+func (ss *ShardedService) NumShards() int { return len(ss.shards) }
+
+// ShardState exposes shard k's state (tests, stats).
+func (ss *ShardedService) ShardState(k int) *State { return ss.shards[k].state }

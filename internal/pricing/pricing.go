@@ -6,12 +6,10 @@
 // makes under-paid workers quit.  This package exposes the two levers an
 // operator can reason about:
 //
-//   - SurplusFraction / MultiplierForSurplus — the static view: what share
-//     of eligible pairs pays above reservation, and the cheapest uniform
-//     payment multiplier reaching a target share;
-//   - RetentionCurve / RecommendMultiplier — the dynamic view: final
-//     workforce participation as a function of the payment multiplier, and
-//     the cheapest multiplier sustaining a participation target.
+//   - SurplusFraction — the static view: what share of eligible pairs pays
+//     above reservation;
+//   - RetentionCurve — the dynamic view: final workforce participation as
+//     a function of a uniform payment multiplier.
 package pricing
 
 import (
@@ -68,39 +66,6 @@ func SurplusFraction(in *market.Instance) float64 {
 	return float64(surplus) / float64(pairs)
 }
 
-// MultiplierForSurplus binary-searches the smallest payment multiplier in
-// [lo, hi] at which SurplusFraction reaches target.  SurplusFraction is
-// monotone in the multiplier, so the search is exact up to tol.  It returns
-// an error when even hi cannot reach the target.
-func MultiplierForSurplus(in *market.Instance, target, lo, hi, tol float64) (float64, error) {
-	if target < 0 || target > 1 {
-		return 0, fmt.Errorf("pricing: target %v outside [0,1]", target)
-	}
-	if lo < 0 || hi <= lo {
-		return 0, fmt.Errorf("pricing: bad bracket [%v,%v]", lo, hi)
-	}
-	if tol <= 0 {
-		tol = 1e-3
-	}
-	at := func(m float64) float64 { return SurplusFraction(ScalePayments(in, m)) }
-	if at(hi) < target {
-		return 0, fmt.Errorf("pricing: target %.3f unreachable even at multiplier %v (got %.3f)",
-			target, hi, at(hi))
-	}
-	if at(lo) >= target {
-		return lo, nil
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		if at(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
 // RetentionPoint is one multiplier probe of the dynamic view.
 type RetentionPoint struct {
 	Multiplier         float64
@@ -137,24 +102,4 @@ func RetentionCurve(cfg dynamics.Config, multipliers []float64, seed uint64) ([]
 		})
 	}
 	return out, nil
-}
-
-// RecommendMultiplier returns the smallest multiplier from candidates whose
-// simulated final participation reaches target, or an error when none does.
-// Candidates must be sorted ascending.
-func RecommendMultiplier(cfg dynamics.Config, candidates []float64, target float64, seed uint64) (float64, error) {
-	if len(candidates) == 0 {
-		return 0, fmt.Errorf("pricing: no candidates")
-	}
-	curve, err := RetentionCurve(cfg, candidates, seed)
-	if err != nil {
-		return 0, err
-	}
-	for _, pt := range curve {
-		if pt.FinalParticipation >= target {
-			return pt.Multiplier, nil
-		}
-	}
-	return 0, fmt.Errorf("pricing: participation target %.2f unreachable (best %.2f at multiplier %v)",
-		target, curve[len(curve)-1].FinalParticipation, curve[len(curve)-1].Multiplier)
 }

@@ -68,38 +68,6 @@ func TestSurplusFractionEmptyMarket(t *testing.T) {
 	}
 }
 
-func TestMultiplierForSurplus(t *testing.T) {
-	in := testInstance(3)
-	target := 0.95
-	m, err := MultiplierForSurplus(in, target, 0.01, 50, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The found multiplier achieves the target…
-	if got := SurplusFraction(ScalePayments(in, m)); got < target {
-		t.Fatalf("multiplier %v gives %v < %v", m, got, target)
-	}
-	// …and a meaningfully smaller one does not (minimality up to tol).
-	if got := SurplusFraction(ScalePayments(in, m*0.9)); got >= target {
-		t.Fatalf("0.9x multiplier still hits target: %v", got)
-	}
-}
-
-func TestMultiplierForSurplusErrors(t *testing.T) {
-	in := testInstance(4)
-	if _, err := MultiplierForSurplus(in, 1.5, 0.1, 10, 0); err == nil {
-		t.Fatal("bad target accepted")
-	}
-	if _, err := MultiplierForSurplus(in, 0.5, 5, 1, 0); err == nil {
-		t.Fatal("bad bracket accepted")
-	}
-	// Workers with reservation wages above every scaled payment: target 1.0
-	// may be unreachable at a tiny hi.
-	if _, err := MultiplierForSurplus(in, 1.0, 0.0001, 0.0002, 0); err == nil {
-		t.Fatal("unreachable target accepted")
-	}
-}
-
 func dynCfg() dynamics.Config {
 	return dynamics.Config{
 		Rounds: 8,
@@ -132,32 +100,5 @@ func TestRetentionCurveShape(t *testing.T) {
 func TestRetentionCurveRejectsNegative(t *testing.T) {
 	if _, err := RetentionCurve(dynCfg(), []float64{-1}, 1); err == nil {
 		t.Fatal("negative multiplier accepted")
-	}
-}
-
-func TestRecommendMultiplier(t *testing.T) {
-	cfg := dynCfg()
-	candidates := []float64{0.25, 0.5, 1, 2, 4, 8}
-	// A very low target must be satisfiable by the cheapest candidate that
-	// reaches it; verify minimality against the returned curve.
-	m, err := RecommendMultiplier(cfg, candidates, 0.1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range candidates {
-		if c == m {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("recommended %v not among candidates", m)
-	}
-	// An impossible target errors.
-	if _, err := RecommendMultiplier(cfg, candidates, 1.01, 6); err == nil {
-		t.Fatal("impossible target accepted")
-	}
-	if _, err := RecommendMultiplier(cfg, nil, 0.5, 6); err == nil {
-		t.Fatal("empty candidates accepted")
 	}
 }

@@ -151,23 +151,6 @@ func (r *RNG) PermInto(buf []int, n int) []int {
 	return p
 }
 
-// Shuffle permutes s in place uniformly at random.
-func Shuffle[T any](r *RNG, s []T) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Choice returns a uniformly random element of s.  It panics on an empty
-// slice.
-func Choice[T any](r *RNG, s []T) T {
-	if len(s) == 0 {
-		panic("stats: Choice on empty slice")
-	}
-	return s[r.Intn(len(s))]
-}
-
 // Normal returns a sample from the standard normal distribution using the
 // Box–Muller transform (the polar variant is avoided so the number of RNG
 // draws per sample is fixed, preserving stream alignment).
@@ -197,21 +180,9 @@ func (r *RNG) TruncNormal(mean, std, lo, hi float64) float64 {
 	return math.Min(hi, math.Max(lo, mean))
 }
 
-// Exp returns an exponential sample with the given rate (mean 1/rate).
-func (r *RNG) Exp(rate float64) float64 {
-	return -math.Log(1-r.Float64()) / rate
-}
-
 // LogNormal returns a log-normal sample with the given parameters of the
 // underlying normal (mu, sigma).  Real labor-market prices are famously
 // log-normal, which is why the trace generators use this.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.NormalMS(mu, sigma))
-}
-
-// Pareto returns a Pareto(scale, alpha) sample: heavy-tailed with minimum
-// value scale.
-func (r *RNG) Pareto(scale, alpha float64) float64 {
-	u := 1 - r.Float64()
-	return scale / math.Pow(u, 1/alpha)
 }

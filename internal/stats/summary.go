@@ -3,55 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Summary holds descriptive statistics of a sample.  All experiment tables
-// report through this type so formatting is uniform.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-	P90    float64
-	P99    float64
-	Sum    float64
-}
-
-// Summarize computes a Summary of xs.  An empty sample yields a zero Summary
-// with N == 0 rather than NaNs so tables render cleanly.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Percentile(sorted, 0.50)
-	s.P90 = Percentile(sorted, 0.90)
-	s.P99 = Percentile(sorted, 0.99)
-	return s
-}
 
 // Percentile returns the p-quantile (p in [0,1]) of an ascending-sorted
 // sample using linear interpolation between closest ranks.  It panics if the
@@ -87,15 +39,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Std returns the sample standard deviation of xs (0 for n < 2).
 func Std(xs []float64) float64 {
 	if len(xs) < 2 {
@@ -128,30 +71,6 @@ func JainIndex(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// Gini returns the Gini coefficient of non-negative xs: 0 for perfect
-// equality, approaching 1 for maximal concentration.  Negative values are
-// not meaningful for benefit allocations and cause a panic.
-func Gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if sorted[0] < 0 {
-		panic("stats: Gini requires non-negative values")
-	}
-	n := float64(len(sorted))
-	var cum, weighted float64
-	for i, x := range sorted {
-		cum += x
-		weighted += float64(i+1) * x
-	}
-	if cum == 0 {
-		return 0
-	}
-	return (2*weighted)/(n*cum) - (n+1)/n
 }
 
 // CI95 returns the half-width of a ~95% confidence interval for the mean of

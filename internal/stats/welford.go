@@ -2,20 +2,18 @@ package stats
 
 import "math"
 
-// Running accumulates mean and variance online using Welford's algorithm.
-// The dynamics simulator feeds per-round metrics through it so multi-round
-// reports do not need to retain every observation.
+// Running accumulates the mean and minimum of a stream online, with
+// Welford's mean update.  The experiment suite feeds per-trial ratios
+// through it so its reports do not need to retain every observation.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
 	min  float64
-	max  float64
 }
 
 // NewRunning returns an empty accumulator.
 func NewRunning() *Running {
-	return &Running{min: math.Inf(1), max: math.Inf(-1)}
+	return &Running{min: math.Inf(1)}
 }
 
 // Add folds one observation into the accumulator.
@@ -23,17 +21,10 @@ func (r *Running) Add(x float64) {
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
 	if x < r.min {
 		r.min = x
 	}
-	if x > r.max {
-		r.max = x
-	}
 }
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean (0 when empty).
 func (r *Running) Mean() float64 {
@@ -43,42 +34,5 @@ func (r *Running) Mean() float64 {
 	return r.mean
 }
 
-// Var returns the running sample variance (0 for n < 2).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Std returns the running sample standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
 // Min returns the smallest observation (+Inf when empty).
 func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (-Inf when empty).
-func (r *Running) Max() float64 { return r.max }
-
-// Merge folds another accumulator into r (parallel Welford / Chan et al.).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	nA, nB := float64(r.n), float64(o.n)
-	delta := o.mean - r.mean
-	total := nA + nB
-	r.mean += delta * nB / total
-	r.m2 += o.m2 + delta*delta*nA*nB/total
-	r.n += o.n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-}

@@ -15,8 +15,7 @@ import "math"
 // Sampling is done by inverse transform over the precomputed CDF with binary
 // search: O(N) memory, O(log N) per sample, deterministic given the RNG.
 type Zipf struct {
-	cdf   []float64
-	theta float64
+	cdf []float64
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent theta >= 0.
@@ -39,14 +38,8 @@ func NewZipf(n int, theta float64) *Zipf {
 		cdf[k] /= sum
 	}
 	cdf[n-1] = 1
-	return &Zipf{cdf: cdf, theta: theta}
+	return &Zipf{cdf: cdf}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Theta returns the skew exponent.
-func (z *Zipf) Theta() float64 { return z.theta }
 
 // Sample draws one rank in [0, N).
 func (z *Zipf) Sample(r *RNG) int {
@@ -62,15 +55,4 @@ func (z *Zipf) Sample(r *RNG) int {
 		}
 	}
 	return lo
-}
-
-// PMF returns the probability of rank k.
-func (z *Zipf) PMF(k int) float64 {
-	if k < 0 || k >= len(z.cdf) {
-		return 0
-	}
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
 }

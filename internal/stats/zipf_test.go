@@ -129,3 +129,14 @@ func TestQuickZipfSampleValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PMF returns the probability of rank k.
+func (z *Zipf) PMF(k int) float64 {
+	if k < 0 || k >= len(z.cdf) {
+		return 0
+	}
+	if k == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[k] - z.cdf[k-1]
+}
