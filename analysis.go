@@ -33,12 +33,7 @@ func AssignWithSLA(in *Instance, params Params, algorithm string, minQuality flo
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Metrics: m, Pairs: make([]Pair, len(sel))}
-	for i, ei := range sel {
-		e := &fp.Edges[ei]
-		res.Pairs[i] = Pair{Worker: e.W, Task: e.T, Quality: e.Q, Utility: e.B, Mutual: e.M}
-	}
-	return res, nil
+	return &Result{Metrics: m, Pairs: pairsOf(fp, sel)}, nil
 }
 
 // StabilityReport quantifies how stable an assignment is in the matching-
@@ -59,7 +54,7 @@ func Stability(in *Instance, params Params, res *Result) (*StabilityReport, erro
 	}
 	return &StabilityReport{
 		BlockingPairs: core.BlockingPairs(p, sel),
-		EligiblePairs: len(p.Edges),
+		EligiblePairs: p.NumEdges(),
 	}, nil
 }
 
@@ -82,9 +77,9 @@ func rebuildSelection(in *Instance, params Params, res *Result) (*core.Problem, 
 	if err != nil {
 		return nil, nil, err
 	}
-	index := make(map[[2]int]int, len(p.Edges))
-	for i := range p.Edges {
-		index[[2]int{p.Edges[i].W, p.Edges[i].T}] = i
+	index := make(map[[2]int]int, p.NumEdges())
+	for i := range p.M {
+		index[[2]int{int(p.W[i]), int(p.T[i])}] = i
 	}
 	sel := make([]int, len(res.Pairs))
 	for i, pr := range res.Pairs {

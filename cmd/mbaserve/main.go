@@ -375,9 +375,14 @@ func main() {
 	}
 	var backend platform.Backend
 	if *numShards > 1 {
-		if backend, err = platform.NewShardedService(markets, params, *seed); err != nil {
+		ss, err := platform.NewShardedService(markets, params, *seed)
+		if err != nil {
 			log.Fatalf("mbaserve: %v", err)
 		}
+		if n := ss.RepairedWorkers(); n > 0 {
+			log.Printf("mbaserve: recovery repaired %d workers left on a subset of their shards by an interrupted join or leave", n)
+		}
+		backend = ss
 	} else {
 		m := markets[0]
 		svc, err := platform.NewService(m.State, m.Solver, params, m.Journal, *seed)

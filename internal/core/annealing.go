@@ -41,12 +41,13 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(p.Edges) == 0 {
+	nE := p.NumEdges()
+	if nE == 0 {
 		return sel, nil
 	}
 	iters := s.Iters
 	if iters <= 0 {
-		iters = 30 * len(p.Edges)
+		iters = 30 * nE
 		if iters > 200000 {
 			iters = 200000
 		}
@@ -60,22 +61,22 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 		cooling = math.Pow(1e-4, 1/float64(iters))
 	}
 
-	chosen := make([]bool, len(p.Edges))
+	chosen := make([]bool, nE)
 	capW := p.CapacityW()
 	capT := p.CapacityT()
 	for _, ei := range sel {
 		chosen[ei] = true
-		capW[p.Edges[ei].W]--
-		capT[p.Edges[ei].T]--
+		capW[p.W[ei]]--
+		capT[p.T[ei]]--
 	}
-	weight := func(ei int) float64 { return p.Edges[ei].Weight(s.Kind) }
+	wt := p.Weights(s.Kind)
 
 	// Track the best configuration seen, so cooling noise never ships a
 	// worse-than-greedy answer.
 	cur := 0.0
 	for ei, ok := range chosen {
 		if ok {
-			cur += weight(ei)
+			cur += wt[ei]
 		}
 	}
 	best := cur
@@ -83,9 +84,10 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 
 	cheapestChosenW := func(w int) int {
 		bi, bw := -1, 0.0
-		for _, ei := range p.AdjW(w) {
-			if chosen[ei] && (bi == -1 || weight(int(ei)) < bw) {
-				bi, bw = int(ei), weight(int(ei))
+		lo, hi := p.AdjW(w)
+		for ei := lo; ei < hi; ei++ {
+			if chosen[ei] && (bi == -1 || wt[ei] < bw) {
+				bi, bw = ei, wt[ei]
 			}
 		}
 		return bi
@@ -93,8 +95,8 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	cheapestChosenT := func(t int) int {
 		bi, bw := -1, 0.0
 		for _, ei := range p.AdjT(t) {
-			if chosen[ei] && (bi == -1 || weight(int(ei)) < bw) {
-				bi, bw = int(ei), weight(int(ei))
+			if chosen[ei] && (bi == -1 || wt[ei] < bw) {
+				bi, bw = int(ei), wt[ei]
 			}
 		}
 		return bi
@@ -102,8 +104,8 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 
 	temp := t0
 	for it := 0; it < iters; it++ {
-		ei := r.Intn(len(p.Edges))
-		e := &p.Edges[ei]
+		ei := r.Intn(nE)
+		w, t := int(p.W[ei]), int(p.T[ei])
 		var gain float64
 		var evictions [2]int
 		nEvict := 0
@@ -112,31 +114,31 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 			// Propose eviction (pure removal; re-adds come from later
 			// proposals).  Usually negative gain — the uphill move that
 			// lets annealing escape local optima.
-			gain = -weight(ei)
+			gain = -wt[ei]
 			evictions[0], nEvict = ei, 1
 			if accept(r, gain, temp) {
 				chosen[ei] = false
-				capW[e.W]++
-				capT[e.T]++
+				capW[w]++
+				capT[t]++
 				cur += gain
 			}
 		} else {
-			needW := capW[e.W] == 0
-			needT := capT[e.T] == 0
-			gain = weight(ei)
+			needW := capW[w] == 0
+			needT := capT[t] == 0
+			gain = wt[ei]
 			ok := true
 			if needW {
-				out := cheapestChosenW(e.W)
+				out := cheapestChosenW(w)
 				if out < 0 {
 					ok = false
 				} else {
-					gain -= weight(out)
+					gain -= wt[out]
 					evictions[nEvict] = out
 					nEvict++
 				}
 			}
 			if ok && needT {
-				out := cheapestChosenT(e.T)
+				out := cheapestChosenT(t)
 				if out < 0 || (nEvict > 0 && out == evictions[0]) {
 					// Shared blocker frees both sides at once.
 					if out >= 0 {
@@ -145,7 +147,7 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 						ok = false
 					}
 				} else if out >= 0 {
-					gain -= weight(out)
+					gain -= wt[out]
 					evictions[nEvict] = out
 					nEvict++
 				}
@@ -153,14 +155,13 @@ func (s SimulatedAnnealing) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 			if ok && accept(r, gain, temp) {
 				for k := 0; k < nEvict; k++ {
 					out := evictions[k]
-					oe := &p.Edges[out]
 					chosen[out] = false
-					capW[oe.W]++
-					capT[oe.T]++
+					capW[p.W[out]]++
+					capT[p.T[out]]++
 				}
 				chosen[ei] = true
-				capW[e.W]--
-				capT[e.T]--
+				capW[w]--
+				capT[t]--
 				cur += gain
 			}
 		}

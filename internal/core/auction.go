@@ -77,6 +77,7 @@ func (s Auction) solve(ctx context.Context, p *Problem) ([]int, error) {
 
 	nW := p.In.NumWorkers()
 	nT := p.In.NumTasks()
+	wt := p.Weights(s.Kind)
 	price := make([]float64, nT)
 	matchW := make([]int, nW) // edge index assigned to worker, -1 if none
 	matchT := make([]int, nT) // edge index assigned to task, -1 if none
@@ -89,7 +90,7 @@ func (s Auction) solve(ctx context.Context, p *Problem) ([]int, error) {
 
 	queue := make([]int, 0, nW)
 	for w := 0; w < nW; w++ {
-		if p.In.Workers[w].Capacity > 0 && len(p.AdjW(w)) > 0 {
+		if lo, hi := p.AdjW(w); p.In.Workers[w].Capacity > 0 && hi > lo {
 			queue = append(queue, w)
 		}
 	}
@@ -103,16 +104,16 @@ func (s Auction) solve(ctx context.Context, p *Problem) ([]int, error) {
 		// Find best and second-best net value among w's edges.
 		bestEdge, bestVal, secondVal := -1, 0.0, 0.0
 		first := true
-		for _, ei := range p.AdjW(w) {
-			e := &p.Edges[ei]
-			v := e.Weight(s.Kind) - price[e.T]
+		lo, hi := p.AdjW(w)
+		for ei := lo; ei < hi; ei++ {
+			v := wt[ei] - price[p.T[ei]]
 			switch {
 			case first:
-				bestEdge, bestVal, secondVal = int(ei), v, v
+				bestEdge, bestVal, secondVal = ei, v, v
 				first = false
 			case v > bestVal:
 				secondVal = bestVal
-				bestEdge, bestVal = int(ei), v
+				bestEdge, bestVal = ei, v
 			case v > secondVal:
 				secondVal = v
 			}
@@ -126,11 +127,11 @@ func (s Auction) solve(ctx context.Context, p *Problem) ([]int, error) {
 		if secondVal < 0 {
 			secondVal = 0
 		}
-		t := p.Edges[bestEdge].T
+		t := p.T[bestEdge]
 		// Bid: raise the price by the profit margin plus ε.
 		price[t] += bestVal - secondVal + eps
 		if prev := matchT[t]; prev != -1 {
-			outbid := p.Edges[prev].W
+			outbid := int(p.W[prev])
 			matchW[outbid] = -1
 			queue = append(queue, outbid)
 		}

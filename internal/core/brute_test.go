@@ -15,7 +15,7 @@ import (
 // true optimum rather than only citing the ½ bound.
 func (p *Problem) BruteForceSubmodular() (best float64, bestSel []int) {
 	const maxBruteEdges = 22
-	if len(p.Edges) > maxBruteEdges {
+	if p.NumEdges() > maxBruteEdges {
 		panic("core: BruteForceSubmodular limited to tiny instances")
 	}
 	capW := p.CapacityW()
@@ -24,7 +24,7 @@ func (p *Problem) BruteForceSubmodular() (best float64, bestSel []int) {
 
 	var rec func(i int)
 	rec = func(i int) {
-		if i == len(p.Edges) {
+		if i == p.NumEdges() {
 			if v := p.SubmodularValue(cur); v > best {
 				best = v
 				bestSel = append(bestSel[:0], cur...)
@@ -34,15 +34,15 @@ func (p *Problem) BruteForceSubmodular() (best float64, bestSel []int) {
 		// Branch 1: skip edge i.
 		rec(i + 1)
 		// Branch 2: take edge i if feasible.
-		e := &p.Edges[i]
-		if capW[e.W] > 0 && capT[e.T] > 0 {
-			capW[e.W]--
-			capT[e.T]--
+		w, t := p.W[i], p.T[i]
+		if capW[w] > 0 && capT[t] > 0 {
+			capW[w]--
+			capT[t]--
 			cur = append(cur, i)
 			rec(i + 1)
 			cur = cur[:len(cur)-1]
-			capW[e.W]++
-			capT[e.T]++
+			capW[w]++
+			capT[t]++
 		}
 	}
 	rec(0)
@@ -64,7 +64,7 @@ func tinySubmodularProblem(t testing.TB, seed uint64) *Problem {
 func TestBruteForceSubmodularFeasible(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := tinySubmodularProblem(t, seed)
-		if len(p.Edges) > 22 {
+		if p.NumEdges() > 22 {
 			continue
 		}
 		best, sel := p.BruteForceSubmodular()
@@ -84,7 +84,7 @@ func TestSubmodularGreedyMeasuredRatio(t *testing.T) {
 	checked := 0
 	for seed := uint64(1); seed <= 30 && checked < 15; seed++ {
 		p := tinySubmodularProblem(t, seed)
-		if len(p.Edges) > 18 {
+		if p.NumEdges() > 18 {
 			continue
 		}
 		checked++
@@ -143,11 +143,10 @@ func (p *Problem) SubmodularValue(sel []int) float64 {
 	accs := make(map[int][]float64)
 	workerPart := 0.0
 	for _, ei := range sel {
-		e := &p.Edges[ei]
-		w := &p.In.Workers[e.W]
-		t := &p.In.Tasks[e.T]
-		accs[e.T] = append(accs[e.T], p.Model.EffectiveAccuracy(w, t))
-		workerPart += e.B
+		tj := int(p.T[ei])
+		w, t := &p.In.Workers[p.W[ei]], &p.In.Tasks[tj]
+		accs[tj] = append(accs[tj], p.Model.EffectiveAccuracy(w, t))
+		workerPart += p.Utility(ei)
 	}
 	qualityPart := 0.0
 	for _, a := range accs {

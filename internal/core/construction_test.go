@@ -2,35 +2,39 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/benefit"
 	"repro/internal/market"
 )
 
-// assertSameProblem fails unless got's edges and adjacency are exactly —
-// including float bits — those of the serial reference.
+// assertSameProblem fails unless got's columns, derived quality and
+// utility, and adjacency are exactly — including float bits — those of
+// the reference.
 func assertSameProblem(t *testing.T, label string, ref, got *Problem) {
 	t.Helper()
-	if len(got.Edges) != len(ref.Edges) {
-		t.Fatalf("%s: %d edges, reference has %d", label, len(got.Edges), len(ref.Edges))
+	if got.NumEdges() != ref.NumEdges() || len(got.W) != len(ref.W) || len(got.T) != len(ref.T) {
+		t.Fatalf("%s: columns W/T/M of %d/%d/%d edges, reference %d/%d/%d", label,
+			len(got.W), len(got.T), got.NumEdges(), len(ref.W), len(ref.T), ref.NumEdges())
 	}
-	for i := range ref.Edges {
-		if got.Edges[i] != ref.Edges[i] {
-			t.Fatalf("%s: edge %d = %+v, reference %+v", label, i, got.Edges[i], ref.Edges[i])
+	bits := math.Float64bits
+	for i := range ref.M {
+		if got.W[i] != ref.W[i] || got.T[i] != ref.T[i] || bits(got.M[i]) != bits(ref.M[i]) ||
+			bits(got.Quality(i)) != bits(ref.Quality(i)) || bits(got.Utility(i)) != bits(ref.Utility(i)) {
+			t.Fatalf("%s: edge %d = (%d, %d, q %v, b %v, m %v), reference (%d, %d, q %v, b %v, m %v)", label, i,
+				got.W[i], got.T[i], got.Quality(i), got.Utility(i), got.M[i],
+				ref.W[i], ref.T[i], ref.Quality(i), ref.Utility(i), ref.M[i])
 		}
 	}
 	for w := 0; w < ref.In.NumWorkers(); w++ {
-		a, b := got.AdjW(w), ref.AdjW(w)
-		if len(a) != len(b) {
-			t.Fatalf("%s: AdjW(%d) length %d, reference %d", label, w, len(a), len(b))
-		}
-		for k := range b {
-			if a[k] != b[k] {
-				t.Fatalf("%s: AdjW(%d)[%d] = %d, reference %d", label, w, k, a[k], b[k])
-			}
+		alo, ahi := got.AdjW(w)
+		blo, bhi := ref.AdjW(w)
+		if alo != blo || ahi != bhi {
+			t.Fatalf("%s: AdjW(%d) = [%d, %d), reference [%d, %d)", label, w, alo, ahi, blo, bhi)
 		}
 	}
 	for tj := 0; tj < ref.In.NumTasks(); tj++ {
@@ -48,11 +52,12 @@ func assertSameProblem(t *testing.T, label string, ref, got *Problem) {
 
 // TestNewProblemMatchesSerialReference is the construction-determinism
 // property test: across 20 seeds and the three trace generators, the
-// counted parallel build must produce Edges, AdjW and AdjT byte-identical
-// to the retained serial reference, at every fan-out (including fan-outs
-// far above GOMAXPROCS, which exercise the chunk-boundary search, and one
-// chunk per worker).  AdjT is filled by per-chunk category cursors, so the
-// fan-outs pin those too.
+// counted parallel build must produce the W, T and M columns, the derived
+// quality and utility, AdjW and AdjT byte-identical to the retained serial
+// reference, at every fan-out (including fan-outs far above GOMAXPROCS,
+// which exercise the chunk-boundary search, and one chunk per worker).
+// The reference lays AdjT out from append-grown per-task lists, so the
+// comparison also pins AdjT's counting pass.
 func TestNewProblemMatchesSerialReference(t *testing.T) {
 	gens := []struct {
 		name string
@@ -115,8 +120,8 @@ func TestNewProblemDegenerateShapes(t *testing.T) {
 		}},
 	}
 	p := MustNewProblem(onlyWorkers, benefit.DefaultParams())
-	if len(p.Edges) != 0 || len(p.AdjW(0)) != 0 {
-		t.Fatalf("workers-only market produced %d edges", len(p.Edges))
+	if lo, hi := p.AdjW(0); p.NumEdges() != 0 || hi != lo {
+		t.Fatalf("workers-only market produced %d edges", p.NumEdges())
 	}
 
 	onlyTasks := &market.Instance{
@@ -125,42 +130,43 @@ func TestNewProblemDegenerateShapes(t *testing.T) {
 		MaxPayment: 1,
 	}
 	p = MustNewProblem(onlyTasks, benefit.DefaultParams())
-	if len(p.Edges) != 0 || len(p.AdjT(0)) != 0 {
-		t.Fatalf("tasks-only market produced %d edges", len(p.Edges))
+	if p.NumEdges() != 0 || len(p.AdjT(0)) != 0 {
+		t.Fatalf("tasks-only market produced %d edges", p.NumEdges())
 	}
 }
 
-// TestFilterProblemMatchesRebuild cross-checks the filtered CSR layout: the
+// TestFilterProblemMatchesRebuild cross-checks the filtered layout: the
 // kept edges and adjacency must agree with edge-by-edge expectations.
 func TestFilterProblemMatchesRebuild(t *testing.T) {
 	p := smallProblem(t, 11)
 	fp := FilterProblem(p, MinQuality(0.3))
 	wantEdges := 0
-	for i := range p.Edges {
-		if p.Edges[i].Q >= 0.3 {
+	for i := range p.M {
+		if p.Quality(i) >= 0.3 {
 			wantEdges++
 		}
 	}
-	if len(fp.Edges) != wantEdges {
-		t.Fatalf("filtered %d edges, want %d", len(fp.Edges), wantEdges)
+	if fp.NumEdges() != wantEdges {
+		t.Fatalf("filtered %d edges, want %d", fp.NumEdges(), wantEdges)
 	}
 	covered := 0
 	for w := 0; w < fp.In.NumWorkers(); w++ {
-		for _, ei := range fp.AdjW(w) {
-			if fp.Edges[ei].W != w {
+		lo, hi := fp.AdjW(w)
+		for ei := lo; ei < hi; ei++ {
+			if int(fp.W[ei]) != w {
 				t.Fatal("filtered AdjW holds foreign edge")
 			}
 			covered++
 		}
 	}
-	if covered != len(fp.Edges) {
-		t.Fatalf("filtered AdjW covers %d of %d edges", covered, len(fp.Edges))
+	if covered != fp.NumEdges() {
+		t.Fatalf("filtered AdjW covers %d of %d edges", covered, fp.NumEdges())
 	}
 	covered = 0
 	for tj := 0; tj < fp.In.NumTasks(); tj++ {
 		prev := int32(-1)
 		for _, ei := range fp.AdjT(tj) {
-			if fp.Edges[ei].T != tj {
+			if int(fp.T[ei]) != tj {
 				t.Fatal("filtered AdjT holds foreign edge")
 			}
 			if ei <= prev {
@@ -170,8 +176,8 @@ func TestFilterProblemMatchesRebuild(t *testing.T) {
 			covered++
 		}
 	}
-	if covered != len(fp.Edges) {
-		t.Fatalf("filtered AdjT covers %d of %d edges", covered, len(fp.Edges))
+	if covered != fp.NumEdges() {
+		t.Fatalf("filtered AdjT covers %d of %d edges", covered, fp.NumEdges())
 	}
 }
 
@@ -196,4 +202,30 @@ func TestBuildChunkPanicIsContained(t *testing.T) {
 		}
 	}()
 	p.build(3, nil)
+}
+
+// TestAdjTConcurrentFirstUse makes the first AdjT calls after a build from
+// several goroutines at once, as local search's chunked task sweep does;
+// under -race it pins the sync.Once that guards the layout, and the
+// adjacency must still equal the serial reference.
+func TestAdjTConcurrentFirstUse(t *testing.T) {
+	in := market.MustGenerate(market.FreelanceTraceConfig(120, 90), 5)
+	ref, err := NewProblemSerial(in, benefit.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := MustNewProblem(in, benefit.DefaultParams())
+	const goroutines = 4
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for tj := g; tj < in.NumTasks(); tj += goroutines {
+				_ = p.AdjT(tj)
+			}
+		}(g)
+	}
+	wg.Wait()
+	assertSameProblem(t, "concurrent AdjT", ref, p)
 }

@@ -27,6 +27,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/benefit"
 	"repro/internal/bipartite"
@@ -62,75 +63,61 @@ func (k WeightKind) String() string {
 	}
 }
 
-// EdgeInfo is one eligible worker-task pair with its three benefit values
-// precomputed.  Precomputing keeps the hot loops of every solver free of
-// model calls.
-type EdgeInfo struct {
-	W, T    int     // worker and task indices in the instance
-	Q, B, M float64 // quality, worker utility, mutual benefit
-}
-
-// Weight returns the edge's value under kind.
-func (e *EdgeInfo) Weight(kind WeightKind) float64 {
-	switch kind {
-	case MutualWeight:
-		return e.M
-	case QualityWeight:
-		return e.Q
-	case WorkerWeight:
-		return e.B
-	default:
-		panic("core: unknown weight kind")
-	}
-}
-
 // Problem is one assignment round: an instance, a benefit model, and the
-// materialised eligible edges.
+// eligible worker-task edges, stored as columns.
 //
-// Adjacency is stored in CSR form: one flat backing slice per side plus an
-// offsets array, so building a problem performs a fixed number of
-// allocations regardless of market shape and the AdjW/AdjT accessors return
-// subslices of contiguous memory.
+// Edge e pairs worker W[e] with task T[e] at mutual benefit M[e].  Edges
+// are worker-major, each worker's tasks ascending, so worker w's edges are
+// the index range AdjW(w) and no worker adjacency is stored.  Requester
+// quality and worker utility are not stored either: Quality(e) and
+// Utility(e) derive them from the model with the same calls the build
+// scores M from, so they are bit-identical to what it combined.  The task
+// adjacency is built on the first AdjT call of each build; greedy, random
+// and the feasibility gate never ask for it.
 type Problem struct {
 	In    *market.Instance
 	Model *benefit.Model
-	Edges []EdgeInfo
 
-	adjW []int32 // edge indices incident to worker w at [offW[w], offW[w+1])
-	offW []int32 // len NumWorkers+1
-	adjT []int32 // edge indices incident to task t at [offT[t], offT[t+1])
-	offT []int32 // len NumTasks+1
+	W, T []int32   // worker and task index of each edge
+	M    []float64 // mutual benefit of each edge
 
-	// bs retains the build scratch, and the spare arena a refresh writes
+	offW []int32 // worker w's edges are [offW[w], offW[w+1]); len NumWorkers+1
+	offT []int32 // task t's edges are adjT[offT[t]:offT[t+1]]; len NumTasks+1
+
+	adjT     []int32 // edge indices by task, ascending; built by adjTOnce
+	adjTOnce sync.Once
+
+	// bs retains the build scratch, and the spare columns a refresh writes
 	// into, so RebuildProblem can rebuild this Problem for the next round
 	// without reallocating it.
 	bs buildScratch
 }
 
 // buildScratch is the per-build scratch: category buckets, degree
-// counters, chunk boundaries and per-chunk category cursors, all fully
-// rewritten by every build, plus the state the refresh path carries from
-// one build to the next.
+// counters, chunk boundaries, all fully rewritten by every build, plus the
+// state the refresh path carries from one build to the next.
 type buildScratch struct {
 	catOff, catTasks, catCur []int32
 	workersPerCat            []int32
 	bounds                   []int          // chunk k fills workers [bounds[k], bounds[k+1])
-	seen                     []int32        // per chunk and category; see build
 	src                      *refreshSource // the refresh being built, or nil
+	taskCur                  []int32        // per task: the AdjT build's cursor
 
-	// built is set once Edges and the CSR arrays are a complete build of
+	// built is set once the columns and offsets are a complete build of
 	// In: the precondition for refreshing from them.
 	built bool
 	// refreshed records whether the last build copied surviving rows
 	// instead of scoring every edge.
 	refreshed bool
-	// spareEdges and spareOffW are the arrays of the build before last.  A
-	// refresh reads the previous build while it writes the next one, so
-	// the two arenas ping-pong.
-	spareEdges []EdgeInfo
-	spareOffW  []int32
-	taskAt     []int32 // previous task index → current index, or -1
-	arrFrom    []int32 // per category: where arriving tasks start in catTasks
+	// spareT, spareM and spareOffW are the columns of the build before
+	// last.  A refresh reads the previous build's T and M while it writes
+	// the next one, so those two columns ping-pong; W is never read back
+	// and is rewritten in place.
+	spareT    []int32
+	spareM    []float64
+	spareOffW []int32
+	taskAt    []int32 // previous task index → current index, or -1
+	arrFrom   []int32 // per category: where arriving tasks start in catTasks
 }
 
 // parallelBuildCutoff is the edge count below which NewProblem stays
@@ -165,10 +152,10 @@ func newProblemProcs(in *market.Instance, params benefit.Params, procs int) (*Pr
 	return p, nil
 }
 
-// build materialises Edges and the CSR adjacency in two counted passes:
-// exact per-node degrees first (so every array is allocated once at final
-// size), then scoring into the precomputed disjoint ranges.  With a
-// non-nil src the second pass is a refresh: a surviving worker's row is
+// build materialises the edge columns and worker offsets in two counted
+// passes: exact per-node degrees first (so every array is allocated once
+// at final size), then scoring into the precomputed disjoint ranges.  With
+// a non-nil src the second pass is a refresh: a surviving worker's row is
 // copied from its previous row, and only its edges to arriving tasks are
 // scored (see RebuildProblem).  The second pass runs in worker chunks on
 // forChunks, so a panic in any chunk re-raises here, on the caller's
@@ -177,6 +164,7 @@ func (p *Problem) build(procs int, src *refreshSource) {
 	in := p.In
 	nW, nT, nC := in.NumWorkers(), in.NumTasks(), in.NumCategories
 	p.bs.built = false
+	p.adjTOnce = sync.Once{} // the next AdjT call rebuilds it
 
 	// Every array below is drawn through a reuse-aware grow helper against
 	// the Problem's previous builds (a no-op first time), so RebuildProblem
@@ -217,12 +205,12 @@ func (p *Problem) build(procs int, src *refreshSource) {
 	// Pass 1: exact degrees.  A worker's edge count is the sum of its
 	// specialty bucket sizes; a task's degree is the number of workers
 	// specialised in its category.
-	offW, edges := p.offW, p.Edges
+	offW, ts, ms := p.offW, p.T, p.M
 	if src != nil {
-		// The previous build is src's to read; write into the spare arena
-		// and keep the previous one as the next refresh's spare.
-		offW, edges = p.bs.spareOffW, p.bs.spareEdges
-		p.bs.spareOffW, p.bs.spareEdges = p.offW, p.Edges
+		// The previous build is src's to read; write into the spare
+		// columns and keep the previous ones as the next refresh's spares.
+		offW, ts, ms = p.bs.spareOffW, p.bs.spareT, p.bs.spareM
+		p.bs.spareOffW, p.bs.spareT, p.bs.spareM = p.offW, p.T, p.M
 	}
 	offW = grow(offW, nW+1)
 	offW[0] = 0
@@ -244,9 +232,9 @@ func (p *Problem) build(procs int, src *refreshSource) {
 		offT[j+1] = offT[j] + workersPerCat[in.Tasks[j].Category]
 	}
 
-	p.Edges = grow(edges, total)
-	p.adjW = grow(p.adjW, total)
-	p.adjT = grow(p.adjT, total)
+	p.W = grow(p.W, total)
+	p.T = grow(ts, total)
+	p.M = grow(ms, total)
 	p.offW, p.offT = offW, offT
 
 	// Chunks split workers, so there are at most nW of them.
@@ -262,26 +250,9 @@ func (p *Problem) build(procs int, src *refreshSource) {
 		bounds[k] = sort.Search(nW, func(i int) bool { return offW[i] >= target })
 	}
 
-	// AdjT lists a task's edges in worker order, and each worker
-	// specialised in the task's category contributes exactly one.  So an
-	// edge's slot in its task's list is the number of earlier workers
-	// specialised in that category.  seen[k*nC+c] starts chunk k's count
-	// at the workers of the chunks before it.
-	seen := grow(p.bs.seen, procs*nC)
-	p.bs.seen = seen
-	clear(workersPerCat)
-	for k := 0; k < procs; k++ {
-		copy(seen[k*nC:(k+1)*nC], workersPerCat)
-		for wi := bounds[k]; wi < bounds[k+1]; wi++ {
-			for _, c := range in.Workers[wi].Specialties {
-				workersPerCat[c]++
-			}
-		}
-	}
-
 	// Pass 2: fill rows.  Each chunk owns a contiguous worker range and
-	// therefore a disjoint range of Edges/adjW and disjoint adjT slots, so
-	// the chunks are race-free and the output independent of scheduling.
+	// therefore a disjoint range of every column, so the chunks are
+	// race-free and the output independent of scheduling.
 	p.bs.src = src
 	forChunks(p, procs, (*Problem).fillWorkers)
 	p.bs.src = nil
@@ -289,79 +260,61 @@ func (p *Problem) build(procs int, src *refreshSource) {
 }
 
 // fillWorkers writes the rows of chunk k's workers into their precomputed
-// Edges/adjW ranges and slots each edge into its task's adjacency.  seen
-// is the chunk's per-category count of earlier workers, advanced past
-// each worker.  A row is scored; on a refresh, a surviving worker's row
+// column ranges.  A row is scored; on a refresh, a surviving worker's row
 // is instead copied from its previous row, and only its edges to arriving
 // tasks, which follow, are scored.
-//
-// While a row is written, each edge's adjT slot is noted in at, and a
-// tight loop of its own then stores the row's edges there.  Storing them
-// in the scoring loop instead interleaves one cache-missing store per edge
-// with the row's own writes, which stalls the loop once adjT outgrows the
-// cache.
 func (p *Problem) fillWorkers(k int) {
 	nC, src := p.In.NumCategories, p.bs.src
-	seen := p.bs.seen[k*nC : (k+1)*nC]
 	cur := make([]int32, nC)
 	end := make([]int32, nC)
-	at := make([]int32, p.In.NumTasks()) // a row has at most one edge per task
 	for wi := p.bs.bounds[k]; wi < p.bs.bounds[k+1]; wi++ {
 		w := &p.In.Workers[wi]
 		row, copied, from := p.offW[wi], int32(0), p.bs.catOff
 		if src != nil {
 			if pw := src.prevWorker[wi]; pw >= 0 {
-				copied = p.copyRow(row, wi, src.edges[src.offW[pw]:src.offW[pw+1]], src.taskAt, seen, at)
+				lo, hi := src.offW[pw], src.offW[pw+1]
+				copied = p.copyRow(row, src.t[lo:hi], src.m[lo:hi], src.taskAt)
 				from = p.bs.arrFrom
 			}
 		}
-		p.scoreRow(row+copied, wi, w, from, seen, cur, end, at[copied:])
-		for i, slot := range at[:p.offW[wi+1]-row] {
-			p.adjT[slot] = row + int32(i)
-		}
-		for _, c := range w.Specialties {
-			seen[c]++
+		p.scoreRow(row+copied, w, from, cur, end)
+		wcol := p.W[row:p.offW[wi+1]]
+		for i := range wcol {
+			wcol[i] = int32(wi)
 		}
 	}
 }
 
-// copyRow copies the edges of row, a surviving worker's previous row,
-// whose task survived, remapped to current indices, to Edges[pos:], noting
-// each one's adjT slot in at; it returns how many it copied.  Scores are
-// unchanged: the refresh only runs when both endpoints' scoring inputs,
-// the params and MaxPayment are.
-func (p *Problem) copyRow(pos int32, wi int, row []EdgeInfo, taskAt, seen, at []int32) int32 {
-	k := int32(0)
-	for i := range row {
-		tj := taskAt[row[i].T]
-		if tj < 0 {
-			continue
+// copyRow copies the edges of a surviving worker's previous row (task
+// column t, benefit column m) whose task survived, remapped to current
+// indices, to T[pos:] and M[pos:]; it returns how many it copied.  Scores
+// are unchanged: the refresh only runs when both endpoints' scoring
+// inputs, the params and MaxPayment are.
+func (p *Problem) copyRow(pos int32, t []int32, m []float64, taskAt []int32) int32 {
+	ts, ms := p.T[pos:], p.M[pos:]
+	k := 0
+	for i, pt := range t {
+		if tj := taskAt[pt]; tj >= 0 {
+			ts[k], ms[k] = tj, m[i]
+			k++
 		}
-		e := &p.Edges[pos+k]
-		*e = row[i]
-		e.W, e.T = wi, int(tj)
-		p.adjW[pos+k] = pos + k
-		at[k] = p.offT[tj] + seen[p.In.Tasks[tj].Category]
-		k++
 	}
-	return k
+	return int32(k)
 }
 
-// scoreRow scores worker wi's edges to the tasks of catTasks[from[c]:
-// catOff[c+1]] for each specialty c, in ascending task order, into
-// Edges[pos:], noting each one's adjT slot in at.  That order is the
-// k-way merge of the specialty buckets — disjoint ascending lists —
-// replacing the seed's per-worker union-then-sort.Ints.  cur and end are
-// per-specialty merge scratch.
-func (p *Problem) scoreRow(pos int32, wi int, w *market.Worker, from, seen, cur, end, at []int32) {
+// scoreRow scores worker w's edges to the tasks of catTasks[from[c]:
+// catOff[c+1]] for each specialty c, in ascending task order, into the
+// T and M columns from pos.  That order is the k-way merge of the
+// specialty buckets — disjoint ascending lists — replacing the seed's
+// per-worker union-then-sort.Ints.  cur and end are per-specialty merge
+// scratch.
+func (p *Problem) scoreRow(pos int32, w *market.Worker, from, cur, end []int32) {
 	catOff, catTasks := p.bs.catOff, p.bs.catTasks
 	specs := w.Specialties
 	if len(specs) == 1 {
 		c := specs[0]
-		slot := seen[c]
 		for k, tj := range catTasks[from[c]:catOff[c+1]] {
-			p.scoreEdge(pos+int32(k), wi, tj, w)
-			at[k] = p.offT[tj] + slot
+			p.scoreEdge(pos+int32(k), w, tj)
 		}
 		return
 	}
@@ -380,46 +333,94 @@ func (p *Problem) scoreRow(pos int32, wi int, w *market.Worker, from, seen, cur,
 			}
 		}
 		cur[best]++
-		p.scoreEdge(pos+k, wi, bestT, w)
-		at[k] = p.offT[bestT] + seen[specs[best]]
+		p.scoreEdge(pos+k, w, bestT)
 	}
 }
 
-// scoreEdge fills Edges[pos] with the scored pair (wi, tj).  Edge index ==
-// position in the worker-major enumeration, so adjW is the identity there.
-func (p *Problem) scoreEdge(pos int32, wi int, tj int32, w *market.Worker) {
+// scoreEdge fills edge pos with task tj and the mutual benefit of (w, tj).
+func (p *Problem) scoreEdge(pos int32, w *market.Worker, tj int32) {
 	t := &p.In.Tasks[tj]
-	e := &p.Edges[pos]
-	e.W, e.T = wi, int(tj)
-	e.Q = p.Model.Quality(w, t)
-	e.B = p.Model.WorkerUtility(w, t)
-	e.M = p.Model.Combine(e.Q, e.B)
-	p.adjW[pos] = pos
+	p.T[pos] = tj
+	p.M[pos] = p.Model.Combine(p.Model.Quality(w, t), p.Model.WorkerUtility(w, t))
 }
 
-// setAdjacency flattens per-node adjacency lists into the CSR arrays (used
-// by the serial reference builder).
-func (p *Problem) setAdjacency(adjW, adjT [][]int32) {
-	n := len(p.Edges)
-	p.offW = make([]int32, len(adjW)+1)
-	p.adjW = make([]int32, 0, n)
-	for w, l := range adjW {
-		p.adjW = append(p.adjW, l...)
-		p.offW[w+1] = int32(len(p.adjW))
-	}
-	p.offT = make([]int32, len(adjT)+1)
-	p.adjT = make([]int32, 0, n)
-	for t, l := range adjT {
-		p.adjT = append(p.adjT, l...)
-		p.offT[t+1] = int32(len(p.adjT))
-	}
+// NumEdges returns the number of eligible edges.
+func (p *Problem) NumEdges() int { return len(p.M) }
+
+// Quality returns edge e's requester-side quality.
+func (p *Problem) Quality(e int) float64 {
+	return p.Model.Quality(&p.In.Workers[p.W[e]], &p.In.Tasks[p.T[e]])
 }
 
-// AdjW returns the edge indices incident to worker w (do not mutate).
-func (p *Problem) AdjW(w int) []int32 { return p.adjW[p.offW[w]:p.offW[w+1]] }
+// Utility returns edge e's worker-side utility.
+func (p *Problem) Utility(e int) float64 {
+	return p.Model.WorkerUtility(&p.In.Workers[p.W[e]], &p.In.Tasks[p.T[e]])
+}
 
-// AdjT returns the edge indices incident to task t (do not mutate).
-func (p *Problem) AdjT(t int) []int32 { return p.adjT[p.offT[t]:p.offT[t+1]] }
+// Weights returns every edge's value under kind, indexed by edge.  For
+// MutualWeight it is M itself (do not mutate); the other kinds are
+// computed into a fresh slice.
+func (p *Problem) Weights(kind WeightKind) []float64 {
+	if kind == MutualWeight {
+		return p.M
+	}
+	return p.fillWeights(kind, nil)
+}
+
+// weightsInto is Weights computing the other kinds into *buf, grown as
+// needed, so a solver fills its column once when its solve starts and
+// reuses the buffer across solves.
+func (p *Problem) weightsInto(kind WeightKind, buf *[]float64) []float64 {
+	if kind == MutualWeight {
+		return p.M
+	}
+	*buf = p.fillWeights(kind, *buf)
+	return *buf
+}
+
+// fillWeights computes every edge's quality or utility into buf, grown to
+// the edge count.
+func (p *Problem) fillWeights(kind WeightKind, buf []float64) []float64 {
+	buf = grow(buf, p.NumEdges())
+	switch kind {
+	case QualityWeight:
+		for e := range buf {
+			buf[e] = p.Quality(e)
+		}
+	case WorkerWeight:
+		for e := range buf {
+			buf[e] = p.Utility(e)
+		}
+	default:
+		panic("core: unknown weight kind")
+	}
+	return buf
+}
+
+// AdjW returns the range [lo, hi) of edge indices incident to worker w.
+func (p *Problem) AdjW(w int) (lo, hi int) { return int(p.offW[w]), int(p.offW[w+1]) }
+
+// AdjT returns the edge indices incident to task t in ascending order (do
+// not mutate).  The first call after a build lays the whole adjacency out
+// in one counting pass over T; it is safe for concurrent use.
+func (p *Problem) AdjT(t int) []int32 {
+	p.adjTOnce.Do(p.buildAdjT)
+	return p.adjT[p.offT[t]:p.offT[t+1]]
+}
+
+// buildAdjT distributes the edges to their tasks' offsets in index order,
+// so each task lists its edges ascending, which is worker order.
+func (p *Problem) buildAdjT() {
+	nT := len(p.offT) - 1
+	p.adjT = grow(p.adjT, p.NumEdges())
+	p.bs.taskCur = grow(p.bs.taskCur, nT)
+	cur := p.bs.taskCur
+	copy(cur, p.offT[:nT])
+	for e, t := range p.T {
+		p.adjT[cur[t]] = int32(e)
+		cur[t]++
+	}
+}
 
 // CapacityW returns a fresh slice of worker capacities.
 func (p *Problem) CapacityW() []int {
@@ -445,7 +446,7 @@ func (p *Problem) CapacityT() []int {
 // hot path goes through graphForInto, which rebuilds the workspace's
 // retained graph arena instead.
 func (p *Problem) GraphFor(kind WeightKind) *bipartite.Graph {
-	return p.fillGraph(bipartite.NewGraph(p.In.NumWorkers(), p.In.NumTasks()), kind)
+	return p.fillGraph(bipartite.NewGraph(p.In.NumWorkers(), p.In.NumTasks()), p.Weights(kind))
 }
 
 // graphForInto is GraphFor rebuilding into ws's retained graph: after the
@@ -457,55 +458,83 @@ func (p *Problem) graphForInto(kind WeightKind, ws *Workspace) *bipartite.Graph 
 	} else {
 		ws.flowG.Reset(p.In.NumWorkers(), p.In.NumTasks())
 	}
-	return p.fillGraph(ws.flowG, kind)
+	return p.fillGraph(ws.flowG, p.weightsInto(kind, &ws.edgeWt))
 }
 
-// fillGraph appends every eligible edge to g under kind, preserving edge
-// indices.
-func (p *Problem) fillGraph(g *bipartite.Graph, kind WeightKind) *bipartite.Graph {
-	for i := range p.Edges {
-		e := &p.Edges[i]
-		g.AddEdge(e.W, e.T, e.Weight(kind))
+// fillGraph appends every eligible edge to g at its weight wt[e],
+// preserving edge indices.
+func (p *Problem) fillGraph(g *bipartite.Graph, wt []float64) *bipartite.Graph {
+	for e, v := range wt {
+		g.AddEdge(int(p.W[e]), int(p.T[e]), v)
 	}
 	return g
 }
 
-// Feasible verifies that sel (edge indices into p.Edges) is a valid
-// assignment: indices in range and distinct, no duplicate worker-task pair,
-// and both sides' degree constraints respected.  It returns nil or a
-// descriptive error for the first violation.
+// Feasible verifies that sel (edge indices) is a valid assignment: indices
+// in range and distinct, no duplicate worker-task pair, and both sides'
+// degree constraints respected.  It returns nil or a descriptive error for
+// the first violation.
+//
+// Its scratch is sized by sel and the market sides, never by the edge
+// count, and it runs in O(len(sel) + workers + tasks).
 func (p *Problem) Feasible(sel []int) error {
-	// Flat slices, not maps: Feasible runs on every solver result and the
-	// three maps the seed allocated dominated its cost on large markets.
-	seen := make([]bool, len(p.Edges))
-	degW := make([]int, p.In.NumWorkers())
-	degT := make([]int, p.In.NumTasks())
+	nW, nT, nE := p.In.NumWorkers(), p.In.NumTasks(), p.NumEdges()
 	for _, ei := range sel {
-		if ei < 0 || ei >= len(p.Edges) {
+		if ei < 0 || ei >= nE {
 			return fmt.Errorf("core: edge index %d out of range", ei)
 		}
-		if seen[ei] {
-			return fmt.Errorf("core: edge %d selected twice", ei)
+	}
+	scratch := make([]int32, nW+1+nT+len(sel))
+	end, last, byW := scratch[:nW+1], scratch[nW+1:nW+1+nT], scratch[nW+1+nT:]
+
+	// Distinctness: bucket sel by worker, then walk each bucket noting
+	// the last selected edge (plus one) at each task.  Meeting a task this
+	// worker already took is a repeated index or a repeated pair.
+	for _, ei := range sel {
+		end[p.W[ei]+1]++
+	}
+	for w := 0; w < nW; w++ {
+		end[w+1] += end[w]
+	}
+	for _, ei := range sel { // end[w] advances to the end of w's bucket
+		w := p.W[ei]
+		byW[end[w]] = int32(ei)
+		end[w]++
+	}
+	start := int32(0)
+	for w := 0; w < nW; w++ {
+		for _, ei := range byW[start:end[w]] {
+			t := p.T[ei]
+			if prev := last[t] - 1; prev >= 0 && int(p.W[prev]) == w {
+				if prev == ei {
+					return fmt.Errorf("core: edge %d selected twice", ei)
+				}
+				return fmt.Errorf("core: edges %d and %d both pair worker %d with task %d", prev, ei, w, t)
+			}
+			last[t] = ei + 1
 		}
-		seen[ei] = true
-		e := &p.Edges[ei]
-		degW[e.W]++
-		degT[e.T]++
-		if degW[e.W] > p.In.Workers[e.W].Capacity {
-			return fmt.Errorf("core: worker %d over capacity %d", e.W, p.In.Workers[e.W].Capacity)
+		start = end[w]
+	}
+
+	degW, degT := end[:nW], last
+	clear(degW)
+	clear(degT)
+	for _, ei := range sel {
+		w, t := p.W[ei], p.T[ei]
+		degW[w]++
+		degT[t]++
+		if c := p.In.Workers[w].Capacity; int(degW[w]) > c {
+			return fmt.Errorf("core: worker %d over capacity %d", w, c)
 		}
-		if degT[e.T] > p.In.Tasks[e.T].Replication {
-			return fmt.Errorf("core: task %d over replication %d", e.T, p.In.Tasks[e.T].Replication)
+		if r := p.In.Tasks[t].Replication; int(degT[t]) > r {
+			return fmt.Errorf("core: task %d over replication %d", t, r)
 		}
 	}
-	// Duplicate worker-task pairs can only arise from duplicate edges in
-	// Edges, which NewProblem never creates; the distinct-index check above
-	// therefore already excludes them.
 	return nil
 }
 
 // Solver is the interface every assignment algorithm implements.  Solve
-// returns edge indices into p.Edges.  Deterministic solvers ignore r;
+// returns edge indices of p.  Deterministic solvers ignore r;
 // randomised and online ones draw arrival orders and tie-breaks from it, so
 // the caller controls reproducibility.
 type Solver interface {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/benefit"
@@ -30,29 +31,29 @@ func unitProblem(t testing.TB, seed uint64) *Problem {
 func TestNewProblemEdgeEnumeration(t *testing.T) {
 	in := market.MustGenerate(market.Config{NumWorkers: 10, NumTasks: 20}, 1)
 	p := MustNewProblem(in, benefit.DefaultParams())
-	if len(p.Edges) != in.NumEdges() {
-		t.Fatalf("edges %d, instance says %d", len(p.Edges), in.NumEdges())
+	if p.NumEdges() != in.NumEdges() {
+		t.Fatalf("edges %d, instance says %d", p.NumEdges(), in.NumEdges())
 	}
 	// Every edge must be an eligible (specialty-matching) pair with benefit
 	// values agreeing with the model.
-	for i := range p.Edges {
-		e := &p.Edges[i]
-		w := &in.Workers[e.W]
-		task := &in.Tasks[e.T]
+	for i := range p.M {
+		w := &in.Workers[p.W[i]]
+		task := &in.Tasks[p.T[i]]
 		if !w.AcceptsCategory(task.Category) {
-			t.Fatalf("edge %d pairs worker %d with foreign category task %d", i, e.W, e.T)
+			t.Fatalf("edge %d pairs worker %d with foreign category task %d", i, p.W[i], p.T[i])
 		}
-		if e.Q != p.Model.Quality(w, task) || e.B != p.Model.WorkerUtility(w, task) {
-			t.Fatalf("edge %d cached values disagree with model", i)
+		q, b := p.Quality(i), p.Utility(i)
+		if q != p.Model.Quality(w, task) || b != p.Model.WorkerUtility(w, task) {
+			t.Fatalf("edge %d derived values disagree with model", i)
 		}
-		if math.Abs(e.M-p.Model.Combine(e.Q, e.B)) > 1e-15 {
+		if math.Abs(p.M[i]-p.Model.Combine(q, b)) > 1e-15 {
 			t.Fatalf("edge %d mutual value stale", i)
 		}
 	}
 	// No duplicate pairs.
-	seen := map[[2]int]bool{}
-	for i := range p.Edges {
-		key := [2]int{p.Edges[i].W, p.Edges[i].T}
+	seen := map[[2]int32]bool{}
+	for i := range p.M {
+		key := [2]int32{p.W[i], p.T[i]}
 		if seen[key] {
 			t.Fatalf("duplicate pair %v", key)
 		}
@@ -64,27 +65,28 @@ func TestNewProblemAdjacencyConsistent(t *testing.T) {
 	p := smallProblem(t, 2)
 	countAdj := 0
 	for w := 0; w < p.In.NumWorkers(); w++ {
-		for _, ei := range p.AdjW(w) {
-			if p.Edges[ei].W != w {
+		lo, hi := p.AdjW(w)
+		for ei := lo; ei < hi; ei++ {
+			if int(p.W[ei]) != w {
 				t.Fatal("AdjW holds foreign edge")
 			}
 			countAdj++
 		}
 	}
-	if countAdj != len(p.Edges) {
-		t.Fatalf("worker adjacency covers %d of %d edges", countAdj, len(p.Edges))
+	if countAdj != p.NumEdges() {
+		t.Fatalf("worker adjacency covers %d of %d edges", countAdj, p.NumEdges())
 	}
 	countAdj = 0
 	for tj := 0; tj < p.In.NumTasks(); tj++ {
 		for _, ei := range p.AdjT(tj) {
-			if p.Edges[ei].T != tj {
+			if int(p.T[ei]) != tj {
 				t.Fatal("AdjT holds foreign edge")
 			}
 			countAdj++
 		}
 	}
-	if countAdj != len(p.Edges) {
-		t.Fatalf("task adjacency covers %d of %d edges", countAdj, len(p.Edges))
+	if countAdj != p.NumEdges() {
+		t.Fatalf("task adjacency covers %d of %d edges", countAdj, p.NumEdges())
 	}
 }
 
@@ -107,7 +109,7 @@ func TestFeasibleCatchesViolations(t *testing.T) {
 	if err := p.Feasible([]int{-1}); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if err := p.Feasible([]int{len(p.Edges)}); err == nil {
+	if err := p.Feasible([]int{p.NumEdges()}); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 	if err := p.Feasible([]int{0, 0}); err == nil {
@@ -115,11 +117,11 @@ func TestFeasibleCatchesViolations(t *testing.T) {
 	}
 	// Overflow worker 0's capacity by brute force: gather more of its edges
 	// than capacity.
-	w := p.Edges[0].W
+	w := int(p.W[0])
 	cap0 := p.In.Workers[w].Capacity
 	var mine []int
-	for _, ei := range p.AdjW(w) {
-		mine = append(mine, int(ei))
+	for ei, hi := p.AdjW(w); ei < hi; ei++ {
+		mine = append(mine, ei)
 	}
 	if len(mine) > cap0 {
 		if err := p.Feasible(mine); err == nil {
@@ -128,11 +130,100 @@ func TestFeasibleCatchesViolations(t *testing.T) {
 	}
 }
 
+// feasibilityProblem is two workers (capacities 1 and 2) and two tasks
+// (replication 2 and 1) in one category: edges 0..3 are (w0,t0), (w0,t1),
+// (w1,t0), (w1,t1).
+func feasibilityProblem(t testing.TB) *Problem {
+	t.Helper()
+	worker := func(id, capacity int) market.Worker {
+		return market.Worker{ID: id, Capacity: capacity, Accuracy: []float64{0.8},
+			Interest: []float64{0.5}, Specialties: []int{0}}
+	}
+	task := func(id, replication int) market.Task {
+		return market.Task{ID: id, Category: 0, Replication: replication, Payment: 1}
+	}
+	in := &market.Instance{
+		Name: "feasibility", NumCategories: 1, MaxPayment: 1,
+		Workers: []market.Worker{worker(0, 1), worker(1, 2)},
+		Tasks:   []market.Task{task(0, 2), task(1, 1)},
+	}
+	return MustNewProblem(in, benefit.DefaultParams())
+}
+
+// TestFeasibleViolationMessages pins Feasible's message for a selection
+// with exactly one violation, one case per kind.
+func TestFeasibleViolationMessages(t *testing.T) {
+	p := feasibilityProblem(t)
+	for e, want := range [][2]int32{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+		if p.W[e] != want[0] || p.T[e] != want[1] {
+			t.Fatalf("edge %d = (w%d, t%d), want (w%d, t%d)", e, p.W[e], p.T[e], want[0], want[1])
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		sel  []int
+		want string // "" for feasible
+	}{
+		{"feasible", []int{0, 2, 3}, ""},
+		{"negative-index", []int{0, -1}, "core: edge index -1 out of range"},
+		{"index-past-edges", []int{2, 4}, "core: edge index 4 out of range"},
+		{"selected-twice", []int{2, 0, 2}, "core: edge 2 selected twice"},
+		{"worker-over-capacity", []int{0, 1}, "core: worker 0 over capacity 1"},
+		{"task-over-replication", []int{3, 1}, "core: task 1 over replication 1"},
+	} {
+		err := p.Feasible(tc.sel)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Only a hand-built problem lists one pair under two indices; taking
+	// both repeats the pair, not an index.
+	dup := &Problem{In: p.In, W: []int32{1, 1}, T: []int32{0, 0}, M: []float64{1, 1}}
+	const want = "core: edges 0 and 1 both pair worker 1 with task 0"
+	if err := dup.Feasible([]int{0, 1}); err == nil || err.Error() != want {
+		t.Errorf("repeated pair: got %v, want %q", err, want)
+	}
+}
+
+// TestFeasibleScratchIndependentOfEdges pins Feasible's scratch to the
+// selection and the market sides: on a market with far more edges than
+// workers, tasks and selected pairs together, one call allocates once and
+// a few bytes per worker, task and pair, never a byte per edge.
+func TestFeasibleScratchIndependentOfEdges(t *testing.T) {
+	p := MustNewProblem(market.MustGenerate(market.FreelanceTraceConfig(400, 300), 1), benefit.DefaultParams())
+	sel, err := Greedy{}.Solve(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 5*(p.In.NumWorkers()+p.In.NumTasks()+len(sel)) + 512
+	if limit >= p.NumEdges() {
+		t.Fatalf("%d edges do not dwarf the %d-byte limit", p.NumEdges(), limit)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = p.Feasible(sel) }); allocs > 1 {
+		t.Errorf("%v allocs per call, want <= 1", allocs)
+	}
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := p.Feasible(sel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := int(after.TotalAlloc-before.TotalAlloc) / calls; perCall > limit {
+		t.Errorf("%d B per call over %d edges, want <= %d", perCall, p.NumEdges(), limit)
+	}
+}
+
 func TestEvaluateTotals(t *testing.T) {
 	p := smallProblem(t, 5)
 	sel := []int{0, 1}
 	m := p.Evaluate(sel)
-	wantMutual := p.Edges[0].M + p.Edges[1].M
+	wantMutual := p.M[0] + p.M[1]
 	if math.Abs(m.TotalMutual-wantMutual) > 1e-12 {
 		t.Fatalf("mutual %v want %v", m.TotalMutual, wantMutual)
 	}
@@ -162,15 +253,15 @@ func TestPerWorkerBenefit(t *testing.T) {
 	if len(per) != p.In.NumWorkers() {
 		t.Fatal("length mismatch")
 	}
-	e := &p.Edges[0]
-	if per[e.W] != e.B {
-		t.Fatalf("worker %d benefit %v want %v", e.W, per[e.W], e.B)
+	w, b0 := p.W[0], p.Utility(0)
+	if per[w] != b0 {
+		t.Fatalf("worker %d benefit %v want %v", w, per[w], b0)
 	}
 	sum := 0.0
 	for _, b := range per {
 		sum += b
 	}
-	if math.Abs(sum-e.B) > 1e-12 {
+	if math.Abs(sum-b0) > 1e-12 {
 		t.Fatal("other workers should have zero")
 	}
 }
@@ -201,7 +292,7 @@ type badSolver struct{}
 func (badSolver) Name() string { return "bad" }
 func (badSolver) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 	// Return the same edge twice: infeasible.
-	if len(p.Edges) == 0 {
+	if p.NumEdges() == 0 {
 		return nil, nil
 	}
 	return []int{0, 0}, nil
@@ -225,14 +316,20 @@ func TestWeightKindString(t *testing.T) {
 }
 
 func TestEdgeWeightSelector(t *testing.T) {
-	e := EdgeInfo{Q: 0.1, B: 0.2, M: 0.3}
-	if e.Weight(QualityWeight) != 0.1 || e.Weight(WorkerWeight) != 0.2 || e.Weight(MutualWeight) != 0.3 {
-		t.Fatal("weight selector wrong")
+	p := smallProblem(t, 10)
+	q, b, m := p.Weights(QualityWeight), p.Weights(WorkerWeight), p.Weights(MutualWeight)
+	if &m[0] != &p.M[0] {
+		t.Fatal("mutual weights are not the M column")
+	}
+	for e := range p.M {
+		if q[e] != p.Quality(e) || b[e] != p.Utility(e) || m[e] != p.M[e] {
+			t.Fatalf("edge %d: weight selector wrong", e)
+		}
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown kind did not panic")
 		}
 	}()
-	e.Weight(WeightKind(9))
+	p.Weights(WeightKind(9))
 }

@@ -31,14 +31,14 @@ func orderKey(w float64) uint64 {
 
 // sortEdgesByWeightWS is the ordering kernel behind the weight-ordered
 // edge scans; Greedy, which gathers its own keys, runs its radix passes
-// (radixSortByKey) directly.  It sorts idx (edge indices into p.Edges) in
-// place by decreasing weight under kind, ties broken by ascending edge
-// index, drawing all scratch from ws so repeated sorts allocate nothing.
+// (radixSortByKey) directly.  It sorts idx (edge indices) in place by
+// decreasing weight wt[e], ties broken by ascending edge index, drawing
+// all scratch from ws so repeated sorts allocate nothing.
 //
 // Precondition: idx is ascending.  The sort is a stable LSD radix sort on
 // orderKey, so ties keep their input order — which is then ascending
-// index.  Every caller passes a CSR adjacency list filtered in place,
-// which is ascending.
+// index.  Every caller passes an adjacency list or range filtered in
+// order, which is ascending.
 //
 // NaN weights are out of scope: scored weights are bounded, and the
 // comparison order this kernel reproduces is undefined for NaN.
@@ -46,14 +46,14 @@ func orderKey(w float64) uint64 {
 // Below radixCutoff a comparison sort orders idx by the same key, breaking
 // ties on the index itself.  Above it, one pass computes the keys and
 // radixSortByKey orders idx by them.
-func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace) {
+func sortEdgesByWeightWS(wt []float64, idx []int32, ws *Workspace) {
 	n := len(idx)
 	if n < 2 {
 		return
 	}
 	if n < radixCutoff {
 		slices.SortFunc(idx, func(a, b int32) int {
-			if c := cmp.Compare(orderKey(p.Edges[a].Weight(kind)), orderKey(p.Edges[b].Weight(kind))); c != 0 {
+			if c := cmp.Compare(orderKey(wt[a]), orderKey(wt[b])); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
@@ -65,7 +65,7 @@ func sortEdgesByWeightWS(p *Problem, kind WeightKind, idx []int32, ws *Workspace
 	ws.orderTmp = grow(ws.orderTmp, n)
 	keys := ws.keys[:n]
 	for k, ei := range idx {
-		keys[k] = orderKey(p.Edges[ei].Weight(kind))
+		keys[k] = orderKey(wt[ei])
 	}
 	radixSortByKey(keys, ws.keys[n:2*n], idx, ws.orderTmp[:n], &ws.radixHist)
 }

@@ -34,41 +34,42 @@ func (o *edgeOrder) Swap(a, b int) {
 	o.wt[a], o.wt[b] = o.wt[b], o.wt[a]
 }
 
-// sortEdgesByWeight is the oracle order of idx under kind.
-func sortEdgesByWeight(p *Problem, kind WeightKind, idx []int32) {
-	wt := make([]float64, len(idx))
+// sortEdgesByWeight is the oracle order of idx under the weight column wt.
+func sortEdgesByWeight(wt []float64, idx []int32) {
+	w := make([]float64, len(idx))
 	for k, ei := range idx {
-		wt[k] = p.Edges[ei].Weight(kind)
+		w[k] = wt[ei]
 	}
-	sort.Sort(&edgeOrder{idx: idx, wt: wt})
-}
-
-// weightProblem is a Problem carrying only edges whose three weights are
-// all wts[i] — enough for the ordering kernel, which reads nothing else.
-func weightProblem(wts []float64) *Problem {
-	p := &Problem{Edges: make([]EdgeInfo, len(wts))}
-	for i, w := range wts {
-		p.Edges[i] = EdgeInfo{Q: w, B: w, M: w}
-	}
-	return p
+	sort.Sort(&edgeOrder{idx: idx, wt: w})
 }
 
 var allWeightKinds = []WeightKind{MutualWeight, QualityWeight, WorkerWeight}
 
-// checkOrderMatchesOracle sorts idx with the radix kernel through ws and
-// with the oracle, and fails on the first position they disagree.
-func checkOrderMatchesOracle(t testing.TB, p *Problem, kind WeightKind, idx []int32, ws *Workspace) {
+// checkOrderMatchesOracle sorts idx by the weight column wt with the radix
+// kernel through ws and with the oracle, and fails on the first position
+// they disagree.
+func checkOrderMatchesOracle(t testing.TB, wt []float64, idx []int32, ws *Workspace) {
 	t.Helper()
 	got := slices.Clone(idx)
 	want := slices.Clone(idx)
-	sortEdgesByWeightWS(p, kind, got, ws)
-	sortEdgesByWeight(p, kind, want)
+	sortEdgesByWeightWS(wt, got, ws)
+	sortEdgesByWeight(wt, want)
 	for k := range want {
 		if got[k] != want[k] {
-			t.Fatalf("kind %v, n=%d: position %d has edge %d (w=%v), oracle has edge %d (w=%v)",
-				kind, len(idx), k, got[k], p.Edges[got[k]].Weight(kind), want[k], p.Edges[want[k]].Weight(kind))
+			t.Fatalf("n=%d: position %d has edge %d (w=%v), oracle has edge %d (w=%v)",
+				len(idx), k, got[k], wt[got[k]], want[k], wt[want[k]])
 		}
 	}
+}
+
+// rangeIdx returns the edge indices lo..hi-1, the list form of an AdjW
+// range.
+func rangeIdx(lo, hi int) []int32 {
+	idx := make([]int32, 0, hi-lo)
+	for e := lo; e < hi; e++ {
+		idx = append(idx, int32(e))
+	}
+	return idx
 }
 
 // identityOrderWS fills ws.order with the edge indices 0..n-1, reusing its
@@ -106,14 +107,15 @@ func TestEdgeOrderMatchesSortOracle(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {
 				p := MustNewProblem(market.MustGenerate(g.cfg, seed), benefit.DefaultParams())
 				for _, kind := range allWeightKinds {
-					checkOrderMatchesOracle(t, p, kind, identity32(len(p.Edges)), ws)
-					// Non-identity ascending subsets, filtered in place
-					// from CSR adjacency the way the online solvers do.
+					wt := p.Weights(kind)
+					checkOrderMatchesOracle(t, wt, identity32(p.NumEdges()), ws)
+					// Non-identity ascending subsets, filtered from the
+					// adjacency the way the online solvers do.
 					for w := 0; w < p.In.NumWorkers(); w += 7 {
-						checkOrderMatchesOracle(t, p, kind, filterAscending(p.AdjW(w), w), ws)
+						checkOrderMatchesOracle(t, wt, filterAscending(rangeIdx(p.AdjW(w)), w), ws)
 					}
 					for tk := 0; tk < p.In.NumTasks(); tk += 5 {
-						checkOrderMatchesOracle(t, p, kind, filterAscending(p.AdjT(tk), tk), ws)
+						checkOrderMatchesOracle(t, wt, filterAscending(p.AdjT(tk), tk), ws)
 					}
 				}
 			}
@@ -145,13 +147,12 @@ func TestEdgeOrderMatchesSortOracle(t *testing.T) {
 					// scattered indices, not just in runs.
 					wts[i] = pat.wts[(i*5+i/len(pat.wts))%len(pat.wts)]
 				}
-				p := weightProblem(wts)
 				t.Run(fmt.Sprintf("%s/n=%d", pat.name, n), func(t *testing.T) {
-					checkOrderMatchesOracle(t, p, MutualWeight, identity32(n), ws)
+					checkOrderMatchesOracle(t, wts, identity32(n), ws)
 					if n > 4 {
 						// An ascending subset with gaps, like a filtered
 						// adjacency list.
-						checkOrderMatchesOracle(t, p, MutualWeight, filterAscending(identity32(n), n), ws)
+						checkOrderMatchesOracle(t, wts, filterAscending(identity32(n), n), ws)
 					}
 				})
 			}
@@ -161,7 +162,7 @@ func TestEdgeOrderMatchesSortOracle(t *testing.T) {
 
 // filterAscending returns a copy of adj without every third entry (offset
 // by salt), still ascending — the shape the online solvers' in-place
-// capacity filters produce.  The copy keeps the Problem's CSR intact.
+// capacity filters produce.  The copy keeps the Problem's adjacency intact.
 func filterAscending(adj []int32, salt int) []int32 {
 	out := slices.Clone(adj)[:0]
 	for k, ei := range adj {
@@ -202,9 +203,7 @@ func FuzzEdgeOrder(f *testing.F) {
 		for n > 0 && len(wts) < radixCutoff+1 {
 			wts = append(wts, wts[:n]...)
 		}
-		p := weightProblem(wts[:n])
-		checkOrderMatchesOracle(t, p, MutualWeight, identity32(n), ws)
-		p = weightProblem(wts)
-		checkOrderMatchesOracle(t, p, MutualWeight, identity32(len(wts)), ws)
+		checkOrderMatchesOracle(t, wts[:n], identity32(n), ws)
+		checkOrderMatchesOracle(t, wts, identity32(len(wts)), ws)
 	})
 }

@@ -9,26 +9,27 @@ import (
 func TestFilterProblemStructure(t *testing.T) {
 	p := smallProblem(t, 51)
 	fp := FilterProblem(p, MinQuality(0.5))
-	if len(fp.Edges) >= len(p.Edges) {
-		t.Fatalf("filter removed nothing: %d vs %d", len(fp.Edges), len(p.Edges))
+	if fp.NumEdges() >= p.NumEdges() {
+		t.Fatalf("filter removed nothing: %d vs %d", fp.NumEdges(), p.NumEdges())
 	}
-	for i := range fp.Edges {
-		if fp.Edges[i].Q < 0.5 {
-			t.Fatalf("edge %d below floor: %v", i, fp.Edges[i].Q)
+	for i := range fp.M {
+		if fp.Quality(i) < 0.5 {
+			t.Fatalf("edge %d below floor: %v", i, fp.Quality(i))
 		}
 	}
 	// Adjacency must be consistent with the new indices.
 	count := 0
 	for w := 0; w < fp.In.NumWorkers(); w++ {
-		for _, ei := range fp.AdjW(w) {
-			if fp.Edges[ei].W != w {
+		lo, hi := fp.AdjW(w)
+		for ei := lo; ei < hi; ei++ {
+			if int(fp.W[ei]) != w {
 				t.Fatal("filtered adjacency broken")
 			}
 			count++
 		}
 	}
-	if count != len(fp.Edges) {
-		t.Fatalf("adjacency covers %d of %d edges", count, len(fp.Edges))
+	if count != fp.NumEdges() {
+		t.Fatalf("adjacency covers %d of %d edges", count, fp.NumEdges())
 	}
 }
 
@@ -44,7 +45,7 @@ func TestFilterProblemSolvable(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		for _, ei := range sel {
-			if fp.Edges[ei].Q < 0.4 {
+			if fp.Quality(ei) < 0.4 {
 				t.Fatalf("%s assigned a below-floor pair", s.Name())
 			}
 		}
@@ -71,7 +72,7 @@ func TestFilterProblemTradesCoverageForQuality(t *testing.T) {
 
 func TestFilterProblemKeepAllIsIdentityValued(t *testing.T) {
 	p := smallProblem(t, 54)
-	fp := FilterProblem(p, func(*EdgeInfo) bool { return true })
+	fp := FilterProblem(p, func(*Problem, int) bool { return true })
 	a, _ := (Greedy{Kind: MutualWeight}).Solve(p, nil)
 	b, _ := (Greedy{Kind: MutualWeight}).Solve(fp, nil)
 	if p.Evaluate(a).TotalMutual != fp.Evaluate(b).TotalMutual {
@@ -82,7 +83,7 @@ func TestFilterProblemKeepAllIsIdentityValued(t *testing.T) {
 func TestFilterProblemEmptyResult(t *testing.T) {
 	p := smallProblem(t, 55)
 	fp := FilterProblem(p, MinQuality(2)) // impossible bar
-	if len(fp.Edges) != 0 {
+	if fp.NumEdges() != 0 {
 		t.Fatal("impossible bar kept edges")
 	}
 	sel, err := (Greedy{Kind: MutualWeight}).Solve(fp, nil)

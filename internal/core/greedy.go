@@ -53,7 +53,7 @@ const greedyBuckets = 256
 const greedyBatch = 1024
 
 // greedyEntry is one edge of greedyInto's bucket scatter: its index and
-// endpoints, so the liveness filter never reads p.Edges.
+// endpoints, so the liveness filter never reads the edge columns.
 type greedyEntry struct{ idx, w, t int32 }
 
 // parallelGreedyCutoff is the edge count below which greedyInto's O(E)
@@ -93,9 +93,10 @@ func greedyInto(p *Problem, kind WeightKind, ws *Workspace) []int {
 // size.  procs <= 0 selects GOMAXPROCS with the small-market cutoff.
 func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []int {
 	capW, capT := p.capacityWInto(ws), p.capacityTInto(ws)
+	wt := p.weightsInto(kind, &ws.edgeWt)
 	sel := grow(ws.sel, 0)[:0]
 	remW, remT := positiveSum(capW), positiveSum(capT)
-	n := len(p.Edges)
+	n := p.NumEdges()
 	if n == 0 || remW == 0 || remT == 0 {
 		ws.sel = sel
 		return sel
@@ -112,7 +113,8 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	}
 	ws.keys = grow(ws.keys, n)
 	ws.entries = grow(ws.entries, n)
-	g.p, g.kind, g.keys, g.entries = p, kind, ws.keys[:n], ws.entries[:n]
+	g.wt, g.w, g.t = wt, p.W, p.T
+	g.keys, g.entries = ws.keys[:n], ws.entries[:n]
 
 	forChunks(g, procs, (*greedyScan).keyChunk)
 	lo, hi := uint64(math.MaxUint64), uint64(0)
@@ -141,10 +143,10 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	start[greedyBuckets] = at
 	forChunks(g, procs, (*greedyScan).scatterChunk)
 	keys, entries := g.keys, g.entries
-	g.p = nil // the workspace must not pin the problem
+	g.wt, g.w, g.t = nil, nil, nil // the workspace must not pin the problem
 
 	// Survivors are gathered with their keys and endpoints, so ordering
-	// and taking them never reads p.Edges.  Consecutive buckets are pooled
+	// and taking them never reads the edge columns.  Consecutive buckets are pooled
 	// until greedyBatch survivors are waiting, which keeps the fixed cost
 	// of each radix sort small against the edges it orders.  A batch is
 	// sorted as positions into it: equal keys share a bucket, where
@@ -202,8 +204,8 @@ func positiveSum(caps []int) int {
 // greedyScan is the shared state of greedyInto's chunked O(E) passes.
 // It lives in the Workspace, so the serial path allocates nothing.
 type greedyScan struct {
-	p       *Problem
-	kind    WeightKind
+	wt      []float64     // the weight column being ordered
+	w, t    []int32       // the problem's W and T columns
 	keys    []uint64      // keys[i] = orderKey of edge i
 	entries []greedyEntry // the bucket scatter
 	lo      uint64        // minimum key
@@ -224,8 +226,8 @@ func (g *greedyScan) keyChunk(k int) {
 	c := &g.chunks[k]
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	keys := g.keys[c.lo:c.hi]
-	for i := range keys {
-		key := orderKey(g.p.Edges[c.lo+i].Weight(g.kind))
+	for i, v := range g.wt[c.lo:c.hi] {
+		key := orderKey(v)
 		keys[i] = key
 		lo, hi = min(lo, key), max(hi, key)
 	}
@@ -247,8 +249,7 @@ func (g *greedyScan) scatterChunk(k int) {
 	c := &g.chunks[k]
 	for i := c.lo; i < c.hi; i++ {
 		b := (g.keys[i] - g.lo) >> g.shift
-		e := &g.p.Edges[i]
-		g.entries[c.next[b]] = greedyEntry{idx: int32(i), w: int32(e.W), t: int32(e.T)}
+		g.entries[c.next[b]] = greedyEntry{idx: int32(i), w: g.w[i], t: g.t[i]}
 		c.next[b]++
 	}
 }
@@ -274,7 +275,7 @@ func (Random) Name() string { return "random" }
 func (s Random) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	ws, pooled := acquireWorkspace(s.WS)
 	defer releaseWorkspace(ws, pooled)
-	ws.ints = r.PermInto(ws.ints, len(p.Edges))
+	ws.ints = r.PermInto(ws.ints, p.NumEdges())
 	ws.sel = grow(ws.sel, 0)[:0]
 	ws.sel = takeFeasible(p, ws.ints, p.capacityWInto(ws), p.capacityTInto(ws), ws.sel)
 	return copySel(ws.sel), nil
@@ -285,10 +286,10 @@ func (s Random) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 // appending to sel.
 func takeFeasible(p *Problem, order []int, capW, capT []int, sel []int) []int {
 	for _, ei := range order {
-		e := &p.Edges[ei]
-		if capW[e.W] > 0 && capT[e.T] > 0 {
-			capW[e.W]--
-			capT[e.T]--
+		w, t := p.W[ei], p.T[ei]
+		if capW[w] > 0 && capT[t] > 0 {
+			capW[w]--
+			capT[t]--
 			sel = append(sel, ei)
 		}
 	}
@@ -312,7 +313,7 @@ func (s RoundRobin) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 	defer releaseWorkspace(ws, pooled)
 	capW := p.capacityWInto(ws)
 	capT := p.capacityTInto(ws)
-	chosen := growBoolZero(ws.chosen, len(p.Edges))
+	chosen := growBoolZero(ws.chosen, p.NumEdges())
 	ws.chosen = chosen
 	ws.sel = grow(ws.sel, 0)[:0]
 	sel := ws.sel
@@ -333,10 +334,10 @@ func (s RoundRobin) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 			for n := 0; n < len(adj); n++ {
 				ei := int(adj[cursor[t]%len(adj)])
 				cursor[t]++
-				e := &p.Edges[ei]
-				if !chosen[ei] && capW[e.W] > 0 {
+				w := p.W[ei]
+				if !chosen[ei] && capW[w] > 0 {
 					chosen[ei] = true
-					capW[e.W]--
+					capW[w]--
 					capT[t]--
 					sel = append(sel, ei)
 					progress = true

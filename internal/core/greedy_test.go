@@ -16,14 +16,14 @@ import (
 // sort.Sort oracle, then scan the full order taking whatever fits.  It
 // returns the selection and the residual capacities.
 func greedyOracle(p *Problem, kind WeightKind) (sel, capW, capT []int) {
-	order := identity32(len(p.Edges))
-	sortEdgesByWeight(p, kind, order)
+	order := identity32(p.NumEdges())
+	sortEdgesByWeight(p.Weights(kind), order)
 	capW, capT = p.CapacityW(), p.CapacityT()
 	for _, ei := range order {
-		e := &p.Edges[ei]
-		if capW[e.W] > 0 && capT[e.T] > 0 {
-			capW[e.W]--
-			capT[e.T]--
+		w, t := p.W[ei], p.T[ei]
+		if capW[w] > 0 && capT[t] > 0 {
+			capW[w]--
+			capT[t]--
 			sel = append(sel, int(ei))
 		}
 	}
@@ -49,18 +49,18 @@ func checkGreedyMatchesOracle(t testing.TB, p *Problem, kind WeightKind, ws *Wor
 				k++
 			}
 			t.Fatalf("kind %v, %d edges, procs %d: selections diverge at position %d of %d (oracle has %d)",
-				kind, len(p.Edges), procs, k, len(gotSel), len(wantSel))
+				kind, p.NumEdges(), procs, k, len(gotSel), len(wantSel))
 		}
 		if !slices.Equal(ws.capW, wantW) || !slices.Equal(ws.capT, wantT) {
-			t.Fatalf("kind %v, %d edges, procs %d: residual capacities differ from the oracle's", kind, len(p.Edges), procs)
+			t.Fatalf("kind %v, %d edges, procs %d: residual capacities differ from the oracle's", kind, p.NumEdges(), procs)
 		}
 	}
 }
 
 // capacityProblem is a Problem over nW workers and nT tasks with the given
 // capacities, carrying one edge per weight: edge i joins worker ends[i][0]
-// and task ends[i][1], and all three of its weights are wts[i].  It is
-// enough for greedy, which reads nothing else.
+// and task ends[i][1] at mutual benefit wts[i].  It is enough for greedy
+// under MutualWeight, which reads nothing else.
 func capacityProblem(capW, capT []int, ends [][2]int, wts []float64) *Problem {
 	in := &market.Instance{Workers: make([]market.Worker, len(capW)), Tasks: make([]market.Task, len(capT))}
 	for i, c := range capW {
@@ -69,10 +69,9 @@ func capacityProblem(capW, capT []int, ends [][2]int, wts []float64) *Problem {
 	for j, c := range capT {
 		in.Tasks[j].Replication = c
 	}
-	p := weightProblem(wts)
-	p.In = in
-	for i := range p.Edges {
-		p.Edges[i].W, p.Edges[i].T = ends[i][0], ends[i][1]
+	p := &Problem{In: in, W: make([]int32, len(wts)), T: make([]int32, len(wts)), M: wts}
+	for i, e := range ends {
+		p.W[i], p.T[i] = int32(e[0]), int32(e[1])
 	}
 	return p
 }
@@ -110,11 +109,11 @@ func TestGreedyMatchesFullOrderOracle(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				in := market.MustGenerate(sz.cfg, seed)
 				p := MustNewProblem(in, benefit.DefaultParams())
-				free := MustNewProblem(unsaturated(in, len(p.Edges)), benefit.DefaultParams())
+				free := MustNewProblem(unsaturated(in, p.NumEdges()), benefit.DefaultParams())
 				for _, kind := range allWeightKinds {
 					checkGreedyMatchesOracle(t, p, kind, ws)
 					checkGreedyMatchesOracle(t, free, kind, ws)
-					if len(greedyInto(free, kind, ws)) != len(free.Edges) {
+					if len(greedyInto(free, kind, ws)) != free.NumEdges() {
 						t.Fatalf("%s seed %d: unsaturated greedy left edges behind", sz.name, seed)
 					}
 				}
@@ -244,13 +243,15 @@ func FuzzGreedyOracle(f *testing.F) {
 
 // TestGreedyChunkPanicIsContained pins that a pass panicking on a chunk
 // goroutine re-panics on the caller, where RunCtx's panic fence turns it
-// into an error, instead of crashing the process.
+// into an error, instead of crashing the process.  The W column is cut
+// one edge short, which only the last chunk's scatter reads past.
 func TestGreedyChunkPanicIsContained(t *testing.T) {
 	p := capacityProblem(seq(4, 1, 1), seq(4, 1, 1), make([][2]int, 64), make([]float64, 64))
+	p.W = p.W[:63]
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unknown weight kind") {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index out of range") {
 			t.Fatalf("recovered %v, want the chunk's panic", r)
 		}
 	}()
-	greedyIntoProcs(p, WeightKind(9), NewWorkspace(), 3)
+	greedyIntoProcs(p, MutualWeight, NewWorkspace(), 3)
 }

@@ -44,8 +44,8 @@ func trapProblem(t testing.TB) *Problem {
 
 func TestTrapProblemShape(t *testing.T) {
 	p := trapProblem(t)
-	if len(p.Edges) != 3 {
-		t.Fatalf("trap has %d edges, want 3", len(p.Edges))
+	if p.NumEdges() != 3 {
+		t.Fatalf("trap has %d edges, want 3", p.NumEdges())
 	}
 	gSel, _ := (Greedy{Kind: MutualWeight}).Solve(p, nil)
 	eSel, _ := (Exact{Kind: MutualWeight}).Solve(p, nil)

@@ -68,6 +68,7 @@ type IncrementalExact struct {
 
 	changedArcs  []int32
 	changedCosts []int64
+	wt           []float64 // the weight column when Kind is not MutualWeight
 }
 
 // NewIncrementalExact returns the registry's configuration.
@@ -134,7 +135,8 @@ func (s *IncrementalExact) SolveDeltaCtx(ctx context.Context, p *Problem, d *Del
 }
 
 func (s *IncrementalExact) solveDelta(ctx context.Context, p *Problem, d *Delta, rep *SolveReport) ([]int, error) {
-	dirty, ok := s.prepareDelta(p, d)
+	wt := p.weightsInto(s.Kind, &s.wt)
+	dirty, ok := s.prepareDelta(p, wt, d)
 	rep.DirtyFraction = dirty
 	threshold := s.DirtyThreshold
 	if threshold <= 0 {
@@ -149,7 +151,7 @@ func (s *IncrementalExact) solveDelta(ctx context.Context, p *Problem, d *Delta,
 		return sel, err
 	}
 	rep.WarmStarted = true
-	sel, err := s.applyDelta(ctx, p, d)
+	sel, err := s.applyDelta(ctx, p, wt, d)
 	if err != nil {
 		if errors.Is(err, bipartite.ErrStopped) && ctx != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -168,8 +170,9 @@ func (s *IncrementalExact) solveDelta(ctx context.Context, p *Problem, d *Delta,
 // prepareDelta validates d against the carried state and measures the
 // dirty fraction without mutating anything.  It also retags surviving
 // arcs with their current edge indices and stashes re-priced arcs for
-// applyDelta.  ok=false means the delta path must not run.
-func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok bool) {
+// applyDelta.  wt is p's weight column under s.Kind.  ok=false means the
+// delta path must not run.
+func (s *IncrementalExact) prepareDelta(p *Problem, wt []float64, d *Delta) (dirty float64, ok bool) {
 	if !s.haveState || d == nil {
 		return 1, false
 	}
@@ -251,7 +254,8 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 		if int(aw) >= nW || aw < 0 || s.newSlotW[aw] >= 0 {
 			return 1, false
 		}
-		touched += len(p.AdjW(int(aw)))
+		lo, hi := p.AdjW(int(aw))
+		touched += hi - lo
 	}
 	for _, at := range d.AddedTasks {
 		if int(at) >= nT || at < 0 || s.newSlotT[at] >= 0 {
@@ -270,7 +274,7 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 		if s.m.LeftCapacity(int(slot)) != int64(p.In.Workers[i].Capacity) {
 			return 1, false
 		}
-		adj := p.AdjW(i)
+		lo, hi := p.AdjW(i)
 		surviving := 0
 		for _, a := range s.m.ArcsOfLeft(int(slot)) {
 			_, r, cost, _, _ := s.m.Arc(a)
@@ -278,13 +282,14 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 			if t < 0 {
 				continue // partner departs this round
 			}
-			e, found := findEdgeByTask(p, adj, int(t))
+			k, found := slices.BinarySearch(p.T[lo:hi], t)
 			if !found {
 				return 1, false // eligibility vanished without a departure
 			}
+			e := lo + k
 			surviving++
 			s.m.SetArcExt(a, int32(e))
-			if newCost := bipartite.ScaledCost(p.Edges[e].Weight(s.Kind)); newCost != cost {
+			if newCost := bipartite.ScaledCost(wt[e]); newCost != cost {
 				s.changedArcs = append(s.changedArcs, a)
 				s.changedCosts = append(s.changedCosts, newCost)
 			}
@@ -293,12 +298,12 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 		// account for the whole adjacency; a shortfall means an edge
 		// appeared between surviving entities, which surgery cannot see.
 		newPartners := 0
-		for _, ei := range adj {
-			if s.newSlotT[p.Edges[ei].T] < 0 || d.PrevTask[p.Edges[ei].T] < 0 {
+		for _, t := range p.T[lo:hi] {
+			if s.newSlotT[t] < 0 || d.PrevTask[t] < 0 {
 				newPartners++
 			}
 		}
-		if surviving+newPartners != len(adj) {
+		if surviving+newPartners != hi-lo {
 			return 1, false
 		}
 	}
@@ -310,35 +315,17 @@ func (s *IncrementalExact) prepareDelta(p *Problem, d *Delta) (dirty float64, ok
 		}
 	}
 	touched += len(s.changedArcs)
-	den := len(p.Edges)
+	den := p.NumEdges()
 	if den == 0 {
 		den = 1
 	}
 	return float64(touched) / float64(den), true
 }
 
-// findEdgeByTask binary-searches a worker adjacency (sorted by task index)
-// for the edge to task t.
-func findEdgeByTask(p *Problem, adj []int32, t int) (int, bool) {
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.Edges[adj[mid]].T < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(adj) && p.Edges[adj[lo]].T == t {
-		return int(adj[lo]), true
-	}
-	return 0, false
-}
-
 // applyDelta runs the actual surgery: departures, arrivals, re-pricings,
 // then dirty-frontier re-augmentation.  prepareDelta has already validated
 // everything it consumes.
-func (s *IncrementalExact) applyDelta(ctx context.Context, p *Problem, d *Delta) ([]int, error) {
+func (s *IncrementalExact) applyDelta(ctx context.Context, p *Problem, wt []float64, d *Delta) ([]int, error) {
 	s.haveState = false // poisoned until the surgery completes
 	for _, rw := range d.RemovedWorkers {
 		s.m.RemoveLeft(int(s.slotW[rw]))
@@ -353,16 +340,15 @@ func (s *IncrementalExact) applyDelta(ctx context.Context, p *Problem, d *Delta)
 	for _, aw := range d.AddedWorkers {
 		slot := s.m.AddLeft(p.In.Workers[aw].Capacity)
 		s.newSlotW[aw] = int32(slot)
-		for _, ei := range p.AdjW(int(aw)) {
-			e := &p.Edges[ei]
-			s.m.AddArc(slot, int(s.newSlotT[e.T]), bipartite.ScaledCost(e.Weight(s.Kind)), ei)
+		lo, hi := p.AdjW(int(aw))
+		for ei := lo; ei < hi; ei++ {
+			s.m.AddArc(slot, int(s.newSlotT[p.T[ei]]), bipartite.ScaledCost(wt[ei]), int32(ei))
 		}
 	}
 	for _, at := range d.AddedTasks {
 		for _, ei := range p.AdjT(int(at)) {
-			e := &p.Edges[ei]
-			if d.PrevWorker[e.W] >= 0 { // new-worker arcs were added above
-				s.m.AddArc(int(s.newSlotW[e.W]), int(s.newSlotT[at]), bipartite.ScaledCost(e.Weight(s.Kind)), ei)
+			if w := p.W[ei]; d.PrevWorker[w] >= 0 { // new-worker arcs were added above
+				s.m.AddArc(int(s.newSlotW[w]), int(s.newSlotT[at]), bipartite.ScaledCost(wt[ei]), ei)
 			}
 		}
 	}

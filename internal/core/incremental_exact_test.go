@@ -158,8 +158,9 @@ func buildDelta(prevW, prevT, curW, curT []int) *core.Delta {
 // is well-defined across distinct optimal selections.
 func scaledObjective(p *core.Problem, sel []int, kind core.WeightKind) int64 {
 	var sum int64
+	wt := p.Weights(kind)
 	for _, e := range sel {
-		sum -= bipartite.ScaledCost(p.Edges[e].Weight(kind))
+		sum -= bipartite.ScaledCost(wt[e])
 	}
 	return sum
 }

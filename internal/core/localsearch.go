@@ -24,8 +24,10 @@ import (
 // so single-edge insertions are always losing trades.  The rotate move is
 // what escapes Greedy's local optimum — it undoes a heavy early commitment
 // that blocks two medium edges (the classic ½-approximation tight case:
-// weights 1.0 vs 0.9 + 0.9).  In the optimality experiment (R-Fig10) the
-// combination recovers most of the gap Greedy leaves to Exact.
+// weights 1.0 vs 0.9 + 0.9).  On market-shaped instances the gain is
+// small: in the refinement ablation (X-Abl1) local search lifts Greedy
+// from 0.992 to 0.993 of the exact optimum at about three times Greedy's
+// time.
 //
 // Each pass is collect-then-apply.  Against the frozen pass-start state it
 // first builds four per-vertex tables — the cheapest chosen and the best
@@ -137,7 +139,7 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
-	nE := len(p.Edges)
+	nE := p.NumEdges()
 	procs = fanOut(procs, nE, parallelLSCutoff)
 
 	nW, nT := p.In.NumWorkers(), p.In.NumTasks()
@@ -149,11 +151,7 @@ func localSearchRun(ctx context.Context, p *Problem, kind WeightKind, maxPasses,
 	for _, ei := range seed {
 		chosen[ei] = true
 	}
-	ws.edgeWt = grow(ws.edgeWt, nE)
-	wt := ws.edgeWt
-	for ei := range wt {
-		wt[ei] = p.Edges[ei].Weight(kind)
-	}
+	wt := p.weightsInto(kind, &ws.edgeWt)
 
 	ws.minChosenW = grow(ws.minChosenW, nW)
 	ws.bestAddW = grow(ws.bestAddW, nW)
@@ -254,12 +252,13 @@ func (ls *lsState) sweepWorkers(k int) {
 	for w := lo; w < hi; w++ {
 		minC, best := int32(-1), int32(-1)
 		var minWt, bestWt float64
-		for _, ei := range p.AdjW(w) {
+		lo, hi := p.AdjW(w)
+		for ei := int32(lo); ei < int32(hi); ei++ {
 			if ls.chosen[ei] {
 				if minC < 0 || ls.wt[ei] < minWt {
 					minC, minWt = ei, ls.wt[ei]
 				}
-			} else if ls.capT[p.Edges[ei].T] > 0 {
+			} else if ls.capT[p.T[ei]] > 0 {
 				if best < 0 || ls.wt[ei] > bestWt {
 					best, bestWt = ei, ls.wt[ei]
 				}
@@ -281,7 +280,7 @@ func (ls *lsState) sweepTasks(k int) {
 				if minC < 0 || ls.wt[ei] < minWt {
 					minC, minWt = ei, ls.wt[ei]
 				}
-			} else if ls.capW[p.Edges[ei].W] > 0 {
+			} else if ls.capW[p.W[ei]] > 0 {
 				if best < 0 || ls.wt[ei] > bestWt {
 					best, bestWt = ei, ls.wt[ei]
 				}
@@ -299,13 +298,13 @@ func (ls *lsState) sweepTasks(k int) {
 // would have to be the unchosen candidate).
 func (ls *lsState) scanChunk(k int) {
 	p := ls.p
-	lo, hi := ls.chunkRange(len(p.Edges), k)
+	lo, hi := ls.chunkRange(p.NumEdges(), k)
 	out := ls.moveBufs[k][:0]
 	for ei := lo; ei < hi; ei++ {
-		e := &p.Edges[ei]
+		w, t := p.W[ei], p.T[ei]
 		we := ls.wt[ei]
 		if ls.chosen[ei] {
-			a, b := ls.bestAddW[e.W], ls.bestAddT[e.T]
+			a, b := ls.bestAddW[w], ls.bestAddT[t]
 			if a < 0 && b < 0 {
 				continue
 			}
@@ -321,22 +320,22 @@ func (ls *lsState) scanChunk(k int) {
 			}
 			continue
 		}
-		freeW, freeT := ls.capW[e.W] > 0, ls.capT[e.T] > 0
+		freeW, freeT := ls.capW[w] > 0, ls.capT[t] > 0
 		switch {
 		case freeW && freeT:
 			if we > lsEps {
 				out = append(out, lsMove{gain: we, ei: int32(ei), a: -1, b: -1})
 			}
 		case freeW:
-			if out2 := ls.minChosenT[e.T]; out2 >= 0 && we > ls.wt[out2]+lsEps {
+			if out2 := ls.minChosenT[t]; out2 >= 0 && we > ls.wt[out2]+lsEps {
 				out = append(out, lsMove{gain: we - ls.wt[out2], ei: int32(ei), a: -1, b: out2})
 			}
 		case freeT:
-			if out1 := ls.minChosenW[e.W]; out1 >= 0 && we > ls.wt[out1]+lsEps {
+			if out1 := ls.minChosenW[w]; out1 >= 0 && we > ls.wt[out1]+lsEps {
 				out = append(out, lsMove{gain: we - ls.wt[out1], ei: int32(ei), a: out1, b: -1})
 			}
 		default:
-			out1, out2 := ls.minChosenW[e.W], ls.minChosenT[e.T]
+			out1, out2 := ls.minChosenW[w], ls.minChosenT[t]
 			if out1 < 0 || out2 < 0 {
 				continue // capacity zero on that side by construction
 			}
@@ -354,26 +353,26 @@ func (ls *lsState) scanChunk(k int) {
 // (the near endpoint coincides with the primary's by construction).
 func (ls *lsState) apply(mv *lsMove, touchedW, touchedT []bool) bool {
 	p := ls.p
-	e := &p.Edges[mv.ei]
-	wA, tB := -1, -1 // far endpoints of the companions
+	w, t := p.W[mv.ei], p.T[mv.ei]
+	wA, tB := int32(-1), int32(-1) // far endpoints of the companions
 	if mv.a >= 0 {
-		tB2 := p.Edges[mv.a].T
+		tB2 := p.T[mv.a]
 		if touchedT[tB2] {
 			return false
 		}
 		tB = tB2
 	}
 	if mv.b >= 0 {
-		wA2 := p.Edges[mv.b].W
+		wA2 := p.W[mv.b]
 		if touchedW[wA2] {
 			return false
 		}
 		wA = wA2
 	}
-	if touchedW[e.W] || touchedT[e.T] {
+	if touchedW[w] || touchedT[t] {
 		return false
 	}
-	touchedW[e.W], touchedT[e.T] = true, true
+	touchedW[w], touchedT[t] = true, true
 	if wA >= 0 {
 		touchedW[wA] = true
 	}
@@ -402,12 +401,12 @@ func (ls *lsState) apply(mv *lsMove, touchedW, touchedT []bool) bool {
 
 func (ls *lsState) evict(ei int) {
 	ls.chosen[ei] = false
-	ls.capW[ls.p.Edges[ei].W]++
-	ls.capT[ls.p.Edges[ei].T]++
+	ls.capW[ls.p.W[ei]]++
+	ls.capT[ls.p.T[ei]]++
 }
 
 func (ls *lsState) take(ei int) {
 	ls.chosen[ei] = true
-	ls.capW[ls.p.Edges[ei].W]--
-	ls.capT[ls.p.Edges[ei].T]--
+	ls.capW[ls.p.W[ei]]--
+	ls.capT[ls.p.T[ei]]--
 }

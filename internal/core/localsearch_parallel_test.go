@@ -62,8 +62,8 @@ func TestLocalSearchPublicMatchesSerialSolver(t *testing.T) {
 		Name: "large-uniform", NumWorkers: 220, NumTasks: 220,
 	}, 7)
 	p := MustNewProblem(in, benefit.DefaultParams())
-	if len(p.Edges) <= parallelLSCutoff {
-		t.Fatalf("instance too small to engage the parallel path: %d edges", len(p.Edges))
+	if p.NumEdges() <= parallelLSCutoff {
+		t.Fatalf("instance too small to engage the parallel path: %d edges", p.NumEdges())
 	}
 	fast, err := LocalSearch{Kind: MutualWeight}.Solve(p, stats.NewRNG(1))
 	if err != nil {
@@ -107,7 +107,8 @@ func TestLocalSearchSerialNeverWorseThanGreedy(t *testing.T) {
 // adjacency entry is pointed past the edges, which only sweepTasks reads.
 func TestLocalSearchSweepPanicIsContained(t *testing.T) {
 	p := MustNewProblem(market.MustGenerate(market.FreelanceTraceConfig(60, 45), 1), benefit.DefaultParams())
-	p.adjT[len(p.adjT)-1] = int32(len(p.Edges))
+	p.AdjT(0) // lay the adjacency out, so the corruption below sticks
+	p.adjT[len(p.adjT)-1] = int32(p.NumEdges())
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index out of range") {
 			t.Fatalf("recovered %v, want the sweep's panic", r)

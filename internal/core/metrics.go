@@ -45,11 +45,11 @@ func (p *Problem) Evaluate(sel []int) Metrics {
 	m := Metrics{Pairs: len(sel)}
 	perWorker := make([]float64, p.In.NumWorkers())
 	for _, ei := range sel {
-		e := &p.Edges[ei]
-		m.TotalMutual += e.M
-		m.TotalQuality += e.Q
-		m.TotalWorker += e.B
-		perWorker[e.W] += e.B
+		b := p.Utility(ei)
+		m.TotalMutual += p.M[ei]
+		m.TotalQuality += p.Quality(ei)
+		m.TotalWorker += b
+		perWorker[p.W[ei]] += b
 	}
 	if slots := p.In.TotalSlots(); slots > 0 {
 		m.SlotCoverage = float64(len(sel)) / float64(slots)
@@ -70,8 +70,7 @@ func (p *Problem) Evaluate(sel []int) Metrics {
 func (p *Problem) PerWorkerBenefit(sel []int) []float64 {
 	perWorker := make([]float64, p.In.NumWorkers())
 	for _, ei := range sel {
-		e := &p.Edges[ei]
-		perWorker[e.W] += e.B
+		perWorker[p.W[ei]] += p.Utility(ei)
 	}
 	return perWorker
 }

@@ -52,9 +52,10 @@ func (s OnlineGreedy) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	ws.ints = r.PermInto(ws.ints, p.In.NumWorkers())
 	arrival := ws.ints
 	capT := p.capacityTInto(ws)
+	wt := p.weightsInto(s.Kind, &ws.edgeWt)
 	var sel []int
 	for _, w := range arrival {
-		sel = appendBestEdges(p, s.Kind, w, capT, sel, p.In.Workers[w].Capacity, math.Inf(-1), ws)
+		sel = appendBestEdges(p, wt, w, capT, sel, p.In.Workers[w].Capacity, math.Inf(-1), ws)
 	}
 	return sel, nil
 }
@@ -84,6 +85,7 @@ func (s OnlineRanking) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 		prio[t] = 1 - math.Exp(r.Float64()-1)
 	}
 	capT := p.capacityTInto(ws)
+	wt := p.weightsInto(s.Kind, &ws.edgeWt)
 	var sel []int
 	for _, w := range arrival {
 		need := p.In.Workers[w].Capacity
@@ -95,10 +97,10 @@ func (s OnlineRanking) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 			score float64
 		}
 		var cands []cand
-		for _, ei := range p.AdjW(w) {
-			e := &p.Edges[ei]
-			if capT[e.T] > 0 {
-				cands = append(cands, cand{int(ei), e.Weight(s.Kind) * prio[e.T]})
+		lo, hi := p.AdjW(w)
+		for ei := lo; ei < hi; ei++ {
+			if t := p.T[ei]; capT[t] > 0 {
+				cands = append(cands, cand{ei, wt[ei] * prio[t]})
 			}
 		}
 		sort.Slice(cands, func(a, b int) bool {
@@ -111,9 +113,8 @@ func (s OnlineRanking) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 			if need == 0 {
 				break
 			}
-			e := &p.Edges[c.ei]
-			if capT[e.T] > 0 {
-				capT[e.T]--
+			if t := p.T[c.ei]; capT[t] > 0 {
+				capT[t]--
 				need--
 				sel = append(sel, c.ei)
 			}
@@ -154,6 +155,7 @@ func (s OnlineTwoPhase) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	arrival := ws.ints
 	cut := int(math.Ceil(frac * float64(len(arrival))))
 	capT := p.capacityTInto(ws)
+	wt := p.weightsInto(s.Kind, &ws.edgeWt)
 	var sel []int
 
 	// Phase 1: assign greedily (refusing everyone would waste real benefit)
@@ -161,9 +163,9 @@ func (s OnlineTwoPhase) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	var observed []float64
 	for _, w := range arrival[:cut] {
 		before := len(sel)
-		sel = appendBestEdges(p, s.Kind, w, capT, sel, p.In.Workers[w].Capacity, math.Inf(-1), ws)
+		sel = appendBestEdges(p, wt, w, capT, sel, p.In.Workers[w].Capacity, math.Inf(-1), ws)
 		for _, ei := range sel[before:] {
-			observed = append(observed, p.Edges[ei].Weight(s.Kind))
+			observed = append(observed, wt[ei])
 		}
 	}
 	threshold := math.Inf(-1)
@@ -177,9 +179,9 @@ func (s OnlineTwoPhase) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	// policy never strands supply outright.
 	for _, w := range arrival[cut:] {
 		before := len(sel)
-		sel = appendBestEdges(p, s.Kind, w, capT, sel, p.In.Workers[w].Capacity, threshold, ws)
+		sel = appendBestEdges(p, wt, w, capT, sel, p.In.Workers[w].Capacity, threshold, ws)
 		if len(sel) == before && p.In.Workers[w].Capacity > 0 {
-			sel = appendBestEdges(p, s.Kind, w, capT, sel, 1, math.Inf(-1), ws)
+			sel = appendBestEdges(p, wt, w, capT, sel, 1, math.Inf(-1), ws)
 		}
 	}
 	return sel, nil
@@ -206,6 +208,7 @@ func (s OnlineTaskGreedy) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 	ws.ints = r.PermInto(ws.ints, p.In.NumTasks())
 	arrival := ws.ints
 	capW := p.capacityWInto(ws)
+	wt := p.weightsInto(s.Kind, &ws.edgeWt)
 	var sel []int
 	for _, t := range arrival {
 		need := p.In.Tasks[t].Replication
@@ -213,18 +216,17 @@ func (s OnlineTaskGreedy) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 		ws.order = grow(ws.order, len(adj))[:0]
 		order := ws.order
 		for _, ei := range adj {
-			if capW[p.Edges[ei].W] > 0 {
+			if capW[p.W[ei]] > 0 {
 				order = append(order, ei)
 			}
 		}
-		sortEdgesByWeightWS(p, s.Kind, order, ws)
+		sortEdgesByWeightWS(wt, order, ws)
 		for _, ei := range order {
 			if need == 0 {
 				break
 			}
-			e := &p.Edges[ei]
-			if capW[e.W] > 0 {
-				capW[e.W]--
+			if w := p.W[ei]; capW[w] > 0 {
+				capW[w]--
 				need--
 				sel = append(sel, int(ei))
 			}
@@ -234,29 +236,28 @@ func (s OnlineTaskGreedy) Solve(p *Problem, r *stats.RNG) ([]int, error) {
 }
 
 // appendBestEdges gives worker w up to limit of its best available edges
-// with value >= minValue, decrementing capT in place, and returns the
-// extended selection.  Candidate collection and the weight sort run in ws.
-func appendBestEdges(p *Problem, kind WeightKind, w int, capT []int, sel []int, limit int, minValue float64, ws *Workspace) []int {
+// with value wt[e] >= minValue, decrementing capT in place, and returns
+// the extended selection.  Candidate collection and the weight sort run in
+// ws.
+func appendBestEdges(p *Problem, wt []float64, w int, capT []int, sel []int, limit int, minValue float64, ws *Workspace) []int {
 	if limit <= 0 {
 		return sel
 	}
-	adj := p.AdjW(w)
-	ws.order = grow(ws.order, len(adj))[:0]
+	lo, hi := p.AdjW(w)
+	ws.order = grow(ws.order, hi-lo)[:0]
 	order := ws.order
-	for _, ei := range adj {
-		e := &p.Edges[ei]
-		if capT[e.T] > 0 && e.Weight(kind) >= minValue {
-			order = append(order, ei)
+	for ei := lo; ei < hi; ei++ {
+		if capT[p.T[ei]] > 0 && wt[ei] >= minValue {
+			order = append(order, int32(ei))
 		}
 	}
-	sortEdgesByWeightWS(p, kind, order, ws)
+	sortEdgesByWeightWS(wt, order, ws)
 	for _, ei := range order {
 		if limit == 0 {
 			break
 		}
-		e := &p.Edges[ei]
-		if capT[e.T] > 0 {
-			capT[e.T]--
+		if t := p.T[ei]; capT[t] > 0 {
+			capT[t]--
 			limit--
 			sel = append(sel, int(ei))
 		}

@@ -76,7 +76,7 @@ func TestOnlineTwoPhaseFallback(t *testing.T) {
 	}
 	active := map[int]bool{}
 	for _, ei := range sel {
-		active[p.Edges[ei].W] = true
+		active[int(p.W[ei])] = true
 	}
 	if len(active) < p.In.NumWorkers()/3 {
 		t.Fatalf("only %d/%d workers active despite fallback", len(active), p.In.NumWorkers())
@@ -130,7 +130,7 @@ func TestOnlineZeroCapacityWorkers(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		for _, ei := range sel {
-			if w := p.Edges[ei].W; w == 0 || w == 5 {
+			if w := p.W[ei]; w == 0 || w == 5 {
 				t.Fatalf("%s assigned zero-capacity worker %d", s.Name(), w)
 			}
 		}

@@ -10,8 +10,8 @@ import (
 
 // RebuildProblem rebuilds prev in place for a new instance, reusing every
 // backing array of the previous build that is still large enough — the
-// edge arenas, both CSR adjacency arrays, both offset arrays and the
-// counting scratch.  When the market shape is stable round over round (the
+// edge columns and their spares, both offset arrays, the task adjacency
+// and the counting scratch.  When the market shape is stable round over round (the
 // steady state of the serving loop), a rebuild's only fresh allocation is
 // the benefit model's memo tables.
 //
@@ -23,8 +23,8 @@ import (
 // (see refreshFrom), scores every edge.  Either way the result equals
 // NewProblem(in, params) field for field.
 //
-// The returned Problem is prev itself: its previous Edges and adjacency are
-// overwritten, so the caller must be the sole owner of prev and must not
+// The returned Problem is prev itself: its previous columns and adjacency
+// are overwritten, so the caller must be the sole owner of prev and must not
 // retain views into it across rebuilds (the platform service copies
 // assignment pairs out of each round's result before the next rebuild).
 // A nil prev is equivalent to NewProblem.
@@ -52,14 +52,15 @@ func rebuildProblemProcs(prev *Problem, in *market.Instance, params benefit.Para
 }
 
 // refreshSource is what a refresh copies rows from: the previous build's
-// edges and worker offsets, and the delta's correspondence between
-// previous and current indices.
+// task and benefit columns and worker offsets, and the delta's
+// correspondence between previous and current indices.
 type refreshSource struct {
-	prevWorker []int32    // Delta.PrevWorker
-	edges      []EdgeInfo // previous build's Edges
-	offW       []int32    // previous build's worker offsets
-	taskAt     []int32    // previous task index → current index, or -1
-	firstArrT  int        // current index of the first arriving task
+	prevWorker []int32   // Delta.PrevWorker
+	t          []int32   // previous build's T
+	m          []float64 // previous build's M
+	offW       []int32   // previous build's worker offsets
+	taskAt     []int32   // previous task index → current index, or -1
+	firstArrT  int       // current index of the first arriving task
 }
 
 // refreshFrom returns what a rebuild of p for (in, params) can copy under
@@ -117,7 +118,8 @@ func (p *Problem) refreshFrom(in *market.Instance, params benefit.Params, d *Del
 	}
 	return &refreshSource{
 		prevWorker: d.PrevWorker,
-		edges:      p.Edges,
+		t:          p.T,
+		m:          p.M,
 		offW:       p.offW,
 		taskAt:     taskAt,
 		firstArrT:  firstArrT,

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -451,4 +453,60 @@ func FuzzRebuildDelta(f *testing.F) {
 			}
 		}
 	})
+}
+
+// edgeBytes sums the edge data of every per-edge slice p retains — any
+// slice field of Problem or its build scratch at least half the edge count
+// long, so a per-edge array added later is counted too.  It counts
+// lengths: grow's 1/8 capacity headroom comes on top.
+func edgeBytes(p *Problem) int {
+	total := 0
+	for _, v := range []reflect.Value{reflect.ValueOf(p).Elem(), reflect.ValueOf(&p.bs).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Kind() == reflect.Slice && 2*f.Len() >= p.NumEdges() {
+				total += f.Len() * int(f.Type().Elem().Size())
+			}
+		}
+	}
+	return total
+}
+
+// TestProblemLayoutBytesPerEdge guards the columnar layout: through a
+// 400×300 market refreshed three times under churn, the per-edge arrays a
+// Problem retains — W, T and M plus the spare T and M the next refresh
+// writes into — stay within 32 B per edge, 36 B once AdjT lays out the
+// task adjacency, and a greedy round never lays it out.
+func TestProblemLayoutBytesPerEdge(t *testing.T) {
+	params := benefit.DefaultParams()
+	s := newChurnSim(3, 8, 400, 300)
+	in, _ := s.snapshot()
+	p := MustNewProblem(in, params)
+	for k := 0; k < 3; k++ {
+		s.removeWorkers(4)
+		s.removeTasks(3)
+		s.addWorkers(4)
+		s.addTasks(3, s.maxPay())
+		in, d := s.snapshot()
+		var err error
+		if p, err = RebuildProblem(p, in, params, d); err != nil {
+			t.Fatal(err)
+		}
+		if !p.bs.refreshed {
+			t.Fatalf("refresh %d scored every edge", k)
+		}
+		if _, _, err := RunDeltaCtx(context.Background(), p, Greedy{}, d, stats.NewRNG(1)); err != nil {
+			t.Fatal(err)
+		}
+		if p.adjT != nil {
+			t.Fatalf("refresh %d: a greedy round laid out AdjT", k)
+		}
+		if b, e := edgeBytes(p), p.NumEdges(); b > 32*e {
+			t.Fatalf("refresh %d: %d B over %d edges = %.1f B/edge, want <= 32", k, b, e, float64(b)/float64(e))
+		}
+	}
+	p.AdjT(0)
+	if b, e := edgeBytes(p), p.NumEdges(); b > 36*e {
+		t.Fatalf("with AdjT: %d B over %d edges = %.1f B/edge, want <= 36", b, e, float64(b)/float64(e))
+	}
 }

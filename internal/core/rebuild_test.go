@@ -45,8 +45,8 @@ func TestRebuildProblemNilPrev(t *testing.T) {
 }
 
 // TestRebuildProblemReusesArenas verifies the point of the exercise: a
-// same-shape rebuild keeps the previous edge arena and CSR arrays instead
-// of reallocating them.
+// same-shape rebuild keeps the previous edge columns and task adjacency
+// instead of reallocating them.
 func TestRebuildProblemReusesArenas(t *testing.T) {
 	in1 := market.MustGenerate(market.FreelanceTraceConfig(50, 40), 1)
 	in2 := market.MustGenerate(market.FreelanceTraceConfig(50, 40), 2)
@@ -54,8 +54,9 @@ func TestRebuildProblemReusesArenas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges1, adjW1 := &p.Edges[0], &p.adjW[0]
-	capE, capA := cap(p.Edges), cap(p.adjW)
+	p.AdjT(0)
+	t1, m1, adjT1 := &p.T[0], &p.M[0], &p.adjT[0]
+	capE := cap(p.M)
 	p2, err := RebuildProblem(p, in2, benefit.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -63,15 +64,17 @@ func TestRebuildProblemReusesArenas(t *testing.T) {
 	if p2 != p {
 		t.Fatal("RebuildProblem returned a different Problem")
 	}
-	if len(p2.Edges) == 0 {
+	if p2.NumEdges() == 0 {
 		t.Fatal("rebuilt problem has no edges")
 	}
 	// Same-shape generators need not produce the same edge count, but the
-	// arena must be reused whenever it still fits.
-	if len(p2.Edges) <= capE && &p2.Edges[0] != edges1 {
-		t.Error("edge arena was reallocated on a fitting rebuild")
-	}
-	if len(p2.adjW) <= capA && &p2.adjW[0] != adjW1 {
-		t.Error("adjW was reallocated on a fitting rebuild")
+	// columns must be reused whenever they still fit.
+	if p2.NumEdges() <= capE {
+		if &p2.T[0] != t1 || &p2.M[0] != m1 {
+			t.Error("edge columns were reallocated on a fitting rebuild")
+		}
+		if p2.AdjT(0); &p2.adjT[0] != adjT1 {
+			t.Error("adjT was reallocated on a fitting rebuild")
+		}
 	}
 }

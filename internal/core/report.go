@@ -35,11 +35,10 @@ func (p *Problem) ByCategory(sel []int) []CategoryReport {
 		}
 	}
 	for _, ei := range sel {
-		e := &p.Edges[ei]
-		c := p.In.Tasks[e.T].Category
+		c := p.In.Tasks[p.T[ei]].Category
 		reps[c].Filled++
-		reps[c].MeanMutual += e.M
-		reps[c].MeanQuality += e.Q
+		reps[c].MeanMutual += p.M[ei]
+		reps[c].MeanQuality += p.Quality(ei)
 	}
 	for c := range reps {
 		if reps[c].Filled > 0 {

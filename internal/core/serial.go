@@ -9,8 +9,10 @@ import (
 
 // NewProblemSerial is the retained single-threaded reference builder: the
 // original grow-by-append construction (per-worker union of specialty
-// buckets followed by sort.Ints, append-grown adjacency lists), flattened
-// into the CSR layout at the end.
+// buckets followed by sort.Ints, append-grown per-node adjacency lists),
+// flattened into the columns and offsets at the end.  Its task adjacency
+// is laid out here from those lists, not by AdjT's counting pass, so the
+// two stay independent.
 //
 // It exists for two reasons: the construction-determinism property test
 // asserts the parallel NewProblem is byte-identical to it, and the
@@ -30,9 +32,10 @@ func NewProblemSerial(in *market.Instance, params benefit.Params) (*Problem, err
 		c := in.Tasks[j].Category
 		tasksByCat[c] = append(tasksByCat[c], j)
 	}
-	adjW := make([][]int32, in.NumWorkers())
 	adjT := make([][]int32, in.NumTasks())
-	p.Edges = make([]EdgeInfo, 0, in.NumEdges())
+	nE := in.NumEdges()
+	p.W, p.T, p.M = make([]int32, 0, nE), make([]int32, 0, nE), make([]float64, 0, nE)
+	p.offW = make([]int32, in.NumWorkers()+1)
 	for wi := range in.Workers {
 		w := &in.Workers[wi]
 		// Specialties in ascending order gives ascending task ids per worker
@@ -44,18 +47,19 @@ func NewProblemSerial(in *market.Instance, params benefit.Params) (*Problem, err
 		sort.Ints(taskIDs)
 		for _, tj := range taskIDs {
 			t := &in.Tasks[tj]
-			e := EdgeInfo{
-				W: wi, T: tj,
-				Q: model.Quality(w, t),
-				B: model.WorkerUtility(w, t),
-			}
-			e.M = model.Combine(e.Q, e.B)
-			idx := int32(len(p.Edges))
-			p.Edges = append(p.Edges, e)
-			adjW[wi] = append(adjW[wi], idx)
-			adjT[tj] = append(adjT[tj], idx)
+			adjT[tj] = append(adjT[tj], int32(len(p.M)))
+			p.W = append(p.W, int32(wi))
+			p.T = append(p.T, int32(tj))
+			p.M = append(p.M, model.Combine(model.Quality(w, t), model.WorkerUtility(w, t)))
 		}
+		p.offW[wi+1] = int32(len(p.M))
 	}
-	p.setAdjacency(adjW, adjT)
+	p.offT = make([]int32, len(adjT)+1)
+	flat := make([]int32, 0, len(p.M))
+	for t, l := range adjT {
+		flat = append(flat, l...)
+		p.offT[t+1] = int32(len(flat))
+	}
+	p.adjTOnce.Do(func() { p.adjT = flat })
 	return p, nil
 }

@@ -134,16 +134,16 @@ func TestExactAgainstBruteForceTiny(t *testing.T) {
 			MinReplication: 1, MaxReplication: 2,
 		}, seed)
 		p := MustNewProblem(in, benefit.DefaultParams())
-		if len(p.Edges) > 16 {
+		if p.NumEdges() > 16 {
 			continue
 		}
 		exactSel, _ := (Exact{Kind: MutualWeight}).Solve(p, nil)
 		exact := p.Evaluate(exactSel).TotalMutual
 
 		best := 0.0
-		for mask := 0; mask < 1<<len(p.Edges); mask++ {
+		for mask := 0; mask < 1<<p.NumEdges(); mask++ {
 			var sel []int
-			for i := 0; i < len(p.Edges); i++ {
+			for i := 0; i < p.NumEdges(); i++ {
 				if mask&(1<<i) != 0 {
 					sel = append(sel, i)
 				}

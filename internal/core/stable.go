@@ -30,17 +30,18 @@ func (StableMatching) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 	nW := p.In.NumWorkers()
 	capW := p.CapacityW()
 	capT := p.CapacityT()
+	util, qual := p.Weights(WorkerWeight), p.Weights(QualityWeight)
 
 	// Worker preference lists: own edges by descending worker utility.
 	prefs := make([][]int, nW)
 	for w := 0; w < nW; w++ {
-		adj := p.AdjW(w)
-		list := make([]int, len(adj))
-		for i, ei := range adj {
-			list[i] = int(ei)
+		lo, hi := p.AdjW(w)
+		list := make([]int, hi-lo)
+		for i := range list {
+			list[i] = lo + i
 		}
 		sort.Slice(list, func(a, b int) bool {
-			ba, bb := p.Edges[list[a]].B, p.Edges[list[b]].B
+			ba, bb := util[list[a]], util[list[b]]
 			if ba != bb {
 				return ba > bb
 			}
@@ -68,22 +69,21 @@ func (StableMatching) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 		for holding[w] < capW[w] && next[w] < len(prefs[w]) {
 			ei := prefs[w][next[w]]
 			next[w]++
-			e := &p.Edges[ei]
-			t := e.T
+			t, q := p.T[ei], qual[ei]
 			if capT[t] == 0 {
 				continue
 			}
 			if len(held[t]) < capT[t] {
-				heap.Push(&held[t], qualEntry{edge: ei, q: e.Q})
+				heap.Push(&held[t], qualEntry{edge: ei, q: q})
 				holding[w]++
 				continue
 			}
 			worst := held[t][0]
-			if e.Q > worst.q || (e.Q == worst.q && ei < worst.edge) {
+			if q > worst.q || (q == worst.q && ei < worst.edge) {
 				heap.Pop(&held[t])
-				heap.Push(&held[t], qualEntry{edge: ei, q: e.Q})
+				heap.Push(&held[t], qualEntry{edge: ei, q: q})
 				holding[w]++
-				evicted := p.Edges[worst.edge].W
+				evicted := int(p.W[worst.edge])
 				holding[evicted]--
 				if next[evicted] < len(prefs[evicted]) {
 					queue = append(queue, evicted)
@@ -122,29 +122,30 @@ func BlockingPairs(p *Problem, sel []int) int {
 	for i := range worstQ {
 		worstQ[i] = inf
 	}
+	util, qual := p.Weights(WorkerWeight), p.Weights(QualityWeight)
 	for _, ei := range sel {
 		inSel[ei] = true
-		e := &p.Edges[ei]
-		capW[e.W]--
-		capT[e.T]--
-		if e.B < worstB[e.W] {
-			worstB[e.W] = e.B
+		w, t := p.W[ei], p.T[ei]
+		capW[w]--
+		capT[t]--
+		if util[ei] < worstB[w] {
+			worstB[w] = util[ei]
 		}
-		if e.Q < worstQ[e.T] {
-			worstQ[e.T] = e.Q
+		if qual[ei] < worstQ[t] {
+			worstQ[t] = qual[ei]
 		}
 	}
 	blocking := 0
-	for ei := range p.Edges {
+	for ei := range p.M {
 		if inSel[ei] {
 			continue
 		}
-		e := &p.Edges[ei]
-		workerWants := capW[e.W] > 0 || e.B > worstB[e.W]
-		taskWants := capT[e.T] > 0 || e.Q > worstQ[e.T]
+		w, t := p.W[ei], p.T[ei]
+		workerWants := capW[w] > 0 || util[ei] > worstB[w]
+		taskWants := capT[t] > 0 || qual[ei] > worstQ[t]
 		// A worker with zero capacity can never participate in a blocking
 		// pair, spare "capacity" notwithstanding.
-		if p.In.Workers[e.W].Capacity == 0 || p.In.Tasks[e.T].Replication == 0 {
+		if p.In.Workers[w].Capacity == 0 || p.In.Tasks[t].Replication == 0 {
 			continue
 		}
 		if workerWants && taskWants {

@@ -70,9 +70,8 @@ func TestStableMatchingClassicInstance(t *testing.T) {
 	// because in this instance that is stable: t0 holding w0 would prefer
 	// w1, but w1 prefers its own t1 → no blocking pair.
 	for _, ei := range sel {
-		e := &p.Edges[ei]
-		if e.W != e.T {
-			t.Fatalf("expected diagonal worker-optimal matching, got pair (%d,%d)", e.W, e.T)
+		if p.W[ei] != p.T[ei] {
+			t.Fatalf("expected diagonal worker-optimal matching, got pair (%d,%d)", p.W[ei], p.T[ei])
 		}
 	}
 	if bp := BlockingPairs(p, sel); bp != 0 {
@@ -109,7 +108,7 @@ func TestStableMatchingWithReplication(t *testing.T) {
 	}
 	got := map[int]bool{}
 	for _, ei := range sel {
-		got[p.Edges[ei].W] = true
+		got[int(p.W[ei])] = true
 	}
 	if !got[1] || !got[2] {
 		t.Fatalf("wrong workers held: %v", got)

@@ -27,12 +27,12 @@ func (SubmodularGreedy) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 	capW := p.CapacityW()
 	capT := p.CapacityT()
 
-	// Effective accuracy per edge, precomputed once.
-	effacc := make([]float64, len(p.Edges))
-	for i := range p.Edges {
-		e := &p.Edges[i]
-		effacc[i] = p.Model.EffectiveAccuracy(&p.In.Workers[e.W], &p.In.Tasks[e.T])
+	// Effective accuracy and worker utility per edge, precomputed once.
+	effacc := make([]float64, p.NumEdges())
+	for i := range effacc {
+		effacc[i] = p.Model.EffectiveAccuracy(&p.In.Workers[p.W[i]], &p.In.Tasks[p.T[i]])
 	}
+	util := p.Weights(WorkerWeight)
 	panels := make([][]float64, p.In.NumTasks()) // accuracies assigned so far
 	taskVersion := make([]int, p.In.NumTasks())  // bumped on every panel change
 	base := make([]float64, p.In.NumTasks())     // current majority prob per task
@@ -41,42 +41,42 @@ func (SubmodularGreedy) Solve(p *Problem, _ *stats.RNG) ([]int, error) {
 	}
 
 	gain := func(ei int) float64 {
-		e := &p.Edges[ei]
+		t := p.T[ei]
 		after := benefit.MajorityCorrectProb(append(append(
-			make([]float64, 0, len(panels[e.T])+1), panels[e.T]...), effacc[ei]))
-		dq := 2 * (after - base[e.T])
+			make([]float64, 0, len(panels[t])+1), panels[t]...), effacc[ei]))
+		dq := 2 * (after - base[t])
 		if dq < 0 {
 			dq = 0
 		}
-		return lambda*dq + (1-lambda)*e.B
+		return lambda*dq + (1-lambda)*util[ei]
 	}
 
 	h := &gainHeap{}
 	heap.Init(h)
-	for ei := range p.Edges {
+	for ei := range effacc {
 		heap.Push(h, gainEntry{edge: ei, gain: gain(ei), version: 0})
 	}
 
 	var sel []int
 	for h.Len() > 0 {
 		top := heap.Pop(h).(gainEntry)
-		e := &p.Edges[top.edge]
-		if capW[e.W] == 0 || capT[e.T] == 0 {
+		w, t := p.W[top.edge], p.T[top.edge]
+		if capW[w] == 0 || capT[t] == 0 {
 			continue // permanently infeasible; drop
 		}
-		if top.version != taskVersion[e.T] {
+		if top.version != taskVersion[t] {
 			// Stale: recompute against the current panel and re-queue.
-			heap.Push(h, gainEntry{edge: top.edge, gain: gain(top.edge), version: taskVersion[e.T]})
+			heap.Push(h, gainEntry{edge: top.edge, gain: gain(top.edge), version: taskVersion[t]})
 			continue
 		}
 		if top.gain <= 0 {
 			break // all remaining moves are worthless; gains only shrink
 		}
-		capW[e.W]--
-		capT[e.T]--
-		panels[e.T] = append(panels[e.T], effacc[top.edge])
-		base[e.T] = benefit.MajorityCorrectProb(panels[e.T])
-		taskVersion[e.T]++
+		capW[w]--
+		capT[t]--
+		panels[t] = append(panels[t], effacc[top.edge])
+		base[t] = benefit.MajorityCorrectProb(panels[t])
+		taskVersion[t]++
 		sel = append(sel, top.edge)
 	}
 	return sel, nil

@@ -104,7 +104,7 @@ func TestSubmodularGreedyDiversifiesPanels(t *testing.T) {
 	// so worker utility breaks ties).
 	chosen := map[int]bool{}
 	for _, ei := range sel {
-		chosen[p.Edges[ei].W] = true
+		chosen[int(p.W[ei])] = true
 	}
 	if !chosen[0] || !chosen[1] || !chosen[2] {
 		t.Fatalf("chose %v, want workers 0,1,2", chosen)

@@ -37,9 +37,9 @@ type Workspace struct {
 	batchKeys  []uint64      // their keys, and the sort's key scratch
 	sel        []int         // selection under construction
 	ints       []int         // arrival orders / int edge orders
+	edgeWt     []float64     // the weight column of a kind other than MutualWeight
 
 	// Local-search state.
-	edgeWt                 []float64 // frozen per-edge weight, indexed by edge
 	minChosenW, minChosenT []int32
 	bestAddW, bestAddT     []int32
 	touchedW, touchedT     []bool

@@ -87,12 +87,12 @@ func TestWorkspacePinnedVsPooledIdentical(t *testing.T) {
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	p := workspaceTestProblem(t)
 	t.Run("greedy", func(t *testing.T) {
-		if len(p.Edges) <= radixCutoff {
-			t.Fatalf("%d edges do not reach the radix path (cutoff %d)", len(p.Edges), radixCutoff)
+		if p.NumEdges() <= radixCutoff {
+			t.Fatalf("%d edges do not reach the radix path (cutoff %d)", p.NumEdges(), radixCutoff)
 		}
 		// The generated market saturates and skips most buckets; the
 		// never-saturating copy takes every edge and orders every bucket.
-		free := MustNewProblem(unsaturated(p.In, len(p.Edges)), benefit.DefaultParams())
+		free := MustNewProblem(unsaturated(p.In, p.NumEdges()), benefit.DefaultParams())
 		for _, q := range []*Problem{p, free} {
 			ws := NewWorkspace()
 			for _, kind := range allWeightKinds {
@@ -100,7 +100,7 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 				s.Solve(q, nil) // warm-up grows all scratch
 				n := testing.AllocsPerRun(20, func() { s.Solve(q, nil) })
 				if n > 1 {
-					t.Errorf("%s, %d edges: %v allocs/op in steady state, want <= 1 (the returned selection)", s.Name(), len(q.Edges), n)
+					t.Errorf("%s, %d edges: %v allocs/op in steady state, want <= 1 (the returned selection)", s.Name(), q.NumEdges(), n)
 				}
 			}
 		}
@@ -109,11 +109,11 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 		// The ordering kernel alone, on both sides of the cutoff, allocates
 		// nothing once the workspace is warm.
 		ws := NewWorkspace()
-		for _, n := range []int{radixCutoff / 2, len(p.Edges)} {
+		for _, n := range []int{radixCutoff / 2, p.NumEdges()} {
 			idx := identityOrderWS(ws, n)
-			sortEdgesByWeightWS(p, MutualWeight, idx, ws)
+			sortEdgesByWeightWS(p.M, idx, ws)
 			allocs := testing.AllocsPerRun(20, func() {
-				sortEdgesByWeightWS(p, MutualWeight, identityOrderWS(ws, n), ws)
+				sortEdgesByWeightWS(p.M, identityOrderWS(ws, n), ws)
 			})
 			if allocs != 0 {
 				t.Errorf("n=%d: %v allocs/op in steady state, want 0", n, allocs)

@@ -228,7 +228,7 @@ func runConstructionSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, r
 		if err != nil {
 			return err
 		}
-		add := benchAdder(log, rep, "construction", sc, len(p.Edges))
+		add := benchAdder(log, rep, "construction", sc, p.NumEdges())
 
 		add("new-problem", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -270,7 +270,7 @@ func runConstructionSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, r
 				core.RoundRobin{},
 				core.LocalSearch{Kind: core.MutualWeight},
 			}
-			if len(p.Edges) <= benchExactEdgeBudget {
+			if p.NumEdges() <= benchExactEdgeBudget {
 				solvers = append(solvers, core.Exact{Kind: core.MutualWeight})
 			}
 		}
@@ -302,7 +302,7 @@ func runSolveSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 		if err != nil {
 			return err
 		}
-		add := benchAdder(log, rep, "solve", sc, len(p.Edges))
+		add := benchAdder(log, rep, "solve", sc, p.NumEdges())
 
 		prev, err := core.NewProblem(in, benefit.DefaultParams())
 		if err != nil {
@@ -353,7 +353,7 @@ func runSolveSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 			// Greedy's worst case: every capacity and replication raised to
 			// the edge count, so every edge is taken and no bucket of its
 			// edge order is ever skipped.
-			free, err := core.NewProblem(unsaturatedInstance(in, len(p.Edges)), benefit.DefaultParams())
+			free, err := core.NewProblem(unsaturatedInstance(in, p.NumEdges()), benefit.DefaultParams())
 			if err != nil {
 				return err
 			}
@@ -482,7 +482,7 @@ func runMatchingSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error {
 		if err != nil {
 			return err
 		}
-		add := benchAdder(log, rep, "matching", sc, len(p.Edges))
+		add := benchAdder(log, rep, "matching", sc, p.NumEdges())
 
 		cold := core.ExactSerial{Kind: core.MutualWeight}
 		add(cold.Name(), testing.Benchmark(func(b *testing.B) {
@@ -575,7 +575,7 @@ func runIncrementalSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) error
 		if err != nil {
 			return err
 		}
-		add := benchAdder(log, rep, "incremental", sc, len(p.Edges))
+		add := benchAdder(log, rep, "incremental", sc, p.NumEdges())
 
 		cold := core.ExactSerial{Kind: core.MutualWeight}
 		add("exact-cold", testing.Benchmark(func(b *testing.B) {
@@ -720,7 +720,7 @@ func runRoundSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 		if err != nil {
 			return err
 		}
-		add := benchAdder(log, rep, "round", sc, len(p.Edges))
+		add := benchAdder(log, rep, "round", sc, p.NumEdges())
 
 		state, err := platform.NewState(in.NumCategories)
 		if err != nil {

@@ -133,7 +133,7 @@ func runShardedRoundSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) erro
 		if err != nil {
 			return err
 		}
-		add := benchAdder(log, rep, "sharded-round", sc, len(p.Edges))
+		add := benchAdder(log, rep, "sharded-round", sc, p.NumEdges())
 		for _, shards := range shardedBenchShardCounts {
 			ss, err := newBenchShardedService(in, shards, solverName, cfg.Seed)
 			if err != nil {

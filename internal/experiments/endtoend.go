@@ -43,9 +43,9 @@ func init() {
 func collectVotes(p *core.Problem, sel []int) []quality.Vote {
 	votes := make([]quality.Vote, 0, len(sel))
 	for _, ei := range sel {
-		e := &p.Edges[ei]
-		acc := p.Model.EffectiveAccuracy(&p.In.Workers[e.W], &p.In.Tasks[e.T])
-		votes = append(votes, quality.Vote{Worker: e.W, Task: e.T, Acc: acc})
+		w, t := int(p.W[ei]), int(p.T[ei])
+		acc := p.Model.EffectiveAccuracy(&p.In.Workers[w], &p.In.Tasks[t])
+		votes = append(votes, quality.Vote{Worker: w, Task: t, Acc: acc})
 	}
 	return votes
 }

@@ -52,7 +52,7 @@ func runFig9(w io.Writer, cfg RunConfig) error {
 			return m.Elapsed, err
 		}
 		exactCell := "skipped"
-		if len(p.Edges) <= exactEdgeBudget {
+		if p.NumEdges() <= exactEdgeBudget {
 			d, err := timing(core.Exact{Kind: core.MutualWeight})
 			if err != nil {
 				return err
@@ -62,7 +62,7 @@ func runFig9(w io.Writer, cfg RunConfig) error {
 		// Local search's exchange passes are super-linear in edges too; it
 		// gets a (larger) budget of its own before being dropped.
 		lsCell := "skipped"
-		if len(p.Edges) <= 40*exactEdgeBudget {
+		if p.NumEdges() <= 40*exactEdgeBudget {
 			d, err := timing(core.LocalSearch{Kind: core.MutualWeight})
 			if err != nil {
 				return err
@@ -77,7 +77,7 @@ func runFig9(w io.Writer, cfg RunConfig) error {
 		if err != nil {
 			return err
 		}
-		t.row(pt.nw, pt.nt, len(p.Edges), exactCell, lsCell,
+		t.row(pt.nw, pt.nt, p.NumEdges(), exactCell, lsCell,
 			dG.Round(time.Microsecond).String(),
 			dQ.Round(time.Microsecond).String())
 	}

@@ -103,8 +103,7 @@ func runTab3(w io.Writer, cfg RunConfig) error {
 			// pairs should shrink it.
 			var g float64
 			for _, ei := range sel {
-				e := &p.Edges[ei]
-				d := e.Q - e.B
+				d := p.Quality(ei) - p.Utility(ei)
 				if d < 0 {
 					d = -d
 				}

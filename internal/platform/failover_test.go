@@ -501,9 +501,6 @@ func (fo *Failover) Service() (*Service, error) {
 	return nil, ErrNotPromoted
 }
 
-// Resyncs counts the snapshot bootstraps this follower has performed.
-func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
-
 // ErrNotPromoted reports an accessor that only makes sense after
 // promotion (e.g. Service) being called before it.
 var ErrNotPromoted = errors.New("platform: failover has not promoted")

@@ -201,6 +201,7 @@ func (f *Follower) Health() HealthStatus {
 		Epoch:              st.Epoch(),
 		ContactAgeMS:       contactAge.Milliseconds(),
 		ConsecutiveRetries: f.ConsecutiveRetries(),
+		Resyncs:            f.Resyncs(),
 	}
 	h.Status = "ok"
 	if h.JournalPoisoned || contactAge > followerContactAge {
@@ -208,6 +209,9 @@ func (f *Follower) Health() HealthStatus {
 	}
 	return h
 }
+
+// Resyncs counts the snapshot bootstraps this follower has performed.
+func (f *Follower) Resyncs() uint64 { return f.resyncs.Load() }
 
 // Close seals the follower's local journal.
 func (f *Follower) Close() error {

@@ -52,6 +52,11 @@ type HealthStatus struct {
 	// in a row have failed.  0 while replication is healthy; a growing
 	// value means the primary is unreachable or flapping.
 	ConsecutiveRetries int64 `json:"consecutive_retries,omitempty"`
+	// Resyncs is follower-only: how many times it has rebuilt its state
+	// from the primary's snapshot because the journal it needed had been
+	// retired.  A growing value means the follower keeps falling behind
+	// segment retention.
+	Resyncs uint64 `json:"resyncs,omitempty"`
 	// Admission carries the admission controller's shed/brownout counters
 	// when admission is enabled on the serving front end.
 	Admission *AdmissionHealth `json:"admission,omitempty"`

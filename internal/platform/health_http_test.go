@@ -8,8 +8,10 @@ package platform
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/benefit"
@@ -140,5 +142,43 @@ func TestHealthzFollowerPayload(t *testing.T) {
 	wresp.Body.Close()
 	if wresp.StatusCode != http.StatusServiceUnavailable || wresp.Header.Get("Retry-After") == "" {
 		t.Fatalf("follower non-healthz route: %d (Retry-After %q)", wresp.StatusCode, wresp.Header.Get("Retry-After"))
+	}
+}
+
+// TestHealthzFollowerReportsResyncs forces a snapshot resync and checks
+// that the follower's healthz counts it: absent before, "resyncs":1 after.
+func TestHealthzFollowerReportsResyncs(t *testing.T) {
+	ts, svc, cm := newCheckpointedPrimary(t, t.TempDir(), 1<<20, 2)
+	submitN(t, svc, 5)
+	if _, err := cm.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fo, err := NewFailover(ts.URL, t.TempDir(), failoverOptions(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fo)
+	defer srv.Close()
+
+	healthz := func() string {
+		resp, err := http.Get(srv.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if body := healthz(); strings.Contains(body, `"resyncs"`) {
+		t.Fatalf("follower reports resyncs before any: %s", body)
+	}
+	if _, err := fo.Follower().Resync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if body := healthz(); !strings.Contains(body, `"resyncs":1`) {
+		t.Fatalf("healthz after one resync: %s", body)
 	}
 }

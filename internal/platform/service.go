@@ -93,8 +93,8 @@ type RoundProvenance struct {
 // guards the previous round's Problem.  Round N+1 refreshes round N's
 // problem from the churn between their snapshots (core.RebuildProblem with
 // the round's core.Delta): it copies the surviving edges into retained
-// arenas and scores only the arrivals' edges, so a steady-state round
-// costs its churn, not the market, and allocates no new arena.
+// edge columns and scores only the arrivals' edges, so a steady-state
+// round costs its churn, not the market, and allocates no new column.
 //
 // Submit and SubmitBatch share one write path: a single event is a batch
 // of one, applied and journaled by State.ApplyBatchJournaled, which holds
@@ -400,7 +400,7 @@ type shardSolve struct {
 	workerIDs, taskIDs []int
 	delta              *core.Delta
 	p                  *core.Problem
-	sel                []int // selected edge indices into p.Edges, parallel to pairs
+	sel                []int // selected edge indices of p, parallel to pairs
 	pairs              []AssignmentPair
 	metrics            core.Metrics
 	info               ShardRound
@@ -471,14 +471,20 @@ func (s *Service) solve(ctx context.Context, out *shardSolve) {
 	out.sel = sel
 	out.pairs = make([]AssignmentPair, len(sel))
 	for i, ei := range sel {
-		e := &p.Edges[ei]
-		out.pairs[i] = AssignmentPair{
-			WorkerID: out.workerIDs[e.W],
-			TaskID:   out.taskIDs[e.T],
-			Quality:  e.Q,
-			Utility:  e.B,
-			Mutual:   e.M,
-		}
+		out.pairs[i] = out.pair(ei)
+	}
+}
+
+// pair copies edge ei of the solved problem out as an AssignmentPair under
+// the snapshot's entity IDs.
+func (out *shardSolve) pair(ei int) AssignmentPair {
+	p := out.p
+	return AssignmentPair{
+		WorkerID: out.workerIDs[p.W[ei]],
+		TaskID:   out.taskIDs[p.T[ei]],
+		Quality:  p.Quality(ei),
+		Utility:  p.Utility(ei),
+		Mutual:   p.M[ei],
 	}
 }
 

@@ -121,10 +121,9 @@ func TestGreedyServiceRefreshMatchesFreshBuild(t *testing.T) {
 			}
 			want = m
 			for _, ei := range sel {
-				e := &p.Edges[ei]
 				wantPairs = append(wantPairs, AssignmentPair{
-					WorkerID: workerIDs[e.W], TaskID: taskIDs[e.T],
-					Quality: e.Q, Utility: e.B, Mutual: e.M,
+					WorkerID: workerIDs[p.W[ei]], TaskID: taskIDs[p.T[ei]],
+					Quality: p.Quality(ei), Utility: p.Utility(ei), Mutual: p.M[ei],
 				})
 			}
 		} else if round != 20 {

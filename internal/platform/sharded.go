@@ -206,6 +206,11 @@ func (ss *ShardedService) reindex() error {
 	return nil
 }
 
+// RepairedWorkers reports how many workers reindex found resident in a
+// strict subset of their router shards — a crash between the fan-out
+// appends of a join or leave — and converged to absent during recovery.
+func (ss *ShardedService) RepairedWorkers() int { return ss.repairedWorkers }
+
 // equalIntSlices reports a == b elementwise.
 func equalIntSlices(a, b []int) bool {
 	if len(a) != len(b) {

@@ -37,11 +37,11 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 			continue
 		}
 		for _, ei := range out.sel {
-			e := &out.p.Edges[ei]
-			wid := out.workerIDs[e.W]
+			w := out.p.W[ei]
+			wid := out.workerIDs[w]
 			tot := totals[wid]
 			if tot == nil {
-				tot = &wtotal{cap: out.in.Workers[e.W].Capacity}
+				tot = &wtotal{cap: out.in.Workers[w].Capacity}
 				totals[wid] = tot
 			}
 			tot.picks++
@@ -75,8 +75,7 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 			continue
 		}
 		for _, ei := range out.sel {
-			e := &out.p.Edges[ei]
-			wid := out.workerIDs[e.W]
+			wid := out.workerIDs[out.p.W[ei]]
 			tot := totals[wid]
 			if tot.picks <= tot.cap {
 				continue
@@ -87,19 +86,20 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 				wIndex[wid] = wi
 				capW = append(capW, tot.cap)
 			}
-			tid := out.taskIDs[e.T]
+			t := int(out.p.T[ei])
+			tid := out.taskIDs[t]
 			ti, ok := tIndex[tid]
 			if !ok {
 				ti = int32(len(capT))
 				tIndex[tid] = ti
 				capT = append(capT, 0)
-				touched = append(touched, taskRef{shard: k, denseT: e.T, tid: tid})
+				touched = append(touched, taskRef{shard: k, denseT: t, tid: tid})
 			}
 			capT[ti]++
 			// Ref is the pick's collection index: it both makes the take
 			// order strict and lets the apply loop below walk the keep
 			// flags with one cursor in the same (shard, position) order.
-			picks = append(picks, core.PickEdge{W: wi, T: ti, Weight: e.M, Ref: int32(len(picks))})
+			picks = append(picks, core.PickEdge{W: wi, T: ti, Weight: out.p.M[ei], Ref: int32(len(picks))})
 		}
 	}
 	kept := core.ReconcileTake(picks, capW, capT)
@@ -129,8 +129,7 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 		newSel := out.sel[:0]
 		newPairs := out.pairs[:0]
 		for pos, ei := range out.sel {
-			e := &out.p.Edges[ei]
-			wid := out.workerIDs[e.W]
+			wid := out.workerIDs[out.p.W[ei]]
 			tot := totals[wid]
 			if tot.picks > tot.cap {
 				won := keep[cursor]
@@ -143,7 +142,7 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 			newSel = append(newSel, ei)
 			newPairs = append(newPairs, out.pairs[pos])
 			held[wid]++
-			if tid := out.taskIDs[e.T]; freed[tid] {
+			if tid := out.taskIDs[out.p.T[ei]]; freed[tid] {
 				set := onFreed[tid]
 				if set == nil {
 					set = map[int]bool{}
@@ -174,14 +173,14 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 		fi := int32(len(fcapT))
 		fcapT = append(fcapT, capT[ti])
 		for _, ei := range out.p.AdjT(tr.denseT) {
-			e := &out.p.Edges[ei]
-			wid := out.workerIDs[e.W]
+			w := out.p.W[ei]
+			wid := out.workerIDs[w]
 			if onFreed[tr.tid][wid] {
 				continue
 			}
 			ri, ok := rIndex[wid]
 			if !ok {
-				if avail := out.in.Workers[e.W].Capacity - held[wid]; avail > 0 {
+				if avail := out.in.Workers[w].Capacity - held[wid]; avail > 0 {
 					ri = int32(len(rcapW))
 					rcapW = append(rcapW, avail)
 				} else {
@@ -192,7 +191,7 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 			if ri < 0 {
 				continue
 			}
-			cands = append(cands, core.PickEdge{W: ri, T: fi, Weight: e.M, Ref: int32(len(cmetas))})
+			cands = append(cands, core.PickEdge{W: ri, T: fi, Weight: out.p.M[ei], Ref: int32(len(cmetas))})
 			cmetas = append(cmetas, candMeta{shard: tr.shard, ei: ei})
 		}
 	}
@@ -200,15 +199,8 @@ func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
 	for i := 0; i < refilled; i++ {
 		cm := cmetas[cands[i].Ref]
 		out := outs[cm.shard]
-		e := &out.p.Edges[cm.ei]
 		out.sel = append(out.sel, int(cm.ei))
-		out.pairs = append(out.pairs, AssignmentPair{
-			WorkerID: out.workerIDs[e.W],
-			TaskID:   out.taskIDs[e.T],
-			Quality:  e.Q,
-			Utility:  e.B,
-			Mutual:   e.M,
-		})
+		out.pairs = append(out.pairs, out.pair(int(cm.ei)))
 		out.info.ReconcileRefilled++
 	}
 	return dropped, refilled

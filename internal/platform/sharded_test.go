@@ -784,11 +784,6 @@ func RecoverShardedDir(dir string, numCategories, shards int) ([]*State, []*Reco
 	return states, infos, nil
 }
 
-// RepairedWorkers reports how many workers reindex found resident in a
-// strict subset of their router shards — a crash between the fan-out
-// appends of a join or leave — and converged to absent during recovery.
-func (ss *ShardedService) RepairedWorkers() int { return ss.repairedWorkers }
-
 // NumShards returns the shard count.
 func (ss *ShardedService) NumShards() int { return len(ss.shards) }
 

@@ -133,12 +133,22 @@ func AssignWith(in *Instance, params Params, solver Solver, seed uint64) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Metrics: m, Pairs: make([]Pair, len(sel))}
+	return &Result{Metrics: m, Pairs: pairsOf(p, sel)}, nil
+}
+
+// pairsOf reads the selected edges of p out as Pairs.
+func pairsOf(p *core.Problem, sel []int) []Pair {
+	pairs := make([]Pair, len(sel))
 	for i, ei := range sel {
-		e := &p.Edges[ei]
-		res.Pairs[i] = Pair{Worker: e.W, Task: e.T, Quality: e.Q, Utility: e.B, Mutual: e.M}
+		pairs[i] = Pair{
+			Worker:  int(p.W[ei]),
+			Task:    int(p.T[ei]),
+			Quality: p.Quality(ei),
+			Utility: p.Utility(ei),
+			Mutual:  p.M[ei],
+		}
 	}
-	return res, nil
+	return pairs
 }
 
 // EndToEndResult reports aggregated answer accuracy for one assignment.
