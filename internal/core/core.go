@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/benefit"
 	"repro/internal/bipartite"
@@ -109,6 +110,15 @@ type buildScratch struct {
 	// refreshed records whether the last build copied surviving rows
 	// instead of scoring every edge.
 	refreshed bool
+	// gen identifies the last complete build, unique across every
+	// Problem (0 while none is complete, and for the problems
+	// NewProblemSerial and FilterProblem make).  from is the gen of the
+	// build RebuildProblem rebuilt this one from (0 after NewProblem).
+	// After a refresh, prevWorker and prevTask copy the Delta's
+	// correspondence it copied rows under.  Together they let a solver
+	// that kept state for build from carry it over.
+	gen, from            uint64
+	prevWorker, prevTask []int32
 	// spareT, spareM and spareOffW are the columns of the build before
 	// last.  A refresh reads the previous build's T and M while it writes
 	// the next one, so those two columns ping-pong; W is never read back
@@ -119,6 +129,9 @@ type buildScratch struct {
 	taskAt    []int32 // previous task index → current index, or -1
 	arrFrom   []int32 // per category: where arriving tasks start in catTasks
 }
+
+// buildGens hands out build generations.
+var buildGens atomic.Uint64
 
 // parallelBuildCutoff is the edge count below which NewProblem stays
 // serial: goroutine fan-out costs more than it saves on small markets.
@@ -163,7 +176,7 @@ func newProblemProcs(in *market.Instance, params benefit.Params, procs int) (*Pr
 func (p *Problem) build(procs int, src *refreshSource) {
 	in := p.In
 	nW, nT, nC := in.NumWorkers(), in.NumTasks(), in.NumCategories
-	p.bs.built = false
+	p.bs.built, p.bs.gen = false, 0
 	p.adjTOnce = sync.Once{} // the next AdjT call rebuilds it
 
 	// Every array below is drawn through a reuse-aware grow helper against
@@ -257,6 +270,7 @@ func (p *Problem) build(procs int, src *refreshSource) {
 	forChunks(p, procs, (*Problem).fillWorkers)
 	p.bs.src = nil
 	p.bs.built, p.bs.refreshed = true, src != nil
+	p.bs.gen = buildGens.Add(1)
 }
 
 // fillWorkers writes the rows of chunk k's workers into their precomputed

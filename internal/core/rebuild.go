@@ -27,7 +27,10 @@ import (
 // are overwritten, so the caller must be the sole owner of prev and must not
 // retain views into it across rebuilds (the platform service copies
 // assignment pairs out of each round's result before the next rebuild).
-// A nil prev is equivalent to NewProblem.
+// A nil prev is equivalent to NewProblem.  The result records which build
+// it was rebuilt from and, after a refresh, a copy of d's correspondence,
+// so a solver that kept state for that build (a pinned greedy's resident
+// order) can carry it over.
 func RebuildProblem(prev *Problem, in *market.Instance, params benefit.Params, d *Delta) (*Problem, error) {
 	return rebuildProblemProcs(prev, in, params, d, 0)
 }
@@ -46,6 +49,11 @@ func rebuildProblemProcs(prev *Problem, in *market.Instance, params benefit.Para
 		return nil, err
 	}
 	src := prev.refreshFrom(in, params, d)
+	prev.bs.from = prev.bs.gen
+	if src != nil {
+		prev.bs.prevWorker = append(prev.bs.prevWorker[:0], d.PrevWorker...)
+		prev.bs.prevTask = append(prev.bs.prevTask[:0], d.PrevTask...)
+	}
 	prev.In, prev.Model = in, model
 	prev.build(procs, src)
 	return prev, nil

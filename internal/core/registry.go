@@ -11,7 +11,7 @@ import (
 var solverFactories = map[string]func() Solver{
 	"exact":              func() Solver { return Exact{Kind: MutualWeight} },
 	"incremental":        func() Solver { return NewIncrementalExact() },
-	"greedy":             func() Solver { return Greedy{Kind: MutualWeight} },
+	"greedy":             func() Solver { return Greedy{Kind: MutualWeight, WS: NewWorkspace()} },
 	"local-search":       func() Solver { return LocalSearch{Kind: MutualWeight} },
 	"submodular-greedy":  func() Solver { return SubmodularGreedy{} },
 	"auction":            func() Solver { return Auction{Kind: MutualWeight} },
@@ -29,7 +29,10 @@ var solverFactories = map[string]func() Solver{
 }
 
 // ByName returns a fresh solver for the given registry name, or an error
-// listing the valid names.
+// listing the valid names.  The solver is for one goroutine at a time:
+// "incremental" carries its matching from solve to solve, and "greedy"
+// pins a workspace that keeps its edge order between solves (see Greedy),
+// so concurrent solves each need their own ByName call.
 func ByName(name string) (Solver, error) {
 	f, ok := solverFactories[name]
 	if !ok {

@@ -19,8 +19,9 @@ import (
 //     solves each get their own;
 //   - explicit: set the WS field (e.g. Greedy{Kind: MutualWeight, WS: ws})
 //     to pin one workspace across calls, which is what the allocation
-//     regression test measures.  The platform service does not: it
-//     resolves solvers through ByName, so its rounds borrow from the pool.
+//     regression test measures.  ByName's "greedy" pins one, so the
+//     platform service's greedy rounds keep its resident edge order
+//     (residentGreedy) from round to round.
 //
 // A Workspace is not safe for concurrent use; the pool hands each borrower
 // a private one.  All buffers are sized lazily and retained at high-water
@@ -28,16 +29,17 @@ import (
 type Workspace struct {
 	capW, capT []int
 	chosen     []bool
-	order      []int32       // edge order under sort
-	orderTmp   []int32       // radix ping-pong partner of order
-	keys       []uint64      // radix keys (two ping-ponged halves); greedy's per-edge keys
-	entries    []greedyEntry // greedy's per-edge bucket scatter
-	scan       greedyScan    // greedy's chunked key, count and scatter passes
-	batch      []greedyEntry // greedy's survivors awaiting one sort
-	batchKeys  []uint64      // their keys, and the sort's key scratch
-	sel        []int         // selection under construction
-	ints       []int         // arrival orders / int edge orders
-	edgeWt     []float64     // the weight column of a kind other than MutualWeight
+	order      []int32        // edge order under sort
+	orderTmp   []int32        // radix ping-pong partner of order
+	keys       []uint64       // radix keys (two ping-ponged halves); greedy's per-edge keys
+	entries    []greedyEntry  // greedy's per-edge bucket scatter
+	scan       greedyScan     // greedy's chunked key, count and scatter passes
+	batch      []greedyEntry  // greedy's survivors awaiting one sort
+	batchKeys  []uint64       // their keys, and the sort's key scratch
+	sel        []int          // selection under construction
+	ints       []int          // arrival orders / int edge orders
+	edgeWt     []float64      // the weight column of a kind other than MutualWeight
+	res        residentGreedy // a pinned greedy's edge order, kept between solves
 
 	// Local-search state.
 	minChosenW, minChosenT []int32

@@ -122,12 +122,13 @@ func NewShardedService(shards []Shard, params benefit.Params, seed uint64) (*Sha
 			return nil, fmt.Errorf("platform: shard %d has %d categories, shard 0 has %d", k, n, n0)
 		}
 		// Stateful solvers must not be shared between concurrently solving
-		// shards; a shared pointer is almost certainly that mistake.
-		if v := reflect.ValueOf(b.Solver); v.Kind() == reflect.Pointer {
-			if prev, dup := solverPtrs[v.Pointer()]; dup {
-				return nil, fmt.Errorf("platform: shards %d and %d share one solver instance", prev, k)
+		// shards; a shared pointer or pinned workspace is almost certainly
+		// that mistake.
+		if at, what := solverState(b.Solver); at != 0 {
+			if prev, dup := solverPtrs[at]; dup {
+				return nil, fmt.Errorf("platform: shards %d and %d share one solver %s", prev, k, what)
 			}
-			solverPtrs[v.Pointer()] = k
+			solverPtrs[at] = k
 		}
 		svc.SetCheckpointer(b.Checkpoint)
 		ss.shards = append(ss.shards, svc)
@@ -137,6 +138,27 @@ func NewShardedService(shards []Shard, params benefit.Params, seed uint64) (*Sha
 	}
 	return ss, nil
 }
+
+// solverState returns where a solver keeps state between solves, and
+// what that is: the solver itself when it is a pointer, the workspace a
+// value solver pins in a *core.Workspace field (a pinned greedy keeps its
+// resident edge order there), or 0 when it keeps none.
+func solverState(s core.Solver) (uintptr, string) {
+	v := reflect.ValueOf(s)
+	switch v.Kind() {
+	case reflect.Pointer:
+		return v.Pointer(), "instance"
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Type() == workspaceType && !f.IsNil() {
+				return f.Pointer(), "workspace"
+			}
+		}
+	}
+	return 0, ""
+}
+
+var workspaceType = reflect.TypeOf((*core.Workspace)(nil))
 
 // reindex rebuilds the routing tables and global ID counters from the shard
 // states (the recovery path: per-shard RecoverDir, then NewShardedService).

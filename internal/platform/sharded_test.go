@@ -476,6 +476,37 @@ func TestShardedSharedSolverRejected(t *testing.T) {
 	}
 }
 
+// TestShardedSharedWorkspaceRejected pins the guard for value solvers:
+// two shards handed the same core.Greedy, whose pinned workspace keeps its
+// resident edge order, would race on it and must be refused.  Separate
+// workspaces, and greedies without one, are accepted.
+func TestShardedSharedWorkspaceRejected(t *testing.T) {
+	shards := func(solvers ...core.Solver) []Shard {
+		bundles := make([]Shard, len(solvers))
+		for k, s := range solvers {
+			st, err := NewState(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bundles[k] = Shard{State: st, Solver: s}
+		}
+		return bundles
+	}
+	shared := core.Greedy{Kind: core.MutualWeight, WS: core.NewWorkspace()}
+	_, err := NewShardedService(shards(shared, shared), benefit.DefaultParams(), 1)
+	if err == nil || !strings.Contains(err.Error(), "share one solver workspace") {
+		t.Fatalf("two shards sharing one pinned workspace: err = %v, want it refused", err)
+	}
+	for name, pair := range map[string][]core.Solver{
+		"own-workspaces": {greedySolver(), greedySolver()},
+		"pooled":         {core.Greedy{Kind: core.MutualWeight}, core.Greedy{Kind: core.MutualWeight}},
+	} {
+		if _, err := NewShardedService(shards(pair...), benefit.DefaultParams(), 1); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 // shardedOracleCase is one generator family of the feasibility property
 // test.
 type shardedOracleCase struct {

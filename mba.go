@@ -92,7 +92,10 @@ func MicrotaskTrace(workers, tasks int, seed uint64) *Instance {
 // "online-twophase").
 func Algorithms() []string { return core.SolverNames() }
 
-// NewSolver resolves an algorithm name to a Solver for repeated use.
+// NewSolver resolves an algorithm name to a Solver for repeated use by one
+// goroutine at a time: some solvers keep state between solves ("greedy"
+// its edge order, "incremental" its matching), so concurrent callers each
+// need their own.
 func NewSolver(name string) (Solver, error) { return core.ByName(name) }
 
 // Pair is one assigned worker-task pair with its benefit decomposition.
