@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -533,10 +532,13 @@ func (q *residentSorter) sort(key []uint64, w []int32, toKey []uint64, toW []int
 			h[i] = residentHead{key: key[i], w: w[i]}
 		}
 		slices.SortFunc(h, func(a, b residentHead) int {
-			if c := cmp.Compare(a.key, b.key); c != 0 {
-				return c
+			switch {
+			case a.before(b):
+				return -1
+			case b.before(a):
+				return 1
 			}
-			return cmp.Compare(a.w, b.w)
+			return 0
 		})
 		for i, e := range h {
 			toKey[i], toW[i] = e.key, e.w
