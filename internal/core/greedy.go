@@ -115,48 +115,10 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 		return sel
 	}
 
-	procs = fanOut(procs, n, parallelGreedyCutoff)
+	ws.keys, ws.entries = grow(ws.keys, n), grow(ws.entries, n)
 	g := &ws.scan
-	if cap(g.chunks) < procs {
-		g.chunks = make([]greedyChunk, procs)
-	}
-	g.chunks = g.chunks[:procs]
-	for k := range g.chunks {
-		g.chunks[k].lo, g.chunks[k].hi = k*n/procs, (k+1)*n/procs
-	}
-	ws.keys = grow(ws.keys, n)
-	ws.entries = grow(ws.entries, n)
-	g.wt, g.w, g.t = wt, p.W, p.T
-	g.keys, g.entries = ws.keys[:n], ws.entries[:n]
-
-	forChunks(g, procs, (*greedyScan).keyChunk)
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for k := range g.chunks {
-		lo, hi = min(lo, g.chunks[k].minKey), max(hi, g.chunks[k].maxKey)
-	}
-	g.lo, g.shift = lo, 0
-	if l := bits.Len64(hi - lo); l > 8 {
-		g.shift = uint(l - 8)
-	}
-
-	// start[b] is bucket b's offset into entries.  Within a bucket, chunk
-	// k's slots follow chunk k−1's, so each bucket still lists its edges
-	// in ascending index: the scatter stays stable.
-	forChunks(g, procs, (*greedyScan).countChunk)
-	var start [greedyBuckets + 1]int
-	widest, at := 0, 0
-	for b := 0; b < greedyBuckets; b++ {
-		start[b] = at
-		for k := range g.chunks {
-			c := &g.chunks[k]
-			c.next[b], at = at, at+c.next[b]
-		}
-		widest = max(widest, at-start[b])
-	}
-	start[greedyBuckets] = at
-	forChunks(g, procs, (*greedyScan).scatterChunk)
-	keys, entries := g.keys, g.entries
-	g.wt, g.w, g.t = nil, nil, nil // the workspace must not pin the problem
+	g.bucket(wt, p.W, p.T, ws.keys[:n], ws.entries[:n], fanOut(procs, n, parallelGreedyCutoff))
+	keys, entries, start := ws.keys[:n], ws.entries[:n], &g.start
 
 	// Survivors are gathered with their keys and endpoints, so ordering
 	// and taking them never reads the edge columns.  Consecutive buckets are pooled
@@ -164,7 +126,7 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	// of each radix sort small against the edges it orders.  A batch is
 	// sorted as positions into it: equal keys share a bucket, where
 	// positions ascend with edge index.
-	m := widest + greedyBatch
+	m := g.widest + greedyBatch
 	ws.batchKeys = grow(ws.batchKeys, 2*m)
 	ws.batch = grow(ws.batch, m)
 	ws.order = grow(ws.order, m)
@@ -224,6 +186,54 @@ type greedyScan struct {
 	lo      uint64        // minimum key
 	shift   uint          // bucket of key k: (k − lo) >> shift
 	chunks  []greedyChunk
+	// start[b] is bucket b's offset into entries, and widest the largest
+	// bucket.
+	start  [greedyBuckets + 1]int
+	widest int
+}
+
+// bucket runs the key, count and scatter passes over procs chunks of the
+// edges whose weights are wt and endpoints w and t: keys[i] becomes edge
+// i's orderKey, and entries lists every edge by bucket, buckets in key
+// order, each in ascending edge index, with g.start and g.widest set.
+// The scan keeps no reference to its inputs.
+func (g *greedyScan) bucket(wt []float64, w, t []int32, keys []uint64, entries []greedyEntry, procs int) {
+	n := len(keys)
+	if cap(g.chunks) < procs {
+		g.chunks = make([]greedyChunk, procs)
+	}
+	g.chunks = g.chunks[:procs]
+	for k := range g.chunks {
+		g.chunks[k].lo, g.chunks[k].hi = k*n/procs, (k+1)*n/procs
+	}
+	g.wt, g.w, g.t, g.keys, g.entries = wt, w, t, keys, entries
+
+	forChunks(g, procs, (*greedyScan).keyChunk)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for k := range g.chunks {
+		lo, hi = min(lo, g.chunks[k].minKey), max(hi, g.chunks[k].maxKey)
+	}
+	g.lo, g.shift = lo, 0
+	if l := bits.Len64(hi - lo); l > 8 {
+		g.shift = uint(l - 8)
+	}
+
+	// Within a bucket, chunk k's slots follow chunk k−1's, so each bucket
+	// still lists its edges in ascending index: the scatter stays stable.
+	forChunks(g, procs, (*greedyScan).countChunk)
+	g.widest = 0
+	at := 0
+	for b := 0; b < greedyBuckets; b++ {
+		g.start[b] = at
+		for k := range g.chunks {
+			c := &g.chunks[k]
+			c.next[b], at = at, at+c.next[b]
+		}
+		g.widest = max(g.widest, at-g.start[b])
+	}
+	g.start[greedyBuckets] = at
+	forChunks(g, procs, (*greedyScan).scatterChunk)
+	g.wt, g.w, g.t, g.keys, g.entries = nil, nil, nil, nil, nil // the workspace must not pin the problem
 }
 
 // greedyChunk is the edge range [lo, hi) of one pass chunk, with its key
@@ -269,10 +279,13 @@ func (g *greedyScan) scatterChunk(k int) {
 
 // residentDenseDiv bounds where the resident walk pays: once the takes a
 // round can make (the total capacity of the scarcer side) reach
-// 1/residentDenseDiv of the edges, the heap walk would pop most of them,
-// and the one-shot scan, whose per-edge passes are cheaper than heap
-// steps, serves instead.
-const residentDenseDiv = 8
+// 1/residentDenseDiv of the edges, the one-shot scan serves instead.  The
+// walk's heap steps grow with the entries it reaches, the scan's per-edge
+// passes do not.  On refreshed 1% churn rounds of a 1600×1200 freelance
+// market, with capacities scaled so those takes ran from 0.35% to 20% of
+// the edges, the walk cost 0.43× the scan at 0.35%, 0.94–1.01× at
+// 5.6–5.9%, 1.05× at 6.3% and 1.8× at 20% (EXPERIMENTS.md).
+const residentDenseDiv = 16
 
 // residentCompactDiv is when the resident order is compacted: once its
 // dead entries plus its tail pass 1/residentCompactDiv of the edges.
@@ -318,15 +331,13 @@ type residentGreedy struct {
 
 	// Scratch: the walk's per-task cursors and heap, an update's arrivals,
 	// a compaction's tail by task with its offsets and cursors, and the
-	// chunk bounds (over task indices) and per-chunk sort scratch of the
-	// parallel passes.
+	// chunk bounds (over task indices) of its parallel passes.
 	cur        []int32
 	heap       []residentHead
 	arr        []residentHead
 	bucket     []residentHead
 	toff, bcur []int32
 	bounds     []int
-	sorters    []residentSorter
 }
 
 // residentHead is one entry of the resident order: an edge's order key
@@ -401,8 +412,10 @@ func (s *residentSide) remap(prev []int32) {
 //
 // Everything else, the first solve of a problem lineage included, runs
 // the one-shot greedyInto, as does a market where greedy can take a large
-// share of the edges (residentDenseDiv).  The order counts as stale from
-// the start of an update or layout until it completes, so a panic midway
+// share of the edges (residentDenseDiv).  The one-shot scan and the
+// layout draw their per-edge scratch from the package pool, so the pinned
+// workspace keeps only the order.  The order counts as stale from the
+// start of an update or layout until it completes, so a panic midway
 // leaves the next solve to lay it out afresh.
 func greedyResident(p *Problem, kind WeightKind, ws *Workspace) []int {
 	r := &ws.res
@@ -411,14 +424,14 @@ func greedyResident(p *Problem, kind WeightKind, ws *Workspace) []int {
 	compact := false
 	switch {
 	case p.bs.gen == 0 || last == 0 || denseTakes(p):
-		return greedyInto(p, kind, ws)
+		return greedyPooled(p, kind, ws)
 	case p.bs.gen == last && laid:
 	case p.bs.from == last && laid && p.bs.refreshed:
 		compact = r.update(p, kind, ws)
 	case p.bs.from == last:
-		r.layout(p, kind, ws)
+		r.layout(p, kind)
 	default:
-		return greedyInto(p, kind, ws)
+		return greedyPooled(p, kind, ws)
 	}
 	var sel []int
 	if compact {
@@ -438,6 +451,18 @@ func greedyResident(p *Problem, kind WeightKind, ws *Workspace) []int {
 	}
 	r.laid, r.kind = true, kind
 	return sel
+}
+
+// greedyPooled is greedyInto on a workspace borrowed from the pool, with
+// the selection and residual capacities copied into ws as greedyInto
+// leaves them.
+func greedyPooled(p *Problem, kind WeightKind, ws *Workspace) []int {
+	pooled := workspacePool.Get().(*Workspace)
+	defer workspacePool.Put(pooled)
+	ws.sel = append(ws.sel[:0], greedyInto(p, kind, pooled)...)
+	ws.capW = append(ws.capW[:0], pooled.capW...)
+	ws.capT = append(ws.capT[:0], pooled.capT...)
+	return ws.sel
 }
 
 // denseTakes reports whether greedy can take at least 1/residentDenseDiv
@@ -468,92 +493,80 @@ func (r *residentGreedy) chunkTasks(off []int32, nT int) int {
 	return procs
 }
 
-// layout orders p's edges from scratch: one counting pass places every
-// edge in its task's list, in edge order, so in worker order, in key2 and
-// w2; then, in task chunks on forChunks, each list is sorted by key, ties
-// keeping worker order, into key and w.  Both pairs of arrays are touched,
-// so a compaction never pays first-touch page faults.  The one-shot
-// scan's per-edge buffers are released first: this workspace now serves
-// from the order.
-func (r *residentGreedy) layout(p *Problem, kind WeightKind, ws *Workspace) {
-	ws.keys, ws.entries, ws.scan.keys, ws.scan.entries = nil, nil, nil, nil
+// layout orders p's edges from scratch.  greedyInto's bucket passes list
+// every edge by key bucket, in ascending edge index within a bucket; one
+// stable counting pass then places them in their tasks' lists, so each
+// list is ordered by bucket and, within a bucket, by worker (a task's
+// edges ascend with their worker).  Then, in task chunks on forChunks,
+// an insertion sort finishes each list by (key, worker); it only has to
+// fix the order inside the list's runs of one bucket, which are short.
+// The keys are staged in key2 and w2 is cleared, so a compaction never
+// pays first-touch page faults; the bucket scatter comes from the package
+// pool.
+func (r *residentGreedy) layout(p *Problem, kind WeightKind) {
+	pooled := workspacePool.Get().(*Workspace)
+	defer workspacePool.Put(pooled)
 	nT, n := p.In.NumTasks(), p.NumEdges()
-	wt := p.weightsInto(kind, &ws.edgeWt)
-	r.off = grow(r.off, nT+1)
-	copy(r.off, p.offT)
+	wt := p.weightsInto(kind, &pooled.edgeWt)
 	r.key, r.w = grow(r.key, n), grow(r.w, n)
 	r.key2, r.w2 = grow(r.key2, n), grow(r.w2, n)
+	clear(r.w2)
+	pooled.entries = grow(pooled.entries, n)
+	keys, entries := r.key2, pooled.entries[:n]
+	pooled.scan.bucket(wt, p.W, p.T, keys, entries, fanOut(0, n, parallelGreedyCutoff))
+
+	r.off = grow(r.off, nT+1)
+	copy(r.off, p.offT)
 	cur := grow(r.cur, nT)
 	r.cur = cur
 	copy(cur, r.off[:nT])
-	for e, t := range p.T {
-		at := cur[t]
-		cur[t]++
-		r.key2[at], r.w2[at] = orderKey(wt[e]), p.W[e]
+	for _, e := range entries {
+		at := cur[e.t]
+		cur[e.t]++
+		r.key[at], r.w[at] = keys[e.idx], e.w
 	}
-	procs := r.chunkTasks(r.off, nT)
-	if len(r.sorters) < procs {
-		r.sorters = make([]residentSorter, procs)
-	}
-	forChunks(r, procs, (*residentGreedy).sortChunk)
+	forChunks(r, r.chunkTasks(r.off, nT), (*residentGreedy).sortChunk)
 	r.tail = r.tail[:0]
 	r.workers.identity(p.In.NumWorkers())
 	r.tasks.identity(nT)
 }
 
-// sortChunk sorts the lists of chunk k's tasks from key2 and w2 into key
-// and w.
+// sortChunk sorts the lists of chunk k's tasks by (key, worker).  Each is
+// an insertion sort while its moves stay within a few per entry, which
+// they do when the list's bucket runs are short; a list past that budget
+// (its edges crowd a few buckets) is finished by sort.Sort.
 func (r *residentGreedy) sortChunk(k int) {
-	q := &r.sorters[k]
 	for t := r.bounds[k]; t < r.bounds[k+1]; t++ {
-		lo, hi := r.off[t], r.off[t+1]
-		q.sort(r.key2[lo:hi], r.w2[lo:hi], r.key[lo:hi], r.w[lo:hi])
-	}
-}
-
-// residentSorter is one layout chunk's scratch for sorting task lists.
-type residentSorter struct {
-	keys     []uint64 // a list's keys and their radix scratch
-	pos, tmp []int32  // the sort's positions and their radix scratch
-	heads    []residentHead
-	hist     [8][256]uint32
-}
-
-// sort writes one list, key with its worker slots w, to toKey and toW
-// ordered by (key, worker); w ascends on entry.  Short lists take a
-// comparison sort, long ones the radix passes of the ordering kernel over
-// positions, which is stable.
-func (q *residentSorter) sort(key []uint64, w []int32, toKey []uint64, toW []int32) {
-	n := len(key)
-	if n < radixCutoff {
-		h := grow(q.heads, n)
-		q.heads = h
-		for i := range h {
-			h[i] = residentHead{key: key[i], w: w[i]}
-		}
-		slices.SortFunc(h, func(a, b residentHead) int {
-			switch {
-			case a.before(b):
-				return -1
-			case b.before(a):
-				return 1
+		key, w := r.key[r.off[t]:r.off[t+1]], r.w[r.off[t]:r.off[t+1]]
+		budget := 8 * len(key)
+		for i := 1; i < len(key) && budget >= 0; i++ {
+			kv, wv := key[i], w[i]
+			j := i
+			for ; j > 0 && (kv < key[j-1] || kv == key[j-1] && wv < w[j-1]); j-- {
+				key[j], w[j] = key[j-1], w[j-1]
 			}
-			return 0
-		})
-		for i, e := range h {
-			toKey[i], toW[i] = e.key, e.w
+			key[j], w[j] = kv, wv
+			budget -= i - j
 		}
-		return
+		if budget < 0 {
+			sort.Sort(taskList{key, w})
+		}
 	}
-	q.keys, q.pos, q.tmp = grow(q.keys, 2*n), grow(q.pos, n), grow(q.tmp, n)
-	copy(q.keys, key)
-	for i := range q.pos {
-		q.pos[i] = int32(i)
-	}
-	radixSortByKey(q.keys[:n], q.keys[n:2*n], q.pos, q.tmp, &q.hist)
-	for i, j := range q.pos {
-		toKey[i], toW[i] = key[j], w[j]
-	}
+}
+
+// taskList sorts one task's list by (key, worker).
+type taskList struct {
+	key []uint64
+	w   []int32
+}
+
+func (l taskList) Len() int { return len(l.key) }
+func (l taskList) Less(i, j int) bool {
+	return l.key[i] < l.key[j] || l.key[i] == l.key[j] && l.w[i] < l.w[j]
+}
+func (l taskList) Swap(i, j int) {
+	l.key[i], l.key[j] = l.key[j], l.key[i]
+	l.w[i], l.w[j] = l.w[j], l.w[i]
 }
 
 // update carries the order over the refresh that built p: it remaps both

@@ -232,7 +232,10 @@ func TestGreedyResidentMatchesOneShot(t *testing.T) {
 // picks the seed and whether profiles are coarse; each later byte is one
 // operation, its low three bits the kind and the rest its size: worker or
 // task arrivals or departures, a snapshot and solve, a repeat solve, a
-// MaxPayment raise, or a category emptied.
+// MaxPayment raise, or a category emptied.  The market starts at 80
+// workers and 60 tasks, which keeps greedy's possible takes under
+// 1/residentDenseDiv of the edges through most scripts, so the resident
+// order, not the one-shot scan, serves the solves.
 func FuzzGreedyResident(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 4, 4, 8, 4, 11, 4, 5, 4})
@@ -242,7 +245,7 @@ func FuzzGreedyResident(f *testing.F) {
 		if len(data) == 0 || len(data) > 64 {
 			return
 		}
-		r := newResidentRun(t, uint64(data[0]>>1), data[0]&1 == 1, 3, 40, 30)
+		r := newResidentRun(t, uint64(data[0]>>1), data[0]&1 == 1, 3, 80, 60)
 		s := r.s
 		for i, b := range data[1:] {
 			k := int(b >> 3)
@@ -364,8 +367,9 @@ func workspaceEdgeBytes(ws *Workspace, edges int) int {
 // workspace keeps per edge once the resident order serves, through a
 // 400×300 market refreshed under churn: within 28 B per edge, the
 // 12-byte lists (key and worker slot) and the spare pair a compaction
-// writes into, with grow's 1/8 headroom.  The one-shot scan's per-edge
-// buffers (20 B) must be gone by then.
+// writes into, with grow's 1/8 headroom.  The workspace must never hold
+// the one-shot scan's per-edge buffers (20 B): the cold round's one-shot
+// solve and the layout borrow them from the package pool.
 func TestServedGreedyWorkspaceBytesPerEdge(t *testing.T) {
 	params := benefit.DefaultParams()
 	solver, err := ByName("greedy")
@@ -387,6 +391,9 @@ func TestServedGreedyWorkspaceBytesPerEdge(t *testing.T) {
 		if _, _, err := RunDeltaCtx(context.Background(), p, solver, d, stats.NewRNG(1)); err != nil {
 			t.Fatal(err)
 		}
+		if ws.keys != nil || ws.entries != nil {
+			t.Fatalf("round %d: the pinned workspace holds the one-shot scan's per-edge buffers", k)
+		}
 		if k == 0 {
 			continue
 		}
@@ -396,8 +403,56 @@ func TestServedGreedyWorkspaceBytesPerEdge(t *testing.T) {
 		if b, e := workspaceEdgeBytes(ws, p.NumEdges()), p.NumEdges(); b > 28*e {
 			t.Fatalf("round %d: %d B over %d edges = %.1f B/edge, want <= 28", k, b, e, float64(b)/float64(e))
 		}
-		if ws.keys != nil || ws.entries != nil {
-			t.Fatalf("round %d: the one-shot scan's per-edge buffers outlived the layout", k)
+	}
+}
+
+// TestResidentTaskListSort holds layout's per-task sort to a comparison
+// sort over lists that are nearly sorted (the insertion sort's case),
+// reversed and shuffled (past its move budget, so sort.Sort finishes
+// them), with ties on the key.
+func TestResidentTaskListSort(t *testing.T) {
+	rng := stats.NewRNG(1)
+	r := &residentGreedy{off: []int32{0}}
+	var want []residentHead
+	for n := 0; n < 300; n += 7 {
+		for shape := 0; shape < 3; shape++ {
+			list := make([]residentHead, n)
+			for i, w := range rng.Perm(n) {
+				list[i] = residentHead{key: uint64(rng.Intn(n/4 + 1)), w: int32(w)}
+			}
+			byOrder := func(a, b residentHead) int {
+				switch {
+				case a.before(b):
+					return -1
+				case b.before(a):
+					return 1
+				}
+				return 0
+			}
+			sorted := slices.Clone(list)
+			slices.SortFunc(sorted, byOrder)
+			want = append(want, sorted...)
+			switch shape {
+			case 0: // sorted, then every fourth pair swapped
+				copy(list, sorted)
+				for i := 1; i < n; i += 4 {
+					list[i-1], list[i] = list[i], list[i-1]
+				}
+			case 1:
+				copy(list, sorted)
+				slices.Reverse(list)
+			}
+			for _, e := range list {
+				r.key, r.w = append(r.key, e.key), append(r.w, e.w)
+			}
+			r.off = append(r.off, int32(len(r.key)))
+		}
+	}
+	r.bounds = []int{0, len(r.off) - 1}
+	r.sortChunk(0)
+	for i, e := range want {
+		if r.key[i] != e.key || r.w[i] != e.w {
+			t.Fatalf("entry %d: (%d, %d), want (%d, %d)", i, r.key[i], r.w[i], e.key, e.w)
 		}
 	}
 }

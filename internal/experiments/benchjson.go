@@ -10,8 +10,11 @@ package experiments
 //     into retained arenas, both the full rebuild and the refresh from a
 //     1% churn delta, and the greedy / local-search solvers with a
 //     pinned Workspace so repeated solves reuse their buffers, plus greedy
-//     on a never-saturating copy of the market (its worst case).  The
-//     O(E)-per-pass local search is cheap enough to run at every scale.
+//     on a never-saturating copy of the market (its worst case), and the
+//     registry's greedy solving 1% churn refreshes of both, which its
+//     resident order serves on the market and its one-shot scan on the
+//     copy.  The O(E)-per-pass local search is cheap enough to run at
+//     every scale.
 //   - "round": an end-to-end platform round — snapshot, rebuild, solve,
 //     validate-and-commit — over a live Service with no journal attached.
 //   - "matching": the exact flow path in isolation, cold (ExactSerial —
@@ -361,8 +364,55 @@ func runSolveSuite(log io.Writer, cfg BenchConfig, scales []BenchScale, rep *Ben
 			if err := addSteadySolve(add, "greedy-unsaturated", s, free); err != nil {
 				return err
 			}
+			// The served greedy across refreshes: its resident order on
+			// the market, the one-shot scan on the unsaturated copy, where
+			// greedy can take most edges.
+			if err := addRefreshSolve(add, "greedy-refresh", cur, r); err != nil {
+				return err
+			}
+			if err := addRefreshSolve(add, "greedy-refresh-unsaturated", free, r); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// addRefreshSolve records the registry's greedy over a churn chain that
+// continues from p: each op applies one round of 1% churn and refreshes
+// the problem from its delta, untimed, then solves.  One cold solve and
+// one refreshed solve come first, so the entry times steady rounds.
+func addRefreshSolve(add func(string, testing.BenchmarkResult), name string, p *core.Problem, r *stats.RNG) error {
+	s, err := core.ByName("greedy")
+	if err != nil {
+		return err
+	}
+	next := func() error {
+		in, d := churnInstance(p.In, r)
+		p, err = core.RebuildProblem(p, in, benefit.DefaultParams(), d)
+		return err
+	}
+	for k := 0; k < 2; k++ {
+		if _, err := s.Solve(p, nil); err != nil {
+			return err
+		}
+		if err := next(); err != nil {
+			return err
+		}
+	}
+	add(name, testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := next(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := s.Solve(p, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
 	return nil
 }
 
