@@ -115,10 +115,48 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 		return sel
 	}
 
-	ws.keys, ws.entries = grow(ws.keys, n), grow(ws.entries, n)
+	procs = fanOut(procs, n, parallelGreedyCutoff)
 	g := &ws.scan
-	g.bucket(wt, p.W, p.T, ws.keys[:n], ws.entries[:n], fanOut(procs, n, parallelGreedyCutoff))
-	keys, entries, start := ws.keys[:n], ws.entries[:n], &g.start
+	if cap(g.chunks) < procs {
+		g.chunks = make([]greedyChunk, procs)
+	}
+	g.chunks = g.chunks[:procs]
+	for k := range g.chunks {
+		g.chunks[k].lo, g.chunks[k].hi = k*n/procs, (k+1)*n/procs
+	}
+	ws.keys = grow(ws.keys, n)
+	ws.entries = grow(ws.entries, n)
+	g.wt, g.w, g.t = wt, p.W, p.T
+	g.keys, g.entries = ws.keys[:n], ws.entries[:n]
+
+	forChunks(g, procs, (*greedyScan).keyChunk)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for k := range g.chunks {
+		lo, hi = min(lo, g.chunks[k].minKey), max(hi, g.chunks[k].maxKey)
+	}
+	g.lo, g.shift = lo, 0
+	if l := bits.Len64(hi - lo); l > 8 {
+		g.shift = uint(l - 8)
+	}
+
+	// start[b] is bucket b's offset into entries.  Within a bucket, chunk
+	// k's slots follow chunk k−1's, so each bucket still lists its edges
+	// in ascending index: the scatter stays stable.
+	forChunks(g, procs, (*greedyScan).countChunk)
+	var start [greedyBuckets + 1]int
+	widest, at := 0, 0
+	for b := 0; b < greedyBuckets; b++ {
+		start[b] = at
+		for k := range g.chunks {
+			c := &g.chunks[k]
+			c.next[b], at = at, at+c.next[b]
+		}
+		widest = max(widest, at-start[b])
+	}
+	start[greedyBuckets] = at
+	forChunks(g, procs, (*greedyScan).scatterChunk)
+	keys, entries := g.keys, g.entries
+	g.wt, g.w, g.t = nil, nil, nil // the workspace must not pin the problem
 
 	// Survivors are gathered with their keys and endpoints, so ordering
 	// and taking them never reads the edge columns.  Consecutive buckets are pooled
@@ -126,7 +164,7 @@ func greedyIntoProcs(p *Problem, kind WeightKind, ws *Workspace, procs int) []in
 	// of each radix sort small against the edges it orders.  A batch is
 	// sorted as positions into it: equal keys share a bucket, where
 	// positions ascend with edge index.
-	m := g.widest + greedyBatch
+	m := widest + greedyBatch
 	ws.batchKeys = grow(ws.batchKeys, 2*m)
 	ws.batch = grow(ws.batch, m)
 	ws.order = grow(ws.order, m)
@@ -186,54 +224,6 @@ type greedyScan struct {
 	lo      uint64        // minimum key
 	shift   uint          // bucket of key k: (k − lo) >> shift
 	chunks  []greedyChunk
-	// start[b] is bucket b's offset into entries, and widest the largest
-	// bucket.
-	start  [greedyBuckets + 1]int
-	widest int
-}
-
-// bucket runs the key, count and scatter passes over procs chunks of the
-// edges whose weights are wt and endpoints w and t: keys[i] becomes edge
-// i's orderKey, and entries lists every edge by bucket, buckets in key
-// order, each in ascending edge index, with g.start and g.widest set.
-// The scan keeps no reference to its inputs.
-func (g *greedyScan) bucket(wt []float64, w, t []int32, keys []uint64, entries []greedyEntry, procs int) {
-	n := len(keys)
-	if cap(g.chunks) < procs {
-		g.chunks = make([]greedyChunk, procs)
-	}
-	g.chunks = g.chunks[:procs]
-	for k := range g.chunks {
-		g.chunks[k].lo, g.chunks[k].hi = k*n/procs, (k+1)*n/procs
-	}
-	g.wt, g.w, g.t, g.keys, g.entries = wt, w, t, keys, entries
-
-	forChunks(g, procs, (*greedyScan).keyChunk)
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for k := range g.chunks {
-		lo, hi = min(lo, g.chunks[k].minKey), max(hi, g.chunks[k].maxKey)
-	}
-	g.lo, g.shift = lo, 0
-	if l := bits.Len64(hi - lo); l > 8 {
-		g.shift = uint(l - 8)
-	}
-
-	// Within a bucket, chunk k's slots follow chunk k−1's, so each bucket
-	// still lists its edges in ascending index: the scatter stays stable.
-	forChunks(g, procs, (*greedyScan).countChunk)
-	g.widest = 0
-	at := 0
-	for b := 0; b < greedyBuckets; b++ {
-		g.start[b] = at
-		for k := range g.chunks {
-			c := &g.chunks[k]
-			c.next[b], at = at, at+c.next[b]
-		}
-		g.widest = max(g.widest, at-g.start[b])
-	}
-	g.start[greedyBuckets] = at
-	forChunks(g, procs, (*greedyScan).scatterChunk)
-	g.wt, g.w, g.t, g.keys, g.entries = nil, nil, nil, nil, nil // the workspace must not pin the problem
 }
 
 // greedyChunk is the edge range [lo, hi) of one pass chunk, with its key
@@ -283,8 +273,8 @@ func (g *greedyScan) scatterChunk(k int) {
 // walk's heap steps grow with the entries it reaches, the scan's per-edge
 // passes do not.  On refreshed 1% churn rounds of a 1600×1200 freelance
 // market, with capacities scaled so those takes ran from 0.35% to 20% of
-// the edges, the walk cost 0.43× the scan at 0.35%, 0.94–1.01× at
-// 5.6–5.9%, 1.05× at 6.3% and 1.8× at 20% (EXPERIMENTS.md).
+// the edges, the walk cost 0.46× the scan at 0.35%, 0.94–1.01× at
+// 5.6–5.9%, 1.03–1.05× at 6.3–6.7% and 1.8× at 20% (EXPERIMENTS.md).
 const residentDenseDiv = 16
 
 // residentCompactDiv is when the resident order is compacted: once its
@@ -412,23 +402,29 @@ func (s *residentSide) remap(prev []int32) {
 //
 // Everything else, the first solve of a problem lineage included, runs
 // the one-shot greedyInto, as does a market where greedy can take a large
-// share of the edges (residentDenseDiv).  The one-shot scan and the
-// layout draw their per-edge scratch from the package pool, so the pinned
-// workspace keeps only the order.  The order counts as stale from the
-// start of an update or layout until it completes, so a panic midway
-// leaves the next solve to lay it out afresh.
+// share of the edges (residentDenseDiv).  A one-shot solve of the build
+// this workspace solved last runs on the workspace itself, so re-solving
+// one problem stays allocation-free; any other one-shot solve, and the
+// layout, draw their per-edge scratch from the package pool, so a
+// workspace that serves a round after round keeps only the order.  The
+// order counts as stale from the start of an update or layout until it
+// completes, so a panic midway leaves the next solve to lay it out
+// afresh.
 func greedyResident(p *Problem, kind WeightKind, ws *Workspace) []int {
 	r := &ws.res
 	last, laid := r.last, r.laid && r.kind == kind
 	r.last, r.laid = p.bs.gen, false
 	compact := false
 	switch {
+	case p.bs.gen == last && !laid:
+		return greedyInto(p, kind, ws)
 	case p.bs.gen == 0 || last == 0 || denseTakes(p):
 		return greedyPooled(p, kind, ws)
-	case p.bs.gen == last && laid:
+	case p.bs.gen == last:
 	case p.bs.from == last && laid && p.bs.refreshed:
 		compact = r.update(p, kind, ws)
 	case p.bs.from == last:
+		ws.keys, ws.entries = nil, nil
 		r.layout(p, kind)
 	default:
 		return greedyPooled(p, kind, ws)
@@ -493,16 +489,13 @@ func (r *residentGreedy) chunkTasks(off []int32, nT int) int {
 	return procs
 }
 
-// layout orders p's edges from scratch.  greedyInto's bucket passes list
-// every edge by key bucket, in ascending edge index within a bucket; one
-// stable counting pass then places them in their tasks' lists, so each
-// list is ordered by bucket and, within a bucket, by worker (a task's
-// edges ascend with their worker).  Then, in task chunks on forChunks,
-// an insertion sort finishes each list by (key, worker); it only has to
-// fix the order inside the list's runs of one bucket, which are short.
-// The keys are staged in key2 and w2 is cleared, so a compaction never
-// pays first-touch page faults; the bucket scatter comes from the package
-// pool.
+// layout orders p's edges from scratch: one counting pass lists each
+// task's edges, in edge order, as (key, worker) in key2 and w2; then, in
+// task chunks on forChunks, the ordering kernel's radix passes
+// (radixSortByKey) stably sort each list by key into key and w.  A task's
+// edges ascend with their worker, so each list ends up ascending by (key,
+// worker).  Both pairs of arrays are touched, so a compaction never pays
+// first-touch page faults; the sort scratch comes from the package pool.
 func (r *residentGreedy) layout(p *Problem, kind WeightKind) {
 	pooled := workspacePool.Get().(*Workspace)
 	defer workspacePool.Put(pooled)
@@ -510,63 +503,37 @@ func (r *residentGreedy) layout(p *Problem, kind WeightKind) {
 	wt := p.weightsInto(kind, &pooled.edgeWt)
 	r.key, r.w = grow(r.key, n), grow(r.w, n)
 	r.key2, r.w2 = grow(r.key2, n), grow(r.w2, n)
-	clear(r.w2)
-	pooled.entries = grow(pooled.entries, n)
-	keys, entries := r.key2, pooled.entries[:n]
-	pooled.scan.bucket(wt, p.W, p.T, keys, entries, fanOut(0, n, parallelGreedyCutoff))
-
 	r.off = grow(r.off, nT+1)
 	copy(r.off, p.offT)
 	cur := grow(r.cur, nT)
 	r.cur = cur
 	copy(cur, r.off[:nT])
-	for _, e := range entries {
-		at := cur[e.t]
-		cur[e.t]++
-		r.key[at], r.w[at] = keys[e.idx], e.w
+	for e, t := range p.T {
+		at := cur[t]
+		cur[t]++
+		r.key2[at], r.w2[at] = orderKey(wt[e]), p.W[e]
 	}
-	forChunks(r, r.chunkTasks(r.off, nT), (*residentGreedy).sortChunk)
+	forChunks(r, r.chunkTasks(r.off, nT), func(r *residentGreedy, k int) {
+		ws := workspacePool.Get().(*Workspace)
+		defer workspacePool.Put(ws)
+		for t := r.bounds[k]; t < r.bounds[k+1]; t++ {
+			lo, hi := int(r.off[t]), int(r.off[t+1])
+			m := hi - lo
+			ws.keys, ws.order, ws.orderTmp = grow(ws.keys, 2*m), grow(ws.order, m), grow(ws.orderTmp, m)
+			copy(ws.keys, r.key2[lo:hi])
+			pos := ws.order[:m]
+			for i := range pos {
+				pos[i] = int32(i)
+			}
+			radixSortByKey(ws.keys[:m], ws.keys[m:2*m], pos, ws.orderTmp[:m], &ws.radixHist)
+			for i, j := range pos {
+				r.key[lo+i], r.w[lo+i] = r.key2[lo+int(j)], r.w2[lo+int(j)]
+			}
+		}
+	})
 	r.tail = r.tail[:0]
 	r.workers.identity(p.In.NumWorkers())
 	r.tasks.identity(nT)
-}
-
-// sortChunk sorts the lists of chunk k's tasks by (key, worker).  Each is
-// an insertion sort while its moves stay within a few per entry, which
-// they do when the list's bucket runs are short; a list past that budget
-// (its edges crowd a few buckets) is finished by sort.Sort.
-func (r *residentGreedy) sortChunk(k int) {
-	for t := r.bounds[k]; t < r.bounds[k+1]; t++ {
-		key, w := r.key[r.off[t]:r.off[t+1]], r.w[r.off[t]:r.off[t+1]]
-		budget := 8 * len(key)
-		for i := 1; i < len(key) && budget >= 0; i++ {
-			kv, wv := key[i], w[i]
-			j := i
-			for ; j > 0 && (kv < key[j-1] || kv == key[j-1] && wv < w[j-1]); j-- {
-				key[j], w[j] = key[j-1], w[j-1]
-			}
-			key[j], w[j] = kv, wv
-			budget -= i - j
-		}
-		if budget < 0 {
-			sort.Sort(taskList{key, w})
-		}
-	}
-}
-
-// taskList sorts one task's list by (key, worker).
-type taskList struct {
-	key []uint64
-	w   []int32
-}
-
-func (l taskList) Len() int { return len(l.key) }
-func (l taskList) Less(i, j int) bool {
-	return l.key[i] < l.key[j] || l.key[i] == l.key[j] && l.w[i] < l.w[j]
-}
-func (l taskList) Swap(i, j int) {
-	l.key[i], l.key[j] = l.key[j], l.key[i]
-	l.w[i], l.w[j] = l.w[j], l.w[i]
 }
 
 // update carries the order over the refresh that built p: it remaps both

@@ -405,54 +405,3 @@ func TestServedGreedyWorkspaceBytesPerEdge(t *testing.T) {
 		}
 	}
 }
-
-// TestResidentTaskListSort holds layout's per-task sort to a comparison
-// sort over lists that are nearly sorted (the insertion sort's case),
-// reversed and shuffled (past its move budget, so sort.Sort finishes
-// them), with ties on the key.
-func TestResidentTaskListSort(t *testing.T) {
-	rng := stats.NewRNG(1)
-	r := &residentGreedy{off: []int32{0}}
-	var want []residentHead
-	for n := 0; n < 300; n += 7 {
-		for shape := 0; shape < 3; shape++ {
-			list := make([]residentHead, n)
-			for i, w := range rng.Perm(n) {
-				list[i] = residentHead{key: uint64(rng.Intn(n/4 + 1)), w: int32(w)}
-			}
-			byOrder := func(a, b residentHead) int {
-				switch {
-				case a.before(b):
-					return -1
-				case b.before(a):
-					return 1
-				}
-				return 0
-			}
-			sorted := slices.Clone(list)
-			slices.SortFunc(sorted, byOrder)
-			want = append(want, sorted...)
-			switch shape {
-			case 0: // sorted, then every fourth pair swapped
-				copy(list, sorted)
-				for i := 1; i < n; i += 4 {
-					list[i-1], list[i] = list[i], list[i-1]
-				}
-			case 1:
-				copy(list, sorted)
-				slices.Reverse(list)
-			}
-			for _, e := range list {
-				r.key, r.w = append(r.key, e.key), append(r.w, e.w)
-			}
-			r.off = append(r.off, int32(len(r.key)))
-		}
-	}
-	r.bounds = []int{0, len(r.off) - 1}
-	r.sortChunk(0)
-	for i, e := range want {
-		if r.key[i] != e.key || r.w[i] != e.w {
-			t.Fatalf("entry %d: (%d, %d), want (%d, %d)", i, r.key[i], r.w[i], e.key, e.w)
-		}
-	}
-}
