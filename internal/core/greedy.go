@@ -406,7 +406,7 @@ func (s *residentSide) remap(prev []int32) {
 // this workspace solved last runs on the workspace itself, so re-solving
 // one problem stays allocation-free; any other one-shot solve, and the
 // layout, draw their per-edge scratch from the package pool, so a
-// workspace that serves a round after round keeps only the order.  The
+// workspace that serves round after round keeps only the order.  The
 // order counts as stale from the start of an update or layout until it
 // completes, so a panic midway leaves the next solve to lay it out
 // afresh.
