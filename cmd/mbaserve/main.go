@@ -28,12 +28,12 @@
 //
 //	mkdir data && mv market.jsonl data/journal.00000000000000000001.jsonl
 //
-// With -shards N the market is partitioned into N shard markets (tasks by
-// category, workers resident in every shard of their specialties), each
-// with its own state, segmented journal and checkpoints under
-// <snapshot-dir>/shard-%04d (shard-0000, shard-0001, …), solved per round
-// with its own solver instance and merged through the cross-shard
-// reconciliation pass.  The API is unchanged.
+// With -shards N each round's solve is split into N partitions (tasks by
+// category, workers resident in every partition of their specialties),
+// solved concurrently with one solver instance each and merged through the
+// cross-partition reconciliation pass.  Storage is unchanged: one state,
+// one journal and one snapshot series in -snapshot-dir, so -shards may
+// change between restarts, and the API is the same.
 //
 // Admission control is on by default: every route passes a priority-
 // aware admission controller (per-class token buckets keyed by the
@@ -96,8 +96,8 @@ import (
 // flags.  -fallback-chain wraps named solvers into a core.Degrader; a
 // -round-deadline alone implies the chain "<solver>,greedy" so "bound the
 // solve" never silently means "maybe serve nothing".  Called once per
-// shard: stateful solvers (incremental duals, degrader reports) must not
-// be shared between concurrently solving shards.
+// partition: stateful solvers (incremental duals, degrader reports) must
+// not be shared between concurrently solving partitions.
 func buildSolver(name, chain string, deadline time.Duration) (core.Solver, error) {
 	if chain == "" && deadline > 0 {
 		if name == "greedy" {
@@ -237,7 +237,7 @@ func main() {
 		snapshotEvery = flag.Int("snapshot-every", 50, "take a checkpoint every N closed rounds (0 = only via POST /v1/checkpoint)")
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "snapshot generations to retain as the corrupt-snapshot fallback chain")
 		segmentBytes  = flag.Int64("segment-bytes", platform.DefaultSegmentBytes, "seal a journal segment once it reaches this many bytes")
-		numShards     = flag.Int("shards", 1, "partition the market into N shard markets solved concurrently per round (1 = single market)")
+		numShards     = flag.Int("shards", 1, "split each round's solve into N category partitions solved concurrently (1 = one market)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof debug handlers on this address (empty disables)")
 		follow        = flag.String("follow", "", "run as a replication follower of this primary base URL (requires -snapshot-dir)")
 		autoTakeover  = flag.Bool("auto-takeover", false, "with -follow: promote to primary automatically once the primary fails -probe-failures consecutive health probes")
@@ -327,80 +327,55 @@ func main() {
 		}()
 	}
 
-	// Shutdown resources, filled as the markets are assembled below.
-	var segs []*platform.SegmentedLog // segmented journals (1 or N)
-	var cms []*platform.CheckpointManager
-
-	// One market per directory: the snapshot dir itself for a single
-	// market, ShardDir(dir, k) per shard otherwise.  Each market gets its
-	// own solver instance — stateful solvers must not be shared.
-	markets := make([]platform.Shard, *numShards)
-	for k := range markets {
-		solver, err := buildSolver(*solverName, *fallbackChain, *roundDeadline)
-		if err != nil {
+	// One solver instance per partition: stateful solvers must not be
+	// shared between concurrently solving partitions.
+	solvers := make([]core.Solver, *numShards)
+	for k := range solvers {
+		if solvers[k], err = buildSolver(*solverName, *fallbackChain, *roundDeadline); err != nil {
 			log.Fatalf("mbaserve: %v", err)
-		}
-		markets[k].Solver = solver
-		switch {
-		case *snapshotDir != "":
-			// O(state + tail) recovery: newest valid snapshot, then only
-			// the journal segments written after it.
-			dir := *snapshotDir
-			if *numShards > 1 {
-				dir = platform.ShardDir(dir, k)
-			}
-			state, seg, cm, info, err := platform.OpenMarketDir(dir, *categories,
-				platform.SegmentOptions{MaxBytes: *segmentBytes, Log: logOpts},
-				&platform.CheckpointOptions{EveryRounds: *snapshotEvery, Keep: *snapshotKeep})
-			if err != nil {
-				log.Fatalf("mbaserve: %v", err)
-			}
-			for _, p := range info.CorruptSnapshots {
-				log.Printf("mbaserve: recovery of %s skipped corrupt snapshot %s", dir, p)
-			}
-			if info.TailDropped != nil {
-				log.Printf("mbaserve: recovery of %s dropped torn journal tail: %v", dir, info.TailDropped)
-			}
-			w, t := state.Counts()
-			log.Printf("recovered %s: %d workers, %d tasks, %d rounds (snapshot seq %d + %d events from %d segments)",
-				dir, w, t, state.Rounds(), info.Snapshot.Seq, info.EventsReplayed, info.SegmentsReplayed)
-			markets[k] = platform.Shard{State: state, Journal: seg, Solver: solver, Checkpoint: cm}
-			segs = append(segs, seg)
-			cms = append(cms, cm)
-		default:
-			if markets[k].State, err = platform.NewState(*categories); err != nil {
-				log.Fatalf("mbaserve: %v", err)
-			}
 		}
 	}
-	var backend platform.Backend
-	if *numShards > 1 {
-		ss, err := platform.NewShardedService(markets, params, *seed)
+	var (
+		state *platform.State
+		seg   *platform.SegmentedLog
+		cm    *platform.CheckpointManager
+	)
+	if dir := *snapshotDir; dir != "" {
+		// O(state + tail) recovery: newest valid snapshot, then only the
+		// journal segments written after it.
+		var info *platform.RecoveryInfo
+		state, seg, cm, info, err = platform.OpenMarketDir(dir, *categories,
+			platform.SegmentOptions{MaxBytes: *segmentBytes, Log: logOpts},
+			&platform.CheckpointOptions{EveryRounds: *snapshotEvery, Keep: *snapshotKeep})
 		if err != nil {
 			log.Fatalf("mbaserve: %v", err)
 		}
-		if n := ss.RepairedWorkers(); n > 0 {
-			log.Printf("mbaserve: recovery repaired %d workers left on a subset of their shards by an interrupted join or leave", n)
+		for _, p := range info.CorruptSnapshots {
+			log.Printf("mbaserve: recovery of %s skipped corrupt snapshot %s", dir, p)
 		}
-		backend = ss
-	} else {
-		m := markets[0]
-		svc, err := platform.NewService(m.State, m.Solver, params, m.Journal, *seed)
-		if err != nil {
-			log.Fatalf("mbaserve: %v", err)
+		if info.TailDropped != nil {
+			log.Printf("mbaserve: recovery of %s dropped torn journal tail: %v", dir, info.TailDropped)
 		}
-		svc.SetCheckpointer(m.Checkpoint)
-		backend = svc
+		w, t := state.Counts()
+		log.Printf("recovered %s: %d workers, %d tasks, %d rounds (snapshot seq %d + %d events from %d segments)",
+			dir, w, t, state.Rounds(), info.Snapshot.Seq, info.EventsReplayed, info.SegmentsReplayed)
+	} else if state, err = platform.NewState(*categories); err != nil {
+		log.Fatalf("mbaserve: %v", err)
 	}
+	svc, err := platform.NewPartitionedService(state, solvers, params, seg, *seed)
+	if err != nil {
+		log.Fatalf("mbaserve: %v", err)
+	}
+	svc.SetCheckpointer(cm)
 
 	// Serve with sane timeouts (a stuck client must not pin a connection
 	// forever; round closes are bounded by WriteTimeout) and shut down
 	// gracefully: on SIGINT/SIGTERM stop accepting, drain in-flight
 	// requests — including a round mid-solve — then flush and close the
-	// journal(s) so the last accepted mutation is durable before exit.
+	// journal so the last accepted mutation is durable before exit.
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           platform.NewServerWithOptions(backend, srvOpts),
+		Handler:           platform.NewServerWithOptions(svc, srvOpts),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      2 * time.Minute,
@@ -427,14 +402,14 @@ func main() {
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("mbaserve: serve: %v", err)
 	}
-	for _, cm := range cms {
+	if cm != nil {
 		// A parting checkpoint makes the next start near-instant: recovery
 		// loads the snapshot and replays an empty tail.
 		if _, err := cm.Checkpoint(); err != nil {
 			log.Printf("mbaserve: shutdown checkpoint: %v", err)
 		}
 	}
-	for _, seg := range segs {
+	if seg != nil {
 		if err := seg.Close(); err != nil {
 			log.Printf("mbaserve: journal close: %v", err)
 		}

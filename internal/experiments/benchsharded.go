@@ -1,17 +1,22 @@
 package experiments
 
-// The "sharded-round" benchmark suite: end-to-end platform rounds over a
-// platform.ShardedService at 1/2/4/8 shards, same workload, same solver.
-// Checked in as BENCH_sharded.json and gated by `mbabench -benchdiff`.
+// The "sharded-round" benchmark suite: end-to-end platform rounds over one
+// platform.Service whose rounds split into 1/2/4/8 category partitions,
+// same workload, same solver.  Checked in as BENCH_sharded.json and gated
+// by `mbabench -benchdiff`.
 //
 // What the suite demonstrates is algorithmic, not just parallel: the exact
 // min-cost-flow solver is super-linear in the subproblem size, so cutting
-// one market into S category-disjoint shard markets makes the summed solve
-// work strictly smaller — S shards are faster than one even on GOMAXPROCS=1,
-// and concurrency on bigger machines stacks on top.  The workload spreads
-// tasks uniformly over 64 categories (balanced shards) with 1–2 specialties
-// per worker, so roughly half the workers span shards and the
-// reconciliation pass stays on the measured path.
+// one market's round into S category-disjoint partitions makes the summed
+// solve work strictly smaller — S partitions are faster than one even on
+// GOMAXPROCS=1, and concurrency on bigger machines stacks on top.  Every
+// partition scores pairs under the one market's model (its market-wide
+// MaxPayment), so the entries solve one objective; what a split gives up
+// is the quality lost to reconciling workers over-subscribed across
+// partitions.  The workload spreads tasks uniformly over 64 categories
+// (balanced partitions) with 1–2 specialties per worker, so roughly half
+// the workers span partitions and the reconciliation pass stays on the
+// measured path.
 
 import (
 	"fmt"
@@ -56,24 +61,22 @@ func shardedBenchInstance(sc BenchScale, seed uint64) (*market.Instance, error) 
 	}, seed)
 }
 
-// newBenchShardedService assembles an S-shard in-memory service (no
-// journals, no checkpoints — the suite isolates the round protocol from
-// disk I/O, like the "round" suite) and loads the full workload through the
-// routing layer.
-func newBenchShardedService(in *market.Instance, shards int, solverName string, seed uint64) (*platform.ShardedService, error) {
-	bundles := make([]platform.Shard, shards)
-	for k := range bundles {
-		state, err := platform.NewState(in.NumCategories)
-		if err != nil {
-			return nil, err
-		}
-		solver, err := benchRoundSolver(solverName)
-		if err != nil {
-			return nil, err
-		}
-		bundles[k] = platform.Shard{State: state, Solver: solver}
+// newBenchShardedService assembles an in-memory service (no journal, no
+// checkpoints — the suite isolates the round protocol from disk I/O, like
+// the "round" suite) whose rounds split into the given partition count,
+// and loads the full workload.
+func newBenchShardedService(in *market.Instance, shards int, solverName string, seed uint64) (*platform.Service, error) {
+	state, err := platform.NewState(in.NumCategories)
+	if err != nil {
+		return nil, err
 	}
-	ss, err := platform.NewShardedService(bundles, benefit.DefaultParams(), seed)
+	solvers := make([]core.Solver, shards)
+	for k := range solvers {
+		if solvers[k], err = benchRoundSolver(solverName); err != nil {
+			return nil, err
+		}
+	}
+	svc, err := platform.NewPartitionedService(state, solvers, benefit.DefaultParams(), nil, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -81,17 +84,17 @@ func newBenchShardedService(in *market.Instance, shards int, solverName string, 
 	// own (a submitted non-zero ID is replay semantics, not a request).
 	for _, w := range in.Workers {
 		w.ID = 0
-		if _, err := ss.Submit(platform.NewWorkerJoined(w)); err != nil {
+		if _, err := svc.Submit(platform.NewWorkerJoined(w)); err != nil {
 			return nil, err
 		}
 	}
 	for _, t := range in.Tasks {
 		t.ID = 0
-		if _, err := ss.Submit(platform.NewTaskPosted(t)); err != nil {
+		if _, err := svc.Submit(platform.NewTaskPosted(t)); err != nil {
 			return nil, err
 		}
 	}
-	return ss, nil
+	return svc, nil
 }
 
 // benchBestOf runs a benchmark n times and keeps the fastest sample.  The
@@ -128,7 +131,7 @@ func runShardedRoundSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) erro
 			return err
 		}
 		// Edge count reported for the scale is the whole market's; each
-		// shard solves a category-disjoint slice of exactly these edges.
+		// partition solves a category-disjoint slice of exactly these edges.
 		p, err := core.NewProblem(in, benefit.DefaultParams())
 		if err != nil {
 			return err
@@ -139,9 +142,9 @@ func runShardedRoundSuite(log io.Writer, cfg BenchConfig, rep *BenchReport) erro
 			if err != nil {
 				return err
 			}
-			// Warm-up round: pays per-shard arena allocation and (for dual-
-			// carrying solvers) the first cold solve, so the entry measures
-			// the steady serving state.
+			// Warm-up round: pays per-partition arena allocation and (for
+			// dual-carrying solvers) the first cold solve, so the entry
+			// measures the steady serving state.
 			if _, err := ss.CloseRound(); err != nil {
 				return err
 			}

@@ -1,10 +1,9 @@
 package platform
 
-// Batch ingest tests: POST /v1/batch's all-or-nothing contract on both
-// backends.  A batch either fully applies — one contiguous journal append
-// per shard — or leaves state, journal, and routing tables exactly as
-// they were, including under mid-fan-out journal failures on a sharded
-// backend (compensation) and intra-batch entity lifecycles.
+// Batch ingest tests: POST /v1/batch's all-or-nothing contract.  A batch
+// either fully applies — one contiguous journal append — or leaves state
+// and journal exactly as they were, whatever the service's round
+// partition count, including intra-batch entity lifecycles.
 
 import (
 	"bytes"
@@ -15,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/benefit"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 )
 
@@ -134,51 +134,32 @@ func TestServiceSubmitBatchJournalFailureRollsBack(t *testing.T) {
 	assertReplayMatches(t, 3, buf.Bytes(), svc.State())
 }
 
-// newBatchSharded builds a 2-shard sharded service whose shard journals
-// are in-memory logs (shard 1 optionally flaky), returning the pieces the
-// assertions need.
-func newBatchSharded(t *testing.T, cats int, flaky *faultinject.FlakyWriter) (*ShardedService, []*State, []*bytes.Buffer) {
+// newBatchSharded builds a service whose rounds split into two partitions,
+// journaling to an in-memory log.
+func newBatchSharded(t *testing.T, cats int) (*Service, *bytes.Buffer) {
 	t.Helper()
-	const shards = 2
-	states := make([]*State, shards)
-	bufs := make([]*bytes.Buffer, shards)
-	bundles := make([]Shard, shards)
-	for k := range bundles {
-		st, err := NewState(cats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states[k] = st
-		bufs[k] = &bytes.Buffer{}
-		var journal Journal = NewLog(bufs[k])
-		if k == 1 && flaky != nil {
-			journal = NewLog(flaky)
-		}
-		bundles[k] = Shard{State: st, Journal: journal, Solver: greedySolver()}
-	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
+	st, err := NewState(cats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss, states, bufs
-}
-
-// shardStatesMatchJournals replays every shard's journal against its live
-// state.
-func shardStatesMatchJournals(t *testing.T, cats int, states []*State, journals [][]byte) {
-	t.Helper()
-	for k := range states {
-		assertReplayMatches(t, cats, journals[k], states[k])
+	buf := &bytes.Buffer{}
+	svc, err := NewPartitionedService(st, []core.Solver{greedySolver(), greedySolver()}, benefit.DefaultParams(), NewLog(buf), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return svc, buf
 }
 
+// TestShardedSubmitBatchFanOut: a batch on a partitioned service lands in
+// its one state and journal whole, and the next round places a worker
+// whose specialties span both partitions in each of them.
 func TestShardedSubmitBatchFanOut(t *testing.T) {
 	const cats = 4
 	c0, c1 := spanningSpecialties(t, cats, 2)
-	ss, states, bufs := newBatchSharded(t, cats, nil)
+	svc, buf := newBatchSharded(t, cats)
 
-	applied, err := ss.SubmitBatch([]Event{
-		NewWorkerJoined(shardedWorker(cats, c0, c1)), // resident in both shards
+	applied, err := svc.SubmitBatch([]Event{
+		NewWorkerJoined(shardedWorker(cats, c0, c1)), // resident in both partitions
 		NewWorkerJoined(shardedWorker(cats, c0)),
 		NewTaskPosted(shardedTask(c0)),
 		NewTaskPosted(shardedTask(c1)),
@@ -189,111 +170,70 @@ func TestShardedSubmitBatchFanOut(t *testing.T) {
 	if len(applied) != 4 {
 		t.Fatalf("applied %d events, want 4", len(applied))
 	}
-	if w, tk := ss.Counts(); w != 2 || tk != 2 {
+	if w, tk := svc.Counts(); w != 2 || tk != 2 {
 		t.Fatalf("counts after batch: %d workers %d tasks", w, tk)
 	}
-	// The spanning worker landed in both shard states.
-	span := applied[0].Worker.ID
-	for k, st := range states {
-		if _, ok := st.Worker(span); !ok {
-			t.Fatalf("spanning worker %d missing from shard %d", span, k)
-		}
-	}
-	shardStatesMatchJournals(t, cats, states, [][]byte{bufs[0].Bytes(), bufs[1].Bytes()})
+	assertReplayMatches(t, cats, buf.Bytes(), svc.State())
 
-	// Consume them in a second batch, including the spanning worker whose
-	// leave must fan out to both shards.
-	if _, err := ss.SubmitBatch([]Event{
+	res, err := svc.CloseRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := ShardRouter{Shards: 2}
+	k0, k1 := router.TaskShard(c0), router.TaskShard(c1)
+	if sr := res.Shards[k0]; sr.Workers != 2 || sr.Tasks != 1 {
+		t.Fatalf("partition %d holds %d workers / %d tasks, want 2/1", k0, sr.Workers, sr.Tasks)
+	}
+	if sr := res.Shards[k1]; sr.Workers != 1 || sr.Tasks != 1 {
+		t.Fatalf("partition %d holds %d workers / %d tasks, want 1/1", k1, sr.Workers, sr.Tasks)
+	}
+
+	// Consume them in a second batch, the spanning worker included.
+	span := applied[0].Worker.ID
+	if _, err := svc.SubmitBatch([]Event{
 		NewWorkerLeft(span),
 		NewTaskClosed(applied[2].Task.ID),
 		NewTaskClosed(applied[3].Task.ID),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if w, tk := ss.Counts(); w != 1 || tk != 0 {
+	if w, tk := svc.Counts(); w != 1 || tk != 0 {
 		t.Fatalf("counts after removal batch: %d workers %d tasks", w, tk)
 	}
-	shardStatesMatchJournals(t, cats, states, [][]byte{bufs[0].Bytes(), bufs[1].Bytes()})
+	assertReplayMatches(t, cats, buf.Bytes(), svc.State())
 }
 
 func TestShardedSubmitBatchIntraBatchLifecycle(t *testing.T) {
 	const cats = 4
 	c0, c1 := spanningSpecialties(t, cats, 2)
-	ss, states, bufs := newBatchSharded(t, cats, nil)
+	svc, buf := newBatchSharded(t, cats)
 
-	// Sharded IDs are assigned from 1, so an intra-batch leave/close can
-	// name the entity its own batch just created.
-	applied, err := ss.SubmitBatch([]Event{
-		NewWorkerJoined(shardedWorker(cats, c0, c1)), // → worker 1
-		NewTaskPosted(shardedTask(c0)),               // → task 1
-		NewWorkerLeft(1),                             // leaves within the batch
-		NewTaskClosed(1),
-		NewWorkerJoined(shardedWorker(cats, c1)), // → worker 2
+	// IDs are assigned from 0, so an intra-batch leave/close can name the
+	// entity its own batch just created.
+	applied, err := svc.SubmitBatch([]Event{
+		NewWorkerJoined(shardedWorker(cats, c0, c1)), // → worker 0
+		NewTaskPosted(shardedTask(c0)),               // → task 0
+		NewWorkerLeft(0),                             // leaves within the batch
+		NewTaskClosed(0),
+		NewWorkerJoined(shardedWorker(cats, c1)), // → worker 1
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied[0].Worker.ID != 1 || applied[1].Task.ID != 1 || applied[4].Worker.ID != 2 {
+	if applied[0].Worker.ID != 0 || applied[1].Task.ID != 0 || applied[4].Worker.ID != 1 {
 		t.Fatalf("unexpected ID assignment: %+v", applied)
 	}
-	if w, tk := ss.Counts(); w != 1 || tk != 0 {
+	if w, tk := svc.Counts(); w != 1 || tk != 0 {
 		t.Fatalf("counts after intra-batch lifecycle: %d workers %d tasks", w, tk)
 	}
-	shardStatesMatchJournals(t, cats, states, [][]byte{bufs[0].Bytes(), bufs[1].Bytes()})
+	assertReplayMatches(t, cats, buf.Bytes(), svc.State())
 
-	// Rejected plans must leave the routing tables unstaged: worker 2 is
-	// still live, worker 1 is not.
-	if _, err := ss.SubmitBatch([]Event{NewWorkerLeft(1)}); err == nil {
+	// A rejected batch applies nothing: worker 1 is still live, worker 0
+	// is not.
+	if _, err := svc.SubmitBatch([]Event{NewWorkerLeft(0)}); err == nil {
 		t.Fatal("left worker removed twice")
 	}
-	if _, err := ss.SubmitBatch([]Event{NewWorkerLeft(2)}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShardedSubmitBatchCompensation(t *testing.T) {
-	const cats = 4
-	c0, c1 := spanningSpecialties(t, cats, 2)
-	var flakyBuf bytes.Buffer
-	// Shard 1 takes 2 seed writes (spanning worker + its task), then every
-	// write fails — including the batch append.
-	flaky := faultinject.NewFlakyWriter(&flakyBuf, faultinject.After(2))
-	ss, states, bufs := newBatchSharded(t, cats, flaky)
-
-	if _, err := ss.Submit(NewWorkerJoined(shardedWorker(cats, c0, c1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Submit(NewTaskPosted(shardedTask(c1))); err != nil {
-		t.Fatal(err)
-	}
-	w0, t0 := ss.Counts()
-
-	// This batch touches shard 0 first (applies cleanly), then shard 1
-	// (journal append fails): shard 0 must be compensated back.
-	_, err := ss.SubmitBatch([]Event{
-		NewWorkerJoined(shardedWorker(cats, c0)),
-		NewTaskPosted(shardedTask(c0)),
-		NewTaskPosted(shardedTask(c1)),
-	})
-	if err == nil {
-		t.Fatal("batch over a failing shard journal succeeded")
-	}
-	if flaky.Injections() == 0 {
-		t.Fatal("fault never injected — the fan-out order changed?")
-	}
-	if w, tk := ss.Counts(); w != w0 || tk != t0 {
-		t.Fatalf("counts drifted after compensated batch: %d/%d, want %d/%d", w, tk, w0, t0)
-	}
-	// Every shard's journal still replays to its exact state — the
-	// compensation events are journaled like any other.
-	shardStatesMatchJournals(t, cats, states, [][]byte{bufs[0].Bytes(), flakyBuf.Bytes()})
-
-	// Routing tables were not committed: the batch's provisional IDs are
-	// reusable, so an all-shard-0 batch (avoiding the dead journal) works.
-	if _, err := ss.SubmitBatch([]Event{
-		NewWorkerJoined(shardedWorker(cats, c0)),
-		NewTaskPosted(shardedTask(c0)),
-	}); err != nil {
+	if _, err := svc.SubmitBatch([]Event{NewWorkerLeft(1)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -405,40 +345,4 @@ func TestServerHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "degraded" || !h.JournalPoisoned {
 		t.Fatalf("poisoned healthz = %d %+v", resp.StatusCode, h)
 	}
-}
-
-func TestShardedHealthReportsPerShard(t *testing.T) {
-	const cats = 4
-	c0, c1 := spanningSpecialties(t, cats, 2)
-	var flakyBuf bytes.Buffer
-	flaky := faultinject.NewFlakyWriter(&flakyBuf, faultinject.After(1))
-	flaky.Partial = true
-	ss, _, _ := newBatchSharded(t, cats, flaky)
-
-	if _, err := ss.Submit(NewTaskPosted(shardedTask(c1))); err != nil {
-		t.Fatal(err)
-	}
-	h := ss.Health()
-	if h.Status != "ok" || len(h.Shards) != 2 || h.JournalPoisoned {
-		t.Fatalf("healthy sharded health = %+v", h)
-	}
-	// Tear shard 1's journal (write 1, Partial) — submits to c1 fail and
-	// the health rolls up as degraded with the shard pinpointed.
-	if _, err := ss.Submit(NewTaskPosted(shardedTask(c1))); err == nil {
-		t.Fatal("torn shard append reported success")
-	}
-	h = ss.Health()
-	if h.Status != "degraded" || !h.JournalPoisoned {
-		t.Fatalf("degraded sharded health = %+v", h)
-	}
-	poisonedShards := 0
-	for _, sh := range h.Shards {
-		if sh.JournalPoisoned {
-			poisonedShards++
-		}
-	}
-	if poisonedShards != 1 {
-		t.Fatalf("%d shards report poisoned, want exactly 1", poisonedShards)
-	}
-	_ = c0
 }

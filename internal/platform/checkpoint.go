@@ -273,9 +273,25 @@ func RecoverDir(dir string, numCategories int) (*State, *RecoveryInfo, error) {
 // state (RecoverDir), reopen its segmented journal for appending —
 // OpenSegmentedLog truncates any torn tail, so new events never land
 // after corrupt bytes — and, when cpOpts is non-nil, attach a checkpoint
-// manager over the two.  A single-market primary, each shard of a sharded
-// one, and a promoted standby all open their directories through here.
+// manager over the two.  A primary, whatever its round partition count,
+// and a promoted standby both open their directories through here.
+//
+// A directory holding shard-NNNN subdirectories is refused: earlier
+// releases kept one journal per shard there, which this one cannot
+// recover, and opening the directory as one market would silently serve
+// an empty one and start a journal beside them.
 func OpenMarketDir(dir string, numCategories int, segOpts SegmentOptions, cpOpts *CheckpointOptions) (*State, *SegmentedLog, *CheckpointManager, *RecoveryInfo, error) {
+	entries, _ := os.ReadDir(dir) // a missing directory is a fresh market
+	var shardDirs []string
+	for _, e := range entries {
+		if ok, _ := filepath.Match("shard-[0-9][0-9][0-9][0-9]", e.Name()); ok && e.IsDir() {
+			shardDirs = append(shardDirs, e.Name())
+		}
+	}
+	if len(shardDirs) > 0 {
+		return nil, nil, nil, nil, fmt.Errorf("platform: %s holds per-shard journal directories (%s) from an earlier sharded layout, which this release cannot recover",
+			dir, strings.Join(shardDirs, ", "))
+	}
 	state, info, err := RecoverDir(dir, numCategories)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("platform: recovering %s: %w", dir, err)

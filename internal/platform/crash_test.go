@@ -151,18 +151,22 @@ func buildCrashService(t *testing.T, dir string, hook CrashHook) (*Service, *Sta
 	return svc, st
 }
 
-// runCrashScript executes ops against dir, crashing at most once (per
-// cr's schedule), recovering, and continuing to the end.  It verifies the
-// crash→recover fidelity property at the crash itself — the recovered
-// state must equal the committed in-memory state byte for byte — and
-// returns the final state's snapshot bytes.
-func runCrashScript(t *testing.T, dir string, ops []crashOp, cr *faultinject.Crasher) []byte {
+// crashStack assembles a recovery+serve stack over dir with the crash
+// hook armed (nil: none); buildCrashService is the one-market stack.
+type crashStack func(t *testing.T, dir string, hook CrashHook) (*Service, *State)
+
+// runCrashScript executes ops against dir on the stack build assembles,
+// crashing at most once (per cr's schedule), recovering, and continuing
+// to the end.  It verifies the crash→recover fidelity property at the
+// crash itself — the recovered state must equal the committed in-memory
+// state byte for byte — and returns the final state's snapshot bytes.
+func runCrashScript(t *testing.T, dir string, ops []crashOp, cr *faultinject.Crasher, build crashStack) []byte {
 	t.Helper()
 	var hook CrashHook
 	if cr != nil {
 		hook = cr
 	}
-	svc, st := buildCrashService(t, dir, hook)
+	svc, st := build(t, dir, hook)
 	armed := cr
 	for i := 0; i < len(ops); {
 		err := execCrashOp(svc, ops[i])
@@ -186,7 +190,7 @@ func runCrashScript(t *testing.T, dir string, ops []crashOp, cr *faultinject.Cra
 		committed := stateBytes(t, st)
 
 		// "Restart": recover the directory exactly like a fresh process.
-		rec, info, rerr := RecoverDir(dir, 3)
+		rec, _, rerr := RecoverDir(dir, st.NumCategories())
 		if rerr != nil {
 			t.Fatalf("recovery after crash at op %d: %v", i, rerr)
 		}
@@ -194,8 +198,7 @@ func runCrashScript(t *testing.T, dir string, ops []crashOp, cr *faultinject.Cra
 			t.Fatalf("crash at op %d: recovered state (seq %d) != committed state (seq %d)",
 				i, rec.Seq(), st.Seq())
 		}
-		_ = info
-		svc, st = buildCrashService(t, dir, nil)
+		svc, st = build(t, dir, nil)
 		armed = nil
 	}
 	if cr != nil && !cr.Fired() {
@@ -209,7 +212,7 @@ func TestCrashRecoveryFidelity(t *testing.T) {
 	const rounds = 110
 	ops := buildCrashScript(seed, rounds)
 
-	ref := runCrashScript(t, t.TempDir(), ops, nil)
+	ref := runCrashScript(t, t.TempDir(), ops, nil, buildCrashService)
 	_, refInfo, err := DecodeSnapshot(bytes.NewReader(ref))
 	if err != nil {
 		t.Fatalf("reference state does not decode: %v", err)
@@ -238,7 +241,7 @@ func TestCrashRecoveryFidelity(t *testing.T) {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
 			t.Parallel()
-			got := runCrashScript(t, t.TempDir(), ops, spec.mk())
+			got := runCrashScript(t, t.TempDir(), ops, spec.mk(), buildCrashService)
 			if !bytes.Equal(got, ref) {
 				t.Fatal("final state after crash→recover→continue diverges from the crash-free reference")
 			}

@@ -141,17 +141,23 @@ func TestServiceFencing(t *testing.T) {
 	}
 }
 
+// TestShardedFencingAndEpochRouting: a partitioned service keeps one
+// journal, so an epoch bump lands like on any service, and the fence then
+// refuses writes and rounds alike.
 func TestShardedFencingAndEpochRouting(t *testing.T) {
 	ss := newTestShardedService(t, 2, 4, greedySolver, 1)
-	// Epoch bumps have no routing key; a sharded backend refuses them
-	// rather than bumping one arbitrary shard.
-	if _, err := ss.Submit(NewEpochBumped(1)); err == nil ||
-		!strings.Contains(err.Error(), "not routable") {
-		t.Fatalf("sharded epoch bump error %v", err)
+	if _, err := ss.Submit(NewEpochBumped(1)); err != nil {
+		t.Fatalf("partitioned epoch bump: %v", err)
+	}
+	if got := ss.Epoch(); got != 1 {
+		t.Fatalf("epoch %d after the bump, want 1", got)
 	}
 	ss.ObserveEpoch(3)
 	if _, err := ss.Submit(NewWorkerJoined(validWorker())); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced sharded submit error %v, want ErrFenced", err)
+	}
+	if _, err := ss.CloseRound(); !errors.Is(err, ErrFenced) {
+		t.Fatalf("fenced sharded round error %v, want ErrFenced", err)
 	}
 	h := ss.Health()
 	if h.Status != "degraded" || !h.Fenced || h.FencedBy != 3 {
@@ -246,8 +252,8 @@ func TestBatchRejectsControlEvents(t *testing.T) {
 		return svc, []*bytes.Buffer{buf}
 	}
 	sharded := func(t *testing.T) (backend, []*bytes.Buffer) {
-		ss, _, bufs := newBatchSharded(t, 4, nil)
-		return ss, bufs
+		ss, buf := newBatchSharded(t, 4)
+		return ss, []*bytes.Buffer{buf}
 	}
 	bodies := map[string]string{
 		"epoch bump":        `[{"kind":"epoch_bumped","epoch":99}]`,

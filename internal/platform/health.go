@@ -5,15 +5,6 @@ package platform
 // safely — is the journal still appendable, how far has the event stream
 // progressed, and, on a follower, how far behind the primary it runs.
 
-// ShardHealth is one shard's slice of a sharded backend's health.
-type ShardHealth struct {
-	Shard           int    `json:"shard"`
-	LastSeq         uint64 `json:"last_seq"`
-	JournalPoisoned bool   `json:"journal_poisoned"`
-	Workers         int    `json:"workers"`
-	Tasks           int    `json:"tasks"`
-}
-
 // HealthStatus is the /v1/healthz payload.
 type HealthStatus struct {
 	// Status is "ok" or "degraded" (a poisoned journal: reads and rounds
@@ -21,15 +12,12 @@ type HealthStatus struct {
 	Status string `json:"status"`
 	// Role is "primary" or "follower".
 	Role string `json:"role"`
-	// LastSeq is the last committed sequence number (max across shards
-	// for a sharded backend).
+	// LastSeq is the last committed sequence number.
 	LastSeq         uint64 `json:"last_seq"`
 	JournalPoisoned bool   `json:"journal_poisoned"`
 	Workers         int    `json:"workers"`
 	Tasks           int    `json:"tasks"`
 	Rounds          int    `json:"rounds"`
-	// Shards carries per-shard detail for a sharded backend.
-	Shards []ShardHealth `json:"shards,omitempty"`
 	// PrimarySeq and ReplicationLag are follower-only: the primary's last
 	// committed sequence as of the latest poll, and how many events behind
 	// it this follower's state is.
@@ -69,7 +57,7 @@ func journalPoisoned(j Journal) bool {
 	return ok && p.Poisoned()
 }
 
-// Health implements HealthReporter for the single-market service.
+// Health implements HealthReporter.
 func (s *Service) Health() HealthStatus {
 	workers, tasks := s.state.Counts()
 	h := HealthStatus{
@@ -89,38 +77,6 @@ func (s *Service) Health() HealthStatus {
 	h.Status = "ok"
 	if h.JournalPoisoned || h.Fenced {
 		h.Status = "degraded"
-	}
-	return h
-}
-
-// Health implements HealthReporter for the sharded service.  LastSeq is
-// the max across shards (shards journal independently); the overall
-// status degrades if any shard's journal is poisoned.
-func (ss *ShardedService) Health() HealthStatus {
-	h := HealthStatus{Role: "primary", Status: "ok"}
-	for k, svc := range ss.shards {
-		sh := svc.Health()
-		h.LastSeq = max(h.LastSeq, sh.LastSeq)
-		if sh.JournalPoisoned {
-			h.JournalPoisoned = true
-			h.Status = "degraded"
-		}
-		h.Shards = append(h.Shards, ShardHealth{
-			Shard:           k,
-			LastSeq:         sh.LastSeq,
-			JournalPoisoned: sh.JournalPoisoned,
-			Workers:         sh.Workers,
-			Tasks:           sh.Tasks,
-		})
-	}
-	h.Workers, h.Tasks = ss.Counts()
-	h.Rounds = ss.Rounds()
-	h.Epoch = ss.Epoch()
-	h.Fenced, h.FencedBy = ss.FenceStatus()
-	if h.Fenced {
-		h.Status = "degraded"
-	} else {
-		h.FencedBy = 0
 	}
 	return h
 }

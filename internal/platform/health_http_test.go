@@ -2,8 +2,8 @@ package platform
 
 // HTTP-level healthz contract: the endpoint a failover probe (or a load
 // balancer) actually hits.  A degraded backend answers 503, not just a
-// JSON field — probes must not need to parse the payload to notice — and
-// a sharded backend names the poisoned shard.
+// JSON field — probes must not need to parse the payload to notice —
+// whatever the service's round partition count.
 
 import (
 	"context"
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/benefit"
+	"repro/internal/core"
 )
 
 // poisonedJournal is a Journal stub that reports itself unappendable.
@@ -50,25 +51,18 @@ func TestHealthzEndpointOK(t *testing.T) {
 	}
 }
 
-// TestHealthzShardedPoisonedShard poisons one shard of four: the overall
-// status must be 503/degraded and the payload must identify exactly which
-// shard is refusing appends.
+// TestHealthzShardedPoisonedShard poisons the one journal of a service
+// whose rounds split into four partitions: the status must be
+// 503/degraded, and the payload carries no per-partition block — the
+// partitions share the journal, so there is no partition to single out.
 func TestHealthzShardedPoisonedShard(t *testing.T) {
-	const shards = 4
-	bundles := make([]Shard, shards)
-	var bad *poisonedJournal
-	for k := range bundles {
-		st, err := NewState(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := &poisonedJournal{}
-		if k == 2 {
-			bad = j
-		}
-		bundles[k] = Shard{State: st, Solver: greedySolver(), Journal: j}
+	st, err := NewState(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
+	bad := &poisonedJournal{}
+	solvers := []core.Solver{greedySolver(), greedySolver(), greedySolver(), greedySolver()}
+	ss, err := NewPartitionedService(st, solvers, benefit.DefaultParams(), bad, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +77,22 @@ func TestHealthzShardedPoisonedShard(t *testing.T) {
 	bad.poisoned = true
 	resp, h = getHealth(t, srv.URL)
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("poisoned-shard healthz %d, want 503", resp.StatusCode)
+		t.Fatalf("poisoned-journal healthz %d, want 503", resp.StatusCode)
 	}
 	if h.Status != "degraded" || !h.JournalPoisoned {
-		t.Fatalf("poisoned-shard payload %+v", h)
+		t.Fatalf("poisoned-journal payload %+v", h)
 	}
-	if len(h.Shards) != shards {
-		t.Fatalf("payload lists %d shards, want %d", len(h.Shards), shards)
+	raw, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, sh := range h.Shards {
-		if want := sh.Shard == 2; sh.JournalPoisoned != want {
-			t.Fatalf("shard %d poisoned=%v in payload", sh.Shard, sh.JournalPoisoned)
-		}
+	body, err := io.ReadAll(raw.Body)
+	raw.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(body), `"shards"`) {
+		t.Fatalf("healthz payload still carries a per-shard block: %s", body)
 	}
 }
 

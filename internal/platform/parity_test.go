@@ -12,11 +12,12 @@ import (
 	"repro/internal/stats"
 )
 
-// TestOneShardMatchesService pins a 1-shard ShardedService to a Service:
-// the same seeded churn+round script, driven through both, must produce
-// the same pairs (IDs and Mutual bits), the same stale counts and solve
-// provenance, and byte-identical journals.  "random" pins the RNG stream:
-// shard 0 must draw exactly what a Service under the same seed draws.
+// TestOneShardMatchesService pins a one-partition NewPartitionedService to
+// NewService: the same seeded churn+round script, driven through both,
+// must produce the same pairs (IDs and Mutual bits), the same stale
+// counts, marker seqs and solve provenance, no per-partition block, and
+// byte-identical journals.  "random" pins the RNG stream: partition 0
+// must draw exactly what a Service under the same seed draws.
 func TestOneShardMatchesService(t *testing.T) {
 	for _, name := range []string{"greedy", "incremental", "random"} {
 		t.Run(name, func(t *testing.T) {
@@ -48,14 +49,12 @@ func TestOneShardMatchesService(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := NewShardedService([]Shard{{State: ssState, Journal: NewLog(&ssBuf), Solver: mkSolver()}},
-				benefit.DefaultParams(), seed)
+			ss, err := NewPartitionedService(ssState, []core.Solver{mkSolver()}, benefit.DefaultParams(), NewLog(&ssBuf), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// The script carries explicit IDs: a Service numbers entities
-			// from 0, a ShardedService from 1.
+			// The script carries explicit IDs, so removals can name them.
 			rng := stats.NewRNG(11)
 			liveW, liveT := map[int]bool{}, map[int]bool{}
 			nextW, nextT := 1, 1
@@ -126,19 +125,18 @@ func TestOneShardMatchesService(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got.Shards) != 1 {
-					t.Fatalf("round %d: %d shard entries", round, len(got.Shards))
+				if got.Shards != nil {
+					t.Fatalf("round %d: one partition reported %d partition entries", round, len(got.Shards))
 				}
-				sh := got.Shards[0]
-				if got.Round != want.Round || got.StalePairs != want.StalePairs || sh.Seq != want.Seq {
+				if got.Round != want.Round || got.StalePairs != want.StalePairs || got.Seq != want.Seq {
 					t.Fatalf("round %d: round/stale/seq %d/%d/%d vs %d/%d/%d", round,
-						got.Round, got.StalePairs, sh.Seq, want.Round, want.StalePairs, want.Seq)
+						got.Round, got.StalePairs, got.Seq, want.Round, want.StalePairs, want.Seq)
 				}
-				if sh.ServedBy != want.ServedBy || sh.DegradedFrom != want.DegradedFrom ||
-					sh.SolveTimedOut != want.SolveTimedOut || sh.WarmStarted != want.WarmStarted ||
-					math.Float64bits(sh.DirtyFraction) != math.Float64bits(want.DirtyFraction) ||
-					sh.FullSolveFallback != want.FullSolveFallback || sh.SolveError != want.SolveError {
-					t.Fatalf("round %d: provenance %+v vs %+v", round, sh, want)
+				if got.ServedBy != want.ServedBy || got.DegradedFrom != want.DegradedFrom ||
+					got.SolveTimedOut != want.SolveTimedOut || got.WarmStarted != want.WarmStarted ||
+					math.Float64bits(got.DirtyFraction) != math.Float64bits(want.DirtyFraction) ||
+					got.FullSolveFallback != want.FullSolveFallback || got.SolveError != want.SolveError {
+					t.Fatalf("round %d: provenance %+v vs %+v", round, got.RoundProvenance, want.RoundProvenance)
 				}
 				if want.WarmStarted {
 					warm++

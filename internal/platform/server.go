@@ -52,9 +52,8 @@ type Server struct {
 	closing atomic.Bool // single-flight guard on POST /v1/rounds
 }
 
-// Backend is what the HTTP layer needs from a market service.  Service (one
-// market) and ShardedService (N shard markets behind one API) both satisfy
-// it, so `mbaserve -shards N` serves the exact same routes.
+// Backend is what the HTTP layer needs from a market service.  Service
+// satisfies it, whatever its round partition count.
 type Backend interface {
 	BatchSubmitter
 	Fenceable
@@ -63,13 +62,13 @@ type Backend interface {
 	Submit(Event) (Event, error)
 	// CloseRoundCtx closes one assignment round under a context.
 	CloseRoundCtx(context.Context) (*RoundResult, error)
-	// Counts returns live worker/task counts (global for a sharded backend).
+	// Counts returns live worker/task counts.
 	Counts() (workers, tasks int)
 	// Rounds returns the committed round count.
 	Rounds() int
 	// CheckpointNow triggers an immediate checkpoint.  ok is false when
 	// checkpointing is not configured; result is the backend's own
-	// JSON-renderable report (CheckpointResult, or per-shard results).
+	// JSON-renderable report (a CheckpointResult).
 	CheckpointNow() (result any, ok bool, err error)
 }
 
@@ -365,9 +364,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // JournalStreamer is the optional backend capability behind GET
-// /v1/journal/stream (only Service with a segmented journal implements
-// it; sharded backends replicate per shard directory, not over one
-// stream).
+// /v1/journal/stream (Service implements it; it serves only over a
+// segmented journal).
 type JournalStreamer interface {
 	JournalEventsSince(from uint64) ([]Event, uint64, error)
 }

@@ -223,8 +223,8 @@ func TestServerDecodeRejectsTrailingGarbage(t *testing.T) {
 // with a 1ns timeout and admission on, every non-exempt route's context
 // deadline has already passed at admission time (429), while the exempt
 // routes (POST /v1/rounds, GET /v1/snapshot) carry no deadline at all and
-// reach their handler.  Runs against both the single-market and the
-// sharded backend.
+// reach their handler.  Runs against a one-market and a partitioned
+// service.
 func TestServerTimeoutExemptPaths(t *testing.T) {
 	backends := map[string]func(t *testing.T) Backend{
 		"service": func(t *testing.T) Backend {
@@ -235,11 +235,8 @@ func TestServerTimeoutExemptPaths(t *testing.T) {
 			return svc
 		},
 		"sharded": func(t *testing.T) Backend {
-			bundles := make([]Shard, 2)
-			for i := range bundles {
-				bundles[i] = Shard{State: mustState(t), Solver: core.Greedy{Kind: core.MutualWeight}}
-			}
-			ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
+			solvers := []core.Solver{core.Greedy{Kind: core.MutualWeight}, core.Greedy{Kind: core.MutualWeight}}
+			ss, err := NewPartitionedService(mustState(t), solvers, benefit.DefaultParams(), nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

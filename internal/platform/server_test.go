@@ -87,8 +87,8 @@ func TestServerWorkerAndTaskLifecycle(t *testing.T) {
 }
 
 // forEachJournaledBackend runs f against each backend the HTTP layer
-// serves — one market, and four shard markets behind one API — with every
-// journal in an in-memory buffer, so a test can prove a refused write left
+// serves — one market, and one whose rounds split into four partitions —
+// with the journal in an in-memory buffer, so a test can prove a refused write left
 // nothing behind.
 func forEachJournaledBackend(t *testing.T, f func(t *testing.T, url string, b Backend, journals []*bytes.Buffer)) {
 	build := map[string]func(t *testing.T) (Backend, []*bytes.Buffer){
@@ -101,17 +101,13 @@ func forEachJournaledBackend(t *testing.T, f func(t *testing.T, url string, b Ba
 			return svc, []*bytes.Buffer{buf}
 		},
 		"sharded/4": func(t *testing.T) (Backend, []*bytes.Buffer) {
-			bufs := make([]*bytes.Buffer, 4)
-			bundles := make([]Shard, len(bufs))
-			for k := range bundles {
-				bufs[k] = &bytes.Buffer{}
-				bundles[k] = Shard{State: mustState(t), Journal: NewLog(bufs[k]), Solver: greedySolver()}
-			}
-			ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
+			buf := &bytes.Buffer{}
+			solvers := []core.Solver{greedySolver(), greedySolver(), greedySolver(), greedySolver()}
+			ss, err := NewPartitionedService(mustState(t), solvers, benefit.DefaultParams(), NewLog(buf), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ss, bufs
+			return ss, []*bytes.Buffer{buf}
 		},
 	}
 	for name, mk := range build {
@@ -161,8 +157,8 @@ func assertRefusal(t *testing.T, what string, status, wantStatus int, body, caus
 
 func TestServerRejectsInvalidPayloads(t *testing.T) {
 	forEachJournaledBackend(t, func(t *testing.T, url string, b Backend, journals []*bytes.Buffer) {
-		// A live worker resident in every shard its specialties reach, and
-		// an open task, for the duplicate cases.  Explicit IDs: a zero ID
+		// A live worker spanning every category, and an open task, for the
+		// duplicate cases.  Explicit IDs: a zero ID
 		// asks for a fresh one, so it can never collide.
 		w := validWorker()
 		w.ID, w.Specialties = 7, []int{0, 1, 2}
@@ -229,8 +225,8 @@ func TestServerDeleteUnknown(t *testing.T) {
 			})
 		}
 
-		// A second leave of a worker resident in several shards is refused
-		// whole: no shard journals a removal.
+		// A second leave of a worker spanning several categories is refused
+		// whole: nothing journals a removal.
 		w := validWorker()
 		w.Specialties = []int{0, 1, 2}
 		resp, out := postJSON(t, url+"/v1/workers", w)

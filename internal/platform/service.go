@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,21 +32,21 @@ type RoundResult struct {
 	Pairs   []AssignmentPair `json:"pairs"`
 	Metrics core.Metrics     `json:"metrics"`
 	RoundProvenance
-	// Shards carries per-shard provenance when the round was served by a
-	// ShardedService (nil for a single-market Service), and
-	// ReconcileDropped / ReconcileRefilled count the cross-shard
+	// Shards carries per-partition provenance when the round was split
+	// over more than one partition (nil for one market), and
+	// ReconcileDropped / ReconcileRefilled count the cross-partition
 	// reconciliation churn: optimistic picks dropped because a spanning
-	// worker was over-subscribed across shards, and freed slots refilled
-	// from the owning shards' remaining edges.
+	// worker was over-subscribed across partitions, and freed slots
+	// refilled from the owning partitions' remaining edges.
 	Shards            []ShardRound `json:"shards,omitempty"`
 	ReconcileDropped  int          `json:"reconcile_dropped,omitempty"`
 	ReconcileRefilled int          `json:"reconcile_refilled,omitempty"`
 }
 
 // RoundProvenance is how one market served a round: what its solve did
-// and what its commit journaled.  RoundResult carries it for a single
-// market (a sharded round aggregates StalePairs and SolveError), and each
-// ShardRound carries its shard's own.
+// and what its commit journaled.  RoundResult carries it for the round
+// (a partitioned round aggregates SolveError), and each ShardRound carries
+// its partition's solve provenance.
 type RoundProvenance struct {
 	// StalePairs counts assignments the solver produced that were dropped
 	// at commit time because their worker left or their task closed while
@@ -79,8 +82,28 @@ type RoundProvenance struct {
 	CheckpointError string `json:"checkpoint_error,omitempty"`
 }
 
-// Service runs assignment rounds over a live State with a fixed solver and
-// benefit parameters, optionally journaling every mutation to a Log.
+// ShardRound is one partition's provenance inside a partitioned round's
+// RoundResult: the partition's sub-market size at snapshot time, the pairs
+// it contributed after reconciliation, and its solve provenance.  The
+// commit-side fields of its RoundProvenance (StalePairs, Seq, Checkpointed)
+// stay empty: the round commits once, and RoundResult carries them.
+type ShardRound struct {
+	Shard   int `json:"shard"`
+	Workers int `json:"workers"`
+	Tasks   int `json:"tasks"`
+	Pairs   int `json:"pairs"`
+	// ReconcileDropped / ReconcileRefilled are this partition's share of
+	// the cross-partition reconciliation churn: optimistic picks dropped
+	// because a spanning worker was over-subscribed, and freed slots
+	// refilled from this partition's remaining edges.
+	ReconcileDropped  int `json:"reconcile_dropped,omitempty"`
+	ReconcileRefilled int `json:"reconcile_refilled,omitempty"`
+	RoundProvenance
+}
+
+// Service runs assignment rounds over a live State with benefit
+// parameters and one solver per round partition, optionally journaling
+// every mutation to a Log.
 //
 // Concurrency model: events may be submitted from many goroutines at any
 // time, including while a round is closing.  CloseRound never holds the
@@ -89,12 +112,19 @@ type RoundProvenance struct {
 // then re-acquires the state to validate the result against mutations that
 // interleaved with the solve (pairs whose endpoints vanished are dropped
 // and counted in RoundResult.StalePairs).  Rounds serialise among
-// themselves on roundMu (on ShardedService.roundMu for a shard), which also
-// guards the previous round's Problem.  Round N+1 refreshes round N's
-// problem from the churn between their snapshots (core.RebuildProblem with
-// the round's core.Delta): it copies the surviving edges into retained
-// edge columns and scores only the arrivals' edges, so a steady-state
-// round costs its churn, not the market, and allocates no new column.
+// themselves on roundMu, which also guards every partition's previous
+// round Problem.  Round N+1 refreshes round N's problem from the churn
+// between their snapshots (core.RebuildProblem with the round's
+// core.Delta): it copies the surviving edges into retained edge columns
+// and scores only the arrivals' edges, so a steady-state round costs its
+// churn, not the market, and allocates no new column.
+//
+// Partitioning is a property of the round only.  With more than one
+// partition (NewPartitionedService) the round splits its one snapshot by
+// category (ShardRouter), solves the partitions concurrently, reconciles
+// workers whose specialties span partitions, and commits the merged pairs
+// as one round: storage, journal, fence and health are the same single
+// market either way.
 //
 // Submit and SubmitBatch share one write path: a single event is a batch
 // of one, applied and journaled by State.ApplyBatchJournaled, which holds
@@ -106,9 +136,7 @@ type Service struct {
 	mu         sync.Mutex
 	state      *State
 	journal    Journal // optional journal; nil disables
-	solver     core.Solver
 	params     benefit.Params
-	rng        *stats.RNG
 	checkpoint *CheckpointManager // optional; set via SetCheckpointer
 
 	fence fence
@@ -116,8 +144,21 @@ type Service struct {
 	// when it took over from a failed primary (0 = never promoted).
 	promotedAt atomic.Uint64
 
-	roundMu sync.Mutex    // serialises CloseRound; guards prev
-	prev    *core.Problem // previous round's problem, reused as the next round's arena
+	roundMu sync.Mutex   // serialises CloseRound; guards parts
+	parts   []*partition // the round's partitions; one for an unsplit market
+}
+
+// partition is what one slice of the round keeps between rounds: its own
+// solver (stateful solvers carry duals, reports and resident edge orders
+// per market), its RNG stream, the previous round's Problem, reused as the
+// next round's arena, and — when the round is split — the ascending ID
+// lists it solved last round, which its next Delta is cut against.
+type partition struct {
+	solver                     core.Solver
+	rng                        *stats.RNG
+	prev                       *core.Problem
+	primed                     bool // prevWorkerIDs/prevTaskIDs hold a round
+	prevWorkerIDs, prevTaskIDs []int
 }
 
 // fence is a backend's epoch fence: the highest foreign replication epoch
@@ -160,14 +201,24 @@ func (f *fence) check(local uint64) error {
 // primary.
 var ErrFenced = errors.New("platform: fenced by a higher replication epoch")
 
-// NewService wires a service.  journal may be nil (no journaling); both
-// *Log and *SegmentedLog satisfy it.
+// NewService wires a service whose rounds solve the market unsplit.
+// journal may be nil (no journaling); both *Log and *SegmentedLog satisfy
+// it.
 func NewService(state *State, solver core.Solver, params benefit.Params, journal Journal, seed uint64) (*Service, error) {
+	return NewPartitionedService(state, []core.Solver{solver}, params, journal, seed)
+}
+
+// NewPartitionedService wires a service whose rounds are split into
+// len(solvers) partitions by category (see ShardRouter), each solved by
+// its own solver with its own RNG stream (seed + k·0x9e3779b97f4a7c15).
+// One solver is exactly NewService.  Partitions solve concurrently, so
+// no two may share a stateful solver instance or pinned workspace.
+func NewPartitionedService(state *State, solvers []core.Solver, params benefit.Params, journal Journal, seed uint64) (*Service, error) {
 	if state == nil {
 		return nil, fmt.Errorf("platform: nil state")
 	}
-	if solver == nil {
-		return nil, fmt.Errorf("platform: nil solver")
+	if len(solvers) < 1 {
+		return nil, fmt.Errorf("platform: a service needs at least one partition solver")
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -185,14 +236,46 @@ func NewService(state *State, solver core.Solver, params benefit.Params, journal
 			journal = nil
 		}
 	}
-	return &Service{
-		state:   state,
-		journal: journal,
-		solver:  solver,
-		params:  params,
-		rng:     stats.NewRNG(seed),
-	}, nil
+	s := &Service{state: state, journal: journal, params: params}
+	solverPtrs := map[uintptr]int{}
+	for k, solver := range solvers {
+		if solver == nil {
+			return nil, fmt.Errorf("platform: nil solver")
+		}
+		// Stateful solvers must not be shared between concurrently solving
+		// partitions; a shared pointer or pinned workspace is almost
+		// certainly that mistake.
+		if at, what := solverState(solver); at != 0 {
+			if prev, dup := solverPtrs[at]; dup {
+				return nil, fmt.Errorf("platform: partitions %d and %d share one solver %s", prev, k, what)
+			}
+			solverPtrs[at] = k
+		}
+		s.parts = append(s.parts, &partition{solver: solver, rng: stats.NewRNG(seed + uint64(k)*0x9e3779b97f4a7c15)})
+	}
+	return s, nil
 }
+
+// solverState returns where a solver keeps state between solves, and
+// what that is: the solver itself when it is a pointer, the workspace a
+// value solver pins in a *core.Workspace field (a pinned greedy keeps its
+// resident edge order there), or 0 when it keeps none.
+func solverState(s core.Solver) (uintptr, string) {
+	v := reflect.ValueOf(s)
+	switch v.Kind() {
+	case reflect.Pointer:
+		return v.Pointer(), "instance"
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Type() == workspaceType && !f.IsNil() {
+				return f.Pointer(), "workspace"
+			}
+		}
+	}
+	return 0, ""
+}
+
+var workspaceType = reflect.TypeOf((*core.Workspace)(nil))
 
 // SetCheckpointer attaches a checkpoint manager: every committed round
 // then notifies it (snapshot-on-round policy), and the HTTP API exposes
@@ -374,7 +457,10 @@ func (s *Service) CloseRoundCtx(ctx context.Context) (*RoundResult, error) {
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
 	out := s.snapshot()
-	s.solve(ctx, out)
+	if len(s.parts) > 1 {
+		return s.closePartitioned(ctx, out)
+	}
+	s.parts[0].solve(ctx, out, s.params)
 	if out.solveErr != nil && ctx.Err() != nil {
 		// The caller is gone; don't journal a marker for a round that
 		// never served anyone.
@@ -393,8 +479,9 @@ func (s *Service) CloseRoundCtx(ctx context.Context) (*RoundResult, error) {
 
 // shardSolve is one market's round in flight, between its solve and commit
 // phases: the immutable snapshot it solved, the problem (retained for the
-// sharded reconciler's refill candidates), and the pairs before the live
-// filter.
+// reconciler's refill candidates), and the pairs before the live filter.
+// A partitioned round holds one for the whole snapshot and one per
+// partition's sub-market.
 type shardSolve struct {
 	in                 *market.Instance
 	workerIDs, taskIDs []int
@@ -410,8 +497,7 @@ type shardSolve struct {
 // snapshot opens a round's solve phase: an immutable snapshot taken under
 // the state's lock only, with the churn since the previous snapshot.  The
 // churn drives the problem refresh for every solver, and a delta-aware
-// solver's repair of its carried matching.  It is separate from solve so a
-// sharded round can cut every shard's snapshot under one lock.
+// solver's repair of its carried matching.
 func (s *Service) snapshot() *shardSolve {
 	out := &shardSolve{}
 	out.in, out.workerIDs, out.taskIDs, out.delta = s.state.SnapshotDelta()
@@ -422,39 +508,37 @@ func (s *Service) snapshot() *shardSolve {
 // solve finishes the solve phase lock-free on out's snapshot: construct
 // the problem, refreshing the previous round's from out.delta, solve, and
 // record selection, pairs, metrics and solve provenance.  The caller holds
-// the round lock (roundMu, or ShardedService.roundMu for a shard), which
-// owns prev; nothing retains views into it (pairs are copied out), so the
-// reuse cannot be observed.  The panic fence covers construction as well
-// as the solve (core.RunCtx fences the solver itself), so malformed input
-// or an arena-reuse bug in the rebuild path costs one round, not the
-// process.  Construction and the solvers re-raise a panic from any of
-// their chunk goroutines on this one, so the fence holds at any
-// GOMAXPROCS.  prev is cleared across the rebuild and stored only once it
-// succeeds, so a half-built problem is never the next round's base.
-func (s *Service) solve(ctx context.Context, out *shardSolve) {
+// roundMu, which owns prev; nothing retains views into it (pairs are
+// copied out), so the reuse cannot be observed.  The panic fence covers
+// construction as well as the solve (core.RunCtx fences the solver
+// itself), so malformed input or an arena-reuse bug in the rebuild path
+// costs one round, not the process.  Construction and the solvers re-raise
+// a panic from any of their chunk goroutines on this one, so the fence
+// holds at any GOMAXPROCS.  prev is cleared across the rebuild and stored
+// only once it succeeds, so a half-built problem is never the next round's
+// base.
+func (pt *partition) solve(ctx context.Context, out *shardSolve, params benefit.Params) {
 	if out.in.NumWorkers() == 0 || out.in.NumTasks() == 0 {
 		return
 	}
-	s.mu.Lock()
-	r := s.rng.Split()
-	s.mu.Unlock()
+	r := pt.rng.Split()
 	defer func() {
 		if rec := recover(); rec != nil {
 			out.sel, out.pairs = nil, nil
 			out.solveErr = fmt.Errorf("platform: round solve panicked: %v", rec)
 		}
 	}()
-	prev := s.prev
-	s.prev = nil
-	p, err := core.RebuildProblem(prev, out.in, s.params, out.delta)
+	prev := pt.prev
+	pt.prev = nil
+	p, err := core.RebuildProblem(prev, out.in, params, out.delta)
 	if err != nil {
 		out.solveErr = err
 		return
 	}
-	s.prev = p
+	pt.prev = p
 	out.p = p
-	sel, m, err := core.RunDeltaCtx(ctx, p, s.solver, out.delta, r)
-	if rep, ok := s.solver.(core.SolveReporter); ok {
+	sel, m, err := core.RunDeltaCtx(ctx, p, pt.solver, out.delta, r)
+	if rep, ok := pt.solver.(core.SolveReporter); ok {
 		last := rep.LastReport()
 		out.info.ServedBy = last.ServedBy
 		out.info.DegradedFrom = last.DegradedFrom
@@ -515,4 +599,147 @@ func (s *Service) commit(out *shardSolve) error {
 		}
 	}
 	return nil
+}
+
+// closePartitioned closes a round over more than one partition: split the
+// snapshot into the partitions' sub-markets, solve them on a pool of
+// min(GOMAXPROCS, partitions) goroutines, reconcile workers whose
+// specialties span partitions, then commit the merged pairs as one round
+// (one live filter, one marker, one checkpoint notification).
+// Cancellation before the commit aborts the round without journaling a
+// marker; a partition's solve failure does not — the partition contributes
+// nothing, its error is recorded, and the round closes (Service's
+// solve-error policy).
+//
+// Invariant (reconciliation): the merged assignment never over-subscribes
+// a worker, even one resident in several partitions, and never over-fills
+// a task (a task lives in exactly one partition, whose solver already
+// respects its replication).
+func (s *Service) closePartitioned(ctx context.Context, all *shardSolve) (*RoundResult, error) {
+	outs := s.split(all)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(outs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range idx {
+				s.parts[k].solve(ctx, outs[k], s.params)
+			}
+		}()
+	}
+	for k := range outs {
+		idx <- k
+	}
+	close(idx)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		// The caller is gone; no marker for a round that served nobody.
+		return nil, err
+	}
+
+	dropped, refilled := reconcileShards(outs)
+	res := &RoundResult{
+		ReconcileDropped:  dropped,
+		ReconcileRefilled: refilled,
+		Shards:            make([]ShardRound, len(outs)),
+	}
+	var solveErrs []string
+	for k, out := range outs {
+		if out.solveErr != nil {
+			out.info.SolveError = out.solveErr.Error()
+			solveErrs = append(solveErrs, fmt.Sprintf("partition %d: %v", k, out.solveErr))
+		}
+		out.info.Shard = k
+		out.info.Pairs = len(out.pairs)
+		res.Shards[k] = out.info
+		all.pairs = append(all.pairs, out.pairs...)
+	}
+	if err := s.commit(all); err != nil {
+		return nil, err
+	}
+	res.Round = s.state.Rounds()
+	res.Pairs = all.pairs
+	res.RoundProvenance = all.info.RoundProvenance
+	if len(solveErrs) > 0 {
+		res.SolveError = fmt.Sprintf("%d partition(s) failed: %s", len(solveErrs), strings.Join(solveErrs, "; "))
+	}
+	res.Metrics = s.aggregateMetrics(all)
+	return res, nil
+}
+
+// split cuts a round's snapshot into the partitions' sub-markets: a task
+// goes to the partition its category routes to, a worker to every
+// partition one of its specialties routes to (ShardRouter).  Since a
+// worker is eligible only for tasks in its specialties, the sub-markets'
+// edge sets partition the market's exactly.  Every sub-market keeps the
+// snapshot's market-wide MaxPayment, so a pair scores the one-market
+// benefit whichever partition solves it.  Each partition's Delta is cut
+// against the ascending ID lists it solved last round.
+func (s *Service) split(all *shardSolve) []*shardSolve {
+	router := ShardRouter{Shards: len(s.parts)}
+	outs := make([]*shardSolve, len(s.parts))
+	for k := range outs {
+		outs[k] = &shardSolve{in: &market.Instance{
+			Name:          all.in.Name,
+			NumCategories: all.in.NumCategories,
+			MaxPayment:    all.in.MaxPayment,
+		}}
+	}
+	for i, w := range all.in.Workers {
+		for _, k := range router.WorkerShards(w.Specialties) {
+			out := outs[k]
+			w.ID = len(out.in.Workers)
+			out.in.Workers = append(out.in.Workers, w)
+			out.workerIDs = append(out.workerIDs, all.workerIDs[i])
+		}
+	}
+	for j, t := range all.in.Tasks {
+		out := outs[router.TaskShard(t.Category)]
+		t.ID = len(out.in.Tasks)
+		out.in.Tasks = append(out.in.Tasks, t)
+		out.taskIDs = append(out.taskIDs, all.taskIDs[j])
+	}
+	for k, pt := range s.parts {
+		out := outs[k]
+		out.info.Workers, out.info.Tasks = len(out.workerIDs), len(out.taskIDs)
+		if pt.primed {
+			out.delta = core.DeltaBetween(pt.prevWorkerIDs, out.workerIDs, pt.prevTaskIDs, out.taskIDs)
+		}
+		pt.primed, pt.prevWorkerIDs, pt.prevTaskIDs = true, out.workerIDs, out.taskIDs
+	}
+	return outs
+}
+
+// aggregateMetrics computes a partitioned round's metrics from its merged
+// committed pairs, with core.Problem.Evaluate's formulas over the round's
+// one snapshot: slot coverage over its open slots, Jain fairness and mean
+// benefit over every live worker (idle ones as zero).
+func (s *Service) aggregateMetrics(all *shardSolve) core.Metrics {
+	m := core.Metrics{
+		Algorithm: fmt.Sprintf("sharded/%d(%s)", len(s.parts), s.parts[0].solver.Name()),
+		Pairs:     len(all.pairs),
+	}
+	at := make(map[int]int, len(all.workerIDs))
+	for i, wid := range all.workerIDs {
+		at[wid] = i
+	}
+	benefits := make([]float64, len(all.workerIDs))
+	for _, pr := range all.pairs {
+		m.TotalMutual += pr.Mutual
+		m.TotalQuality += pr.Quality
+		m.TotalWorker += pr.Utility
+		benefits[at[pr.WorkerID]] += pr.Utility
+	}
+	if slots := all.in.TotalSlots(); slots > 0 {
+		m.SlotCoverage = float64(len(all.pairs)) / float64(slots)
+	}
+	for _, b := range benefits {
+		if b > 0 {
+			m.ActiveWorkers++
+		}
+	}
+	m.WorkerJain = stats.JainIndex(benefits)
+	m.MeanWorkerBenefit = stats.Mean(benefits)
+	return m
 }

@@ -1,26 +1,22 @@
 package platform
 
-import (
-	"fmt"
-	"path/filepath"
-	"sort"
-)
+import "sort"
 
-// ShardRouter maps market entities onto shards.  The key is the category:
-// a task lives in exactly the shard that owns its category, and a worker is
-// resident in every shard owning one of its specialties (its first
-// specialty's shard is its home).  Because the benefit model only creates
-// edges between a worker and tasks in its specialty categories, this
-// placement puts every eligible (worker, task) edge in exactly one shard —
-// per-shard solves see complete local markets, and only workers whose
-// specialties span shards can be globally over-subscribed (the
-// reconciliation pass's job).
+// ShardRouter maps market entities onto a round's partitions.  The key is
+// the category: a task lives in exactly the partition that owns its
+// category, and a worker is resident in every partition owning one of its
+// specialties.  Because the benefit model only creates edges between a
+// worker and tasks in its specialty categories, this placement puts every
+// eligible (worker, task) edge in exactly one partition — per-partition
+// solves see complete local markets, and only workers whose specialties
+// span partitions can be over-subscribed across them (the reconciliation
+// pass's job).
 //
-// The mapping is a pure function of (category, Shards): routing tables can
-// always be rebuilt from recovered shard states, and a shard-count change
-// is detectable as residency that contradicts the router.
+// The mapping is a pure function of (category, Shards), recomputed every
+// round from one market's snapshot, so the partition count may change
+// freely between restarts.
 type ShardRouter struct {
-	// Shards is the shard count (≥ 1).
+	// Shards is the partition count (≥ 1).
 	Shards int
 }
 
@@ -62,13 +58,4 @@ func (r ShardRouter) WorkerShards(specialties []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ShardDir returns the per-shard journal/snapshot directory under a sharded
-// service's root: <dir>/shard-0003.  Each shard's SegmentedLog, snapshots
-// and CheckpointManager all live in its own subdirectory, so single-shard
-// recovery (RecoverDir on one subdirectory) never reads another shard's
-// files.
-func ShardDir(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d", shard))
 }

@@ -1,13 +1,12 @@
 package platform
 
-// Sharded chaos suite: ≥120 rounds over a 4-shard service with one shard's
-// journal injecting fault bursts, every shard's solver panicking on its own
-// schedule, and concurrent churn through the routing layer.  Picked up by
-// `make chaos` alongside the single-market run.  A single flaky shard is the
-// deliberate fault model: it exercises every sharded failure path — fan-out
-// submit failure, cross-shard compensation, marker-commit failure, retry —
-// while compensation itself always lands on clean journals, mirroring the
-// single-machine-failure assumption the crash suite makes.
+// Partitioned chaos suite: ≥120 rounds over a service whose rounds split
+// into 4 partitions, with its journal injecting fault bursts, every
+// partition's solver panicking on its own schedule, and concurrent churn.
+// Picked up by `make chaos` alongside the single-market run.  It exercises
+// every partitioned failure path — a failed submit, a marker-commit
+// failure and its retry, a panicking partition — and checks every merged
+// round for stale, duplicate and over-subscribed pairs.
 
 import (
 	"bytes"
@@ -26,12 +25,11 @@ import (
 const (
 	chaosShardedShards     = 4
 	chaosShardedCategories = 6
-	chaosShardedFlakyShard = 1 // markers fail here; shards 2,3 never inflate
 )
 
 // chaosShardedWorker draws a worker profile spanning 1–3 of the 6
 // categories, so a large fraction of the population is resident in several
-// shards and the reconciliation + fan-out paths stay hot.
+// partitions and the reconciliation path stays hot.
 func chaosShardedWorker(rng *stats.RNG) market.Worker {
 	w := market.Worker{
 		Capacity:        1 + rng.Intn(3),
@@ -77,38 +75,28 @@ func TestChaosShardedRounds(t *testing.T) {
 	)
 	seed := chaosSeed(t)
 
-	// One shard's journal fails in bursts of two (defeating MaxRetries 1);
-	// the rest are clean, so compensation for a partial fan-out is always
-	// recoverable — the run must end with zero cross-shard inconsistency.
-	var bufs [chaosShardedShards]bytes.Buffer
-	var flaky *faultinject.FlakyWriter
-	bundles := make([]Shard, chaosShardedShards)
-	for k := range bundles {
-		st, err := NewState(chaosShardedCategories)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w *faultinject.FlakyWriter
-		if k == chaosShardedFlakyShard {
-			w = faultinject.NewFlakyWriter(&bufs[k], func(op int) bool { return op%17 < 2 })
-			flaky = w
-		} else {
-			w = faultinject.NewFlakyWriter(&bufs[k], func(int) bool { return false })
-		}
-		// Every shard gets its own degrader chain with its own panic
-		// schedules — shards solve concurrently and the round must absorb a
-		// panicking shard (empty contribution, SolveError) without failing.
-		solver := core.NewDegrader(0,
+	// The journal fails in bursts of two (defeating MaxRetries 1), so
+	// submits and round markers both fail now and then; every failure must
+	// roll back cleanly.
+	var buf bytes.Buffer
+	flaky := faultinject.NewFlakyWriter(&buf, func(op int) bool { return op%17 < 2 })
+	st, err := NewState(chaosShardedCategories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every partition gets its own degrader chain with its own panic
+	// schedules — partitions solve concurrently and the round must absorb
+	// a panicking partition (empty contribution, SolveError) without
+	// failing.
+	solvers := make([]core.Solver, chaosShardedShards)
+	for k := range solvers {
+		solvers[k] = core.NewDegrader(0,
 			faultinject.NewPanicSolver(core.LocalSearch{Kind: core.MutualWeight}, faultinject.EveryNth(5+k)),
 			faultinject.NewPanicSolver(core.Greedy{Kind: core.MutualWeight}, faultinject.EveryNth(11+k)),
 		)
-		bundles[k] = Shard{
-			State:   st,
-			Solver:  solver,
-			Journal: NewLogWithOptions(w, LogOptions{MaxRetries: 1, RetryBackoff: 50 * time.Microsecond}),
-		}
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), seed)
+	ss, err := NewPartitionedService(st, solvers, benefit.DefaultParams(),
+		NewLogWithOptions(flaky, LogOptions{MaxRetries: 1, RetryBackoff: 50 * time.Microsecond}), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +185,8 @@ func TestChaosShardedRounds(t *testing.T) {
 		deadWorkers, deadTasks := ledger.snapshot()
 		res, err := ss.CloseRound()
 		if err != nil {
-			// Only the flaky shard's marker append can fail the round; the
-			// commit aborts there, so Rounds() (the min) is untouched.
+			// Only the marker append can fail the round, and a failed
+			// append rolls back, so Rounds() is untouched.
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("round failed for a non-injected reason: %v", err)
 			}
@@ -210,7 +198,7 @@ func TestChaosShardedRounds(t *testing.T) {
 			degradedRounds++
 		}
 		// Stale-assignment check (per entity) and merged feasibility check
-		// (per spanning worker, across shard contributions).
+		// (per spanning worker, across partition contributions).
 		perWorker := map[int]int{}
 		seenPair := map[[2]int]bool{}
 		for _, pr := range res.Pairs {
@@ -234,13 +222,10 @@ func TestChaosShardedRounds(t *testing.T) {
 			if !ok {
 				// The join committed but the churner hasn't recorded it yet
 				// (Submit returns before recordWorker runs); read the profile
-				// from the live shards instead.  A worker that already left
+				// from the live state instead.  A worker that already left
 				// again can't be capacity-checked — the ledger check above
 				// already proved it wasn't removed before the round began.
-				for k := 0; k < ss.NumShards() && !ok; k++ {
-					w, ok = ss.ShardState(k).Worker(wid)
-				}
-				if !ok {
+				if w, ok = st.Worker(wid); !ok {
 					continue
 				}
 			}
@@ -259,29 +244,19 @@ func TestChaosShardedRounds(t *testing.T) {
 		t.Fatal("chaos run injected no journal faults — schedule dead")
 	}
 
-	// Every shard's journal must be perfectly clean and replay to exactly
-	// that shard's live state — including the flaky one, whose failed
-	// appends all rolled back or retried into success.  (Per-shard round
-	// counters may legitimately exceed the service minimum: shards before
-	// the flaky one keep their marker when a commit aborts.)
-	totalEvents := 0
-	for k := range bufs {
-		events, err := ReadLog(bytes.NewReader(bufs[k].Bytes()))
-		if err != nil {
-			t.Fatalf("shard %d journal corrupt after chaos: %v", k, err)
-		}
-		totalEvents += len(events)
-		replayed, err := Replay(chaosShardedCategories, events)
-		if err != nil {
-			t.Fatalf("shard %d replay: %v", k, err)
-		}
-		if !bytes.Equal(stateBytes(t, replayed), stateBytes(t, ss.ShardState(k))) {
-			t.Fatalf("shard %d: replayed journal diverges from live state", k)
-		}
-		if r := ss.ShardState(k).Rounds(); r < rounds {
-			t.Fatalf("shard %d committed %d rounds, service closed %d", k, r, rounds)
-		}
+	// The journal must be perfectly clean and replay to exactly the live
+	// state: every failed append rolled back or retried into success.
+	events, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("journal corrupt after chaos: %v", err)
 	}
-	t.Logf("sharded chaos: %d rounds (%d marker failures retried, %d with a degraded shard), %d faults injected on shard %d, %d events across %d journals",
-		rounds, failedRounds, degradedRounds, flaky.Injections(), chaosShardedFlakyShard, totalEvents, chaosShardedShards)
+	replayed, err := Replay(chaosShardedCategories, events)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !bytes.Equal(stateBytes(t, replayed), stateBytes(t, st)) {
+		t.Fatal("replayed journal diverges from live state")
+	}
+	t.Logf("partitioned chaos: %d rounds (%d marker failures retried, %d with a degraded partition), %d faults injected, %d events journaled",
+		rounds, failedRounds, degradedRounds, flaky.Injections(), len(events))
 }

@@ -1,24 +1,17 @@
 package platform
 
-// Sharded crash-fidelity suite: the single-market crash harness
-// (crash_test.go) extended to the 4-shard stack.  A deterministic script
-// runs once crash-free, then re-runs with a power cut injected into ONE
-// shard's checkpoint/segment writers at every crash point — the fault model
-// is a single shard machine dying, which is why the at-crash property is
-// per shard: every shard directory must recover BYTE-IDENTICALLY to that
-// shard's committed in-memory state.
-//
-// The final states of a crash run and the reference are compared as entity
-// content (dense snapshot instances), not bytes: a mid-fan-out crash leaves
-// durable compensation events on the clean shards and a mid-commit crash
-// leaves earlier shards a round marker ahead, so ID counters and per-shard
-// round counters legitimately diverge — what must NOT diverge is which
-// workers and tasks are live, their profiles, and the service round count.
+// Partitioned crash-fidelity suite: the single-market crash harness
+// (crash_test.go) driven through a service whose rounds split into 4
+// partitions, over an 8-category market where most workers span
+// partitions.  A deterministic script runs once crash-free, then re-runs
+// with a power cut injected at each checkpoint/segment crash point; the
+// directory must recover byte-identically to the committed state at the
+// crash, and the final state must equal the crash-free reference byte for
+// byte.  Partitioning lives in the round only, so one journal and one
+// snapshot series carry the whole market.
 
 import (
 	"bytes"
-	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/benefit"
@@ -34,8 +27,8 @@ const (
 )
 
 // shardedCrashWorker draws an 8-category profile; ~35% specialty density
-// means most workers span shards, keeping fan-out writes (the crash
-// surface) on the scripted path.
+// means most workers span partitions, keeping reconciliation on the
+// scripted rounds' path.
 func shardedCrashWorker(rng *stats.RNG) market.Worker {
 	w := market.Worker{
 		Capacity:        1 + rng.Intn(3),
@@ -87,168 +80,35 @@ func buildShardedCrashScript(seed uint64, rounds int) []crashOp {
 	return ops
 }
 
-// buildShardedCrashStack assembles the mbaserve -shards recovery+serve
-// stack over dir, arming the crash hook on exactly crashShard (-1 = none).
-func buildShardedCrashStack(t *testing.T, dir string, hook CrashHook, crashShard int) *ShardedService {
+// buildShardedCrashStack assembles the mbaserve -shards 4 recovery+serve
+// stack over dir: RecoverDir, OpenSegmentedLog (which heals any torn
+// tail), a partitioned service and its checkpoint manager.
+func buildShardedCrashStack(t *testing.T, dir string, hook CrashHook) (*Service, *State) {
 	t.Helper()
-	states, _, err := RecoverShardedDir(dir, crashShardedCategories, crashShardedShards)
+	st, _, err := RecoverDir(dir, crashShardedCategories)
 	if err != nil {
 		t.Fatalf("recovering %s: %v", dir, err)
 	}
-	bundles := make([]Shard, crashShardedShards)
-	for k := range bundles {
-		var h CrashHook
-		if k == crashShard {
-			h = hook
-		}
-		seg, err := OpenSegmentedLog(ShardDir(dir, k), SegmentOptions{MaxBytes: 4 << 10, Hook: h})
-		if err != nil {
-			t.Fatalf("opening shard %d segmented log: %v", k, err)
-		}
-		cm, err := NewCheckpointManager(states[k], seg, CheckpointOptions{EveryRounds: 3, Keep: 2, Hook: h})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solver, err := core.ByName("greedy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		bundles[k] = Shard{State: states[k], Journal: seg, Solver: solver, Checkpoint: cm}
+	seg, err := OpenSegmentedLog(dir, SegmentOptions{MaxBytes: 4 << 10, Hook: hook})
+	if err != nil {
+		t.Fatalf("opening segmented log: %v", err)
 	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
+	solvers := make([]core.Solver, crashShardedShards)
+	for k := range solvers {
+		if solvers[k], err = core.ByName("greedy"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := NewPartitionedService(st, solvers, benefit.DefaultParams(), seg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss
-}
-
-// shardedCrashRun executes the script against a sharded service, resolving
-// removal targets from its own committed-ID ledgers.  The ledgers, not a
-// state snapshot, are the resolution source because the sharded service has
-// no single global ID list — and because they make target choice identical
-// across the reference and every crash run (both commit the same op
-// sequence, even though a crash run may skip ID numbers).
-type shardedCrashRun struct {
-	ss      *ShardedService
-	workers []int // committed live worker IDs, ascending (IDs are monotone)
-	tasks   []int
-}
-
-func (run *shardedCrashRun) exec(op crashOp) error {
-	switch op.kind {
-	case 'w':
-		ev, err := run.ss.Submit(NewWorkerJoined(op.w))
-		if err == nil {
-			run.workers = append(run.workers, ev.Worker.ID)
-		}
-		return err
-	case 't':
-		ev, err := run.ss.Submit(NewTaskPosted(op.tk))
-		if err == nil {
-			run.tasks = append(run.tasks, ev.Task.ID)
-		}
-		return err
-	case 'W':
-		if len(run.workers) == 0 {
-			return nil
-		}
-		k := op.pick % len(run.workers)
-		if _, err := run.ss.Submit(NewWorkerLeft(run.workers[k])); err != nil {
-			return err
-		}
-		run.workers = append(run.workers[:k], run.workers[k+1:]...)
-		return nil
-	case 'T':
-		if len(run.tasks) == 0 {
-			return nil
-		}
-		k := op.pick % len(run.tasks)
-		if _, err := run.ss.Submit(NewTaskClosed(run.tasks[k])); err != nil {
-			return err
-		}
-		run.tasks = append(run.tasks[:k], run.tasks[k+1:]...)
-		return nil
-	case 'r':
-		_, err := run.ss.CloseRound()
-		return err
+	cm, err := NewCheckpointManager(st, seg, CheckpointOptions{EveryRounds: 3, Keep: 2, Hook: hook})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nil
-}
-
-// shardedCrashFingerprint is the ID-number-free content of a final state:
-// per-shard dense snapshot instances plus global counts and the committed
-// round count.
-type shardedCrashFingerprint struct {
-	instances      []*market.Instance
-	workers, tasks int
-	rounds         int
-}
-
-func fingerprintSharded(ss *ShardedService) shardedCrashFingerprint {
-	fp := shardedCrashFingerprint{rounds: ss.Rounds()}
-	fp.workers, fp.tasks = ss.Counts()
-	for k := 0; k < ss.NumShards(); k++ {
-		in, _, _ := ss.ShardState(k).Snapshot()
-		fp.instances = append(fp.instances, in)
-	}
-	return fp
-}
-
-// runShardedCrashScript is runCrashScript for the sharded stack: execute,
-// crash at most once on crashShard, verify every shard recovers
-// byte-identically at the crash, rebuild hook-free, continue to the end.
-func runShardedCrashScript(t *testing.T, dir string, ops []crashOp, cr *faultinject.Crasher, crashShard int) shardedCrashFingerprint {
-	t.Helper()
-	var hook CrashHook
-	if cr != nil {
-		hook = cr
-	}
-	run := &shardedCrashRun{ss: buildShardedCrashStack(t, dir, hook, crashShard)}
-	armed := cr
-	for i := 0; i < len(ops); {
-		err := run.exec(ops[i])
-		fired := armed != nil && armed.Fired()
-		if err != nil && !fired {
-			t.Fatalf("op %d (%c) failed without a crash: %v", i, ops[i].kind, err)
-		}
-		if !fired {
-			i++
-			continue
-		}
-		// Shard crashShard's machine died.  Same redo rule as the
-		// single-market harness: a failed call rolled back everywhere
-		// (compensation) and is redone; a nil-error crash hit the post-commit
-		// checkpoint and is not.
-		t.Logf("crashed at op %d (%c) on shard %d", i, ops[i].kind, crashShard)
-		if err == nil {
-			i++
-		} else if !errors.Is(err, faultinject.ErrCrash) {
-			t.Fatalf("op %d: crash-run failure is not the injected crash: %v", i, err)
-		}
-		committed := make([][]byte, crashShardedShards)
-		for k := 0; k < crashShardedShards; k++ {
-			committed[k] = stateBytes(t, run.ss.ShardState(k))
-		}
-
-		// "Restart": every shard directory must land exactly on its
-		// committed state — the crashed shard because its torn tail heals
-		// away, the clean shards because their journals are fully durable.
-		rec, _, rerr := RecoverShardedDir(dir, crashShardedCategories, crashShardedShards)
-		if rerr != nil {
-			t.Fatalf("recovery after crash at op %d: %v", i, rerr)
-		}
-		for k, st := range rec {
-			if !bytes.Equal(stateBytes(t, st), committed[k]) {
-				t.Fatalf("crash at op %d: shard %d recovered state != committed state", i, k)
-			}
-		}
-		run.ss = buildShardedCrashStack(t, dir, nil, -1)
-		armed = nil
-	}
-	if cr != nil && !cr.Fired() {
-		t.Fatal("crasher never fired — its schedule points past the workload; lower the hit count")
-	}
-	return fingerprintSharded(run.ss)
+	svc.SetCheckpointer(cm)
+	return svc, st
 }
 
 func TestCrashShardedRecoveryFidelity(t *testing.T) {
@@ -256,41 +116,35 @@ func TestCrashShardedRecoveryFidelity(t *testing.T) {
 	const rounds = 45
 	ops := buildShardedCrashScript(seed, rounds)
 
-	ref := runShardedCrashScript(t, t.TempDir(), ops, nil, -1)
-	if ref.rounds != rounds {
-		t.Fatalf("reference closed %d rounds, want %d", ref.rounds, rounds)
+	ref := runCrashScript(t, t.TempDir(), ops, nil, buildShardedCrashStack)
+	_, refInfo, err := DecodeSnapshot(bytes.NewReader(ref))
+	if err != nil {
+		t.Fatalf("reference state does not decode: %v", err)
 	}
-	if ref.workers == 0 || ref.tasks == 0 {
-		t.Fatalf("reference ended empty (%d workers, %d tasks) — script too destructive", ref.workers, ref.tasks)
+	if refInfo.Rounds != rounds {
+		t.Fatalf("reference closed %d rounds, want %d", refInfo.Rounds, rounds)
 	}
 
 	specs := []struct {
-		name  string
-		shard int
-		mk    func() *faultinject.Crasher
+		name string
+		mk   func() *faultinject.Crasher
 	}{
-		{"torn-segment-write-early", 0, func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSegmentWrite, 5) }},
-		{"torn-segment-write-mid", 2, func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSegmentWrite, 60) }},
-		{"torn-segment-write-late", 3, func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSegmentWrite, 120) }},
-		{"torn-snapshot-body", 2, func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSnapshotBody, 0) }},
-		{"cut-before-snapshot-sync", 3, func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSnapshotSync, 1) }},
-		{"cut-before-snapshot-rename", 1, func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSnapshotRename, 2) }},
-		{"cut-creating-first-segment", 0, func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSegmentRotate, 0) }},
-		{"cut-mid-rotation", 1, func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSegmentRotate, 1) }},
+		{"torn-segment-write-early", func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSegmentWrite, 5) }},
+		{"torn-segment-write-mid", func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSegmentWrite, 60) }},
+		{"torn-segment-write-late", func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSegmentWrite, 120) }},
+		{"torn-snapshot-body", func() *faultinject.Crasher { return faultinject.NewTornCrasher(CrashSnapshotBody, 0) }},
+		{"cut-before-snapshot-sync", func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSnapshotSync, 1) }},
+		{"cut-before-snapshot-rename", func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSnapshotRename, 2) }},
+		{"cut-creating-first-segment", func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSegmentRotate, 0) }},
+		{"cut-mid-rotation", func() *faultinject.Crasher { return faultinject.NewCrasher(CrashSegmentRotate, 1) }},
 	}
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
 			t.Parallel()
-			got := runShardedCrashScript(t, t.TempDir(), ops, spec.mk(), spec.shard)
-			if got.rounds != ref.rounds || got.workers != ref.workers || got.tasks != ref.tasks {
-				t.Fatalf("crash run ended with %d/%d/%d (rounds/workers/tasks), reference %d/%d/%d",
-					got.rounds, got.workers, got.tasks, ref.rounds, ref.workers, ref.tasks)
-			}
-			for k := range ref.instances {
-				if !reflect.DeepEqual(got.instances[k], ref.instances[k]) {
-					t.Fatalf("shard %d entity content after crash→recover→continue diverges from the crash-free reference", k)
-				}
+			got := runCrashScript(t, t.TempDir(), ops, spec.mk(), buildShardedCrashStack)
+			if !bytes.Equal(got, ref) {
+				t.Fatal("final state after crash→recover→continue diverges from the crash-free reference")
 			}
 		})
 	}

@@ -1,9 +1,18 @@
 package platform
 
+// Partitioned-round tests: a Service built by NewPartitionedService keeps
+// one State and one journal and splits the market only when a round
+// closes.  These pin the split (routing, market-wide pricing, shard-count
+// independence), the merge (reconciliation, provenance, metrics), and
+// that a directory written under one partition count serves under any.
+
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,29 +20,39 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/market"
+	"repro/internal/stats"
 )
 
-// newTestShardedService assembles an in-memory (journal-less) sharded
-// service; mkSolver is called once per shard so solver state is never
-// shared.
-func newTestShardedService(t *testing.T, shards, categories int, mkSolver func() core.Solver, seed uint64) *ShardedService {
+// newTestShardedService assembles an in-memory (journal-less) service
+// whose rounds split into the given partition count; mkSolver is called
+// once per partition so solver state is never shared.
+func newTestShardedService(t *testing.T, shards, categories int, mkSolver func() core.Solver, seed uint64) *Service {
 	t.Helper()
-	bundles := make([]Shard, shards)
-	for k := range bundles {
-		st, err := NewState(categories)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bundles[k] = Shard{State: st, Solver: mkSolver()}
-	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), seed)
+	st, err := NewState(categories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss
+	solvers := make([]core.Solver, shards)
+	for k := range solvers {
+		solvers[k] = mkSolver()
+	}
+	svc, err := NewPartitionedService(st, solvers, benefit.DefaultParams(), nil, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
 }
 
 func greedySolver() core.Solver { return core.Greedy{Kind: core.MutualWeight, WS: &core.Workspace{}} }
+
+// greedySolvers returns n greedy solvers, each with its own workspace.
+func greedySolvers(n int) []core.Solver {
+	solvers := make([]core.Solver, n)
+	for k := range solvers {
+		solvers[k] = greedySolver()
+	}
+	return solvers
+}
 
 // spanningSpecialties returns two categories routed to different shards
 // (they exist whenever categories span more shards than one).
@@ -70,232 +89,228 @@ func shardedTask(category int) market.Task {
 	return market.Task{Category: category, Replication: 2, Payment: 5, Difficulty: 0.3}
 }
 
+// TestShardedServiceRoutingAndFanout: IDs are the one market's, starting
+// at 0, and a round places a spanning worker in every partition one of its
+// specialties routes to and a task in exactly one.
 func TestShardedServiceRoutingAndFanout(t *testing.T) {
 	const categories, shards = 8, 4
 	ss := newTestShardedService(t, shards, categories, greedySolver, 1)
 	c0, c1 := spanningSpecialties(t, categories, shards)
 	router := ShardRouter{Shards: shards}
 
-	// A spanning worker is resident in exactly its specialty shards.
 	ev, err := ss.Submit(NewWorkerJoined(shardedWorker(categories, c0, c1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wid := ev.Worker.ID
-	if wid != 1 {
-		t.Fatalf("first worker ID = %d, want 1 (global IDs start at 1)", wid)
+	if wid != 0 {
+		t.Fatalf("first worker ID = %d, want 0 (IDs start at 0, as for one market)", wid)
 	}
 	wantShards := router.WorkerShards([]int{c0, c1})
 	if len(wantShards) != 2 {
-		t.Fatalf("specialties %d,%d map to %v, want two shards", c0, c1, wantShards)
+		t.Fatalf("specialties %d,%d map to %v, want two partitions", c0, c1, wantShards)
 	}
-	for k := 0; k < shards; k++ {
-		_, ok := ss.ShardState(k).Worker(wid)
-		want := k == wantShards[0] || k == wantShards[1]
-		if ok != want {
-			t.Fatalf("worker %d resident in shard %d = %v, want %v", wid, k, ok, want)
+	for _, c := range []int{c0, c1} {
+		if _, err := ss.Submit(NewTaskPosted(shardedTask(c))); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if w, tk := ss.Counts(); w != 1 || tk != 2 {
+		t.Fatalf("Counts = %d/%d, want 1/2", w, tk)
+	}
 
-	// A task lives in exactly the shard its category routes to.
-	ev, err = ss.Submit(NewTaskPosted(shardedTask(c1)))
+	res, err := ss.CloseRound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tid := ev.Task.ID
-	home := router.TaskShard(c1)
-	for k := 0; k < shards; k++ {
-		_, ok := ss.ShardState(k).Task(tid)
-		if ok != (k == home) {
-			t.Fatalf("task %d in shard %d = %v, want %v", tid, k, ok, k == home)
+	for k, sr := range res.Shards {
+		wantW := 0
+		if k == wantShards[0] || k == wantShards[1] {
+			wantW = 1
+		}
+		wantT := 0
+		for _, c := range []int{c0, c1} {
+			if router.TaskShard(c) == k {
+				wantT++
+			}
+		}
+		if sr.Workers != wantW || sr.Tasks != wantT {
+			t.Fatalf("partition %d holds %d workers / %d tasks, want %d/%d", k, sr.Workers, sr.Tasks, wantW, wantT)
 		}
 	}
-	if w, tk := ss.Counts(); w != 1 || tk != 1 {
-		t.Fatalf("Counts = %d/%d, want 1/1 (spanning worker counted once)", w, tk)
+	// Capacity 2 covers both tasks, one in each of the worker's partitions.
+	if len(res.Pairs) != 2 {
+		t.Fatalf("spanning worker got %d pairs, want 2", len(res.Pairs))
 	}
 
-	// Removal fans out to every resident shard.
 	if _, err := ss.Submit(NewWorkerLeft(wid)); err != nil {
 		t.Fatal(err)
-	}
-	for k := 0; k < shards; k++ {
-		if _, ok := ss.ShardState(k).Worker(wid); ok {
-			t.Fatalf("worker %d still in shard %d after leave", wid, k)
-		}
 	}
 	if _, err := ss.Submit(NewWorkerLeft(wid)); err == nil {
 		t.Fatal("second leave of the same worker succeeded")
 	}
+}
 
-	// Round markers belong to CloseRound, not Submit.
-	if _, err := ss.Submit(NewRoundClosed(0)); err == nil {
-		t.Fatal("Submit accepted a round marker")
+// shardedChurn drives one round's worth of seeded churn: joins and posts
+// from the crash-script generators, then a few leaves and closes.
+func shardedChurn(t *testing.T, svc *Service, rng *stats.RNG) {
+	t.Helper()
+	for i := 0; i < 6; i++ {
+		if _, err := svc.Submit(NewWorkerJoined(shardedCrashWorker(rng))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Submit(NewTaskPosted(shardedCrashTask(rng))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, workerIDs, taskIDs := svc.State().Snapshot()
+	for i := 0; i < 2 && len(workerIDs) > 4; i++ {
+		k := rng.Intn(len(workerIDs))
+		if _, err := svc.Submit(NewWorkerLeft(workerIDs[k])); err != nil {
+			t.Fatal(err)
+		}
+		workerIDs = append(workerIDs[:k], workerIDs[k+1:]...)
+	}
+	for i := 0; i < 2 && len(taskIDs) > 4; i++ {
+		k := rng.Intn(len(taskIDs))
+		if _, err := svc.Submit(NewTaskClosed(taskIDs[k])); err != nil {
+			t.Fatal(err)
+		}
+		taskIDs = append(taskIDs[:k], taskIDs[k+1:]...)
 	}
 }
 
-// TestShardedSubmitCompensation pins the all-or-nothing Submit contract: a
-// journal failure on the second target shard must undo the first shard's
-// apply and leave the worker fully absent.
-func TestShardedSubmitCompensation(t *testing.T) {
-	const categories, shards = 8, 4
-	c0, c1 := spanningSpecialties(t, categories, shards)
-	router := ShardRouter{Shards: shards}
-	targets := router.WorkerShards([]int{c0, c1})
+// TestShardCountIndependence: partitioning changes how a round is solved,
+// never what a pair is worth.  A seeded churn-and-round script runs at 1,
+// 2, 4 and 8 partitions; every returned pair's Mutual must equal, bit for
+// bit, the M the one-market Problem scores for that pair, and every round
+// must be feasible and reference only live entities.
+func TestShardCountIndependence(t *testing.T) {
+	params := benefit.DefaultParams()
+	for _, solver := range []string{"greedy", "incremental"} {
+		for _, shards := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/%d", solver, shards), func(t *testing.T) {
+				st, err := NewState(crashShardedCategories)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solvers := make([]core.Solver, shards)
+				for k := range solvers {
+					if solvers[k], err = core.ByName(solver); err != nil {
+						t.Fatal(err)
+					}
+				}
+				svc, err := NewPartitionedService(st, solvers, params, nil, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := stats.NewRNG(21)
+				paired := 0
+				for round := 0; round < 15; round++ {
+					shardedChurn(t, svc, rng)
+					in, workerIDs, taskIDs := st.Snapshot()
+					p, err := core.NewProblem(in, params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := make(map[[2]int]float64, p.NumEdges())
+					for e := 0; e < p.NumEdges(); e++ {
+						m[[2]int{workerIDs[p.W[e]], taskIDs[p.T[e]]}] = p.M[e]
+					}
+					workers := map[int]market.Worker{}
+					for i, id := range workerIDs {
+						workers[id] = in.Workers[i]
+					}
+					tasks := map[int]market.Task{}
+					for j, id := range taskIDs {
+						tasks[id] = in.Tasks[j]
+					}
 
-	bundles := make([]Shard, shards)
-	var bufs [4]bytes.Buffer
-	var flaky *faultinject.FlakyWriter
-	for k := range bundles {
-		st, err := NewState(categories)
-		if err != nil {
-			t.Fatal(err)
+					res, err := svc.CloseRound()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.SolveError != "" || res.StalePairs != 0 {
+						t.Fatalf("round %d: solve error %q, %d stale pairs", round, res.SolveError, res.StalePairs)
+					}
+					checkMergedFeasibility(t, res, workers, tasks)
+					for _, pr := range res.Pairs {
+						want, ok := m[[2]int{pr.WorkerID, pr.TaskID}]
+						if !ok {
+							t.Fatalf("round %d: pair (%d,%d) is no edge of the one market", round, pr.WorkerID, pr.TaskID)
+						}
+						if math.Float64bits(pr.Mutual) != math.Float64bits(want) {
+							t.Fatalf("round %d: pair (%d,%d) Mutual %v, one-market M %v",
+								round, pr.WorkerID, pr.TaskID, pr.Mutual, want)
+						}
+					}
+					paired += len(res.Pairs)
+				}
+				if paired == 0 {
+					t.Fatal("no round assigned anything")
+				}
+			})
 		}
-		var w *faultinject.FlakyWriter
-		if k == targets[1] {
-			// The SECOND shard of the fan-out fails its first append.
-			w = faultinject.NewFlakyWriter(&bufs[k], faultinject.Once(0))
-			flaky = w
-		} else {
-			w = faultinject.NewFlakyWriter(&bufs[k], func(int) bool { return false })
-		}
-		bundles[k] = Shard{
-			State:   st,
-			Solver:  greedySolver(),
-			Journal: NewLogWithOptions(w, LogOptions{}),
-		}
-	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := ss.Submit(NewWorkerJoined(shardedWorker(categories, c0, c1))); err == nil {
-		t.Fatal("join over a failing shard journal succeeded")
-	}
-	if flaky.Injections() == 0 {
-		t.Fatal("fault never injected — the fan-out order changed?")
-	}
-	if w, _ := ss.Counts(); w != 0 {
-		t.Fatalf("Counts reports %d workers after a compensated join", w)
-	}
-	for k := 0; k < shards; k++ {
-		if w, _ := ss.ShardState(k).Counts(); w != 0 {
-			t.Fatalf("shard %d still holds a worker after compensation", k)
-		}
-	}
-
-	// The rolled-back ID is handed out again on retry.
-	ev, err := ss.Submit(NewWorkerJoined(shardedWorker(categories, c0, c1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Worker.ID != 1 {
-		t.Fatalf("retried join got ID %d, want 1 (counter rolled back)", ev.Worker.ID)
 	}
 }
 
 // TestShardedRecoveryByteIdentical runs a churn-and-rounds workload over a
-// fully journaled+checkpointed 4-shard stack, then recovers every shard
-// directory and requires each recovered state to be byte-identical to the
-// live one — and the recovered stack to serve.
+// journaled and checkpointed 4-partition service, then recovers its
+// directory and requires the recovered state to be byte-identical to the
+// live one — and the recovered service to serve without re-issuing IDs.
 func TestShardedRecoveryByteIdentical(t *testing.T) {
-	const categories, shards = 8, 4
+	const shards = 4
 	dir := t.TempDir()
-
-	build := func() (*ShardedService, []*SegmentedLog) {
-		bundles := make([]Shard, shards)
-		states, _, err := RecoverShardedDir(dir, categories, shards)
+	open := func() (*Service, *SegmentedLog) {
+		st, seg, cm, _, err := OpenMarketDir(dir, crashShardedCategories, SegmentOptions{MaxBytes: 2 << 10},
+			&CheckpointOptions{EveryRounds: 3, Keep: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var segs []*SegmentedLog
-		for k := range bundles {
-			seg, err := OpenSegmentedLog(ShardDir(dir, k), SegmentOptions{MaxBytes: 2 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cm, err := NewCheckpointManager(states[k], seg, CheckpointOptions{EveryRounds: 3, Keep: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bundles[k] = Shard{State: states[k], Journal: seg, Solver: greedySolver(), Checkpoint: cm}
-			segs = append(segs, seg)
-		}
-		ss, err := NewShardedService(bundles, benefit.DefaultParams(), 7)
+		svc, err := NewPartitionedService(st, greedySolvers(shards), benefit.DefaultParams(), seg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss, segs
+		svc.SetCheckpointer(cm)
+		return svc, seg
 	}
 
-	ss, segs := build()
-	var workerIDs, taskIDs []int
-	for i := 0; i < 24; i++ {
-		ev, err := ss.Submit(NewWorkerJoined(shardedWorker(categories, i%categories, (i*3+1)%categories)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		workerIDs = append(workerIDs, ev.Worker.ID)
-		ev, err = ss.Submit(NewTaskPosted(shardedTask(i % categories)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		taskIDs = append(taskIDs, ev.Task.ID)
-	}
+	svc, seg := open()
+	rng := stats.NewRNG(3)
 	for r := 0; r < 10; r++ {
-		if _, err := ss.CloseRound(); err != nil {
+		shardedChurn(t, svc, rng)
+		if _, err := svc.CloseRound(); err != nil {
 			t.Fatal(err)
 		}
-		if r%2 == 0 && len(workerIDs) > 4 {
-			if _, err := ss.Submit(NewWorkerLeft(workerIDs[0])); err != nil {
-				t.Fatal(err)
-			}
-			workerIDs = workerIDs[1:]
-			if _, err := ss.Submit(NewTaskClosed(taskIDs[0])); err != nil {
-				t.Fatal(err)
-			}
-			taskIDs = taskIDs[1:]
-		}
 	}
-	liveW, liveT := ss.Counts()
-	rounds := ss.Rounds()
-	var committed [shards][]byte
-	for k := 0; k < shards; k++ {
-		committed[k] = stateBytes(t, ss.ShardState(k))
-	}
-	for _, seg := range segs {
-		if err := seg.Close(); err != nil {
-			t.Fatal(err)
-		}
+	committed := stateBytes(t, svc.State())
+	liveW, liveT := svc.Counts()
+	_, workerIDs, _ := svc.State().Snapshot()
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Recover each shard directory like a fresh mbaserve -shards run.
-	states, infos, err := RecoverShardedDir(dir, categories, shards)
+	rec, info, err := RecoverDir(dir, crashShardedCategories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, st := range states {
-		if !bytes.Equal(stateBytes(t, st), committed[k]) {
-			t.Fatalf("shard %d: recovered state differs from live state (replayed %d events from %d segments)",
-				k, infos[k].EventsReplayed, infos[k].SegmentsReplayed)
-		}
+	if !bytes.Equal(stateBytes(t, rec), committed) {
+		t.Fatalf("recovered state differs from live state (replayed %d events from %d segments)",
+			info.EventsReplayed, info.SegmentsReplayed)
 	}
 
-	// The recovered stack reindexes to the same routing view and serves.
-	ss2, segs2 := build()
-	if w, tk := ss2.Counts(); w != liveW || tk != liveT {
+	svc2, seg2 := open()
+	defer seg2.Close()
+	if w, tk := svc2.Counts(); w != liveW || tk != liveT {
 		t.Fatalf("recovered Counts = %d/%d, want %d/%d", w, tk, liveW, liveT)
 	}
-	if ss2.Rounds() != rounds {
-		t.Fatalf("recovered Rounds = %d, want %d", ss2.Rounds(), rounds)
+	if svc2.Rounds() != 10 {
+		t.Fatalf("recovered Rounds = %d, want 10", svc2.Rounds())
 	}
-	if ss2.RepairedWorkers() != 0 {
-		t.Fatalf("clean recovery repaired %d workers", ss2.RepairedWorkers())
-	}
-	if _, err := ss2.CloseRound(); err != nil {
+	if _, err := svc2.CloseRound(); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := ss2.Submit(NewWorkerJoined(shardedWorker(categories, 0)))
+	ev, err := svc2.Submit(NewWorkerJoined(shardedWorker(crashShardedCategories, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,204 +319,105 @@ func TestShardedRecoveryByteIdentical(t *testing.T) {
 			t.Fatalf("recovered service re-issued live worker ID %d", ev.Worker.ID)
 		}
 	}
-	for _, seg := range segs2 {
+}
+
+// TestShardedRecoveryAcrossShardCounts: the partition count is a property
+// of the round, not of the directory.  A journal written under 4
+// partitions recovers and serves at 2 and then at 1, each recovery equal
+// to the state the previous run left.
+func TestShardedRecoveryAcrossShardCounts(t *testing.T) {
+	dir := t.TempDir()
+	rng := stats.NewRNG(9)
+	var left []byte
+	for run, shards := range []int{4, 2, 1} {
+		st, seg, cm, _, err := OpenMarketDir(dir, crashShardedCategories, SegmentOptions{MaxBytes: 2 << 10},
+			&CheckpointOptions{EveryRounds: 2, Keep: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run > 0 && !bytes.Equal(stateBytes(t, st), left) {
+			t.Fatalf("recovering at %d partitions: state differs from the one the previous run left", shards)
+		}
+		svc, err := NewPartitionedService(st, greedySolvers(shards), benefit.DefaultParams(), seg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.SetCheckpointer(cm)
+		for r := 0; r < 5; r++ {
+			shardedChurn(t, svc, rng)
+			res, err := svc.CloseRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SolveError != "" || len(res.Pairs) == 0 {
+				t.Fatalf("%d partitions, round %d: %d pairs, solve error %q", shards, r, len(res.Pairs), res.SolveError)
+			}
+		}
+		left = stateBytes(t, st)
 		if err := seg.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestShardedRecoveryShardCountMismatch writes a 2-shard directory and
-// recovers it under a 4-shard router, expecting the residency cross-check to
-// refuse it.  (This direction is the detectable one: a category with
-// shardOfCategory(c,4) ≥ 2 recovers in shard c%2 where the 4-shard router
-// would never place it.  The reverse — 4-shard data under 2 shards — is
-// undetectable for categories already in shards 0/1, since x%4 < 2 implies
-// x%4 == x%2.)
-func TestShardedRecoveryShardCountMismatch(t *testing.T) {
-	const categories = 16
+// TestOpenMarketDirRefusesShardDirs: a directory holding the per-shard
+// journal directories of the earlier sharded layout is refused by name,
+// rather than recovered as an empty market with a new journal started
+// beside them.
+func TestOpenMarketDirRefusesShardDirs(t *testing.T) {
 	dir := t.TempDir()
-
-	r4, r2 := ShardRouter{Shards: 4}, ShardRouter{Shards: 2}
-	cat := -1
-	for c := 0; c < categories; c++ {
-		if r4.TaskShard(c) != r2.TaskShard(c) {
-			cat = c
-			break
-		}
-	}
-	if cat < 0 {
-		t.Fatalf("no category distinguishes a 2-shard from a 4-shard router among %d categories", categories)
-	}
-
-	states := make([]*State, 2)
-	bundles := make([]Shard, 2)
-	var segs []*SegmentedLog
-	for k := range states {
-		st, err := NewState(categories)
+	for _, name := range []string{"shard-0000", "shard-0001"} {
+		sub := filepath.Join(dir, name)
+		st := mustState(t)
+		seg, err := OpenSegmentedLog(sub, SegmentOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := OpenSegmentedLog(ShardDir(dir, k), SegmentOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs = append(segs, seg)
-		states[k] = st
-		bundles[k] = Shard{State: st, Journal: seg, Solver: greedySolver()}
-	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Submit(NewTaskPosted(shardedTask(cat))); err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segs {
+		appendJoins(t, st, seg, 3)
 		if err := seg.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	rec, _, err := RecoverShardedDir(dir, categories, 4)
+	_, _, _, _, err := OpenMarketDir(dir, 3, SegmentOptions{}, &CheckpointOptions{EveryRounds: 1})
+	if err == nil || !strings.Contains(err.Error(), "shard-0000, shard-0001") {
+		t.Fatalf("opening a per-shard directory tree: err = %v, want a refusal naming shard-0000 and shard-0001", err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four := make([]Shard, 4)
-	for k := range four {
-		four[k] = Shard{State: rec[k], Solver: greedySolver()}
-	}
-	_, err = NewShardedService(four, benefit.DefaultParams(), 1)
-	if err == nil || !strings.Contains(err.Error(), "shard count mismatch") {
-		t.Fatalf("recovering 2-shard data with 4 shards: err = %v, want a shard count mismatch", err)
+	if len(entries) != 2 {
+		t.Fatalf("the refused open left %d entries in the directory, want only the 2 shard directories", len(entries))
 	}
 }
 
-// TestShardedPartialJoinRepaired simulates a machine death between the
-// fan-out appends of a spanning worker's join: the worker lands on disk in
-// only the first of its shards.  Recovery must converge the torn write to
-// absent (journaled), not refuse to start, and the ID must not be re-issued
-// to a later... different profile while the torn copy lingers.
-func TestShardedPartialJoinRepaired(t *testing.T) {
-	const categories, shards = 8, 4
-	dir := t.TempDir()
-	c0, c1 := spanningSpecialties(t, categories, shards)
-	targets := ShardRouter{Shards: shards}.WorkerShards([]int{c0, c1})
-
-	// Write the torn join directly: shard targets[0] gets the event, the
-	// machine dies before targets[1] is reached.
-	st, err := NewState(categories)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := OpenSegmentedLog(ShardDir(dir, targets[0]), SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := shardedWorker(categories, c0, c1)
-	w.ID = 1
-	if _, err := st.ApplyBatchJournaled([]Event{NewWorkerJoined(w)}, seg.AppendBatch); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	states, _, err := RecoverShardedDir(dir, categories, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles := make([]Shard, shards)
-	var segs []*SegmentedLog
-	for k := range bundles {
-		sg, err := OpenSegmentedLog(ShardDir(dir, k), SegmentOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs = append(segs, sg)
-		bundles[k] = Shard{State: states[k], Journal: sg, Solver: greedySolver()}
-	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
-	if err != nil {
-		t.Fatalf("recovery refused a torn join: %v", err)
-	}
-	if ss.RepairedWorkers() != 1 {
-		t.Fatalf("RepairedWorkers = %d, want 1", ss.RepairedWorkers())
-	}
-	if w, _ := ss.Counts(); w != 0 {
-		t.Fatalf("torn worker still counted: %d", w)
-	}
-	for k := 0; k < shards; k++ {
-		if _, ok := ss.ShardState(k).Worker(1); ok {
-			t.Fatalf("torn worker survives in shard %d after repair", k)
-		}
-	}
-
-	// The repair is journaled: a second recovery sees a clean directory.
-	for _, sg := range segs {
-		if err := sg.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	states2, _, err := RecoverShardedDir(dir, categories, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range bundles {
-		bundles[k] = Shard{State: states2[k], Solver: greedySolver()}
-	}
-	ss2, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss2.RepairedWorkers() != 0 {
-		t.Fatalf("second recovery repaired again (%d) — the repair was not durable", ss2.RepairedWorkers())
-	}
-}
-
-// TestShardedSharedSolverRejected pins the footgun guard: two shards
+// TestShardedSharedSolverRejected pins the footgun guard: two partitions
 // sharing one stateful solver instance must be refused.
 func TestShardedSharedSolverRejected(t *testing.T) {
 	shared := core.NewIncrementalExact()
-	bundles := make([]Shard, 2)
-	for k := range bundles {
-		st, err := NewState(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bundles[k] = Shard{State: st, Solver: shared}
-	}
-	if _, err := NewShardedService(bundles, benefit.DefaultParams(), 1); err == nil {
-		t.Fatal("two shards sharing one solver instance were accepted")
+	if _, err := NewPartitionedService(mustState(t), []core.Solver{shared, shared}, benefit.DefaultParams(), nil, 1); err == nil {
+		t.Fatal("two partitions sharing one solver instance were accepted")
 	}
 }
 
 // TestShardedSharedWorkspaceRejected pins the guard for value solvers:
-// two shards handed the same core.Greedy, whose pinned workspace keeps its
-// resident edge order, would race on it and must be refused.  Separate
-// workspaces, and greedies without one, are accepted.
+// two partitions handed the same core.Greedy, whose pinned workspace keeps
+// its resident edge order, would race on it and must be refused.
+// Separate workspaces, and greedies without one, are accepted.
 func TestShardedSharedWorkspaceRejected(t *testing.T) {
-	shards := func(solvers ...core.Solver) []Shard {
-		bundles := make([]Shard, len(solvers))
-		for k, s := range solvers {
-			st, err := NewState(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bundles[k] = Shard{State: st, Solver: s}
-		}
-		return bundles
+	build := func(solvers ...core.Solver) error {
+		_, err := NewPartitionedService(mustState(t), solvers, benefit.DefaultParams(), nil, 1)
+		return err
 	}
 	shared := core.Greedy{Kind: core.MutualWeight, WS: core.NewWorkspace()}
-	_, err := NewShardedService(shards(shared, shared), benefit.DefaultParams(), 1)
-	if err == nil || !strings.Contains(err.Error(), "share one solver workspace") {
-		t.Fatalf("two shards sharing one pinned workspace: err = %v, want it refused", err)
+	if err := build(shared, shared); err == nil || !strings.Contains(err.Error(), "share one solver workspace") {
+		t.Fatalf("two partitions sharing one pinned workspace: err = %v, want it refused", err)
 	}
 	for name, pair := range map[string][]core.Solver{
 		"own-workspaces": {greedySolver(), greedySolver()},
 		"pooled":         {core.Greedy{Kind: core.MutualWeight}, core.Greedy{Kind: core.MutualWeight}},
 	} {
-		if _, err := NewShardedService(shards(pair...), benefit.DefaultParams(), 1); err != nil {
+		if err := build(pair...); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -676,50 +592,28 @@ func TestShardedFeasibilityAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestShardedCloseRoundMarkerFailure pins the divergence contract: a marker
-// append failing on one shard aborts the round with earlier shards one
-// marker ahead, Rounds() reports the minimum, entity state is untouched,
+// TestShardedCloseRoundMarkerFailure: a failing marker append aborts a
+// partitioned round whole — Rounds() unchanged, entity state untouched —
 // and a retry serves everyone.
 func TestShardedCloseRoundMarkerFailure(t *testing.T) {
 	const categories, shards = 8, 4
-	bundles := make([]Shard, shards)
-	var bufs [shards]bytes.Buffer
-	// Shard 2's journal fails exactly one append; every entity below is
-	// routed away from shard 2, so the failing append is its round marker.
-	var failing *faultinject.FlakyWriter
-	for k := range bundles {
-		st, err := NewState(categories)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w *faultinject.FlakyWriter
-		if k == 2 {
-			w = faultinject.NewFlakyWriter(&bufs[k], faultinject.Once(0))
-			failing = w
-		} else {
-			w = faultinject.NewFlakyWriter(&bufs[k], func(int) bool { return false })
-		}
-		bundles[k] = Shard{State: st, Solver: greedySolver(), Journal: NewLogWithOptions(w, LogOptions{})}
-	}
-	ss, err := NewShardedService(bundles, benefit.DefaultParams(), 1)
+	// Appends 0 and 1 are the join and the post; append 2 is the marker.
+	var buf bytes.Buffer
+	failing := faultinject.NewFlakyWriter(&buf, faultinject.Once(2))
+	st, err := NewState(categories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := ShardRouter{Shards: shards}
-	cat := -1
-	for c := 0; c < categories; c++ {
-		if router.TaskShard(c) != 2 {
-			cat = c
-			break
-		}
-	}
-	if cat < 0 {
-		t.Fatal("every category routes to shard 2")
-	}
-	if _, err := ss.Submit(NewWorkerJoined(shardedWorker(categories, cat))); err != nil {
+	ss, err := NewPartitionedService(st, greedySolvers(shards), benefit.DefaultParams(),
+		NewLogWithOptions(failing, LogOptions{}), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.Submit(NewTaskPosted(shardedTask(cat))); err != nil {
+	c0, c1 := spanningSpecialties(t, categories, shards)
+	if _, err := ss.Submit(NewWorkerJoined(shardedWorker(categories, c0, c1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Submit(NewTaskPosted(shardedTask(c1))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -730,7 +624,7 @@ func TestShardedCloseRoundMarkerFailure(t *testing.T) {
 		t.Fatal("marker fault never injected")
 	}
 	if got := ss.Rounds(); got != 0 {
-		t.Fatalf("Rounds = %d after a failed commit, want 0 (minimum across shards)", got)
+		t.Fatalf("Rounds = %d after a failed commit, want 0", got)
 	}
 	if w, tk := ss.Counts(); w != 1 || tk != 1 {
 		t.Fatalf("entity state disturbed by a failed round: %d/%d", w, tk)
@@ -745,11 +639,12 @@ func TestShardedCloseRoundMarkerFailure(t *testing.T) {
 	if got := ss.Rounds(); got != 1 {
 		t.Fatalf("Rounds = %d after the retry, want 1", got)
 	}
+	assertReplayMatches(t, categories, buf.Bytes(), ss.State())
 }
 
-// TestShardedRoundProvenance checks the per-shard provenance surface: every
-// shard reports, pairs sum to the aggregate, and the algorithm label names
-// the partitioning.
+// TestShardedRoundProvenance checks the per-partition provenance surface:
+// every partition reports, their pairs sum to the round's, the round
+// commits one marker, and the algorithm label names the partitioning.
 func TestShardedRoundProvenance(t *testing.T) {
 	const categories, shards = 8, 4
 	ss := newTestShardedService(t, shards, categories, greedySolver, 3)
@@ -766,17 +661,23 @@ func TestShardedRoundProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Shards) != shards {
-		t.Fatalf("%d shard reports, want %d", len(res.Shards), shards)
+		t.Fatalf("%d partition reports, want %d", len(res.Shards), shards)
 	}
 	sum := 0
 	for k, sr := range res.Shards {
 		if sr.Shard != k {
-			t.Fatalf("shard report %d labelled %d", k, sr.Shard)
+			t.Fatalf("partition report %d labelled %d", k, sr.Shard)
+		}
+		if sr.Seq != 0 || sr.Checkpointed || sr.StalePairs != 0 {
+			t.Fatalf("partition %d reports commit provenance %+v; the round commits once", k, sr.RoundProvenance)
 		}
 		sum += sr.Pairs
 	}
 	if sum != len(res.Pairs) {
-		t.Fatalf("per-shard pairs sum %d != aggregate %d", sum, len(res.Pairs))
+		t.Fatalf("per-partition pairs sum %d != aggregate %d", sum, len(res.Pairs))
+	}
+	if res.Seq != ss.State().Seq() {
+		t.Fatalf("round marker seq %d, state at %d", res.Seq, ss.State().Seq())
 	}
 	if want := fmt.Sprintf("sharded/%d(", shards); !strings.HasPrefix(res.Metrics.Algorithm, want) {
 		t.Fatalf("algorithm label %q, want prefix %q", res.Metrics.Algorithm, want)
@@ -792,31 +693,3 @@ func TestShardedRoundProvenance(t *testing.T) {
 		t.Fatalf("Rounds = %d after a cancelled round, want 1", got)
 	}
 }
-
-// RecoverShardedDir recovers all shards of a sharded service's directory
-// layout: shard k is recovered independently from ShardDir(dir, k) via
-// RecoverDir (newest valid snapshot plus the journal tail).  Missing
-// subdirectories recover as empty shards, so a fresh directory boots a
-// fresh service.
-func RecoverShardedDir(dir string, numCategories, shards int) ([]*State, []*RecoveryInfo, error) {
-	if shards < 1 {
-		return nil, nil, fmt.Errorf("platform: shard count %d < 1", shards)
-	}
-	states := make([]*State, shards)
-	infos := make([]*RecoveryInfo, shards)
-	for k := 0; k < shards; k++ {
-		st, info, err := RecoverDir(ShardDir(dir, k), numCategories)
-		if err != nil {
-			return nil, nil, fmt.Errorf("platform: recovering shard %d: %w", k, err)
-		}
-		states[k] = st
-		infos[k] = info
-	}
-	return states, infos, nil
-}
-
-// NumShards returns the shard count.
-func (ss *ShardedService) NumShards() int { return len(ss.shards) }
-
-// ShardState exposes shard k's state (tests, stats).
-func (ss *ShardedService) ShardState(k int) *State { return ss.shards[k].state }

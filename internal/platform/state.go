@@ -56,9 +56,6 @@ func NewState(numCategories int) (*State, error) {
 	}, nil
 }
 
-// NumCategories returns the category universe size.
-func (s *State) NumCategories() int { return s.numCategories }
-
 // Counts returns the number of live workers and open tasks.
 func (s *State) Counts() (workers, tasks int) {
 	s.mu.RLock()
@@ -79,15 +76,6 @@ func (s *State) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch
-}
-
-// NextIDs returns the next worker and task IDs the state would assign.  A
-// sharded service seeds its global ID counters with the max over its
-// recovered shards.
-func (s *State) NextIDs() (nextWorkerID, nextTaskID int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nextWorkerID, s.nextTaskID
 }
 
 // Worker returns a live worker by platform ID.  Its profile slices are

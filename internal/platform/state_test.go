@@ -24,6 +24,9 @@ func validTask() market.Task {
 	return market.Task{Category: 0, Replication: 2, Payment: 5, Difficulty: 0.3}
 }
 
+// NumCategories returns the category universe size.
+func (s *State) NumCategories() int { return s.numCategories }
+
 func mustState(t *testing.T) *State {
 	t.Helper()
 	s, err := NewState(3)
